@@ -1,26 +1,26 @@
 """Bifurcation sweeps and detectors: saddle-node, Hopf, transcritical.
 
-A sweep samples one parameter on a uniform grid, solves the interior
-equilibria at every sample, and threads them into chains by nearest-neighbor
-matching (a chain dies when its equilibrium vanishes or jumps farther than
-the matching cap).  Detectors then read the chains:
+The interior equilibria along a parameter v form the curve F(x1; v) = 0, F
+being the interior scan function.  A sweep traces it by pseudo-arclength
+continuation, seeded and cross-checked by dense scans (interior_equilibria;
+a scan root that no traced curve passes through seeds a new curve), and
+resamples it onto the uniform sample grid, split at turning points into
+chains.  Every point solve is the one damped 2-D Newton iteration on
+(F, s) = (0, 0), with s = det J for folds (the curve's turning points,
+reported when tr < 0: a stable node meets a saddle), tr J for Hopf points
+(trace sign changes with det > 0; the first Lyapunov coefficient fixes
+sub/supercritical), v - v_i for the equilibrium at a fixed v_i, or the
+arclength constraint in the continuation corrector.
 
-  * saddle-node -- two chains with opposite-sign determinants end (or begin)
-    together; the fold is bracketed by bisection on "does the pair still
-    exist", then polished by a damped 2D Newton iteration on
-    (F(x1, v), det(x1, v)) = (0, 0), where F is the interior scan function;
-  * Hopf -- the trace changes sign along a chain while the determinant stays
-    positive; the crossing is bisected, then polished by a secant iteration
-    on tr(v) = 0, and the first Lyapunov coefficient fixes sub/supercritical;
-  * transcritical -- on refuge sweeps the interior equilibrium collides with
-    the predator-free state when x1*(r) = a1/b1, at
+On refuge sweeps the interior equilibrium collides with the predator-free
+state (transcritical) when x1*(r) = a1/b1, at
 
-        r1* = (b1*d/a1) * a2**(1/m1) / (w1**(1/m1) - a2**(1/m1)).
+    r1* = (b1*d/a1) * a2**(1/m1) / (w1**(1/m1) - a2**(1/m1)).
 
-    A variant of this formula circulates with a1**(1/m1) in the numerator
-    (0.08046 on the base set, vs 0.152351 for the form above, which matches
-    the quoted 0.15239); both are computed, the a2 form is operative, and
-    the discrepancy is flagged in the result.
+A variant of this formula circulates with a1**(1/m1) in the numerator
+(0.08046 on the base set, vs 0.152351 for the form above, which matches the
+quoted 0.15239); both are computed, the a2 form is operative, and the
+discrepancy is flagged in the result.
 """
 from __future__ import annotations
 
@@ -30,7 +30,9 @@ from dataclasses import dataclass, replace
 
 from .equilibria import (
     Equilibrium,
+    EquilibriumKind,
     _g_prime,
+    classify,
     interior_equilibria,
     interior_scan_function,
     jacobian,
@@ -56,6 +58,14 @@ __all__ = [
 
 SWEEPABLE = ("a1", "a2", "b1", "w0", "w1", "r")
 
+# Dense root-count cross-check at every _CHECK_EVERY-th sample (and both ends).
+_CHECK_EVERY = 10
+# Continuation steps in scaled arclength (x1 per carrying capacity, v per
+# range width): at most one sample spacing and _DS_MAX; a traced curve ends
+# where the step would have to drop below _DS_MIN.
+_DS_MAX = 0.05
+_DS_MIN = 1e-9
+
 
 class BifurcationKind(enum.Enum):
     SADDLE_NODE = "saddle_node"
@@ -79,9 +89,209 @@ class Branch:
     samples: tuple[float, ...]
     equilibria: tuple[tuple[Equilibrium, ...], ...]   # per sample
     chains: tuple[tuple[tuple[int, int], ...], ...]   # chain -> (sample, eq index)
+    curves: tuple[tuple[tuple[float, float], ...], ...] = ()  # traced (v, x1), in order
 
     def params_at(self, value: float) -> ModelParams:
         return replace(self.base_params, **{self.param_name: value})
+
+
+# --------------------------------------------------------------------------
+# The 2-D Newton iteration and the continuation built on it.
+
+def _tr_det(x1: float, pv: ModelParams) -> tuple[float, float]:
+    (j11, j12), (j21, j22) = jacobian(State(x1, x2_of_x1(x1, pv)), pv)
+    return j11 + j22, j11 * j22 - j12 * j21
+
+
+def _tr(x1: float, v: float, pv: ModelParams) -> float:
+    return _tr_det(x1, pv)[0]
+
+
+def _det(x1: float, v: float, pv: ModelParams) -> float:
+    return _tr_det(x1, pv)[1]
+
+
+def _residual(p: ModelParams, name: str, second):
+    """(F(x1; v), second(x1, v, pv)), or None outside the parameter domain
+    or the interior scan window."""
+    params: dict[float, ModelParams | None] = {}
+
+    def resid(x1: float, v: float) -> tuple[float, float] | None:
+        if v not in params:
+            try:
+                params[v] = replace(p, **{name: v})
+            except ParameterError:
+                params[v] = None
+        pv = params[v]
+        if pv is None:
+            return None
+        cap = pv.carrying_capacity
+        if not 1e-9 * cap < x1 < (1.0 - 1e-9) * cap:
+            return None
+        return interior_scan_function(pv)(x1), second(x1, v, pv)
+
+    return resid
+
+
+def _jac(resid, r0, x1: float, v: float):
+    """Columns d(resid)/dx1 and d(resid)/dv by central differences (one-sided
+    where a side leaves the domain), or None."""
+    cols = []
+    for dx, dv in ((1e-6 * abs(x1), 0.0), (0.0, 1e-6 * max(1e-3, abs(v)))):
+        up, dn, span = resid(x1 + dx, v + dv), resid(x1 - dx, v - dv), 2.0
+        if up is None:
+            up, span = r0, 1.0
+        if dn is None:
+            dn, span = r0, span - 1.0
+        if span == 0.0 or up is None or dn is None:
+            return None
+        h = span * (dx + dv)
+        cols.append(((up[0] - dn[0]) / h, (up[1] - dn[1]) / h))
+    return cols
+
+
+def _newton(resid, x1: float, v: float, tol: float = 1e-12,
+            max_iter: int = 60) -> tuple[float, float] | None:
+    """Damped Newton for resid(x1, v) = (0, 0); converged once the full step
+    is below tol relative in both coordinates."""
+    r = resid(x1, v)
+    if r is None:
+        return None
+    for _ in range(max_iter):
+        cols = _jac(resid, r, x1, v)
+        if cols is None:
+            return None
+        (a, c), (b, dd) = cols
+        det = a * dd - b * c
+        if det == 0.0 or not math.isfinite(det):
+            return None
+        dx = -(dd * r[0] - b * r[1]) / det
+        dv = -(-c * r[0] + a * r[1]) / det
+        if abs(dx) <= tol * abs(x1) and abs(dv) <= tol * abs(v):
+            return x1, v
+        step = 1.0
+        norm0 = abs(r[0]) + abs(r[1])
+        for _ in range(12):
+            cand = resid(x1 + step * dx, v + step * dv)
+            if cand is not None and abs(cand[0]) + abs(cand[1]) < norm0:
+                x1, v, r = x1 + step * dx, v + step * dv, cand
+                break
+            step *= 0.5
+        else:
+            return None
+    return None
+
+
+def _cap(p: ModelParams, name: str, v: float) -> float:
+    """The carrying capacity a1/b1 with the parameter set to v."""
+    return (v if name == "a1" else p.a1) / (v if name == "b1" else p.b1)
+
+
+def _at(p: ModelParams, name: str, a: tuple[float, float], b: tuple[float, float],
+        v: float) -> float | None:
+    """x1 of the interior equilibrium at the parameter value v, corrected from
+    the chord between the (v, x1) points a and b, interpolated as a fraction
+    of the carrying capacity (which moves with a1 and b1)."""
+    (va, xa), (vb, xb) = a, b
+    fa, fb = xa / _cap(p, name, va), xb / _cap(p, name, vb)
+    w = 0.0 if vb == va else (v - va) / (vb - va)
+    z = _newton(_residual(p, name, lambda x1_, v_, pv: v_ - v),
+                _cap(p, name, v) * (fa + w * (fb - fa)), v)
+    return None if z is None else z[0]
+
+
+def _trace(p: ModelParams, name: str, x0: float, v0: float,
+           samples: tuple[float, ...]) -> list[tuple[float, float]]:
+    """The equilibrium curve through (v0, x0), traced both ways until it
+    leaves [samples[0], samples[-1]] or the scan window, or closes on itself.
+    Turning points are polished onto the fold."""
+    lo, hi = samples[0], samples[-1]
+    xs = max(_cap(p, name, lo), _cap(p, name, hi))
+    vs = hi - lo
+    ds_max = min(1.0 / (len(samples) - 1), _DS_MAX)
+    gradient = _residual(p, name, lambda x1, v, pv: 0.0)
+
+    def tangent(x: float, v: float, tx: float = 0.0, tv: float = 1.0) -> tuple[float, float]:
+        """Unit tangent of F = 0 in scaled coordinates, on the side of (tx, tv)."""
+        cols = _jac(gradient, gradient(x, v), x, v)
+        if cols is None:
+            return tx, tv
+        gx, gv = -cols[1][0] * vs, cols[0][0] * xs
+        norm = math.copysign(math.hypot(gx, gv), gx * tx + gv * tv)
+        return (gx / norm, gv / norm) if norm else (tx, tv)
+
+    def march(tx: float, tv: float) -> list[tuple[float, float]]:
+        pts: list[tuple[float, float]] = []
+        x, v, ds, fresh = x0, v0, ds_max, True
+        while ds >= _DS_MIN and len(pts) < 100 * len(samples):  # a safety cap on steps
+            xp, vp = x + ds * tx * xs, v + ds * tv * vs
+            arc = _residual(p, name, lambda x_, v_, pv, tx=tx, tv=tv, xp=xp, vp=vp:
+                            tx * (x_ - xp) / xs + tv * (v_ - vp) / vs)
+            z = _newton(arc, xp, vp)
+            if z is None and not lo <= vp <= hi:
+                z = xp, vp  # the corrector may fail past the edge of the domain
+            elif z is None or math.hypot((z[0] - xp) / xs, (z[1] - vp) / vs) > 0.5 * ds:
+                ds *= 0.5
+                if not fresh:  # the last secant may point off the curve
+                    tx, tv, fresh = *tangent(x, v, tx, tv), True
+                continue
+            if not lo <= z[1] <= hi:  # end the curve exactly on the range edge
+                vb = hi if z[1] > hi else lo
+                if v == vb:
+                    return pts
+                xb = _at(p, name, (v, x), z[::-1], vb)
+                if xb is None:
+                    ds *= 0.5
+                    continue
+                return pts + [(vb, xb)]
+            if (v - v0) * (z[1] - v0) < 0.0:  # back through the seed: a closed curve
+                xc = _at(p, name, (v, x), z[::-1], v0)
+                if xc is not None and abs(xc - x0) <= 1e-7 * xs:
+                    return pts + [(v0, x0)]
+            step = math.hypot((z[0] - x) / xs, (z[1] - v) / vs)
+            tx, tv, fresh = (z[0] - x) / xs / step, (z[1] - v) / vs / step, False
+            x, v = z
+            pts.append((v, x))
+            ds = min(2.0 * ds, ds_max)
+        return pts
+
+    tx, tv = tangent(x0, v0)
+    ahead = march(tx, tv)
+    behind = [] if ahead[-1:] == [(v0, x0)] else march(-tx, -tv)
+    curve = behind[::-1] + [(v0, x0)] + ahead
+    for k in _turns(curve):
+        z = _newton(_residual(p, name, _det), curve[k][1], curve[k][0])
+        (va, xa), (vk, _), (_, xb) = curve[k - 1], curve[k], curve[k + 1]
+        if z is not None and min(xa, xb) < z[0] < max(xa, xb) and (z[1] - vk) * (vk - va) >= 0.0:
+            curve[k] = (z[1], z[0])
+    return curve
+
+
+def _turns(curve) -> list[int]:
+    """Indices of the traced points where v turns back."""
+    return [k for k in range(1, len(curve) - 1)
+            if (curve[k][0] - curve[k - 1][0]) * (curve[k + 1][0] - curve[k][0]) < 0.0]
+
+
+def _resample(p: ModelParams, name: str, curve, samples) -> list[list[tuple[int, float]]]:
+    """Chains of (sample index, x1): the curve split at its turning points,
+    each monotone piece corrected onto the samples it spans."""
+    cuts = [0, *_turns(curve), len(curve) - 1]
+    chains = []
+    for a, b in zip(cuts, cuts[1:]):
+        piece = sorted(curve[a:b + 1])
+        chain, k = [], 0
+        for i, v_i in enumerate(samples):
+            if not piece[0][0] <= v_i <= piece[-1][0]:
+                continue
+            while k + 2 < len(piece) and piece[k + 1][0] < v_i:
+                k += 1
+            x1 = _at(p, name, piece[k], piece[min(k + 1, len(piece) - 1)], v_i)
+            if x1 is not None:
+                chain.append((i, x1))
+        if chain:
+            chains.append(chain)
+    return chains
 
 
 def branch_sweep(
@@ -92,10 +302,11 @@ def branch_sweep(
     n: int = 200,
     scan_points: int = 2000,
 ) -> Branch:
-    """Sample interior equilibria along one parameter and thread chains.
+    """Trace the interior equilibria along one parameter and sample them.
 
-    n >= 50 recommended (coarser grids can alias folds); matching uses a cap
-    of 10% of the carrying capacity, so chains end rather than jump.
+    scan_points sets the dense scans that seed the curves and cross-check
+    the root count; n >= 50 recommended (the continuation step is at most
+    one sample spacing, so n also sets how finely tr and det are watched).
     """
     if param_name not in SWEEPABLE:
         raise DomainError(f"cannot sweep {param_name!r}; choose one of {SWEEPABLE}")
@@ -103,229 +314,84 @@ def branch_sweep(
         raise DomainError(f"need finite lo < hi, got {lo!r}, {hi!r}")
     if n < 2:
         raise DomainError("need at least 2 samples")
-    samples = tuple(lo + (hi - lo) * i / (n - 1) for i in range(n))
-
-    per_sample: list[tuple[Equilibrium, ...]] = []
+    # the last sample is hi itself: the formula can round one ulp past it
+    samples = tuple(lo + (hi - lo) * i / (n - 1) for i in range(n - 1)) + (hi,)
+    pvs = []
     for v in samples:
         try:
-            pv = replace(p, **{param_name: v})
+            pvs.append(replace(p, **{param_name: v}))
         except ParameterError as exc:
             raise DomainError(
                 f"sweep leaves the valid parameter domain at {param_name}={v!r}: {exc}"
             ) from exc
-        per_sample.append(tuple(interior_equilibria(pv, scan_points)))
 
-    chains: list[list[tuple[int, int]]] = [[(0, j)] for j in range(len(per_sample[0]))]
-    open_chains = list(range(len(chains)))
-    for i in range(1, n):
-        cap = max(replace(p, **{param_name: samples[i]}).carrying_capacity,
-                  replace(p, **{param_name: samples[i - 1]}).carrying_capacity)
-        match_cap = 0.1 * cap
-        tips = {c: per_sample[chains[c][-1][0]][chains[c][-1][1]].point
-                for c in open_chains if chains[c][-1][0] == i - 1}
-        candidates = []
-        for c, tip in tips.items():
-            for j, eq in enumerate(per_sample[i]):
-                dist = math.hypot(eq.point.x1 - tip.x1, eq.point.x2 - tip.x2)
-                if dist <= match_cap:
-                    candidates.append((dist, c, j))
-        candidates.sort(key=lambda t: t[0])
-        used_c: set[int] = set()
-        used_j: set[int] = set()
-        for dist, c, j in candidates:
-            if c in used_c or j in used_j:
-                continue
-            chains[c].append((i, j))
-            used_c.add(c)
-            used_j.add(j)
-        open_chains = [c for c in open_chains if chains[c][-1][0] == i]
-        for j in range(len(per_sample[i])):
-            if j not in used_j:
-                chains.append([(i, j)])
-                open_chains.append(len(chains) - 1)
+    # roots[i]: x1 at sample i on the chains so far.  A scan root or a chain
+    # point already there is not traced or kept twice (a curve that dips out
+    # of the range between two steps may run over another curve's chains).
+    curves: list[list[tuple[float, float]]] = []
+    found: list[list[tuple[int, float]]] = []
+    roots: list[list[float]] = [[] for _ in samples]
 
-    return Branch(param_name, p, samples, tuple(per_sample),
-                  tuple(tuple(ch) for ch in chains))
+    def new(i: int, x: float) -> bool:
+        return all(abs(y - x) > 1e-7 * pvs[i].carrying_capacity for y in roots[i])
+
+    for i in sorted({0, n - 1, *range(_CHECK_EVERY, n - 1, _CHECK_EVERY)}):
+        for eq in interior_equilibria(pvs[i], scan_points):
+            if new(i, eq.point.x1):
+                curves.append(_trace(p, param_name, eq.point.x1, samples[i], samples))
+                for chain in _resample(p, param_name, curves[-1], samples):
+                    chain = [(j, x1) for j, x1 in chain if new(j, x1)]
+                    for j, x1 in chain:
+                        roots[j].append(x1)
+                    if chain:
+                        found.append(chain)
+
+    found.sort()  # chain ids by first sample, then by x1 there
+    for xs in roots:
+        xs.sort()
+    return Branch(
+        param_name, p, samples,
+        tuple(tuple(classify(State(x1, x2_of_x1(x1, pv)), pv, EquilibriumKind.INTERIOR)
+                    for x1 in xs) for xs, pv in zip(roots, pvs)),
+        tuple(tuple((i, roots[i].index(x1)) for i, x1 in ch) for ch in found),
+        tuple(tuple(curve) for curve in curves))
 
 
 # --------------------------------------------------------------------------
-# Saddle-node detection.
+# Detectors: sign changes of det (folds) and tr (Hopf) along the curves.
 
-def _fold_presence(pv: ModelParams, window: tuple[float, float],
-                   edge_sign: float, pts: int = 200) -> tuple[bool, float]:
-    """Is the colliding pair still present inside the x1-window?
-
-    Present iff the scan function dips past zero against the edge sign (this
-    survives the pair being closer together than the grid resolution right
-    until the extremum itself lifts off zero).  Returns (present, x1 of the
-    extremum) -- the extremum is the Newton seed at the fold.
-    """
-    cap = pv.carrying_capacity
-    lo = max(window[0], 1e-9 * cap)
-    hi = min(window[1], (1.0 - 1e-9) * cap)
-    if not lo < hi:
-        return False, 0.5 * (window[0] + window[1])
-    F = interior_scan_function(pv)
-    best_x, best_v = lo, math.inf
-    for i in range(pts):
-        x = lo + (hi - lo) * i / (pts - 1)
-        v = edge_sign * F(x)
-        if v < best_v:
-            best_v, best_x = v, x
-    return best_v < 0.0, best_x
+def _zeros(branch: Branch, second) -> list[tuple[float, float, ModelParams]]:
+    """(x1, v, params) where second changes sign between traced points,
+    polished on (F, second) = (0, 0), inside the swept range."""
+    resid = _residual(branch.base_params, branch.param_name, second)
+    out = []
+    for curve in branch.curves:
+        s = [second(x1, v, branch.params_at(v)) for v, x1 in curve]
+        for (va, xa), (vb, xb), sa, sb in zip(curve, curve[1:], s, s[1:]):
+            if sa * sb > 0.0 or sa == sb == 0.0:  # no sign change (zeros fall through)
+                continue
+            w = sa / (sa - sb)
+            z = _newton(resid, xa + w * (xb - xa), va + w * (vb - va))
+            if z is not None and branch.samples[0] <= z[1] <= branch.samples[-1]:
+                out.append((*z, branch.params_at(z[1])))
+    return out
 
 
-def _newton_fold(p: ModelParams, param_name: str, x1: float, v: float,
-                 max_iter: int = 60) -> tuple[float, float] | None:
-    """Damped Newton for (F(x1; v), det(x1; v)) = (0, 0)."""
-
-    def resid(x1_: float, v_: float) -> tuple[float, float] | None:
-        try:
-            pv = replace(p, **{param_name: v_})
-        except ParameterError:
-            return None
-        cap = pv.carrying_capacity
-        if not (1e-9 * cap < x1_ < (1.0 - 1e-9) * cap):
-            return None
-        f_val = interior_scan_function(pv)(x1_)
-        x2 = x2_of_x1(x1_, pv)
-        if x2 <= 0.0:
-            return None
-        (j11, j12), (j21, j22) = jacobian(State(x1_, x2), pv)
-        return f_val, j11 * j22 - j12 * j21
-
-    r = resid(x1, v)
-    if r is None:
-        return None
-    for _ in range(max_iter):
-        f0, d0 = r
-        if abs(f0) < 1e-12 and abs(d0) < 1e-12:
-            break
-        hx = 1e-6 * max(1.0, abs(x1))
-        hv = 1e-6 * max(1e-3, abs(v))
-        rxp, rxm = resid(x1 + hx, v), resid(x1 - hx, v)
-        rvp, rvm = resid(x1, v + hv), resid(x1, v - hv)
-        if None in (rxp, rxm, rvp, rvm):
-            return None
-        a = (rxp[0] - rxm[0]) / (2.0 * hx)
-        b = (rvp[0] - rvm[0]) / (2.0 * hv)
-        c = (rxp[1] - rxm[1]) / (2.0 * hx)
-        dd = (rvp[1] - rvm[1]) / (2.0 * hv)
-        det = a * dd - b * c
-        if det == 0.0 or not math.isfinite(det):
-            return None
-        dx = -(dd * f0 - b * d0) / det
-        dv = -(-c * f0 + a * d0) / det
-        step = 1.0
-        norm0 = abs(f0) + abs(d0)
-        for _ in range(12):
-            cand = resid(x1 + step * dx, v + step * dv)
-            if cand is not None and abs(cand[0]) + abs(cand[1]) < norm0:
-                x1, v, r = x1 + step * dx, v + step * dv, cand
-                break
-            step *= 0.5
-        else:
-            return None
-    f0, d0 = r
-    if abs(f0) <= 1e-10 and abs(d0) <= 1e-10:
-        return x1, v
-    return None
-
-
-def detect_saddle_node(branch: Branch, local_scan: int = 200) -> list[BifurcationEvent]:
-    """Folds along the sweep: paired chain death (or birth) refined to the
-    point where the scan function and the Jacobian determinant vanish
-    together.  Only tr < 0 folds are reported (the colliding pair is a
-    stable node and a saddle)."""
-    p = branch.base_params
-    name = branch.param_name
-    samples = branch.samples
-    n = len(samples)
-
-    # candidate boundaries: (index of last sample with the pair, direction)
-    candidates: list[tuple[int, int, State, State]] = []
-    ends: dict[int, list[State]] = {}
-    starts: dict[int, list[State]] = {}
-    for ch in branch.chains:
-        i_first, j_first = ch[0]
-        i_last, j_last = ch[-1]
-        if i_last < n - 1:
-            ends.setdefault(i_last, []).append(branch.equilibria[i_last][j_last].point)
-        if i_first > 0:
-            starts.setdefault(i_first, []).append(branch.equilibria[i_first][j_first].point)
-    pair_cap = 0.3 * p.carrying_capacity
-    for i, pts in ends.items():
-        for a, b in _mutual_pairs(pts, pair_cap):
-            candidates.append((i, +1, a, b))
-    for i, pts in starts.items():
-        for a, b in _mutual_pairs(pts, pair_cap):
-            candidates.append((i, -1, a, b))
-
+def detect_saddle_node(branch: Branch) -> list[BifurcationEvent]:
+    """Folds along the sweep: the turning points of the traced curves, where
+    the Jacobian determinant changes sign, polished to where the scan
+    function and det vanish together.  Only tr < 0 folds are reported (the
+    colliding pair is a stable node and a saddle)."""
+    resid = _residual(branch.base_params, branch.param_name, _det)
     events: list[BifurcationEvent] = []
-    for i, direction, pa, pb in candidates:
-        v_have = samples[i]
-        v_gone = samples[i + 1] if direction > 0 else samples[i - 1]
-        gap = abs(pb.x1 - pa.x1)
-        w = max(0.25 * gap, 1e-3 * p.carrying_capacity)
-        window = (min(pa.x1, pb.x1) - w, max(pa.x1, pb.x1) + w)
-        pv_have = branch.params_at(v_have)
-        Fh = interior_scan_function(pv_have)
-        edge_sign = math.copysign(1.0, Fh(window[0]) + Fh(window[1]))
-
-        lo, hi = v_have, v_gone  # lo side has the pair
-        for _ in range(80):
-            if abs(hi - lo) <= 1e-6 * max(abs(lo), abs(hi)):
-                break
-            mid = 0.5 * (lo + hi)
-            present, _ = _fold_presence(branch.params_at(mid), window, edge_sign, local_scan)
-            if present:
-                lo = mid
-            else:
-                hi = mid
-        present, x_seed = _fold_presence(branch.params_at(lo), window, edge_sign, local_scan)
-        if not present:
-            x_seed = 0.5 * (pa.x1 + pb.x1)
-        polished = _newton_fold(p, name, x_seed, 0.5 * (lo + hi))
-        if polished is None:
-            continue
-        x1s, vs = polished
-        pv = branch.params_at(vs)
-        x2s = x2_of_x1(x1s, pv)
-        (j11, j12), (j21, j22) = jacobian(State(x1s, x2s), pv)
-        tr = j11 + j22
-        det = j11 * j22 - j12 * j21
-        if tr >= 0.0:
-            continue
-        hv = 1e-6 * max(1e-3, abs(vs))
-        f_v = (interior_scan_function(branch.params_at(vs + hv))(x1s)
-               - interior_scan_function(branch.params_at(vs - hv))(x1s)) / (2.0 * hv)
-        events.append(BifurcationEvent(
-            BifurcationKind.SADDLE_NODE, name, vs, State(x1s, x2s),
-            {"tr": tr, "det": det, "dF_dparam": f_v}))
-
+    for x1s, vs, pv in _zeros(branch, _det):
+        tr, det = _tr_det(x1s, pv)
+        if tr < 0.0:
+            f_v = _jac(resid, resid(x1s, vs), x1s, vs)[1][0]
+            events.append(BifurcationEvent(
+                BifurcationKind.SADDLE_NODE, branch.param_name, vs,
+                State(x1s, x2_of_x1(x1s, pv)), {"tr": tr, "det": det, "dF_dparam": f_v}))
     return _dedupe(events)
-
-
-def _mutual_pairs(pts: list[State], cap: float) -> list[tuple[State, State]]:
-    """Greedy nearest pairing of simultaneous chain ends; a fold's two halves
-    sit close together at the last sample where they exist.  Points with no
-    partner within `cap` are dropped (a lone chain end is a window edge or a
-    transcritical collision, not a fold)."""
-    pool = list(pts)
-    pairs = []
-    while len(pool) >= 2:
-        best = None
-        for a in range(len(pool)):
-            for b in range(a + 1, len(pool)):
-                d = math.hypot(pool[a].x1 - pool[b].x1, pool[a].x2 - pool[b].x2)
-                if best is None or d < best[0]:
-                    best = (d, a, b)
-        d, a, b = best
-        if d > cap:
-            break
-        pairs.append((pool[a], pool[b]))
-        pool = [q for k, q in enumerate(pool) if k not in (a, b)]
-    return pairs
 
 
 def _dedupe(events: list[BifurcationEvent]) -> list[BifurcationEvent]:
@@ -339,115 +405,42 @@ def _dedupe(events: list[BifurcationEvent]) -> list[BifurcationEvent]:
     return out
 
 
-# --------------------------------------------------------------------------
-# Hopf detection.
-
-def _interior_nearest(pv: ModelParams, x1_guess: float,
-                      scan_points: int = 2000) -> Equilibrium:
-    eqs = interior_equilibria(pv, scan_points)
-    if not eqs:
-        raise DomainError(f"no interior equilibrium near x1 = {x1_guess!r}")
-    return min(eqs, key=lambda e: abs(e.point.x1 - x1_guess))
-
-
 def detect_hopf(branch: Branch, scan_points: int = 2000) -> list[BifurcationEvent]:
-    """Trace-zero crossings with det > 0 along each chain, secant-polished,
-    with finite-difference transversality and the first Lyapunov sign."""
+    """Trace sign changes along the traced curves, polished on (F, tr) and
+    kept where det > 0, with finite-difference transversality and the first
+    Lyapunov sign.  scan_points is unused: the curves hold the equilibria."""
+    p, name = branch.base_params, branch.param_name
+
+    def tr_slope(x1: float, v: float, h: float) -> float | None:
+        xp, xm = _at(p, name, (v, x1), (v, x1), v + h), _at(p, name, (v, x1), (v, x1), v - h)
+        if xp is None or xm is None:
+            return None
+        return (_tr_det(xp, branch.params_at(v + h))[0]
+                - _tr_det(xm, branch.params_at(v - h))[0]) / (2.0 * h)
+
     events: list[BifurcationEvent] = []
-    for ch in branch.chains:
-        for (ia, ja), (ib, jb) in zip(ch, ch[1:]):
-            ea = branch.equilibria[ia][ja]
-            eb = branch.equilibria[ib][jb]
-            if ea.trace is None or eb.trace is None:
-                continue
-            if not (ea.det > 0.0 and eb.det > 0.0):
-                continue
-            if ea.trace * eb.trace > 0.0:  # no sign change (zeros fall through)
-                continue
-            if ea.trace == 0.0 and eb.trace == 0.0:
-                continue
-            ev = _refine_hopf(branch, branch.samples[ia], branch.samples[ib],
-                              ea.point.x1, eb.point.x1, scan_points)
-            if ev is not None:
-                events.append(ev)
+    for x1s, v_star, pv in _zeros(branch, _tr):
+        tr, det = _tr_det(x1s, pv)
+        if not (det > 0.0 and abs(tr) < 1e-8):
+            continue
+        h = max(1e-5 * abs(v_star), 1e-8)
+        est, est_half = tr_slope(x1s, v_star, h), tr_slope(x1s, v_star, 0.5 * h)
+        if est is None or est_half is None or abs(est) < 1e-8:
+            continue
+        point = State(x1s, x2_of_x1(x1s, pv))
+        lyap = first_lyapunov_coefficient(
+            p, BifurcationEvent(BifurcationKind.HOPF, name, v_star, point, {}))
+        events.append(BifurcationEvent(
+            BifurcationKind.HOPF, name, v_star, point,
+            {
+                "tr": tr,
+                "det": det,
+                "d_re_eig_dparam": 0.5 * est,
+                "d_re_eig_dparam_half_h": 0.5 * est_half,
+                "lyapunov": lyap,
+                "lyapunov_sign": math.copysign(1.0, lyap),
+            }))
     return _dedupe(events)
-
-
-def _refine_hopf(branch: Branch, va: float, vb: float, xa: float, xb: float,
-                 scan_points: int) -> BifurcationEvent | None:
-    name = branch.param_name
-
-    def tr_at(v: float, x_guess: float) -> tuple[float, Equilibrium]:
-        eq = _interior_nearest(branch.params_at(v), x_guess, scan_points)
-        return eq.trace, eq
-
-    ta, _ = tr_at(va, xa)
-    tb, _ = tr_at(vb, xb)
-    if ta * tb > 0.0:
-        return None
-    lo, hi, t_lo = va, vb, ta
-    x_guess = 0.5 * (xa + xb)
-    for _ in range(80):
-        if abs(hi - lo) <= 1e-9 * max(abs(lo), abs(hi), 1e-9):
-            break
-        mid = 0.5 * (lo + hi)
-        tm, eq = tr_at(mid, x_guess)
-        x_guess = eq.point.x1
-        if tm == 0.0:
-            lo = hi = mid
-            break
-        if (tm < 0.0) == (t_lo < 0.0):
-            lo, t_lo = mid, tm
-        else:
-            hi = mid
-
-    v0, v1 = lo, hi if hi != lo else lo * (1.0 + 1e-9)
-    t0, _ = tr_at(v0, x_guess)
-    t1, eq = tr_at(v1, x_guess)
-    for _ in range(40):
-        if abs(t1) < 1e-11:
-            break
-        if t1 == t0:
-            break
-        v2 = v1 - t1 * (v1 - v0) / (t1 - t0)
-        if not math.isfinite(v2):
-            break
-        v0, t0 = v1, t1
-        v1 = v2
-        t1, eq = tr_at(v1, eq.point.x1)
-    v_star, eq_star = v1, eq
-    if not (eq_star.det is not None and eq_star.det > 0.0 and abs(eq_star.trace) < 1e-8):
-        return None
-
-    h = max(1e-5 * abs(v_star), 1e-8)
-    est = _tr_slope(branch, v_star, eq_star.point.x1, h, scan_points)
-    est_half = _tr_slope(branch, v_star, eq_star.point.x1, 0.5 * h, scan_points)
-    if est is None or est_half is None or abs(est) < 1e-8:
-        return None
-    p_star = branch.params_at(v_star)
-    lyap = first_lyapunov_coefficient(
-        branch.base_params,
-        BifurcationEvent(BifurcationKind.HOPF, name, v_star, eq_star.point, {}))
-    return BifurcationEvent(
-        BifurcationKind.HOPF, name, v_star, eq_star.point,
-        {
-            "tr": eq_star.trace,
-            "det": eq_star.det,
-            "d_re_eig_dparam": 0.5 * est,
-            "d_re_eig_dparam_half_h": 0.5 * est_half,
-            "lyapunov": lyap,
-            "lyapunov_sign": math.copysign(1.0, lyap),
-        })
-
-
-def _tr_slope(branch: Branch, v: float, x_guess: float, h: float,
-              scan_points: int) -> float | None:
-    try:
-        ep = _interior_nearest(branch.params_at(v + h), x_guess, scan_points)
-        em = _interior_nearest(branch.params_at(v - h), x_guess, scan_points)
-    except (DomainError, ParameterError):
-        return None
-    return (ep.trace - em.trace) / (2.0 * h)
 
 
 def hopf_critical_a1(p: ModelParams, eq_point: State) -> float:
@@ -470,20 +463,20 @@ def hopf_critical_a1(p: ModelParams, eq_point: State) -> float:
 def hopf_a1_fixed_point(
     p: ModelParams, *, tol: float = 1e-12, max_iter: int = 200
 ) -> tuple[float, Equilibrium]:
-    """Solve a1 = hopf_critical_a1(params(a1), equilibrium(a1)) by direct
-    iteration (re-solving the interior equilibrium each round)."""
-    a1 = p.a1
-    eq = _interior_nearest(p, p.carrying_capacity * 0.5)
-    for _ in range(max_iter):
-        pv = replace(p, a1=a1)
-        eq = _interior_nearest(pv, eq.point.x1)
-        a1_next = hopf_critical_a1(pv, eq.point)
-        if abs(a1_next - a1) <= tol * max(1.0, abs(a1_next)):
-            pv = replace(p, a1=a1_next)
-            eq = _interior_nearest(pv, eq.point.x1)
-            return a1_next, eq
-        a1 = a1_next
-    raise DomainError(f"hopf_a1_fixed_point did not converge; last a1 = {a1!r}")
+    """The Hopf point in a1: the (F, tr) Newton solve in (x1, a1), seeded by
+    one scan at p.a1 (the root nearest the middle of (0, a1/b1)); tol and
+    max_iter bound the Newton steps.  At the solution
+    a1 = hopf_critical_a1(params(a1), equilibrium(a1))."""
+    eqs = interior_equilibria(p)
+    if not eqs:
+        raise DomainError(f"no interior equilibrium at a1 = {p.a1!r} to start from")
+    seed = min(eqs, key=lambda e: abs(e.point.x1 - 0.5 * p.carrying_capacity))
+    z = _newton(_residual(p, "a1", _tr), seed.point.x1, p.a1, tol, max_iter)
+    if z is None:
+        raise DomainError(f"hopf_a1_fixed_point did not converge from a1 = {p.a1!r}")
+    x1, a1 = z
+    pv = replace(p, a1=a1)
+    return a1, classify(State(x1, x2_of_x1(x1, pv)), pv, EquilibriumKind.INTERIOR)
 
 
 # --------------------------------------------------------------------------
@@ -561,14 +554,13 @@ def first_lyapunov_coefficient(p: ModelParams, hopf_event: BifurcationEvent) -> 
     if hopf_event.kind is not BifurcationKind.HOPF:
         raise DomainError("first_lyapunov_coefficient expects a Hopf event")
     pv = replace(p, **{hopf_event.param_name: hopf_event.critical_value})
-    eq = _interior_nearest(pv, hopf_event.point.x1)
-    return _lyapunov_at(pv, eq)
-
-
-def _lyapunov_at(pv: ModelParams, eq: Equilibrium) -> float:
-    (j11, j12), (j21, j22) = jacobian(eq.point, pv)
-    return _lyapunov_of_field(make_rhs(pv), eq.point.x1, eq.point.x2,
-                              j11, j12, j21, j22)
+    star = (hopf_event.critical_value, hopf_event.point.x1)
+    x1 = _at(p, hopf_event.param_name, star, star, hopf_event.critical_value)
+    if x1 is None:
+        raise DomainError(f"no interior equilibrium near x1 = {hopf_event.point.x1!r}")
+    x2 = x2_of_x1(x1, pv)
+    (j11, j12), (j21, j22) = jacobian(State(x1, x2), pv)
+    return _lyapunov_of_field(make_rhs(pv), x1, x2, j11, j12, j21, j22)
 
 
 def _lyapunov_of_field(f, x0: float, y0: float,

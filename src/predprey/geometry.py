@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 from .equilibria import predator_free_equilibrium
@@ -276,9 +274,7 @@ def trace_stable_separatrix_E0(
     """Assemble the stable set of the origin from per-probe bisections.
 
     probe_x1 may be a single abscissa, an explicit list, or None for the
-    default geometric fan.  Worker threads are capped by the environment
-    variable TOOL_THREADS (results are ordered by probe, so the output is
-    identical either way).
+    default geometric fan.
     """
     if opts is None:
         opts = SeparatrixOptions()
@@ -294,15 +290,7 @@ def trace_stable_separatrix_E0(
         if not stations:
             raise DomainError("empty probe list")
 
-    try:
-        workers = max(1, int(os.environ.get("TOOL_THREADS", "1") or "1"))
-    except ValueError:
-        workers = 1
-    if workers > 1 and len(stations) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ys = list(pool.map(lambda x: separatrix_boundary_x2(p, x, opts), stations))
-    else:
-        ys = [separatrix_boundary_x2(p, x, opts) for x in stations]
+    ys = [separatrix_boundary_x2(p, x, opts) for x in stations]
     pts = tuple(State(x, y) for x, y in zip(stations, ys))
     if len(pts) == 1:
         # a curve needs two points; duplicate with a hair of width
@@ -367,7 +355,8 @@ def separatrix_relative_position(
     best: tuple[float, float] | None = None
     saw_pos = saw_neg = False
     for i in range(grid_points):
-        x = lo + (hi - lo) * i / (grid_points - 1)
+        # the last station is hi itself: the formula can round one ulp past it
+        x = hi if i == grid_points - 1 else lo + (hi - lo) * i / (grid_points - 1)
         gap = _interp(ws_x, ws_y, x) - _interp(wu_x, wu_y, x)
         if gap > 0.0:
             saw_pos = True

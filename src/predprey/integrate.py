@@ -210,8 +210,8 @@ def _run(
             old = (y1, y2)[ev.index]
             new = (z1, z2)[ev.index]
             if ev.armed and new < ev.threshold <= old:
-                te, ye1, ye2 = _locate_crossing(
-                    t, t_new, (y1, y2), (z1, z2), ev, opts)
+                te, ye1, ye2 = _locate_level(t, t_new, (y1, y2), (z1, z2),
+                                             ev.index, ev.threshold, opts)
                 if fired is None or te < fired[0]:
                     fired = (te, ye1, ye2, ev)
         if fired is not None:
@@ -291,12 +291,6 @@ def _try_step(f, y1, y2, k1, k2, h, opts):
     if err > 1.0:
         return False, err
     return True, (z1, z2, err, k1n, k2n)
-
-
-def _locate_crossing(t0, t1, y_old, y_new, ev: _Event, opts):
-    """Bisect the linear dense output for the time the component drops to the
-    event threshold; tolerance opts.event_time_rel_tol relative to t."""
-    return _locate_level(t0, t1, y_old, y_new, ev.index, ev.threshold, opts)
 
 
 def _locate_level(t0, t1, y_old, y_new, index, level, opts):

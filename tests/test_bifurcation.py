@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predprey import (
     BifurcationEvent,
     BifurcationKind,
     DomainError,
+    ModelParams,
     State,
     branch_sweep,
     detect_hopf,
@@ -14,10 +19,13 @@ from predprey import (
     first_lyapunov_coefficient,
     hopf_a1_fixed_point,
     hopf_critical_a1,
+    interior_equilibria,
     transcritical_r,
     with_params,
 )
-from predprey.bifurcation import _lyapunov_of_field
+from predprey.bifurcation import SWEEPABLE, _lyapunov_of_field
+from predprey.equilibria import x2_of_x1
+from predprey.model import make_rhs
 
 
 def test_branch_sweep_validates_inputs(osc_params):
@@ -35,6 +43,8 @@ def test_branch_records_samples_and_params(osc_params):
     assert br.samples[0] == 0.4 and br.samples[-1] == 0.8
     assert br.params_at(0.5).a1 == 0.5
     assert br.params_at(0.5).b1 == osc_params.b1
+    # 0.2 + (1.0 - 0.2) * 24 / 24 rounds to 1.0000000000000002, outside (0, 1].
+    assert branch_sweep(osc_params, "r", 0.2, 1.0, n=25, scan_points=200).samples[-1] == 1.0
 
 
 def test_branch_chains_are_continuous(bistable_params):
@@ -78,6 +88,10 @@ def test_detect_saddle_node_on_w1(bistable_params):
     assert ev.critical_value == pytest.approx(4.55175, rel=1e-3)
     assert abs(ev.diagnostics["det"]) < 1e-10
     assert ev.diagnostics["tr"] < 0.0
+    # The fold's two chains end together, at the last sample before it.
+    ends = [ch[-1][0] for ch in br.chains if ch[-1][0] < len(br.samples) - 1]
+    assert len(ends) == 2 and ends[0] == ends[1]
+    assert br.samples[ends[0]] < ev.critical_value < br.samples[ends[0] + 1]
 
 
 def test_saddle_node_silent_when_pair_survives(bistable_params):
@@ -146,3 +160,47 @@ def test_first_lyapunov_requires_hopf_event(osc_params):
                             State(1.0, 1.0), {})
     with pytest.raises(DomainError):
         first_lyapunov_coefficient(osc_params, fake)
+
+
+# --------------------------------------------------------------------------
+# The continuation tracker against the dense scan.
+
+SWEEP_BASES = {
+    "osc": dict(a1=0.6, a2=1.0, b1=0.063, w0=1.0, w1=2.0, d=2.0, m1=0.8, m2=1.0),
+    "bistable": dict(a1=0.5, a2=0.7, b1=0.05, w0=0.2, w1=4.0, d=0.2, m1=0.5, m2=0.5),
+}
+
+
+def _scan_cell(x1: float, cap: float, scan_points: int) -> int:
+    # interior_equilibria scans cap * (1e-9 + (1 - 2e-9) * k / (scan_points - 1))
+    return int((x1 / cap - 1e-9) / (1.0 - 2e-9) * (scan_points - 1))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(base=st.sampled_from(sorted(SWEEP_BASES)), refuge=st.booleans(),
+       name=st.sampled_from(SWEEPABLE), down=st.floats(0.02, 0.6), up=st.floats(0.02, 0.6),
+       n=st.integers(3, 25), scan_points=st.sampled_from([200, 300, 400]))
+def test_branch_equilibria_match_the_dense_scan(base, refuge, name, down, up, n, scan_points):
+    p = ModelParams(**SWEEP_BASES[base], r=0.3 if refuge else 1.0)
+    v0 = getattr(p, name)
+    lo, hi = v0 * math.exp(-down), v0 * math.exp(up)
+    if name == "r":
+        hi = min(hi, 1.0)
+    br = branch_sweep(p, name, lo, hi, n=n, scan_points=scan_points)
+    for v, eqs in zip(br.samples, br.equilibria):
+        pv = br.params_at(v)
+        cap = pv.carrying_capacity
+        got = [e.point.x1 for e in eqs]
+        want = [e.point.x1 for e in interior_equilibria(pv, scan_points)]
+        extra = list(got)
+        for x in want:
+            near = [g for g in extra if abs(g - x) <= 1e-9 * x]
+            assert near, f"{name}={v!r}: scan root {x!r} missing from {got}"
+            extra.remove(near[0])
+        # Roots the scan cannot see: pairs sharing one scan cell.
+        cells = sorted(_scan_cell(x, cap, scan_points) for x in extra)
+        assert cells[::2] == cells[1::2], f"{name}={v!r}: unpaired extra roots {extra}"
+        rhs = make_rhs(pv)
+        for x in extra:
+            x2 = x2_of_x1(x, pv)
+            assert max(map(abs, rhs(x, x2))) <= 1e-8 * max(1.0, x + x2)

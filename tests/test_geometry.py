@@ -121,6 +121,13 @@ def test_relative_position_verdicts():
                        (State(9.0, 0.0), State(5.0, 5.0), State(1.0, 10.0)))
     assert separatrix_relative_position(ws, wu_x).verdict is Verdict.CROSSING
 
+    # lo + (hi - lo) * 199 / 199 rounds one ulp past hi on this shared range;
+    # the last station must be hi itself, or the interpolation raises.
+    lo, hi = 0.11388236146134381, 0.4809941328089724
+    ws_r = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0, (State(lo, 3.0), State(hi, 4.0)))
+    wu_r = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, (State(hi, 1.0), State(lo, 2.0)))
+    assert separatrix_relative_position(ws_r, wu_r).x1_range == (lo, hi)
+
 
 def test_relative_position_checks_labels_and_overlap():
     a = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0,

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predprey import (
     DomainError,
@@ -118,7 +121,9 @@ def test_with_params(osc_params):
         with_params(osc_params, m1=2.0)
 
 
-@pytest.mark.parametrize("table", [OSC, BISTABLE])
+# m1 = 0.11: the old default grid held 0.1 * top twice, one ulp apart (g
+# tied, check II failed), and g(1.9e-11) = 0.061 failed the old check I.
+@pytest.mark.parametrize("table", [OSC, BISTABLE, {**OSC, "m1": 0.11}])
 def test_assumptions_all_pass_for_fractional_m1(table):
     checks = verify_assumptions(ModelParams(**table))
     assert len(checks) == 7
@@ -141,6 +146,25 @@ def test_assumption_v_detail_reports_exponent(osc_params):
     v = next(c for c in checks if c.name.startswith("V:"))
     # Measured slope of g(x)/x should sit near m1 - 1 = -0.2.
     assert "-0.2000" in v.detail
+
+
+def _log_uniform(lo: float, hi: float):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(rates=st.lists(_log_uniform(1e-2, 1e2), min_size=6, max_size=6),
+       # VII's shell ratio 2**(m1-1) cannot be told from 1 within a few ulps
+       # of m1 = 1, so the fractional draws stop 1e-15 short of it.
+       m1=st.one_of(st.just(1.0), _log_uniform(1e-2, 1.0 - 1e-15)),
+       m2=_log_uniform(1e-2, 1.0), r=_log_uniform(1e-2, 1.0))
+def test_audit_verdicts_match_theory(rates, m1, m2, r):
+    a1, a2, b1, w0, w1, d = rates
+    p = ModelParams(a1=a1, a2=a2, b1=b1, w0=w0, w1=w1, d=d, m1=m1, m2=m2, r=r)
+    frac = m1 < 1.0
+    want = (["pass"] * 4 + (["pass"] * 2 if frac else ["not applicable"] * 2)
+            + ["pass" if frac else "fail"])
+    assert [c.status for c in verify_assumptions(p)] == want
 
 
 def test_assumption_grid_needs_points(osc_params):
