@@ -26,7 +26,8 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import Callable
 
 from .equilibria import (
     Equilibrium,
@@ -38,7 +39,15 @@ from .equilibria import (
     jacobian,
     x2_of_x1,
 )
-from .model import DomainError, ModelParams, ParameterError, State, eval_g, make_rhs
+from .model import (
+    DomainError,
+    ModelParams,
+    ParameterError,
+    State,
+    eval_g,
+    make_rhs,
+    with_params,
+)
 
 __all__ = [
     "SWEEPABLE",
@@ -92,7 +101,7 @@ class Branch:
     curves: tuple[tuple[tuple[float, float], ...], ...] = ()  # traced (v, x1), in order
 
     def params_at(self, value: float) -> ModelParams:
-        return replace(self.base_params, **{self.param_name: value})
+        return with_params(self.base_params, **{self.param_name: value})
 
 
 # --------------------------------------------------------------------------
@@ -113,22 +122,25 @@ def _det(x1: float, v: float, pv: ModelParams) -> float:
 
 def _residual(p: ModelParams, name: str, second):
     """(F(x1; v), second(x1, v, pv)), or None outside the parameter domain
-    or the interior scan window."""
-    params: dict[float, ModelParams | None] = {}
+    or the interior scan window.  The parameters, F and the carrying
+    capacity are built once per v."""
+    at: dict[float, tuple[ModelParams, Callable[[float], float], float] | None] = {}
 
     def resid(x1: float, v: float) -> tuple[float, float] | None:
-        if v not in params:
+        if v not in at:
             try:
-                params[v] = replace(p, **{name: v})
+                pv = with_params(p, **{name: v})
             except ParameterError:
-                params[v] = None
-        pv = params[v]
-        if pv is None:
+                at[v] = None
+            else:
+                at[v] = pv, interior_scan_function(pv), pv.carrying_capacity
+        hit = at[v]
+        if hit is None:
             return None
-        cap = pv.carrying_capacity
+        pv, F, cap = hit
         if not 1e-9 * cap < x1 < (1.0 - 1e-9) * cap:
             return None
-        return interior_scan_function(pv)(x1), second(x1, v, pv)
+        return F(x1), second(x1, v, pv)
 
     return resid
 
@@ -319,7 +331,7 @@ def branch_sweep(
     pvs = []
     for v in samples:
         try:
-            pvs.append(replace(p, **{param_name: v}))
+            pvs.append(with_params(p, **{param_name: v}))
         except ParameterError as exc:
             raise DomainError(
                 f"sweep leaves the valid parameter domain at {param_name}={v!r}: {exc}"
@@ -475,7 +487,7 @@ def hopf_a1_fixed_point(
     if z is None:
         raise DomainError(f"hopf_a1_fixed_point did not converge from a1 = {p.a1!r}")
     x1, a1 = z
-    pv = replace(p, a1=a1)
+    pv = with_params(p, a1=a1)
     return a1, classify(State(x1, x2_of_x1(x1, pv)), pv, EquilibriumKind.INTERIOR)
 
 
@@ -553,7 +565,7 @@ def first_lyapunov_coefficient(p: ModelParams, hopf_event: BifurcationEvent) -> 
     """
     if hopf_event.kind is not BifurcationKind.HOPF:
         raise DomainError("first_lyapunov_coefficient expects a Hopf event")
-    pv = replace(p, **{hopf_event.param_name: hopf_event.critical_value})
+    pv = with_params(p, **{hopf_event.param_name: hopf_event.critical_value})
     star = (hopf_event.critical_value, hopf_event.point.x1)
     x1 = _at(p, hopf_event.param_name, star, star, hopf_event.critical_value)
     if x1 is None:

@@ -200,13 +200,27 @@ def interior_scan_function(p: ModelParams):
 
     (equals (w0/w1) times the predator-balance residual along the prey
     nullcline, so its zeros are exactly the simultaneous solutions).
+
+    A float closure over the parameters (the sweep's Newton hot path); it
+    computes x2_of_x1 and eval_g inline, with their checks and the same
+    floating-point operations in the same order.
     """
-    a1, b1, w0, m2 = p.a1, p.b1, p.w0, p.m2
+    a1, b1, w0, d, m1, m2, r = p.a1, p.b1, p.w0, p.d, p.m1, p.m2, p.r
+    cap = p.carrying_capacity
+    top = cap * (1.0 + 1e-12)
+    k = p.w1 / (w0 * p.a2)
 
     def F(x1: float) -> float:
-        x2 = x2_of_x1(x1, p)
+        if not (0.0 <= x1 <= top):
+            raise DomainError(f"x2_of_x1 needs x1 in [0, a1/b1] = [0, {cap!r}], got {x1!r}")
+        f = a1 - b1 * x1
+        x2 = k * x1 * f
         pw = 0.0 if x2 == 0.0 else x2 ** m2
-        return w0 * eval_g(p.r * x1, p) * pw - x1 * (a1 - b1 * x1)
+        s = r * x1
+        if s < 0.0:
+            raise DomainError(f"g is defined for nonnegative arguments, got {s!r}")
+        g = 0.0 if s == 0.0 else (s / (s + d)) ** m1
+        return w0 * g * pw - x1 * f
 
     return F
 

@@ -19,7 +19,7 @@ the extinction criterion) leans on those two facts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from typing import Callable, Iterable, Mapping
 
 __all__ = [
@@ -101,10 +101,14 @@ def _range_error(name: str, v: float) -> str | None:
     return None
 
 
+# Field names in declaration order, the order violations are reported in.
+_FIELDS = tuple(f.name for f in fields(ModelParams))
+
+
 def _violations(p: ModelParams) -> list[str]:
     errors = []
-    for f in fields(ModelParams):
-        msg = _range_error(f.name, getattr(p, f.name))
+    for name in _FIELDS:
+        msg = _range_error(name, getattr(p, name))
         if msg:
             errors.append(msg)
     return errors
@@ -116,7 +120,7 @@ def validate_params(raw: Mapping[str, float]) -> ModelParams:
     Raises ParameterError whose .errors lists every unknown key, missing key,
     and range violation rather than stopping at the first.
     """
-    known = {f.name for f in fields(ModelParams)}
+    known = set(_FIELDS)
     errors = [f"unknown parameter {k!r}" for k in raw if k not in known]
     required = known - {"r"}
     errors += [f"missing parameter {k!r}" for k in sorted(required - set(raw))]
@@ -378,5 +382,24 @@ def _integral_check(p: ModelParams) -> AssumptionCheck:
 
 
 def with_params(p: ModelParams, **changes: float) -> ModelParams:
-    """replace() wrapper so sweep code doesn't import dataclasses everywhere."""
-    return replace(p, **changes)
+    """p with some fields changed, equal to dataclasses.replace(p, **changes).
+
+    Only the changed fields are validated: the others were checked when p
+    was built.  This keeps parameter substitution cheap where sweeps and
+    Newton iterations do it thousands of times.  Raises ParameterError
+    listing every bad changed field (messages and order as ModelParams
+    gives them), and TypeError for a name that is not a field.
+    """
+    bad = []
+    for name, value in changes.items():
+        if name not in _FIELDS:
+            raise TypeError(f"ModelParams has no field {name!r}")
+        msg = _range_error(name, value)
+        if msg:
+            bad.append((_FIELDS.index(name), msg))
+    if bad:
+        raise ParameterError([msg for _, msg in sorted(bad)])
+    q = object.__new__(ModelParams)
+    q.__dict__.update(p.__dict__)
+    q.__dict__.update(changes)
+    return q

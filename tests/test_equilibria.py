@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from predprey import (
     EquilibriumKind,
     State,
     classify,
+    eval_g,
     interior_equilibria,
     jacobian,
     make_rhs,
@@ -90,6 +92,36 @@ def test_scan_function_signs_bracket_roots(bistable_params):
     for eq in eqs:
         x = eq.point.x1
         assert F(x * (1 - 1e-4)) * F(x * (1 + 1e-4)) < 0.0
+
+
+def _scan_function_reference(p):
+    """F as the composition of the model's helpers."""
+    def F(x1):
+        x2 = x2_of_x1(x1, p)
+        pw = 0.0 if x2 == 0.0 else x2 ** p.m2
+        return p.w0 * eval_g(p.r * x1, p) * pw - x1 * (p.a1 - p.b1 * x1)
+    return F
+
+
+@pytest.mark.parametrize("changes", [{}, {"r": 0.3}])
+@pytest.mark.parametrize("table", ["osc", "bistable", "osc_m1_m2_1"])
+def test_scan_function_matches_reference_exactly(table, changes, osc_params, bistable_params):
+    p = {"osc": osc_params, "bistable": bistable_params,
+         "osc_m1_m2_1": with_params(osc_params, m1=1.0, m2=1.0)}[table]
+    p = with_params(p, **changes)
+    F, ref = interior_scan_function(p), _scan_function_reference(p)
+    cap = p.carrying_capacity
+    top = cap * (1.0 + 1e-12)
+    lo_frac, hi_frac, n = 1e-9, 1.0 - 1e-9, 2000  # interior_equilibria's scan grid
+    xs = [cap * (lo_frac + (hi_frac - lo_frac) * i / (n - 1)) for i in range(n)]
+    # repr tells every float apart (-0.0 too); past cap, x2 < 0 and a
+    # fractional m2 makes both values complex
+    xs += [0.0, cap, top]
+    assert [repr(F(x)) for x in xs] == [repr(ref(x)) for x in xs]
+    for x in (-5e-324, -1e-12, math.nextafter(top, math.inf), 2.0 * cap, math.nan):
+        for f in (F, ref):
+            with pytest.raises(DomainError):
+                f(x)
 
 
 def test_jacobian_matches_central_differences(osc_params, bistable_params):

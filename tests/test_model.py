@@ -1,10 +1,11 @@
 from __future__ import annotations
 
+import dataclasses
 import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predprey import (
@@ -114,11 +115,48 @@ def test_u_chart_rejects_nonpositive_u(osc_params):
         fu(-1.0, 1.0)
 
 
-def test_with_params(osc_params):
-    q = with_params(osc_params, r=0.3)
-    assert q.r == 0.3 and q.a1 == osc_params.a1
-    with pytest.raises(ParameterError):
-        with_params(osc_params, m1=2.0)
+_FIELD_NAMES = [f.name for f in dataclasses.fields(ModelParams)]
+_ANY_VALUE = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 1.0, 1.5, 5e-324, 0.5]),
+    st.integers(-2, 3), st.booleans(), st.none(), st.just("0.5"))
+
+
+def _replace_fails(p, name, value) -> bool:
+    try:
+        dataclasses.replace(p, **{name: value})
+    except ParameterError:
+        return True
+    return False
+
+
+# with_params validates only the changed fields; dataclasses.replace, which
+# re-runs the full validation, is the reference.
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(table=st.sampled_from([OSC, BISTABLE, {**OSC, "r": 0.3}]),
+       changes=st.dictionaries(st.sampled_from([*_FIELD_NAMES, "w3"]), _ANY_VALUE,
+                               max_size=4))
+@example(table=OSC, changes={"r": 0.3})
+@example(table=OSC, changes={"r": 2.0, "a1": -1.0, "m1": 0.0})
+@example(table=OSC, changes={"m1": 2.0, "w3": 1.0})
+def test_with_params(table, changes):
+    p = ModelParams(**table)
+    try:
+        want = dataclasses.replace(p, **changes)
+    except (TypeError, ParameterError) as exc:  # TypeError: an unknown name
+        with pytest.raises(type(exc)) as got:
+            with_params(p, **changes)
+        if isinstance(exc, ParameterError):
+            assert got.value.errors == exc.errors
+            bad = [k for k, v in changes.items() if _replace_fails(p, k, v)]
+            assert len(got.value.errors) == len(bad)
+    else:
+        q = with_params(p, **changes)
+        assert type(q) is ModelParams
+        assert q == want and hash(q) == hash(want) and repr(q) == repr(want)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            q.r = 0.5
+    assert p == ModelParams(**table)  # p itself is untouched
 
 
 # m1 = 0.11: the old default grid held 0.1 * top twice, one ulp apart (g
