@@ -215,7 +215,14 @@ def interior_scan_function(p: ModelParams):
             raise DomainError(f"x2_of_x1 needs x1 in [0, a1/b1] = [0, {cap!r}], got {x1!r}")
         f = a1 - b1 * x1
         x2 = k * x1 * f
-        pw = 0.0 if x2 == 0.0 else x2 ** m2
+        if x2 > 0.0 or (x2 < 0.0 and m2 == 1.0):
+            pw = x2 ** m2
+        elif x2 == 0.0:
+            pw = 0.0
+        else:
+            # past a1/b1 (the slack above it) x2 < 0, and x2**m2 is complex
+            raise DomainError(f"predator level x2 = {x2!r} < 0 at x1 = {x1!r} "
+                              f"has no real power m2 = {m2!r}")
         s = r * x1
         if s < 0.0:
             raise DomainError(f"g is defined for nonnegative arguments, got {s!r}")

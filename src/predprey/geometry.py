@@ -99,7 +99,8 @@ class SeparatrixOptions:
         lo, hi = self.probe_span
         if not (0.0 < lo < hi < 1.0):
             raise DomainError("probe_span fractions must satisfy 0 < lo < hi < 1")
-        if self.bisect_rel_tol <= 0.0 or self.x2_cap_factor <= 1.0:
+        if not (0.0 < self.bisect_rel_tol < math.inf
+                and 1.0 < self.x2_cap_factor < math.inf):
             raise DomainError("bad separatrix tolerances")
 
 
@@ -205,14 +206,11 @@ _BELOW = "below"
 
 
 def _classify_launch(p: ModelParams, x1_0: float, x2_0: float,
-                     opts: SeparatrixOptions) -> str:
+                     iopts: IntegratorOptions, turned) -> str:
     """ABOVE: prey decays monotonically into the extinction event.
-    BELOW: a turnaround (dx1/dt > 0 at an accepted state) or survival to the
-    horizon."""
-    f = make_rhs(p)
-    iopts = replace(opts.integrator, horizon=opts.horizon)
-    traj = integrate(p, State(x1_0, x2_0), iopts,
-                     stop_when=lambda t, s: f(s.x1, s.x2)[0] > 0.0)
+    BELOW: a turnaround (`turned`: dx1/dt > 0 at an accepted state) or
+    survival to the horizon."""
+    traj = integrate(p, State(x1_0, x2_0), iopts, stop_when=turned)
     kind = traj.termination.kind
     if kind is TerminationKind.PREY_EXTINCT:
         return _ABOVE
@@ -235,12 +233,19 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
     k2 = dissipative_bound_K2(p).K2
     ceiling = opts.x2_cap_factor * max(k2, 1.0)
 
+    # the field, options and turnaround test serve every launch of the probe
+    f = make_rhs(p)
+    iopts = replace(opts.integrator, horizon=opts.horizon)
+
+    def turned(t: float, s: State) -> bool:
+        return f(s.x1, s.x2)[0] > 0.0
+
     lo = 0.5 * base
-    if _classify_launch(p, probe_x1, lo, opts) != _BELOW:
+    if _classify_launch(p, probe_x1, lo, iopts, turned) != _BELOW:
         lo = 0.0  # extremely flat nullcline; fall back to the axis
 
     hi = max(2.0 * base, 1.0)
-    while _classify_launch(p, probe_x1, hi, opts) == _BELOW:
+    while _classify_launch(p, probe_x1, hi, iopts, turned) == _BELOW:
         hi *= 2.0
         if hi > ceiling:
             raise DomainError(
@@ -249,7 +254,7 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
                 "or outside the searched window")
     while hi - lo > opts.bisect_rel_tol * hi:
         mid = 0.5 * (lo + hi)
-        if _classify_launch(p, probe_x1, mid, opts) == _ABOVE:
+        if _classify_launch(p, probe_x1, mid, iopts, turned) == _ABOVE:
             hi = mid
         else:
             lo = mid

@@ -1,11 +1,16 @@
 """Adaptive Dormand-Prince 5(4) integration with axis-extinction events.
 
 The stepper is written out against plain floats for the 2D system -- the
-separatrix and sweep machinery runs tens of thousands of short integrations,
-and scalar arithmetic keeps each step in the microsecond range.  Error
-control is the usual embedded-pair estimate with a PI controller; dense
-output is linear on each accepted step, which is all the event localization
-needs at the tolerances used here.
+separatrix machinery runs thousands of short integrations (about 31 per
+probe), and scalar arithmetic keeps each step in the microsecond range.
+The step itself is written out inline in the one loop (`_run`) that both
+charts share: in CPython a helper call per step, a tuple per step result,
+min/max builtin calls and per-event objects cost as much as the field
+evaluations they wrap.  The loop binds the tableau and the options to
+locals once per integration and spells min/max as comparisons with the same
+result.  Error control is the usual embedded-pair estimate with a PI
+controller; dense output is linear on each accepted step, which is all the
+event localization needs at the tolerances used here.
 
 Events watch for *downward* crossings of a small threshold by a state
 component.  An event is armed only if its component starts above threshold
@@ -20,7 +25,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 from .model import DomainError, ModelParams, State, make_rhs, make_u_rhs
 
@@ -64,14 +69,16 @@ class IntegratorOptions:
     event_time_rel_tol: float = 1e-10  # event time localized to this * t
 
     def __post_init__(self):
-        if not (self.rel_tol > 0.0 and self.abs_tol > 0.0):
-            raise DomainError("tolerances must be positive")
+        if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
+            raise DomainError("tolerances must be positive and finite")
         if not (0.0 < self.min_step < self.max_step):
             raise DomainError("need 0 < min_step < max_step")
         if not (self.horizon > 0.0 and math.isfinite(self.horizon)):
             raise DomainError("horizon must be positive and finite")
         if not (0.0 < self.extinction_threshold < 1.0):
             raise DomainError("extinction_threshold must lie in (0, 1)")
+        if not (0.0 <= self.event_time_rel_tol < math.inf):
+            raise DomainError("event_time_rel_tol must be nonnegative and finite")
 
 
 @dataclass
@@ -117,180 +124,214 @@ _MAX_FACTOR = 5.0
 _BETA1 = 0.7 / 5.0
 _BETA2 = 0.4 / 5.0
 
-
-class _Event:
-    """Downward threshold crossing on one component, with arming logic."""
-
-    __slots__ = ("index", "threshold", "kind", "armed")
-
-    def __init__(self, index: int, threshold: float, kind: TerminationKind):
-        self.index = index
-        self.threshold = threshold
-        self.kind = kind
-        self.armed = False
-
-    def arm_for(self, value: float) -> None:
-        self.armed = value > self.threshold
-
-    def update_arming(self, value: float) -> None:
-        if not self.armed and value > 2.0 * self.threshold:
-            self.armed = True
+_EVENT_KINDS = (TerminationKind.PREY_EXTINCT, TerminationKind.PREDATOR_EXTINCT)
 
 
-def _initial_step(f, y1, y2, opts: IntegratorOptions, direction_cap: float) -> float:
-    # Hairer-style two-phase guess, simplified for 2 components.
-    f1, f2 = f(y1, y2)
+def _initial_step(y1: float, y2: float, f1: float, f2: float,
+                  opts: IntegratorOptions) -> float:
+    # Hairer-style two-phase guess, simplified for 2 components; (f1, f2)
+    # is the field at (y1, y2).
     sc1 = opts.abs_tol + opts.rel_tol * abs(y1)
     sc2 = opts.abs_tol + opts.rel_tol * abs(y2)
     d0 = math.sqrt(0.5 * ((y1 / sc1) ** 2 + (y2 / sc2) ** 2))
     d1 = math.sqrt(0.5 * ((f1 / sc1) ** 2 + (f2 / sc2) ** 2))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
-    return max(opts.min_step, min(h0, opts.max_step, direction_cap))
+    return max(opts.min_step, min(h0, opts.max_step, opts.horizon))
 
 
 def _run(
     f: Callable[[float, float], tuple[float, float]],
     ic: tuple[float, float],
     opts: IntegratorOptions,
-    events: Sequence[_Event],
+    watch: tuple[bool, bool],
     stop_when: Callable[[float, State], bool] | None,
     blowup_ceiling: float | None,
 ) -> Trajectory:
-    """Core loop shared by the x-system and the u-chart."""
+    """Core loop shared by the x-system and the u-chart.
+
+    watch[i] switches on the extinction event of component i (the u-chart
+    watches neither and ends at blowup_ceiling instead).  The min/max of
+    the textbook loop are written as comparisons with the same result, ties
+    and -0.0 included: max(a, b) is `b if b > a else a`, min(a, b) is
+    `b if b < a else a`.
+    """
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    a71, a73, a74, a75, a76 = _A71, _A73, _A74, _A75, _A76
+    ew1, ew3, ew4, ew5, ew6, ew7 = _E1, _E3, _E4, _E5, _E6, _E7
+    safety, min_factor, max_factor = _SAFETY, _MIN_FACTOR, _MAX_FACTOR
+    beta1, beta2 = _BETA1, _BETA2
+    horizon, min_step, max_step = opts.horizon, opts.min_step, opts.max_step
+    abs_tol, rel_tol = opts.abs_tol, opts.rel_tol
+    thr = opts.extinction_threshold
+    inf, isfinite, sqrt = math.inf, math.isfinite, math.sqrt
+    ceiling = inf if blowup_ceiling is None else blowup_ceiling
+
     t = 0.0
     y1, y2 = ic
     traj = Trajectory()
-    traj.times.append(t)
-    traj.states.append(State(y1, y2))
+    add_time, add_state = traj.times.append, traj.states.append
+    add_time(t)
+    s = State(y1, y2)
+    add_state(s)
 
-    for ev in events:
-        ev.arm_for((y1, y2)[ev.index])
+    # An event is armed only if its component starts above the threshold,
+    # and re-arms once the component climbs above twice the threshold; an
+    # unwatched component never arms (its re-arm level is infinite).
+    armed1 = watch[0] and y1 > thr
+    armed2 = watch[1] and y2 > thr
+    rearm1 = 2.0 * thr if watch[0] else inf
+    rearm2 = 2.0 * thr if watch[1] else inf
 
-    if stop_when is not None and stop_when(t, traj.states[-1]):
+    if stop_when is not None and stop_when(t, s):
         traj.termination = Termination(TerminationKind.STOPPED, t)
         return traj
 
-    h = _initial_step(f, y1, y2, opts, opts.horizon)
+    # one field evaluation at the initial condition: the step guess and k1
     try:
         k1, k2 = f(y1, y2)
     except (OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"field not evaluable at the initial condition: {exc}") from exc
+    h = _initial_step(y1, y2, k1, k2, opts)
     err_prev = 1.0
 
-    while t < opts.horizon:
-        h = min(h, opts.horizon - t)
-        if h < opts.min_step:
-            h = opts.min_step
+    while t < horizon:
+        rem = horizon - t
+        if rem < h:  # min(h, horizon - t)
+            h = rem
+        if h < min_step:
+            h = min_step
 
-        ok, out = _try_step(f, y1, y2, k1, k2, h, opts)
-        if not ok:
-            # out is the error norm (or inf); shrink and retry
-            err = out
-            if h <= opts.min_step:
+        # --- one embedded step; err ends finite, or inf to reject outright --
+        try:
+            a1 = y1 + h * a21 * k1
+            a2 = y2 + h * a21 * k2
+            s21, s22 = f(a1, a2)
+            a1 = y1 + h * (a31 * k1 + a32 * s21)
+            a2 = y2 + h * (a31 * k2 + a32 * s22)
+            s31, s32 = f(a1, a2)
+            a1 = y1 + h * (a41 * k1 + a42 * s21 + a43 * s31)
+            a2 = y2 + h * (a41 * k2 + a42 * s22 + a43 * s32)
+            s41, s42 = f(a1, a2)
+            a1 = y1 + h * (a51 * k1 + a52 * s21 + a53 * s31 + a54 * s41)
+            a2 = y2 + h * (a51 * k2 + a52 * s22 + a53 * s32 + a54 * s42)
+            s51, s52 = f(a1, a2)
+            a1 = y1 + h * (a61 * k1 + a62 * s21 + a63 * s31 + a64 * s41 + a65 * s51)
+            a2 = y2 + h * (a61 * k2 + a62 * s22 + a63 * s32 + a64 * s42 + a65 * s52)
+            s61, s62 = f(a1, a2)
+            z1 = y1 + h * (a71 * k1 + a73 * s31 + a74 * s41 + a75 * s51 + a76 * s61)
+            z2 = y2 + h * (a71 * k2 + a73 * s32 + a74 * s42 + a75 * s52 + a76 * s62)
+            k1n, k2n = f(z1, z2)
+            e1 = h * (ew1 * k1 + ew3 * s31 + ew4 * s41 + ew5 * s51 + ew6 * s61 + ew7 * k1n)
+            e2 = h * (ew1 * k2 + ew3 * s32 + ew4 * s42 + ew5 * s52 + ew6 * s62 + ew7 * k2n)
+        except (OverflowError, ZeroDivisionError, DomainError):
+            # a trial stage left the chart (u-system) or overflowed
+            err = inf
+        else:
+            if isfinite(z1) and isfinite(z2):
+                # max(abs(y), abs(z)) per component; a magnitude that comes
+                # out as -0.0 leaves abs_tol + rel_tol * big as it is
+                big1 = -y1 if y1 < 0.0 else y1
+                m = -z1 if z1 < 0.0 else z1
+                if m > big1:
+                    big1 = m
+                big2 = -y2 if y2 < 0.0 else y2
+                m = -z2 if z2 < 0.0 else z2
+                if m > big2:
+                    big2 = m
+                sc1 = abs_tol + rel_tol * big1
+                sc2 = abs_tol + rel_tol * big2
+                err = sqrt(0.5 * ((e1 / sc1) ** 2 + (e2 / sc2) ** 2))
+                if not isfinite(err):
+                    err = inf
+            else:
+                err = inf
+
+        if err > 1.0:
+            # rejected: shrink and retry
+            if h <= min_step:
                 traj.termination = Termination(
                     TerminationKind.STEP_FAILURE, t,
                     f"step size underflow at t={t!r} (err={err!r})",
                 )
                 return traj
-            if math.isfinite(err) and err > 0.0:
-                fac = max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+            if isfinite(err) and err > 0.0:
+                fac = safety * err ** (-0.2)
+                if not fac > min_factor:  # max(min_factor, fac)
+                    fac = min_factor
             else:
                 fac = 0.5
-            h = max(opts.min_step, h * min(1.0, fac))
+            if fac < 1.0:  # h * min(1.0, fac)
+                h = h * fac
+            if not h > min_step:  # max(min_step, h)
+                h = min_step
             continue
 
-        z1, z2, err, k1n, k2n = out
         t_new = t + h
-        if t_new >= opts.horizon:
-            t_new = opts.horizon
+        if t_new >= horizon:
+            t_new = horizon
 
-        # --- event scan on the accepted chord -------------------------------
-        fired = None
-        for ev in events:
-            old = (y1, y2)[ev.index]
-            new = (z1, z2)[ev.index]
-            if ev.armed and new < ev.threshold <= old:
-                te, ye1, ye2 = _locate_level(t, t_new, (y1, y2), (z1, z2),
-                                             ev.index, ev.threshold, opts)
-                if fired is None or te < fired[0]:
-                    fired = (te, ye1, ye2, ev)
-        if fired is not None:
-            te, ye1, ye2, ev = fired
-            traj.times.append(te)
-            traj.states.append(State(max(ye1, 0.0), max(ye2, 0.0)))
-            traj.termination = Termination(ev.kind, te)
+        if (armed1 and z1 < thr <= y1) or (armed2 and z2 < thr <= y2):
+            te, ye1, ye2, kind = _first_crossing(
+                t, t_new, (y1, y2), (z1, z2), (armed1, armed2), thr, opts)
+            add_time(te)
+            add_state(State(0.0 if 0.0 > ye1 else ye1, 0.0 if 0.0 > ye2 else ye2))
+            traj.termination = Termination(kind, te)
             return traj
 
-        if blowup_ceiling is not None and z1 > blowup_ceiling:
-            te, ye1, ye2 = _locate_level(t, t_new, (y1, y2), (z1, z2), 0,
-                                          blowup_ceiling, opts)
-            traj.times.append(te)
-            traj.states.append(State(ye1, max(ye2, 0.0)))
+        if z1 > ceiling:
+            te, ye1, ye2 = _locate_level(t, t_new, (y1, y2), (z1, z2), 0, ceiling, opts)
+            add_time(te)
+            add_state(State(ye1, 0.0 if 0.0 > ye2 else ye2))
             traj.termination = Termination(TerminationKind.BLOWUP, te)
             return traj
 
         # accept
-        t, y1, y2, k1, k2 = t_new, max(z1, 0.0), max(z2, 0.0), k1n, k2n
-        traj.times.append(t)
-        traj.states.append(State(y1, y2))
+        t, k1, k2 = t_new, k1n, k2n
+        y1 = 0.0 if 0.0 > z1 else z1  # max(z1, 0.0)
+        y2 = 0.0 if 0.0 > z2 else z2
+        add_time(t)
+        s = State(y1, y2)
+        add_state(s)
 
-        for ev in events:
-            ev.update_arming((y1, y2)[ev.index])
+        if not armed1 and y1 > rearm1:
+            armed1 = True
+        if not armed2 and y2 > rearm2:
+            armed2 = True
 
-        if stop_when is not None and stop_when(t, traj.states[-1]):
+        if stop_when is not None and stop_when(t, s):
             traj.termination = Termination(TerminationKind.STOPPED, t)
             return traj
 
         # PI controller
         if err == 0.0:
-            fac = _MAX_FACTOR
+            fac = max_factor
         else:
-            fac = _SAFETY * err ** (-_BETA1) * err_prev ** _BETA2
-            fac = min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
-        h = min(opts.max_step, h * fac)
-        err_prev = max(err, 1e-10)
+            fac = safety * err ** (-beta1) * err_prev ** beta2
+            if not fac > min_factor:  # min(max_factor, max(min_factor, fac))
+                fac = min_factor
+            if not fac < max_factor:
+                fac = max_factor
+        h = h * fac
+        if not h < max_step:  # min(max_step, h * fac)
+            h = max_step
+        err_prev = 1e-10 if 1e-10 > err else err  # max(err, 1e-10)
 
     traj.termination = Termination(TerminationKind.HORIZON_REACHED, t)
     return traj
 
 
-def _try_step(f, y1, y2, k1, k2, h, opts):
-    """One embedded step.  Returns (True, (z1, z2, err, k1_new, k2_new)) on
-    acceptance, (False, err) on rejection or non-finite arithmetic."""
-    try:
-        a1 = y1 + h * _A21 * k1
-        a2 = y2 + h * _A21 * k2
-        s21, s22 = f(a1, a2)
-        a1 = y1 + h * (_A31 * k1 + _A32 * s21)
-        a2 = y2 + h * (_A31 * k2 + _A32 * s22)
-        s31, s32 = f(a1, a2)
-        a1 = y1 + h * (_A41 * k1 + _A42 * s21 + _A43 * s31)
-        a2 = y2 + h * (_A41 * k2 + _A42 * s22 + _A43 * s32)
-        s41, s42 = f(a1, a2)
-        a1 = y1 + h * (_A51 * k1 + _A52 * s21 + _A53 * s31 + _A54 * s41)
-        a2 = y2 + h * (_A51 * k2 + _A52 * s22 + _A53 * s32 + _A54 * s42)
-        s51, s52 = f(a1, a2)
-        a1 = y1 + h * (_A61 * k1 + _A62 * s21 + _A63 * s31 + _A64 * s41 + _A65 * s51)
-        a2 = y2 + h * (_A61 * k2 + _A62 * s22 + _A63 * s32 + _A64 * s42 + _A65 * s52)
-        s61, s62 = f(a1, a2)
-        z1 = y1 + h * (_A71 * k1 + _A73 * s31 + _A74 * s41 + _A75 * s51 + _A76 * s61)
-        z2 = y2 + h * (_A71 * k2 + _A73 * s32 + _A74 * s42 + _A75 * s52 + _A76 * s62)
-        k1n, k2n = f(z1, z2)
-        e1 = h * (_E1 * k1 + _E3 * s31 + _E4 * s41 + _E5 * s51 + _E6 * s61 + _E7 * k1n)
-        e2 = h * (_E1 * k2 + _E3 * s32 + _E4 * s42 + _E5 * s52 + _E6 * s62 + _E7 * k2n)
-    except (OverflowError, ZeroDivisionError, DomainError):
-        # a trial stage left the chart (u-system) or overflowed: reject, shrink
-        return False, math.inf
-    if not (math.isfinite(z1) and math.isfinite(z2)):
-        return False, math.inf
-    sc1 = opts.abs_tol + opts.rel_tol * max(abs(y1), abs(z1))
-    sc2 = opts.abs_tol + opts.rel_tol * max(abs(y2), abs(z2))
-    err = math.sqrt(0.5 * ((e1 / sc1) ** 2 + (e2 / sc2) ** 2))
-    if not math.isfinite(err):
-        return False, math.inf
-    if err > 1.0:
-        return False, err
-    return True, (z1, z2, err, k1n, k2n)
+def _first_crossing(t0, t1, y_old, y_new, armed, level, opts):
+    """The earliest downward crossing of `level` on the chord among the armed
+    components, as (te, ye1, ye2, kind); the prey's wins a tie."""
+    fired = None
+    for index, kind in enumerate(_EVENT_KINDS):
+        if armed[index] and y_new[index] < level <= y_old[index]:
+            te, ye1, ye2 = _locate_level(t0, t1, y_old, y_new, index, level, opts)
+            if fired is None or te < fired[0]:
+                fired = (te, ye1, ye2, kind)
+    return fired
 
 
 def _locate_level(t0, t1, y_old, y_new, index, level, opts):
@@ -331,10 +372,7 @@ def integrate(
         opts = IntegratorOptions()
     x1 = _check_ic(ic.x1, "x1")
     x2 = _check_ic(ic.x2, "x2")
-    events = [_Event(0, opts.extinction_threshold, TerminationKind.PREY_EXTINCT)]
-    if p.m2 < 1.0:
-        events.append(_Event(1, opts.extinction_threshold, TerminationKind.PREDATOR_EXTINCT))
-    return _run(make_rhs(p), (x1, x2), opts, events, stop_when, None)
+    return _run(make_rhs(p), (x1, x2), opts, (True, p.m2 < 1.0), stop_when, None)
 
 
 def integrate_u_system(
@@ -355,7 +393,7 @@ def integrate_u_system(
     if not (ic.x1 > 0.0 and math.isfinite(ic.x1)):
         raise DomainError(f"u-chart initial condition needs u > 0, got {ic.x1!r}")
     x2 = _check_ic(ic.x2, "x2")
-    return _run(make_u_rhs(p), (ic.x1, x2), opts, (), None, blowup_ceiling)
+    return _run(make_u_rhs(p), (ic.x1, x2), opts, (False, False), None, blowup_ceiling)
 
 
 def _check_ic(v: float, name: str) -> float:

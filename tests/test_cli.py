@@ -175,3 +175,24 @@ def test_missing_config_file_exits_2(tmp_path):
     res = run_cli("simulate", "--config", str(tmp_path / "nope.ini"),
                   "--out", str(tmp_path / "o"))
     assert res.returncode == 2
+
+
+def test_non_finite_tolerances_are_rejected(tmp_path):
+    # [integrator] problems are config errors (exit 2); SeparatrixOptions
+    # rejects its tolerance as a domain error (exit 1)
+    cfg = write(tmp_path / "int.ini", MODEL + textwrap.dedent("""\
+
+        [integrator]
+        rel_tol = inf
+
+        [simulate]
+        x1 = 0.5
+        x2 = 2.0
+        """))
+    res = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "a"))
+    assert res.returncode == 2
+    assert "tolerances must be positive and finite" in res.stderr
+    cfg = write(tmp_path / "sep.ini", MODEL + "\n[separatrix]\nbisect_rel_tol = nan\n")
+    res = run_cli("separatrix", "--config", cfg, "--out", str(tmp_path / "b"))
+    assert res.returncode == 1
+    assert "bad separatrix tolerances" in res.stderr

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from predprey import (
@@ -138,3 +140,13 @@ def test_relative_position_checks_labels_and_overlap():
         separatrix_relative_position(b, a)  # swapped roles
     with pytest.raises(DomainError):
         separatrix_relative_position(a, b)  # no shared x1 range
+
+
+@pytest.mark.parametrize("bad", [
+    dict(bisect_rel_tol=math.nan), dict(bisect_rel_tol=math.inf), dict(bisect_rel_tol=0.0),
+    dict(x2_cap_factor=math.nan), dict(x2_cap_factor=math.inf), dict(x2_cap_factor=1.0),
+])
+def test_separatrix_options_reject_bad_tolerances(bad):
+    # a NaN or infinite bisection tolerance returned the unbisected bracket
+    with pytest.raises(DomainError):
+        SeparatrixOptions(**bad)

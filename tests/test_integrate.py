@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -14,6 +15,13 @@ from predprey import (
     integrate_u_system,
     with_params,
 )
+from predprey.integrate import (
+    _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
+    _A61, _A62, _A63, _A64, _A65, _A71, _A73, _A74, _A75, _A76,
+    _BETA1, _BETA2, _E1, _E3, _E4, _E5, _E6, _E7, _MAX_FACTOR, _MIN_FACTOR, _SAFETY,
+    Termination, Trajectory, _locate_level,
+)
+from predprey.model import make_rhs, make_u_rhs
 
 
 @pytest.mark.parametrize("bad", [
@@ -21,6 +29,10 @@ from predprey import (
     dict(min_step=2.0, max_step=1.0), dict(horizon=0.0),
     dict(horizon=math.inf), dict(extinction_threshold=0.0),
     dict(extinction_threshold=1.0),
+    # non-finite tolerances switch error control or event localisation off
+    dict(rel_tol=math.inf), dict(abs_tol=math.inf), dict(rel_tol=math.nan),
+    dict(abs_tol=math.nan), dict(event_time_rel_tol=math.nan),
+    dict(event_time_rel_tol=math.inf), dict(event_time_rel_tol=-1e-10),
 ])
 def test_options_validation(bad):
     with pytest.raises(DomainError):
@@ -118,3 +130,260 @@ def test_u_chart_blowup_at_prey_touchdown(osc_params):
 def test_u_chart_rejects_nonpositive_u(osc_params):
     with pytest.raises(DomainError):
         integrate_u_system(osc_params, State(0.0, 1.0))
+
+
+# --------------------------------------------------------------------------
+# Reference: the integrator loop as it stood with a separate step function
+# (`_try_step`) and per-event objects.  The inlined loop must reproduce it
+# float for float.
+
+class _RefEvent:
+    def __init__(self, index, threshold, kind):
+        self.index = index
+        self.threshold = threshold
+        self.kind = kind
+        self.armed = False
+
+    def arm_for(self, value):
+        self.armed = value > self.threshold
+
+    def update_arming(self, value):
+        if not self.armed and value > 2.0 * self.threshold:
+            self.armed = True
+
+
+def _ref_initial_step(f, y1, y2, opts, direction_cap):
+    f1, f2 = f(y1, y2)
+    sc1 = opts.abs_tol + opts.rel_tol * abs(y1)
+    sc2 = opts.abs_tol + opts.rel_tol * abs(y2)
+    d0 = math.sqrt(0.5 * ((y1 / sc1) ** 2 + (y2 / sc2) ** 2))
+    d1 = math.sqrt(0.5 * ((f1 / sc1) ** 2 + (f2 / sc2) ** 2))
+    h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
+    return max(opts.min_step, min(h0, opts.max_step, direction_cap))
+
+
+def _ref_try_step(f, y1, y2, k1, k2, h, opts):
+    try:
+        a1 = y1 + h * _A21 * k1
+        a2 = y2 + h * _A21 * k2
+        s21, s22 = f(a1, a2)
+        a1 = y1 + h * (_A31 * k1 + _A32 * s21)
+        a2 = y2 + h * (_A31 * k2 + _A32 * s22)
+        s31, s32 = f(a1, a2)
+        a1 = y1 + h * (_A41 * k1 + _A42 * s21 + _A43 * s31)
+        a2 = y2 + h * (_A41 * k2 + _A42 * s22 + _A43 * s32)
+        s41, s42 = f(a1, a2)
+        a1 = y1 + h * (_A51 * k1 + _A52 * s21 + _A53 * s31 + _A54 * s41)
+        a2 = y2 + h * (_A51 * k2 + _A52 * s22 + _A53 * s32 + _A54 * s42)
+        s51, s52 = f(a1, a2)
+        a1 = y1 + h * (_A61 * k1 + _A62 * s21 + _A63 * s31 + _A64 * s41 + _A65 * s51)
+        a2 = y2 + h * (_A61 * k2 + _A62 * s22 + _A63 * s32 + _A64 * s42 + _A65 * s52)
+        s61, s62 = f(a1, a2)
+        z1 = y1 + h * (_A71 * k1 + _A73 * s31 + _A74 * s41 + _A75 * s51 + _A76 * s61)
+        z2 = y2 + h * (_A71 * k2 + _A73 * s32 + _A74 * s42 + _A75 * s52 + _A76 * s62)
+        k1n, k2n = f(z1, z2)
+        e1 = h * (_E1 * k1 + _E3 * s31 + _E4 * s41 + _E5 * s51 + _E6 * s61 + _E7 * k1n)
+        e2 = h * (_E1 * k2 + _E3 * s32 + _E4 * s42 + _E5 * s52 + _E6 * s62 + _E7 * k2n)
+    except (OverflowError, ZeroDivisionError, DomainError):
+        return False, math.inf
+    if not (math.isfinite(z1) and math.isfinite(z2)):
+        return False, math.inf
+    sc1 = opts.abs_tol + opts.rel_tol * max(abs(y1), abs(z1))
+    sc2 = opts.abs_tol + opts.rel_tol * max(abs(y2), abs(z2))
+    err = math.sqrt(0.5 * ((e1 / sc1) ** 2 + (e2 / sc2) ** 2))
+    if not math.isfinite(err):
+        return False, math.inf
+    if err > 1.0:
+        return False, err
+    return True, (z1, z2, err, k1n, k2n)
+
+
+def _ref_run(f, ic, opts, events, stop_when, blowup_ceiling):
+    t = 0.0
+    y1, y2 = ic
+    traj = Trajectory()
+    traj.times.append(t)
+    traj.states.append(State(y1, y2))
+    for ev in events:
+        ev.arm_for((y1, y2)[ev.index])
+    if stop_when is not None and stop_when(t, traj.states[-1]):
+        traj.termination = Termination(TerminationKind.STOPPED, t)
+        return traj
+    h = _ref_initial_step(f, y1, y2, opts, opts.horizon)
+    k1, k2 = f(y1, y2)
+    err_prev = 1.0
+    while t < opts.horizon:
+        h = min(h, opts.horizon - t)
+        if h < opts.min_step:
+            h = opts.min_step
+        ok, out = _ref_try_step(f, y1, y2, k1, k2, h, opts)
+        if not ok:
+            err = out
+            if h <= opts.min_step:
+                traj.termination = Termination(
+                    TerminationKind.STEP_FAILURE, t,
+                    f"step size underflow at t={t!r} (err={err!r})")
+                return traj
+            if math.isfinite(err) and err > 0.0:
+                fac = max(_MIN_FACTOR, _SAFETY * err ** (-0.2))
+            else:
+                fac = 0.5
+            h = max(opts.min_step, h * min(1.0, fac))
+            continue
+        z1, z2, err, k1n, k2n = out
+        t_new = t + h
+        if t_new >= opts.horizon:
+            t_new = opts.horizon
+        fired = None
+        for ev in events:
+            old = (y1, y2)[ev.index]
+            new = (z1, z2)[ev.index]
+            if ev.armed and new < ev.threshold <= old:
+                te, ye1, ye2 = _locate_level(t, t_new, (y1, y2), (z1, z2),
+                                             ev.index, ev.threshold, opts)
+                if fired is None or te < fired[0]:
+                    fired = (te, ye1, ye2, ev)
+        if fired is not None:
+            te, ye1, ye2, ev = fired
+            traj.times.append(te)
+            traj.states.append(State(max(ye1, 0.0), max(ye2, 0.0)))
+            traj.termination = Termination(ev.kind, te)
+            return traj
+        if blowup_ceiling is not None and z1 > blowup_ceiling:
+            te, ye1, ye2 = _locate_level(t, t_new, (y1, y2), (z1, z2), 0,
+                                         blowup_ceiling, opts)
+            traj.times.append(te)
+            traj.states.append(State(ye1, max(ye2, 0.0)))
+            traj.termination = Termination(TerminationKind.BLOWUP, te)
+            return traj
+        t, y1, y2, k1, k2 = t_new, max(z1, 0.0), max(z2, 0.0), k1n, k2n
+        traj.times.append(t)
+        traj.states.append(State(y1, y2))
+        for ev in events:
+            ev.update_arming((y1, y2)[ev.index])
+        if stop_when is not None and stop_when(t, traj.states[-1]):
+            traj.termination = Termination(TerminationKind.STOPPED, t)
+            return traj
+        if err == 0.0:
+            fac = _MAX_FACTOR
+        else:
+            fac = _SAFETY * err ** (-_BETA1) * err_prev ** _BETA2
+            fac = min(_MAX_FACTOR, max(_MIN_FACTOR, fac))
+        h = min(opts.max_step, h * fac)
+        err_prev = max(err, 1e-10)
+    traj.termination = Termination(TerminationKind.HORIZON_REACHED, t)
+    return traj
+
+
+def _ref_integrate(p, ic, opts, stop_when=None):
+    thr = opts.extinction_threshold
+    events = [_RefEvent(0, thr, TerminationKind.PREY_EXTINCT)]
+    if p.m2 < 1.0:
+        events.append(_RefEvent(1, thr, TerminationKind.PREDATOR_EXTINCT))
+    return _ref_run(make_rhs(p), (ic.x1, ic.x2), opts, events, stop_when, None)
+
+
+_OSC = ModelParams(a1=0.6, a2=1.0, b1=0.063, w0=1.0, w1=2.0, d=2.0, m1=0.8, m2=1.0)
+_BISTABLE = ModelParams(a1=0.5, a2=0.7, b1=0.05, w0=0.2, w1=4.0, d=0.2, m1=0.5, m2=0.5)
+_K = TerminationKind
+
+# (params, initial state, options, stop_when, expected termination)
+_REFERENCE_CASES = {
+    "osc_horizon_2000": (_OSC, (5.0, 1.0), dict(horizon=2000.0), None, _K.HORIZON_REACHED),
+    "osc_touchdown": (_OSC, (0.3, 50.0), dict(horizon=100.0), None, _K.PREY_EXTINCT),
+    # prey below the threshold (its event never arms), predator event armed
+    "bistable_predator_event": (_BISTABLE, (1e-12, 0.5), dict(horizon=100.0), None,
+                                _K.PREDATOR_EXTINCT),
+    "bistable_both_armed": (_BISTABLE, (3.0, 2.0), dict(horizon=2000.0), None,
+                            _K.HORIZON_REACHED),
+    "prey_on_axis": (_OSC, (0.0, 1.0), dict(horizon=50.0), None, _K.HORIZON_REACHED),
+    # each event starts unarmed, re-arms as its component grows, then fires
+    "prey_rearms": (with_params(_OSC, a1=2.0, b1=0.21), (5e-10, 1e-3), dict(horizon=500.0),
+                    None, _K.PREY_EXTINCT),
+    "predator_rearms": (_BISTABLE, (5e-10, 5e-10), dict(horizon=500.0), None,
+                        _K.PREDATOR_EXTINCT),
+    # both events cross in one step; with no localisation their times tie
+    # and the prey event wins
+    "event_tie": (with_params(_BISTABLE, w0=5.0, a2=5.0), (0.50001, 0.50001),
+                  dict(horizon=10.0, extinction_threshold=0.5, event_time_rel_tol=1.0),
+                  None, _K.PREY_EXTINCT),
+    "stop_at_t0": (_OSC, (5.0, 1.0), {}, lambda t, s: s.x1 > 1.0, _K.STOPPED),
+    "stop_mid_run": (_OSC, (5.0, 0.05), {}, lambda t, s: s.x1 > 7.0, _K.STOPPED),
+    "step_failure": (_BISTABLE, (0.3, 50.0), dict(rel_tol=1e-16, min_step=1e-3, horizon=50.0),
+                     None, _K.STEP_FAILURE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFERENCE_CASES))
+def test_loop_matches_reference_exactly(case):
+    p, ic, kw, stop_when, kind = _REFERENCE_CASES[case]
+    opts = IntegratorOptions(**kw)
+    got = integrate(p, State(*ic), opts, stop_when=stop_when)
+    ref = _ref_integrate(p, State(*ic), opts, stop_when)
+    assert got.termination.kind is kind
+    # repr tells every float apart (-0.0 too)
+    assert repr(got.termination) == repr(ref.termination)
+    assert repr(got.times) == repr(ref.times)
+    assert repr(got.states) == repr(ref.states)
+
+
+def test_u_chart_matches_reference_exactly(osc_params):
+    opts = IntegratorOptions(horizon=100.0)
+    ic = State(1.0 / 0.3, 50.0)
+    got = integrate_u_system(osc_params, ic, opts)
+    ref = _ref_run(make_u_rhs(osc_params), (ic.x1, ic.x2), opts, (), None, 1e12)
+    assert got.termination.kind is TerminationKind.BLOWUP
+    assert repr(got.termination) == repr(ref.termination)
+    assert repr(got.times) == repr(ref.times)
+    assert repr(got.states) == repr(ref.states)
+
+
+def test_one_field_call_fewer_than_reference(osc_params, monkeypatch):
+    # the field is looked up through the module at call time, so a counting
+    # factory sees every evaluation; the initial condition is evaluated once
+    calls = []
+
+    def counting(p):
+        f = make_rhs(p)
+
+        def field(x1, x2):
+            calls.append(1)
+            return f(x1, x2)
+        return field
+
+    mod = sys.modules["predprey.integrate"]
+    monkeypatch.setattr(mod, "make_rhs", counting)
+    opts = IntegratorOptions(horizon=100.0)
+    integrate(osc_params, State(0.3, 50.0), opts)
+    n = len(calls)
+    calls.clear()
+    _ref_run(counting(osc_params), (0.3, 50.0), opts,
+             [_RefEvent(0, opts.extinction_threshold, TerminationKind.PREY_EXTINCT)], None, None)
+    assert n == len(calls) - 1
+
+
+def test_field_failure_at_initial_condition_is_a_domain_error():
+    run = sys.modules["predprey.integrate"]._run
+
+    def field(x1, x2):
+        return 1.0 / 0.0, 0.0
+
+    with pytest.raises(DomainError, match="initial condition"):
+        run(field, (1.0, 1.0), IntegratorOptions(), (True, False), None, None)
+
+
+def test_overflowing_trial_state_is_rejected():
+    # the error estimate stays tiny while z1 overflows to inf: only the
+    # finiteness test on z rejects the step
+    run = sys.modules["predprey.integrate"]._run
+
+    def field(x1, x2):
+        return 1e306, 0.0
+
+    opts = IntegratorOptions(horizon=1.0)
+    got = run(field, (1.79e308, 1.0), opts, (False, False), None, None)
+    ref = _ref_run(field, (1.79e308, 1.0), opts, (), None, None)
+    assert got.termination.kind is TerminationKind.STEP_FAILURE
+    assert all(math.isfinite(s.x1) for s in got.states)
+    assert repr((got.times, got.states, got.termination)) == \
+        repr((ref.times, ref.states, ref.termination))
