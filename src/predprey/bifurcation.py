@@ -10,7 +10,10 @@ chains.  Every point solve is the one damped 2-D Newton iteration on
 reported when tr < 0: a stable node meets a saddle), tr J for Hopf points
 (trace sign changes with det > 0; the first Lyapunov coefficient fixes
 sub/supercritical), v - v_i for the equilibrium at a fixed v_i, or the
-arclength constraint in the continuation corrector.
+arclength constraint in the continuation corrector.  The Newton's Jacobian
+is exact in F's row (the closed-form partials of the scan function) and in
+the rows of the linear residuals; only the tr and det rows are central
+differences.
 
 On refuge sweeps the interior equilibrium collides with the predator-free
 state (transcritical) when x1*(r) = a1/b1, at
@@ -33,6 +36,7 @@ from .equilibria import (
     Equilibrium,
     EquilibriumKind,
     _g_prime,
+    _scan_gradient,
     classify,
     interior_equilibria,
     interior_scan_function,
@@ -120,13 +124,19 @@ def _det(x1: float, v: float, pv: ModelParams) -> float:
     return _tr_det(x1, pv)[1]
 
 
-def _residual(p: ModelParams, name: str, second):
-    """(F(x1; v), second(x1, v, pv)), or None outside the parameter domain
-    or the interior scan window.  The parameters, F and the carrying
-    capacity are built once per v."""
+def _residual(p: ModelParams, name: str, second, grad: tuple[float, float] | None = None):
+    """The Newton system (resid, jac) on (F(x1; v), second(x1, v, pv)).
+
+    resid(x1, v) is (F, second), or None outside the parameter domain or the
+    interior scan window.  jac(x1, v) is the columns d/dx1 and d/dv of resid
+    there: F's row in closed form (_scan_gradient); second's row is grad,
+    the constant gradient of a linear second residual, or else central
+    differences of second alone (one-sided where a side leaves the domain;
+    None if both do).  The parameters, F and the carrying capacity are
+    built once per v."""
     at: dict[float, tuple[ModelParams, Callable[[float], float], float] | None] = {}
 
-    def resid(x1: float, v: float) -> tuple[float, float] | None:
+    def inside(x1: float, v: float) -> tuple[ModelParams, Callable[[float], float], float] | None:
         if v not in at:
             try:
                 pv = with_params(p, **{name: v})
@@ -135,42 +145,50 @@ def _residual(p: ModelParams, name: str, second):
             else:
                 at[v] = pv, interior_scan_function(pv), pv.carrying_capacity
         hit = at[v]
+        if hit is None or not 1e-9 * hit[2] < x1 < (1.0 - 1e-9) * hit[2]:
+            return None
+        return hit
+
+    def resid(x1: float, v: float) -> tuple[float, float] | None:
+        hit = inside(x1, v)
         if hit is None:
             return None
-        pv, F, cap = hit
-        if not 1e-9 * cap < x1 < (1.0 - 1e-9) * cap:
+        return hit[1](x1), second(x1, v, hit[0])
+
+    def jac(x1: float, v: float):
+        hit = inside(x1, v)
+        if hit is None:
             return None
-        return F(x1), second(x1, v, pv)
+        pv = hit[0]
+        f_x1, f_v = _scan_gradient(x1, pv, name)
+        if grad is not None:
+            return (f_x1, grad[0]), (f_v, grad[1])
+        cols = []
+        for f_d, dx, dv in ((f_x1, 1e-6 * abs(x1), 0.0),
+                            (f_v, 0.0, 1e-6 * max(1e-3, abs(v)))):
+            up, dn = inside(x1 + dx, v + dv), inside(x1 - dx, v - dv)
+            if up is None and dn is None:
+                return None
+            span = (up is not None) + (dn is not None)
+            s_up = second(x1, v, pv) if up is None else second(x1 + dx, v + dv, up[0])
+            s_dn = second(x1, v, pv) if dn is None else second(x1 - dx, v - dv, dn[0])
+            cols.append((f_d, (s_up - s_dn) / (span * (dx + dv))))
+        return cols
 
-    return resid
-
-
-def _jac(resid, r0, x1: float, v: float):
-    """Columns d(resid)/dx1 and d(resid)/dv by central differences (one-sided
-    where a side leaves the domain), or None."""
-    cols = []
-    for dx, dv in ((1e-6 * abs(x1), 0.0), (0.0, 1e-6 * max(1e-3, abs(v)))):
-        up, dn, span = resid(x1 + dx, v + dv), resid(x1 - dx, v - dv), 2.0
-        if up is None:
-            up, span = r0, 1.0
-        if dn is None:
-            dn, span = r0, span - 1.0
-        if span == 0.0 or up is None or dn is None:
-            return None
-        h = span * (dx + dv)
-        cols.append(((up[0] - dn[0]) / h, (up[1] - dn[1]) / h))
-    return cols
+    return resid, jac
 
 
-def _newton(resid, x1: float, v: float, tol: float = 1e-12,
+def _newton(system, x1: float, v: float, tol: float = 1e-12,
             max_iter: int = 60) -> tuple[float, float] | None:
-    """Damped Newton for resid(x1, v) = (0, 0); converged once the full step
-    is below tol relative in both coordinates."""
+    """Damped Newton for resid(x1, v) = (0, 0), system being (resid, jac)
+    from _residual; converged once the full step is below tol relative in
+    both coordinates."""
+    resid, jac = system
     r = resid(x1, v)
     if r is None:
         return None
     for _ in range(max_iter):
-        cols = _jac(resid, r, x1, v)
+        cols = jac(x1, v)
         if cols is None:
             return None
         (a, c), (b, dd) = cols
@@ -207,7 +225,7 @@ def _at(p: ModelParams, name: str, a: tuple[float, float], b: tuple[float, float
     (va, xa), (vb, xb) = a, b
     fa, fb = xa / _cap(p, name, va), xb / _cap(p, name, vb)
     w = 0.0 if vb == va else (v - va) / (vb - va)
-    z = _newton(_residual(p, name, lambda x1_, v_, pv: v_ - v),
+    z = _newton(_residual(p, name, lambda x1_, v_, pv: v_ - v, (0.0, 1.0)),
                 _cap(p, name, v) * (fa + w * (fb - fa)), v)
     return None if z is None else z[0]
 
@@ -221,11 +239,11 @@ def _trace(p: ModelParams, name: str, x0: float, v0: float,
     xs = max(_cap(p, name, lo), _cap(p, name, hi))
     vs = hi - lo
     ds_max = min(1.0 / (len(samples) - 1), _DS_MAX)
-    gradient = _residual(p, name, lambda x1, v, pv: 0.0)
+    _, gradient = _residual(p, name, lambda x1, v, pv: 0.0, (0.0, 0.0))
 
     def tangent(x: float, v: float, tx: float = 0.0, tv: float = 1.0) -> tuple[float, float]:
         """Unit tangent of F = 0 in scaled coordinates, on the side of (tx, tv)."""
-        cols = _jac(gradient, gradient(x, v), x, v)
+        cols = gradient(x, v)
         if cols is None:
             return tx, tv
         gx, gv = -cols[1][0] * vs, cols[0][0] * xs
@@ -238,7 +256,7 @@ def _trace(p: ModelParams, name: str, x0: float, v0: float,
         while ds >= _DS_MIN and len(pts) < 100 * len(samples):  # a safety cap on steps
             xp, vp = x + ds * tx * xs, v + ds * tv * vs
             arc = _residual(p, name, lambda x_, v_, pv, tx=tx, tv=tv, xp=xp, vp=vp:
-                            tx * (x_ - xp) / xs + tv * (v_ - vp) / vs)
+                            tx * (x_ - xp) / xs + tv * (v_ - vp) / vs, (tx / xs, tv / vs))
             z = _newton(arc, xp, vp)
             if z is None and not lo <= vp <= hi:
                 z = xp, vp  # the corrector may fail past the edge of the domain
@@ -375,7 +393,7 @@ def branch_sweep(
 def _zeros(branch: Branch, second) -> list[tuple[float, float, ModelParams]]:
     """(x1, v, params) where second changes sign between traced points,
     polished on (F, second) = (0, 0), inside the swept range."""
-    resid = _residual(branch.base_params, branch.param_name, second)
+    system = _residual(branch.base_params, branch.param_name, second)
     out = []
     for curve in branch.curves:
         s = [second(x1, v, branch.params_at(v)) for v, x1 in curve]
@@ -383,7 +401,7 @@ def _zeros(branch: Branch, second) -> list[tuple[float, float, ModelParams]]:
             if sa * sb > 0.0 or sa == sb == 0.0:  # no sign change (zeros fall through)
                 continue
             w = sa / (sa - sb)
-            z = _newton(resid, xa + w * (xb - xa), va + w * (vb - va))
+            z = _newton(system, xa + w * (xb - xa), va + w * (vb - va))
             if z is not None and branch.samples[0] <= z[1] <= branch.samples[-1]:
                 out.append((*z, branch.params_at(z[1])))
     return out
@@ -394,12 +412,11 @@ def detect_saddle_node(branch: Branch) -> list[BifurcationEvent]:
     the Jacobian determinant changes sign, polished to where the scan
     function and det vanish together.  Only tr < 0 folds are reported (the
     colliding pair is a stable node and a saddle)."""
-    resid = _residual(branch.base_params, branch.param_name, _det)
     events: list[BifurcationEvent] = []
     for x1s, vs, pv in _zeros(branch, _det):
         tr, det = _tr_det(x1s, pv)
         if tr < 0.0:
-            f_v = _jac(resid, resid(x1s, vs), x1s, vs)[1][0]
+            f_v = _scan_gradient(x1s, pv, branch.param_name)[1]
             events.append(BifurcationEvent(
                 BifurcationKind.SADDLE_NODE, branch.param_name, vs,
                 State(x1s, x2_of_x1(x1s, pv)), {"tr": tr, "det": det, "dF_dparam": f_v}))

@@ -232,13 +232,54 @@ def interior_scan_function(p: ModelParams):
     return F
 
 
+def _scan_gradient(x1: float, p: ModelParams, name: str) -> tuple[float, float]:
+    """(dF/dx1, dF/dv) of interior_scan_function(p) at x1, v being the
+    parameter `name` (one of a1, a2, b1, w0, w1, r).
+
+    Closed form on the Newton window 1e-9*cap < x1 < (1-1e-9)*cap, where x1,
+    f and x2 are positive.  With F's sub-expressions f = a1 - b1*x1,
+    x2 = (w1/(w0*a2))*x1*f, s = r*x1, g = (s/(s+d))**m1, pw = x2**m2 and
+    gl = m1*d/(s+d) = x1*g'/g, fx = f - b1*x1 = d(x1*f)/dx1 and
+    W = w0*g*m2*pw = x2 * d(w0*g*x2**m2)/dx2:
+
+        F_x1 = w0*g*pw*gl/x1 + W*fx/(x1*f) - fx
+        F_a1 = W/f - x1           F_a2 = -W/a2        F_b1 = -W*x1/f + x1**2
+        F_w0 = (1-m2)*g*pw        F_w1 = W/w1         F_r = w0*g*pw*gl/r
+    """
+    a1, b1, w0, d, m1, m2, r = p.a1, p.b1, p.w0, p.d, p.m1, p.m2, p.r
+    f = a1 - b1 * x1
+    x2 = (p.w1 / (w0 * p.a2)) * x1 * f
+    s = r * x1
+    g = (s / (s + d)) ** m1
+    pw = x2 ** m2
+    gl = m1 * d / (s + d)
+    fx = f - b1 * x1
+    W = w0 * g * m2 * pw
+    F_x1 = w0 * g * pw * gl / x1 + W * fx / (x1 * f) - fx
+    if name == "a1":
+        return F_x1, W / f - x1
+    if name == "a2":
+        return F_x1, -W / p.a2
+    if name == "b1":
+        return F_x1, -W * x1 / f + x1 * x1
+    if name == "w0":
+        return F_x1, (1.0 - m2) * g * pw
+    if name == "w1":
+        return F_x1, W / p.w1
+    if name == "r":
+        return F_x1, w0 * g * pw * gl / r
+    raise DomainError(f"no closed-form partial of F in {name!r}")
+
+
 def interior_equilibria(p: ModelParams, scan_points: int = 2000) -> list[Equilibrium]:
     """All interior equilibria, by sign-scan + bisection of F on (0, a1/b1).
 
     The endpoints are trivial zeros of F, so the scan stays strictly inside.
     Roots are refined to ~1e-12 relative; for m2 = 1 the result is replaced
-    by the closed form when the two agree (and an ArithmeticError is raised
-    if they do not -- that would mean the scan picked up a spurious root).
+    by the closed form when the two agree.  DomainError if a root's field
+    residual exceeds 1e-8 relative, or if the closed-form root is missing
+    from the scan (on the transcritical edge the closed form can sit within
+    an ulp of the last scan point, where F is rounding noise of one sign).
     """
     if scan_points < 16:
         raise DomainError("scan_points must be at least 16")
@@ -274,11 +315,11 @@ def interior_equilibria(p: ModelParams, scan_points: int = 2000) -> list[Equilib
         d1, d2 = rhs_fn(x1, x2)
         scale = max(1.0, abs(x1) + abs(x2))
         if max(abs(d1), abs(d2)) > 1e-8 * scale:
-            raise ArithmeticError(
+            raise DomainError(
                 f"equilibrium residual too large at x1={x1!r}: rhs=({d1!r}, {d2!r})")
         out.append(classify(State(x1, x2), p, EquilibriumKind.INTERIOR))
     if closed is not None and all(abs(e.point.x1 - closed) > 1e-8 * closed for e in out):
-        raise ArithmeticError(
+        raise DomainError(
             "closed-form interior equilibrium missed by the scan; "
             f"expected a root near x1={closed!r}")
     return out

@@ -23,6 +23,7 @@ from predprey import (
     transcritical_r,
     with_params,
 )
+from predprey import bifurcation
 from predprey.bifurcation import SWEEPABLE, _lyapunov_of_field
 from predprey.equilibria import x2_of_x1
 from predprey.model import make_rhs
@@ -204,3 +205,106 @@ def test_branch_equilibria_match_the_dense_scan(base, refuge, name, down, up, n,
         for x in extra:
             x2 = x2_of_x1(x, pv)
             assert max(map(abs, rhs(x, x2))) <= 1e-8 * max(1.0, x + x2)
+
+
+def test_sweep_onto_the_transcritical_edge_is_a_domain_error(transcritical_edge_params):
+    # the seeding scan at the first sample misses the closed-form root
+    r = transcritical_edge_params.r
+    with pytest.raises(DomainError, match="closed-form interior equilibrium missed"):
+        branch_sweep(transcritical_edge_params, "r", r, 1.5 * r, n=11, scan_points=200)
+
+
+# --------------------------------------------------------------------------
+# The Newton's closed-form gradient against central differences.
+
+def _central_jac(resid, r0, x1, v):
+    """The Newton Jacobian before the closed-form gradient: columns
+    d(resid)/dx1 and d(resid)/dv by central differences of both rows
+    (one-sided where a side leaves the domain), or None."""
+    cols = []
+    for dx, dv in ((1e-6 * abs(x1), 0.0), (0.0, 1e-6 * max(1e-3, abs(v)))):
+        up, dn, span = resid(x1 + dx, v + dv), resid(x1 - dx, v - dv), 2.0
+        if up is None:
+            up, span = r0, 1.0
+        if dn is None:
+            dn, span = r0, span - 1.0
+        if span == 0.0 or up is None or dn is None:
+            return None
+        h = span * (dx + dv)
+        cols.append(((up[0] - dn[0]) / h, (up[1] - dn[1]) / h))
+    return cols
+
+
+def _sweep_summary(p, name, lo, hi, n, scan_points):
+    br = branch_sweep(p, name, lo, hi, n=n, scan_points=scan_points)
+    events = detect_saddle_node(br) + detect_hopf(br, scan_points) + detect_transcritical(br)
+    return br, events
+
+
+SAME_SWEEPS = {
+    "osc_r_hopf": ("osc", {}, "r", 0.35, 0.55, 200, 2000),
+    "osc_r_transcritical": ("osc", {}, "r", 0.12, 0.2, 41, 800),
+    "osc_a1": ("osc", {}, "a1", 0.2, 0.4, 200, 2000),
+    "bistable_w1": ("bistable", {}, "w1", 3.5, 5.5, 101, 2000),
+    "bistable_a2": ("bistable", {}, "a2", 0.5, 0.8, 101, 2000),
+    "bistable_w1_refuge": ("bistable", {"r": 0.3}, "w1", 3.5, 5.5, 101, 800),
+    "bistable_a2_refuge": ("bistable", {"r": 0.3}, "a2", 0.5, 0.8, 101, 800),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SAME_SWEEPS))
+def test_exact_gradient_gives_the_central_difference_sweep(case, monkeypatch):
+    base, changes, name, lo, hi, n, scan_points = SAME_SWEEPS[case]
+    p = ModelParams(**SWEEP_BASES[base], **changes)
+    br, events = _sweep_summary(p, name, lo, hi, n, scan_points)
+
+    exact = bifurcation._residual
+
+    def central(p_, name_, second, grad=None):
+        resid, _ = exact(p_, name_, second)
+        return resid, lambda x1, v: _central_jac(resid, resid(x1, v), x1, v)
+
+    monkeypatch.setattr(bifurcation, "_residual", central)
+    ref, ref_events = _sweep_summary(p, name, lo, hi, n, scan_points)
+
+    assert br.samples == ref.samples
+    assert br.chains == ref.chains
+    assert [len(eqs) for eqs in br.equilibria] == [len(eqs) for eqs in ref.equilibria]
+    for eqs, ref_eqs in zip(br.equilibria, ref.equilibria):
+        for e, r in zip(eqs, ref_eqs):
+            assert e.point.x1 == pytest.approx(r.point.x1, rel=1e-10, abs=0.0)
+            assert e.classification is r.classification
+    assert [e.kind for e in events] == [e.kind for e in ref_events]
+    assert events, "every case has an event to compare"
+    for e, r in zip(events, ref_events):
+        assert e.critical_value == pytest.approx(r.critical_value, rel=1e-10, abs=0.0)
+        assert e.point.x1 == pytest.approx(r.point.x1, rel=1e-10, abs=0.0)
+        assert e.diagnostics.get("lyapunov_sign") == r.diagnostics.get("lyapunov_sign")
+
+
+# Scan-function evaluations on the Newton path (continuation, resampling,
+# polishes; not the dense interior_equilibria scans) with the closed-form
+# gradient: 1 011 and 701, against 5 060 and 3 515 with central differences.
+# The bound is 1.25 times the measured count; a return to difference
+# quotients in the F row would cross it.
+NEWTON_F_CALLS = {"osc_r_hopf": 1011, "bistable_w1": 701}
+
+
+@pytest.mark.parametrize("case", sorted(NEWTON_F_CALLS))
+def test_newton_path_scan_function_calls(case, monkeypatch):
+    calls = []
+    factory = bifurcation.interior_scan_function
+
+    def counted(pv):
+        F = factory(pv)
+
+        def F_counted(x1):
+            calls.append(x1)
+            return F(x1)
+
+        return F_counted
+
+    monkeypatch.setattr(bifurcation, "interior_scan_function", counted)
+    base, changes, name, lo, hi, n, scan_points = SAME_SWEEPS[case]
+    _sweep_summary(ModelParams(**SWEEP_BASES[base], **changes), name, lo, hi, n, scan_points)
+    assert 0 < len(calls) <= 1.25 * NEWTON_F_CALLS[case]

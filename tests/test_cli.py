@@ -4,6 +4,8 @@ import subprocess
 import sys
 import textwrap
 
+from predprey import cli
+
 MODEL = textwrap.dedent("""\
     [model]
     a1 = 0.6
@@ -169,6 +171,14 @@ def test_domain_error_exits_1(tmp_path):
     res = run_cli("refuge-threshold", "--config", cfg, "--out", str(tmp_path / "o"))
     assert res.returncode == 1
     assert res.stderr.startswith("error:")
+
+
+def test_missed_closed_form_root_exits_1(tmp_path, capsys, transcritical_edge_params):
+    cfg = write(tmp_path / "edge.ini", "[model]\n" + "".join(
+        f"{k} = {v!r}\n" for k, v in vars(transcritical_edge_params).items()))
+    assert cli.main(["equilibria", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err.startswith(
+        "error: closed-form interior equilibrium missed by the scan")
 
 
 def test_missing_config_file_exits_2(tmp_path):

@@ -4,11 +4,14 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predprey import (
     Classification,
     DomainError,
     EquilibriumKind,
+    ModelParams,
     State,
     classify,
     eval_g,
@@ -21,7 +24,7 @@ from predprey import (
     with_params,
     x2_of_x1,
 )
-from predprey.equilibria import interior_scan_function
+from predprey.equilibria import _scan_gradient, interior_scan_function
 
 
 def test_trivial_and_predator_free_points(osc_params):
@@ -182,3 +185,108 @@ def test_eigenvalues_consistent_with_trace_det(osc_params):
     prod = lam1 * lam2
     assert prod.real == pytest.approx(eq.det, rel=1e-9)
     assert abs(prod.imag) < 1e-12
+
+
+# --------------------------------------------------------------------------
+# The closed-form gradient of F against difference quotients.
+
+SWEEPABLE = ("a1", "a2", "b1", "w0", "w1", "r")
+
+# The documented domain: rates spanning four decades, exponents and refuge in (0, 1].
+RATE = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+UNIT = st.floats(1e-2, 1.0)
+DOMAIN = st.builds(ModelParams, a1=RATE, a2=RATE, b1=RATE, w0=RATE, w1=RATE, d=RATE,
+                   m1=UNIT, m2=UNIT, r=UNIT)
+
+# Absolute floor of the gradient check, as a fraction of a partial's natural
+# size (F's terms over the coordinate).  The difference quotients' rounding
+# noise is ~1e-13 of it; the floor admits that noise where a partial cancels
+# (F_b1 at tiny x1) or vanishes identically (F_w0 at m2 = 1), and nothing a
+# wrong sign or factor would give.
+FLOOR = 1e-10
+
+
+def _moved(p, name, v):
+    """p with one field set to v, unvalidated: a difference step in r may cross 1."""
+    q = object.__new__(ModelParams)
+    q.__dict__.update(vars(p), **{name: v})
+    return q
+
+
+def _richardson(f, x, h):
+    """df/dx at x: central differences at h and h/2, extrapolated to O(h**4)."""
+    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
+    d2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
+def _check_scan_gradient(p, x1):
+    """F_x1 and F_v for every sweepable v, to 1e-7 relative (above FLOOR).
+    Steps are 1e-3 of the coordinate, shrunk by the distance to a1/b1 in
+    x1, a1 and b1 so that f stays positive."""
+    cap = p.carrying_capacity
+    room = (cap - x1) / cap
+    f = p.a1 - p.b1 * x1
+    x2 = p.w1 / (p.w0 * p.a2) * x1 * f
+    terms = x1 * f + p.w0 * eval_g(p.r * x1, p) * x2 ** p.m2
+    F = interior_scan_function(p)
+    want_x1 = _richardson(F, x1, 1e-3 * min(x1, cap - x1))
+    for name in SWEEPABLE:
+        got_x1, got_v = _scan_gradient(x1, p, name)
+        assert abs(got_x1 - want_x1) <= 1e-7 * abs(want_x1) + FLOOR * terms / x1, (
+            name, got_x1, want_x1)
+        v = getattr(p, name)
+        h = 1e-3 * v * (room if name in ("a1", "b1") else 1.0)
+        want_v = _richardson(lambda u: interior_scan_function(_moved(p, name, u))(x1), v, h)
+        assert abs(got_v - want_v) <= 1e-7 * abs(want_v) + FLOOR * terms / v, (
+            name, got_v, want_v)
+
+
+@pytest.mark.parametrize("table, changes", [
+    ("osc", {}), ("osc", {"r": 0.3}), ("bistable", {}), ("bistable", {"r": 0.3}),
+    ("osc", {"m1": 1.0, "m2": 1.0})])
+def test_scan_gradient_matches_richardson_differences(table, changes, osc_params,
+                                                      bistable_params):
+    p = with_params(osc_params if table == "osc" else bistable_params, **changes)
+    for frac in (1e-8, 1e-3, 0.1, 0.37, 0.5, 0.8, 0.999):
+        _check_scan_gradient(p, frac * p.carrying_capacity)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=DOMAIN, low=st.booleans(), e=st.floats(-9.0, math.log10(0.5)))
+def test_scan_gradient_over_the_domain(p, low, e):
+    # x1 in the Newton window, 1e-9*cap < x1 < (1-1e-9)*cap, log-spread
+    # toward both ends; within 1e-4 of a1/b1 f = a1 - b1*x1 loses too many
+    # digits for a difference quotient to check 1e-7.
+    frac = 10.0 ** e if low else 1.0 - max(10.0 ** e, 1e-4)
+    _check_scan_gradient(p, frac * p.carrying_capacity)
+
+
+# --------------------------------------------------------------------------
+# Interior equilibria over the documented domain.
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(p=DOMAIN)
+def test_interior_equilibria_over_the_domain(p):
+    # every root is an equilibrium of the field, and its exact Jacobian
+    # matches central differences (the tolerances of
+    # test_jacobian_matches_central_differences; steps relative to the
+    # coordinates, which stay inside the quadrant)
+    f = make_rhs(p)
+    for eq in interior_equilibria(p):
+        x1, x2 = eq.point.x1, eq.point.x2
+        assert max(map(abs, f(x1, x2))) <= 1e-8 * max(1.0, x1 + x2)
+        (j11, j12), (j21, j22) = jacobian(eq.point, p)
+        h1, h2 = 1e-6 * x1, 1e-6 * x2
+        fp1, fm1 = f(x1 + h1, x2), f(x1 - h1, x2)
+        fp2, fm2 = f(x1, x2 + h2), f(x1, x2 - h2)
+        assert j11 == pytest.approx((fp1[0] - fm1[0]) / (2 * h1), rel=1e-6, abs=1e-9)
+        assert j21 == pytest.approx((fp1[1] - fm1[1]) / (2 * h1), rel=1e-6, abs=1e-9)
+        assert j12 == pytest.approx((fp2[0] - fm2[0]) / (2 * h2), rel=1e-6, abs=1e-9)
+        assert j22 == pytest.approx((fp2[1] - fm2[1]) / (2 * h2), rel=1e-6, abs=1e-9)
+
+
+@pytest.mark.parametrize("scan_points", [16, 200, 2000])
+def test_missed_closed_form_root_is_a_domain_error(scan_points, transcritical_edge_params):
+    with pytest.raises(DomainError, match="closed-form interior equilibrium missed"):
+        interior_equilibria(transcritical_edge_params, scan_points)
