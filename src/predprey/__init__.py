@@ -4,7 +4,7 @@ Library layout:
 
     model        -- parameters, vector field (both charts), assumption audit
     integrate    -- adaptive RK with axis-extinction events
-    equilibria   -- closed forms, interior scan, Jacobian, classification
+    equilibria   -- closed forms, interior root isolation, Jacobian, classification
     geometry     -- nullclines, unstable manifold of E1, extinction separatrix
     bifurcation  -- parameter sweeps; saddle-node / Hopf / transcritical
     extinction   -- bounds, finite-time extinction criterion, refuge threshold

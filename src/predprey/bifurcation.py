@@ -2,10 +2,11 @@
 
 The interior equilibria along a parameter v form the curve F(x1; v) = 0, F
 being the interior scan function.  A sweep traces it by pseudo-arclength
-continuation, seeded and cross-checked by dense scans (interior_equilibria;
-a scan root that no traced curve passes through seeds a new curve), and
-resamples it onto the uniform sample grid, split at turning points into
-chains.  Every point solve is the one damped 2-D Newton iteration on
+continuation, seeded and cross-checked by exact root isolation at every
+_CHECK_EVERY-th sample and both ends (interior_equilibria; a root that no
+traced curve passes through seeds a new curve), and resamples it onto the
+uniform sample grid, split at turning points into chains.  Every point
+solve is the one damped 2-D Newton iteration on
 (F, s) = (0, 0), with s = det J for folds (the curve's turning points,
 reported when tr < 0: a stable node meets a saddle), tr J for Hopf points
 (trace sign changes with det > 0; the first Lyapunov coefficient fixes
@@ -71,7 +72,7 @@ __all__ = [
 
 SWEEPABLE = ("a1", "a2", "b1", "w0", "w1", "r")
 
-# Dense root-count cross-check at every _CHECK_EVERY-th sample (and both ends).
+# Exact root-count cross-check at every _CHECK_EVERY-th sample (and both ends).
 _CHECK_EVERY = 10
 # Continuation steps in scaled arclength (x1 per carrying capacity, v per
 # range width): at most one sample spacing and _DS_MAX; a traced curve ends
@@ -330,13 +331,15 @@ def branch_sweep(
     lo: float,
     hi: float,
     n: int = 200,
-    scan_points: int = 2000,
+    scan_points: int | None = None,
 ) -> Branch:
     """Trace the interior equilibria along one parameter and sample them.
 
-    scan_points sets the dense scans that seed the curves and cross-check
-    the root count; n >= 50 recommended (the continuation step is at most
-    one sample spacing, so n also sets how finely tr and det are watched).
+    The curves are seeded and their root count cross-checked by
+    interior_equilibria at both ends and every _CHECK_EVERY-th sample.
+    n >= 50 recommended (the continuation step is at most one sample
+    spacing, so n also sets how finely tr and det are watched).
+    scan_points is accepted and ignored: no dense scan is left to size.
     """
     if param_name not in SWEEPABLE:
         raise DomainError(f"cannot sweep {param_name!r}; choose one of {SWEEPABLE}")
@@ -355,7 +358,7 @@ def branch_sweep(
                 f"sweep leaves the valid parameter domain at {param_name}={v!r}: {exc}"
             ) from exc
 
-    # roots[i]: x1 at sample i on the chains so far.  A scan root or a chain
+    # roots[i]: x1 at sample i on the chains so far.  A checked root or a chain
     # point already there is not traced or kept twice (a curve that dips out
     # of the range between two steps may run over another curve's chains).
     curves: list[list[tuple[float, float]]] = []
@@ -366,7 +369,7 @@ def branch_sweep(
         return all(abs(y - x) > 1e-7 * pvs[i].carrying_capacity for y in roots[i])
 
     for i in sorted({0, n - 1, *range(_CHECK_EVERY, n - 1, _CHECK_EVERY)}):
-        for eq in interior_equilibria(pvs[i], scan_points):
+        for eq in interior_equilibria(pvs[i]):
             if new(i, eq.point.x1):
                 curves.append(_trace(p, param_name, eq.point.x1, samples[i], samples))
                 for chain in _resample(p, param_name, curves[-1], samples):
@@ -434,10 +437,11 @@ def _dedupe(events: list[BifurcationEvent]) -> list[BifurcationEvent]:
     return out
 
 
-def detect_hopf(branch: Branch, scan_points: int = 2000) -> list[BifurcationEvent]:
+def detect_hopf(branch: Branch, scan_points: int | None = None) -> list[BifurcationEvent]:
     """Trace sign changes along the traced curves, polished on (F, tr) and
     kept where det > 0, with finite-difference transversality and the first
-    Lyapunov sign.  scan_points is unused: the curves hold the equilibria."""
+    Lyapunov sign.  scan_points is accepted and ignored: the curves hold
+    the equilibria."""
     p, name = branch.base_params, branch.param_name
 
     def tr_slope(x1: float, v: float, h: float) -> float | None:
@@ -493,8 +497,8 @@ def hopf_a1_fixed_point(
     p: ModelParams, *, tol: float = 1e-12, max_iter: int = 200
 ) -> tuple[float, Equilibrium]:
     """The Hopf point in a1: the (F, tr) Newton solve in (x1, a1), seeded by
-    one scan at p.a1 (the root nearest the middle of (0, a1/b1)); tol and
-    max_iter bound the Newton steps.  At the solution
+    interior_equilibria at p.a1 (the root nearest the middle of
+    (0, a1/b1)); tol and max_iter bound the Newton steps.  At the solution
     a1 = hopf_critical_a1(params(a1), equilibrium(a1))."""
     eqs = interior_equilibria(p)
     if not eqs:
@@ -550,7 +554,7 @@ def transcritical_r(p: ModelParams) -> TranscriticalResult:
 def detect_transcritical(branch: Branch) -> list[BifurcationEvent]:
     """On a refuge sweep, report the interior/E1 collision if it falls inside
     the swept range.  Closed form, m2 = 1 only; sweeps with m2 < 1 return
-    nothing here (no closed form, and the scan itself shows the count drop)."""
+    nothing here (no closed form; the branch itself shows the count drop)."""
     if branch.param_name != "r":
         return []
     p = branch.base_params

@@ -78,9 +78,8 @@ def _cmd_simulate(cfg: ScenarioConfig, out: str) -> int:
 
 
 def _cmd_equilibria(cfg: ScenarioConfig, out: str) -> int:
-    scan = cfg.equilibria.scan_points if cfg.equilibria else 2000
     eqs = [trivial_equilibrium(cfg.params), predator_free_equilibrium(cfg.params)]
-    interior = interior_equilibria(cfg.params, scan)
+    interior = interior_equilibria(cfg.params)
     eqs.extend(interior)
     csvio.write_equilibria(eqs, os.path.join(out, "equilibria.csv"))
     lines = ["command: equilibria", f"interior_count: {len(interior)}"]
@@ -96,10 +95,9 @@ def _cmd_equilibria(cfg: ScenarioConfig, out: str) -> int:
 
 def _cmd_sweep(cfg: ScenarioConfig, out: str) -> int:
     spec = _need(cfg.sweep, "sweep")
-    branch = branch_sweep(cfg.params, spec.param, spec.lo, spec.hi,
-                          spec.n, spec.scan_points)
+    branch = branch_sweep(cfg.params, spec.param, spec.lo, spec.hi, spec.n)
     events = detect_saddle_node(branch)
-    events += detect_hopf(branch, spec.scan_points)
+    events += detect_hopf(branch)
     events += detect_transcritical(branch)
     events.sort(key=lambda e: (e.critical_value, e.kind.value))
     csvio.write_branch(branch, os.path.join(out, "branch.csv"))

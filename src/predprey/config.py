@@ -9,6 +9,8 @@
     [extinction]       x1 x2
     [refuge]           x1 [eps1] [k2]
 
+scan_points (both sections) is accepted and ignored: interior equilibria
+are isolated exactly, with no scan grid to size; old configs still parse.
 Unknown sections and keys are rejected; every problem is collected and
 reported together with its section.key context rather than one at a time.
 """
@@ -48,7 +50,7 @@ class SimulateSpec:
 
 @dataclass(frozen=True)
 class EquilibriaSpec:
-    scan_points: int = 2000
+    pass
 
 
 @dataclass(frozen=True)
@@ -57,7 +59,6 @@ class SweepSpec:
     lo: float
     hi: float
     n: int = 200
-    scan_points: int = 2000
 
 
 @dataclass(frozen=True)
@@ -110,6 +111,8 @@ _SCHEMA: dict[str, dict[str, type]] = {
     "extinction": {"x1": float, "x2": float},
     "refuge": {"x1": float, "eps1": float, "k2": float},
 }
+# Keys that parse (type-checked) but configure nothing.
+_IGNORED = {"equilibria": ("scan_points",), "sweep": ("scan_points",)}
 _REQUIRED: dict[str, tuple[str, ...]] = {
     "simulate": ("x1", "x2"),
     "sweep": ("param", "lo", "hi"),
@@ -137,6 +140,8 @@ def _typed(section: str, raw: dict[str, str], errors: list[str]) -> dict:
     for key in _REQUIRED.get(section, ()):
         if key not in raw:
             errors.append(f"{section}.{key}: missing required key")
+    for key in _IGNORED.get(section, ()):
+        out.pop(key, None)
     return out
 
 

@@ -6,9 +6,14 @@ always exist.  Interior equilibria solve
     x2 = (w1 / (w0 * a2)) * x1 * (a1 - b1 * x1)          (prey balance)
     w0 * g(r*x1) * x2**m2 = x1 * (a1 - b1 * x1)          (predator balance)
 
-which collapse to one scalar equation on (0, a1/b1).  With m2 = 1 the
-predator balance alone pins x1 through g(r*x1) = a2/w1, giving the closed
-form used as a cross-check and for nullcline geometry.
+which collapse to one scalar equation F(x1) = 0 on (0, a1/b1)
+(interior_scan_function).  Its roots are isolated exactly: F's two terms
+are positive there, and the difference H of their logs has a derivative
+with the sign of a quadratic, so the window splits into at most three
+pieces on which H is monotone, each holding at most one root
+(interior_equilibria).  With m2 = 1 the predator balance alone pins x1
+through g(r*x1) = a2/w1, a closed form used as the root itself and for
+nullcline geometry.
 
 Linearization is exact:  with G = g(r*x1) and G' its x1-derivative,
 
@@ -271,46 +276,40 @@ def _scan_gradient(x1: float, p: ModelParams, name: str) -> tuple[float, float]:
     raise DomainError(f"no closed-form partial of F in {name!r}")
 
 
-def interior_equilibria(p: ModelParams, scan_points: int = 2000) -> list[Equilibrium]:
-    """All interior equilibria, by sign-scan + bisection of F on (0, a1/b1).
+# The interior window: F's trivial zeros at x1 = 0 and a1/b1 stay outside it.
+_LO_FRAC, _HI_FRAC = 1e-9, 1.0 - 1e-9
 
-    The endpoints are trivial zeros of F, so the scan stays strictly inside.
-    Roots are refined to ~1e-12 relative; for m2 = 1 the result is replaced
-    by the closed form when the two agree.  DomainError if a root's field
-    residual exceeds 1e-8 relative, or if the closed-form root is missing
-    from the scan (on the transcritical edge the closed form can sit within
-    an ulp of the last scan point, where F is rounding noise of one sign).
+
+def interior_equilibria(p: ModelParams) -> list[Equilibrium]:
+    """All interior equilibria: the roots of F in the window
+    1e-9*cap < x1 < (1-1e-9)*cap, isolated exactly.
+
+    There both terms of F are positive, so F = x1*f*(exp(H) - 1) with
+    H = log1p(F/(x1*f)) = log(w0*g*x2**m2) - log(x1*f), and H has F's sign.
+    H is a sum of logs, and
+
+        x1*(r*x1 + d)*f*H'(x1) = Q(x1) = A*x1**2 + B*x1 + C,
+        A = 2*r*b1*(1 - m2),  B = (m2 - 1)*r*a1 + b1*d*(2 - 2*m2 - m1),
+        C = (m1 + m2 - 1)*d*a1.
+
+    Q's window roots split the window into at most three pieces on which H
+    is monotone; a piece holds a root exactly when H changes sign across
+    it, and a bracketed Newton on H finds it to a few ulps.  Hence at most
+    three interior equilibria.  For m2 = 1 there is at most one, the closed
+    form predator_nullcline_x1, taken without a search.  DomainError if a
+    root's field residual exceeds 1e-8 relative.
     """
-    if scan_points < 16:
-        raise DomainError("scan_points must be at least 16")
     cap = p.carrying_capacity
-    F = interior_scan_function(p)
-    lo_frac, hi_frac = 1e-9, 1.0 - 1e-9
-    xs = [cap * (lo_frac + (hi_frac - lo_frac) * i / (scan_points - 1))
-          for i in range(scan_points)]
-    vals = [F(x) for x in xs]
-
-    roots: list[float] = []
-    for i in range(len(xs) - 1):
-        va, vb = vals[i], vals[i + 1]
-        if va == 0.0:
-            roots.append(xs[i])
-        elif va * vb < 0.0:
-            roots.append(_bisect(F, xs[i], xs[i + 1]))
-    if vals[-1] == 0.0:
-        roots.append(xs[-1])
-
-    closed: float | None = None
-    if p.m2 == 1.0 and p.w1 > p.a2:
-        c = predator_nullcline_x1(p)
-        if lo_frac * cap < c < hi_frac * cap:
-            closed = c
+    lo, hi = _LO_FRAC * cap, _HI_FRAC * cap
+    if p.m2 != 1.0:
+        roots = _isolate(p, lo, hi)
+    else:
+        c = predator_nullcline_x1(p) if p.w1 > p.a2 else math.nan
+        roots = [c] if lo < c < hi else []
 
     out: list[Equilibrium] = []
     rhs_fn = make_rhs(p)
     for x1 in roots:
-        if closed is not None and abs(x1 - closed) <= 1e-8 * closed:
-            x1 = closed
         x2 = x2_of_x1(x1, p)
         d1, d2 = rhs_fn(x1, x2)
         scale = max(1.0, abs(x1) + abs(x2))
@@ -318,26 +317,67 @@ def interior_equilibria(p: ModelParams, scan_points: int = 2000) -> list[Equilib
             raise DomainError(
                 f"equilibrium residual too large at x1={x1!r}: rhs=({d1!r}, {d2!r})")
         out.append(classify(State(x1, x2), p, EquilibriumKind.INTERIOR))
-    if closed is not None and all(abs(e.point.x1 - closed) > 1e-8 * closed for e in out):
-        raise DomainError(
-            "closed-form interior equilibrium missed by the scan; "
-            f"expected a root near x1={closed!r}")
     return out
 
 
-def _bisect(F, a: float, b: float, rel_tol: float = 1e-12) -> float:
-    fa = F(a)
-    if fa == 0.0:
-        return a
-    for _ in range(200):
-        m = 0.5 * (a + b)
-        if b - a <= rel_tol * max(abs(a), abs(b)):
-            return m
-        fm = F(m)
-        if fm == 0.0:
-            return m
-        if (fa < 0.0) == (fm < 0.0):
-            a, fa = m, fm
+def _isolate(p: ModelParams, lo: float, hi: float) -> list[float]:
+    """The roots of F in [lo, hi], one per monotone piece of H that changes
+    sign (see interior_equilibria); every H is one F evaluation."""
+    a1, b1, d, m1, m2, r = p.a1, p.b1, p.d, p.m1, p.m2, p.r
+    A = 2.0 * r * b1 * (1.0 - m2)
+    B = (m2 - 1.0) * r * a1 + b1 * d * (2.0 - 2.0 * m2 - m1)
+    C = (m1 + m2 - 1.0) * d * a1
+    F = interior_scan_function(p)
+
+    def H(x1: float) -> float:
+        q = F(x1) / (x1 * (a1 - b1 * x1))
+        return math.log1p(q) if q > -1.0 else -math.inf  # w0*g*x2**m2 underflowed
+
+    def dH(x1: float) -> float:
+        return ((A * x1 + B) * x1 + C) / (x1 * (r * x1 + d) * (a1 - b1 * x1))
+
+    nodes = [lo, *(c for c in _quadratic_roots(A, B, C) if lo < c < hi), hi]
+    hs = [H(x1) for x1 in nodes]
+    roots = [x1 for x1, h in zip(nodes, hs) if h == 0.0]
+    for a, b, ha, hb in zip(nodes, nodes[1:], hs, hs[1:]):
+        if ha * hb < 0.0:
+            roots.append(_solve_monotone(H, dH, a, b, ha < 0.0))
+    return sorted(roots)
+
+
+def _quadratic_roots(A: float, B: float, C: float) -> list[float]:
+    """Real roots of A*x**2 + B*x + C (A > 0), ascending and distinct, by
+    the cancellation-free formula."""
+    disc = B * B - 4.0 * A * C
+    if disc < 0.0:
+        return []
+    q = -0.5 * (B + math.copysign(math.sqrt(disc), B))
+    if q == 0.0:  # B = C = 0
+        return [0.0]
+    return sorted({q / A, C / q})
+
+
+def _solve_monotone(H, dH, a: float, b: float, rising: bool) -> float:
+    """The root of H in (a, b), where H is monotone: rising (H(a) < 0 < H(b))
+    or falling.  Newton from the midpoint, bisecting whenever a step leaves
+    the bracket, fails to halve the step before last, or H is -inf; stops
+    once a step is within a few ulps."""
+    x = 0.5 * (a + b)
+    dx = dx_old = b - a
+    for _ in range(400):
+        h = H(x)
+        if h == 0.0:
+            return x
+        if (h < 0.0) == rising:
+            a = x
         else:
-            b = m
-    return 0.5 * (a + b)
+            b = x
+        slope = dH(x)
+        xn = x - h / slope if slope != 0.0 and h != -math.inf else math.nan
+        if not (a < xn < b and abs(xn - x) <= 0.5 * abs(dx_old)):
+            xn = 0.5 * (a + b)
+        dx_old, dx = dx, xn - x
+        if abs(dx) <= 4.0 * math.ulp(xn):
+            return xn
+        x = xn
+    return x

@@ -1,8 +1,11 @@
 from __future__ import annotations
 
+import math
+
 import pytest
 
 from predprey import ModelParams, transcritical_r, with_params
+from predprey.equilibria import interior_scan_function
 
 
 @pytest.fixture
@@ -21,12 +24,66 @@ def bistable_params() -> ModelParams:
 
 @pytest.fixture
 def transcritical_edge_params() -> ModelParams:
-    # ROADMAP item 4's transcritical edge, r = r1* * (1 + 1e-9): the
-    # closed-form interior root sits one ulp below the last scan point,
-    # where F is -4e-25, rounding noise of the same sign as the cell
-    # before, so no scan sees the sign change.
+    # The transcritical edge, r = r1* * (1 + 1e-9): the closed-form interior
+    # root sits at x1/cap = 1 - 1.0e-9, one ulp below the last point of a
+    # dense scan of the window, where F is -4e-25, rounding noise of the
+    # same sign as the cell before, so no scan sees the sign change.
     p = ModelParams(a1=0.7776324733504058, a2=2.7738314292695896,
                     b1=0.28676387647039736, w0=7.772153889796396,
                     w1=6.351187222672731, d=0.115127736469572,
                     m1=0.05396048354285652, m2=1.0)
     return with_params(p, r=transcritical_r(p).as_derived * (1 + 1e-9))
+
+
+# --------------------------------------------------------------------------
+# The dense-scan oracle for interior equilibria: F's sign changes on an
+# even grid over the window 1e-9*cap ... (1-1e-9)*cap, each bisected down
+# to adjacent floats.  It cannot see two roots inside one grid cell.
+
+def _grid(cap: float, points: int) -> list[float]:
+    return [cap * (1e-9 + (1.0 - 2e-9) * k / (points - 1)) for k in range(points)]
+
+
+def _cell(x1: float, cap: float, points: int) -> int:
+    return int((x1 / cap - 1e-9) / (1.0 - 2e-9) * (points - 1))
+
+
+def dense_scan_roots(p: ModelParams, points: int) -> list[float]:
+    F = interior_scan_function(p)
+    xs = _grid(p.carrying_capacity, points)
+    vals = [F(x) for x in xs]
+    roots = [x for x, v in zip(xs, vals) if v == 0.0]
+    for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
+        if fa * fb < 0.0:
+            while math.nextafter(a, b) < b:
+                m = 0.5 * (a + b)
+                fm = F(m)
+                if fm == 0.0:
+                    a = m
+                    break
+                if (fm < 0.0) == (fa < 0.0):
+                    a = m
+                else:
+                    b = m
+            roots.append(a)
+    return sorted(roots)
+
+
+def match_dense_scan(got: list[float], p: ModelParams, points: int) -> list[float]:
+    """Check the roots `got` against the oracle on `points` grid points:
+    every oracle root is in `got` within 1e-9 relative, and the roots the
+    oracle cannot see come in pairs sharing one grid cell.  Returns those."""
+    extra = list(got)
+    for x in dense_scan_roots(p, points):
+        near = [g for g in extra if abs(g - x) <= 1e-9 * x]
+        assert near, f"scan root {x!r} missing from {got}"
+        extra.remove(near[0])
+    cells = sorted(_cell(x, p.carrying_capacity, points) for x in extra)
+    assert cells[::2] == cells[1::2], f"unpaired extra roots {extra}"
+    return extra
+
+
+@pytest.fixture(scope="session")
+def dense_scan():
+    """match_dense_scan(got, p, points), the dense-scan oracle check."""
+    return match_dense_scan

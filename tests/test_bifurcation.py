@@ -39,17 +39,17 @@ def test_branch_sweep_validates_inputs(osc_params):
 
 
 def test_branch_records_samples_and_params(osc_params):
-    br = branch_sweep(osc_params, "a1", 0.4, 0.8, n=9, scan_points=400)
+    br = branch_sweep(osc_params, "a1", 0.4, 0.8, n=9)
     assert len(br.samples) == 9
     assert br.samples[0] == 0.4 and br.samples[-1] == 0.8
     assert br.params_at(0.5).a1 == 0.5
     assert br.params_at(0.5).b1 == osc_params.b1
     # 0.2 + (1.0 - 0.2) * 24 / 24 rounds to 1.0000000000000002, outside (0, 1].
-    assert branch_sweep(osc_params, "r", 0.2, 1.0, n=25, scan_points=200).samples[-1] == 1.0
+    assert branch_sweep(osc_params, "r", 0.2, 1.0, n=25).samples[-1] == 1.0
 
 
 def test_branch_chains_are_continuous(bistable_params):
-    br = branch_sweep(bistable_params, "w1", 3.8, 5.2, n=41, scan_points=600)
+    br = branch_sweep(bistable_params, "w1", 3.8, 5.2, n=41)
     cap = bistable_params.carrying_capacity
     assert br.chains
     for chain in br.chains:
@@ -60,8 +60,8 @@ def test_branch_chains_are_continuous(bistable_params):
 
 def test_detect_hopf_agrees_with_fixed_point(osc_params):
     a1_star, eq_star = hopf_a1_fixed_point(osc_params)
-    br = branch_sweep(osc_params, "a1", 0.22, 0.32, n=21, scan_points=600)
-    events = detect_hopf(br, scan_points=600)
+    br = branch_sweep(osc_params, "a1", 0.22, 0.32, n=21)
+    events = detect_hopf(br)
     assert len(events) == 1
     ev = events[0]
     assert ev.kind is BifurcationKind.HOPF
@@ -76,12 +76,12 @@ def test_detect_hopf_agrees_with_fixed_point(osc_params):
 
 
 def test_detect_hopf_needs_a_crossing(osc_params):
-    br = branch_sweep(osc_params, "a1", 0.35, 0.55, n=11, scan_points=400)
-    assert detect_hopf(br, scan_points=400) == []
+    br = branch_sweep(osc_params, "a1", 0.35, 0.55, n=11)
+    assert detect_hopf(br) == []
 
 
 def test_detect_saddle_node_on_w1(bistable_params):
-    br = branch_sweep(bistable_params, "w1", 3.8, 5.2, n=57, scan_points=600)
+    br = branch_sweep(bistable_params, "w1", 3.8, 5.2, n=57)
     events = detect_saddle_node(br)
     assert len(events) == 1
     ev = events[0]
@@ -96,7 +96,7 @@ def test_detect_saddle_node_on_w1(bistable_params):
 
 
 def test_saddle_node_silent_when_pair_survives(bistable_params):
-    br = branch_sweep(bistable_params, "w1", 4.8, 5.4, n=13, scan_points=600)
+    br = branch_sweep(bistable_params, "w1", 4.8, 5.4, n=13)
     assert detect_saddle_node(br) == []
 
 
@@ -120,7 +120,7 @@ def test_transcritical_needs_m2_one(bistable_params):
 
 
 def test_detect_transcritical_on_refuge_sweep(osc_params):
-    br = branch_sweep(osc_params, "r", 0.12, 0.2, n=9, scan_points=400)
+    br = branch_sweep(osc_params, "r", 0.12, 0.2, n=9)
     events = detect_transcritical(br)
     assert len(events) == 1
     ev = events[0]
@@ -131,9 +131,9 @@ def test_detect_transcritical_on_refuge_sweep(osc_params):
 
 
 def test_detect_transcritical_outside_range_or_wrong_param(osc_params):
-    br = branch_sweep(osc_params, "r", 0.3, 0.6, n=5, scan_points=400)
+    br = branch_sweep(osc_params, "r", 0.3, 0.6, n=5)
     assert detect_transcritical(br) == []
-    br2 = branch_sweep(osc_params, "a1", 0.4, 0.8, n=5, scan_points=400)
+    br2 = branch_sweep(osc_params, "a1", 0.4, 0.8, n=5)
     assert detect_transcritical(br2) == []
 
 
@@ -172,46 +172,43 @@ SWEEP_BASES = {
 }
 
 
-def _scan_cell(x1: float, cap: float, scan_points: int) -> int:
-    # interior_equilibria scans cap * (1e-9 + (1 - 2e-9) * k / (scan_points - 1))
-    return int((x1 / cap - 1e-9) / (1.0 - 2e-9) * (scan_points - 1))
-
-
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(base=st.sampled_from(sorted(SWEEP_BASES)), refuge=st.booleans(),
        name=st.sampled_from(SWEEPABLE), down=st.floats(0.02, 0.6), up=st.floats(0.02, 0.6),
        n=st.integers(3, 25), scan_points=st.sampled_from([200, 300, 400]))
-def test_branch_equilibria_match_the_dense_scan(base, refuge, name, down, up, n, scan_points):
+def test_branch_equilibria_match_the_dense_scan(base, refuge, name, down, up, n, scan_points,
+                                                dense_scan):
     p = ModelParams(**SWEEP_BASES[base], r=0.3 if refuge else 1.0)
     v0 = getattr(p, name)
     lo, hi = v0 * math.exp(-down), v0 * math.exp(up)
     if name == "r":
         hi = min(hi, 1.0)
-    br = branch_sweep(p, name, lo, hi, n=n, scan_points=scan_points)
+    br = branch_sweep(p, name, lo, hi, n=n)
     for v, eqs in zip(br.samples, br.equilibria):
         pv = br.params_at(v)
-        cap = pv.carrying_capacity
-        got = [e.point.x1 for e in eqs]
-        want = [e.point.x1 for e in interior_equilibria(pv, scan_points)]
-        extra = list(got)
-        for x in want:
-            near = [g for g in extra if abs(g - x) <= 1e-9 * x]
-            assert near, f"{name}={v!r}: scan root {x!r} missing from {got}"
-            extra.remove(near[0])
-        # Roots the scan cannot see: pairs sharing one scan cell.
-        cells = sorted(_scan_cell(x, cap, scan_points) for x in extra)
-        assert cells[::2] == cells[1::2], f"{name}={v!r}: unpaired extra roots {extra}"
+        # roots the scan cannot see (pairs sharing one scan cell) must still
+        # be equilibria of the field
+        extra = dense_scan([e.point.x1 for e in eqs], pv, scan_points)
         rhs = make_rhs(pv)
         for x in extra:
             x2 = x2_of_x1(x, pv)
-            assert max(map(abs, rhs(x, x2))) <= 1e-8 * max(1.0, x + x2)
+            assert max(map(abs, rhs(x, x2))) <= 1e-8 * max(1.0, x + x2), (name, v, x)
 
 
-def test_sweep_onto_the_transcritical_edge_is_a_domain_error(transcritical_edge_params):
-    # the seeding scan at the first sample misses the closed-form root
-    r = transcritical_edge_params.r
-    with pytest.raises(DomainError, match="closed-form interior equilibrium missed"):
-        branch_sweep(transcritical_edge_params, "r", r, 1.5 * r, n=11, scan_points=200)
+def test_scan_points_is_accepted_and_ignored(bistable_params):
+    br = branch_sweep(bistable_params, "w1", 4.0, 5.0, n=11)
+    old = branch_sweep(bistable_params, "w1", 4.0, 5.0, n=11, scan_points=16)
+    assert (br.samples, br.equilibria, br.chains) == (old.samples, old.equilibria, old.chains)
+    assert detect_hopf(br, scan_points=16) == detect_hopf(br)
+
+
+def test_sweep_onto_the_transcritical_edge_keeps_one_chain(transcritical_edge_params):
+    # the first sample's root sits at x1/cap = 1 - 1e-9, on the edge of the
+    # window; the closed form finds it and the curve is traced from there
+    p = transcritical_edge_params
+    br = branch_sweep(p, "r", p.r, 1.5 * p.r, n=11)
+    assert br.chains == (tuple((i, 0) for i in range(11)),)
+    assert br.equilibria[0][0].point.x1 == interior_equilibria(p)[0].point.x1
 
 
 # --------------------------------------------------------------------------
@@ -235,28 +232,28 @@ def _central_jac(resid, r0, x1, v):
     return cols
 
 
-def _sweep_summary(p, name, lo, hi, n, scan_points):
-    br = branch_sweep(p, name, lo, hi, n=n, scan_points=scan_points)
-    events = detect_saddle_node(br) + detect_hopf(br, scan_points) + detect_transcritical(br)
+def _sweep_summary(p, name, lo, hi, n):
+    br = branch_sweep(p, name, lo, hi, n=n)
+    events = detect_saddle_node(br) + detect_hopf(br) + detect_transcritical(br)
     return br, events
 
 
 SAME_SWEEPS = {
-    "osc_r_hopf": ("osc", {}, "r", 0.35, 0.55, 200, 2000),
-    "osc_r_transcritical": ("osc", {}, "r", 0.12, 0.2, 41, 800),
-    "osc_a1": ("osc", {}, "a1", 0.2, 0.4, 200, 2000),
-    "bistable_w1": ("bistable", {}, "w1", 3.5, 5.5, 101, 2000),
-    "bistable_a2": ("bistable", {}, "a2", 0.5, 0.8, 101, 2000),
-    "bistable_w1_refuge": ("bistable", {"r": 0.3}, "w1", 3.5, 5.5, 101, 800),
-    "bistable_a2_refuge": ("bistable", {"r": 0.3}, "a2", 0.5, 0.8, 101, 800),
+    "osc_r_hopf": ("osc", {}, "r", 0.35, 0.55, 200),
+    "osc_r_transcritical": ("osc", {}, "r", 0.12, 0.2, 41),
+    "osc_a1": ("osc", {}, "a1", 0.2, 0.4, 200),
+    "bistable_w1": ("bistable", {}, "w1", 3.5, 5.5, 101),
+    "bistable_a2": ("bistable", {}, "a2", 0.5, 0.8, 101),
+    "bistable_w1_refuge": ("bistable", {"r": 0.3}, "w1", 3.5, 5.5, 101),
+    "bistable_a2_refuge": ("bistable", {"r": 0.3}, "a2", 0.5, 0.8, 101),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SAME_SWEEPS))
 def test_exact_gradient_gives_the_central_difference_sweep(case, monkeypatch):
-    base, changes, name, lo, hi, n, scan_points = SAME_SWEEPS[case]
+    base, changes, name, lo, hi, n = SAME_SWEEPS[case]
     p = ModelParams(**SWEEP_BASES[base], **changes)
-    br, events = _sweep_summary(p, name, lo, hi, n, scan_points)
+    br, events = _sweep_summary(p, name, lo, hi, n)
 
     exact = bifurcation._residual
 
@@ -265,7 +262,7 @@ def test_exact_gradient_gives_the_central_difference_sweep(case, monkeypatch):
         return resid, lambda x1, v: _central_jac(resid, resid(x1, v), x1, v)
 
     monkeypatch.setattr(bifurcation, "_residual", central)
-    ref, ref_events = _sweep_summary(p, name, lo, hi, n, scan_points)
+    ref, ref_events = _sweep_summary(p, name, lo, hi, n)
 
     assert br.samples == ref.samples
     assert br.chains == ref.chains
@@ -283,7 +280,7 @@ def test_exact_gradient_gives_the_central_difference_sweep(case, monkeypatch):
 
 
 # Scan-function evaluations on the Newton path (continuation, resampling,
-# polishes; not the dense interior_equilibria scans) with the closed-form
+# polishes; not interior_equilibria's own evaluations) with the closed-form
 # gradient: 1 011 and 701, against 5 060 and 3 515 with central differences.
 # The bound is 1.25 times the measured count; a return to difference
 # quotients in the F row would cross it.
@@ -305,6 +302,6 @@ def test_newton_path_scan_function_calls(case, monkeypatch):
         return F_counted
 
     monkeypatch.setattr(bifurcation, "interior_scan_function", counted)
-    base, changes, name, lo, hi, n, scan_points = SAME_SWEEPS[case]
-    _sweep_summary(ModelParams(**SWEEP_BASES[base], **changes), name, lo, hi, n, scan_points)
+    base, changes, name, lo, hi, n = SAME_SWEEPS[case]
+    _sweep_summary(ModelParams(**SWEEP_BASES[base], **changes), name, lo, hi, n)
     assert 0 < len(calls) <= 1.25 * NEWTON_F_CALLS[case]

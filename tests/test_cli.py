@@ -173,12 +173,14 @@ def test_domain_error_exits_1(tmp_path):
     assert res.stderr.startswith("error:")
 
 
-def test_missed_closed_form_root_exits_1(tmp_path, capsys, transcritical_edge_params):
+def test_transcritical_edge_root_exits_0(tmp_path, capsys, transcritical_edge_params):
+    # the closed-form root one ulp below the last point of a dense scan
     cfg = write(tmp_path / "edge.ini", "[model]\n" + "".join(
         f"{k} = {v!r}\n" for k, v in vars(transcritical_edge_params).items()))
-    assert cli.main(["equilibria", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert capsys.readouterr().err.startswith(
-        "error: closed-form interior equilibrium missed by the scan")
+    assert cli.main(["equilibria", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    rows = (tmp_path / "o" / "equilibria.csv").read_text().splitlines()
+    assert len([r for r in rows if r.startswith("interior,")]) == 1
+    assert capsys.readouterr().out.startswith("1 interior equilibria")
 
 
 def test_missing_config_file_exits_2(tmp_path):

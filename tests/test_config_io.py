@@ -14,7 +14,7 @@ from predprey import (
     integrate,
 )
 from predprey import csvio
-from predprey.config import ConfigError, parse_config
+from predprey.config import ConfigError, EquilibriaSpec, SweepSpec, parse_config
 
 BASE_CFG = textwrap.dedent("""\
     [model]
@@ -71,6 +71,16 @@ def test_parse_config_bad_float_reports_location():
     with pytest.raises(ConfigError) as exc:
         parse_config(BASE_CFG.replace("x2 = 2.0", "x2 = two"))
     assert any("simulate.x2" in e for e in exc.value.errors)
+
+
+def test_parse_config_accepts_scan_points_as_a_no_op():
+    cfg = parse_config(BASE_CFG + "\n[equilibria]\nscan_points = 400\n"
+                       "\n[sweep]\nparam = a1\nlo = 0.2\nhi = 0.4\nscan_points = 600\n")
+    assert cfg.equilibria == EquilibriaSpec()
+    assert cfg.sweep == SweepSpec("a1", 0.2, 0.4)
+    with pytest.raises(ConfigError) as exc:  # still type-checked
+        parse_config(BASE_CFG + "\n[equilibria]\nscan_points = many\n")
+    assert any("equilibria.scan_points" in e for e in exc.value.errors)
 
 
 @pytest.mark.parametrize("x", [0.1, 1.0 / 3.0, 2.0 ** -52, 12345.678901234567,

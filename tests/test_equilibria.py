@@ -24,6 +24,7 @@ from predprey import (
     with_params,
     x2_of_x1,
 )
+from predprey import equilibria
 from predprey.equilibria import _scan_gradient, interior_scan_function
 
 
@@ -286,7 +287,72 @@ def test_interior_equilibria_over_the_domain(p):
         assert j22 == pytest.approx((fp2[1] - fm2[1]) / (2 * h2), rel=1e-6, abs=1e-9)
 
 
-@pytest.mark.parametrize("scan_points", [16, 200, 2000])
-def test_missed_closed_form_root_is_a_domain_error(scan_points, transcritical_edge_params):
-    with pytest.raises(DomainError, match="closed-form interior equilibrium missed"):
-        interior_equilibria(transcritical_edge_params, scan_points)
+def test_transcritical_edge_root_is_the_closed_form(transcritical_edge_params):
+    # the m2 = 1 root is taken in closed form, even where it sits one ulp
+    # below the last point of a dense scan (no scan sees its sign change)
+    p = transcritical_edge_params
+    eqs = interior_equilibria(p)
+    assert [e.point.x1 for e in eqs] == [predator_nullcline_x1(p)]
+    assert eqs[0].point.x1 / p.carrying_capacity == pytest.approx(1.0 - 1.0e-9, abs=1e-15)
+    assert make_rhs(p)(eqs[0].point.x1, eqs[0].point.x2) == (0.0, 0.0)
+
+
+# Within 1e-8 relative of the bundled bistable folds, on the side with two
+# equilibria, a 2 000-point scan reported none: both roots sit in one cell.
+@pytest.mark.parametrize("name, fold, two_side", [("w1", 4.55175, -1.0),
+                                                  ("a2", 0.61514802, 1.0)])
+def test_near_fold_pairs_are_found(name, fold, two_side, bistable_params):
+    p = with_params(bistable_params, **{name: fold * (1.0 + two_side * 1e-8)})
+    eqs = interior_equilibria(p)
+    assert len(eqs) == 2
+    f = make_rhs(p)
+    for eq in eqs:
+        assert max(map(abs, f(eq.point.x1, eq.point.x2))) <= 1e-8
+    assert eqs[1].point.x1 - eqs[0].point.x1 < p.carrying_capacity / 1999
+    assert interior_equilibria(with_params(bistable_params,
+                                           **{name: fold * (1.0 - two_side * 1e-8)})) == []
+
+
+# Rates log-uniform on [0.1, 10]; each of m1, m2, r either 1 or log-uniform
+# on [0.05, 1].
+SCAN_RATE = st.floats(-1.0, 1.0).map(lambda e: 10.0 ** e)
+SCAN_UNIT = st.one_of(st.just(1.0), st.floats(math.log(0.05), 0.0).map(math.exp))
+SCAN_DOMAIN = st.builds(ModelParams, a1=SCAN_RATE, a2=SCAN_RATE, b1=SCAN_RATE,
+                        w0=SCAN_RATE, w1=SCAN_RATE, d=SCAN_RATE,
+                        m1=SCAN_UNIT, m2=SCAN_UNIT, r=SCAN_UNIT)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=SCAN_DOMAIN)
+def test_interior_equilibria_match_a_20000_point_scan(p, dense_scan):
+    got = [e.point.x1 for e in interior_equilibria(p)]
+    assert got == sorted(got)
+    assert len(got) <= (1 if p.m2 == 1.0 else 3)
+    dense_scan(got, p, 20_000)
+
+
+# F evaluations of one interior_equilibria solve: 0 for OSC (m2 = 1, the
+# closed form), 15 and 14 for BISTABLE plain and at r = 0.3.  A 2 000-point
+# scan makes 2 000 and more.  The bound is 1.25 times the measured count.
+SOLVE_F_CALLS = {("osc", 1.0): 0, ("osc", 0.3): 0, ("bistable", 1.0): 15, ("bistable", 0.3): 14}
+
+
+@pytest.mark.parametrize("table, r", sorted(SOLVE_F_CALLS))
+def test_interior_equilibria_scan_function_calls(table, r, osc_params, bistable_params,
+                                                 monkeypatch):
+    calls = []
+    factory = equilibria.interior_scan_function
+
+    def counted(p):
+        F = factory(p)
+
+        def F_counted(x1):
+            calls.append(x1)
+            return F(x1)
+
+        return F_counted
+
+    monkeypatch.setattr(equilibria, "interior_scan_function", counted)
+    p = with_params(osc_params if table == "osc" else bistable_params, r=r)
+    assert len(interior_equilibria(p)) == (1 if table == "osc" else 2)
+    assert len(calls) <= 1.25 * SOLVE_F_CALLS[table, r]
