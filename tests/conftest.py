@@ -40,17 +40,10 @@ def transcritical_edge_params() -> ModelParams:
 # even grid over the window 1e-9*cap ... (1-1e-9)*cap, each bisected down
 # to adjacent floats.  It cannot see two roots inside one grid cell.
 
-def _grid(cap: float, points: int) -> list[float]:
-    return [cap * (1e-9 + (1.0 - 2e-9) * k / (points - 1)) for k in range(points)]
-
-
-def _cell(x1: float, cap: float, points: int) -> int:
-    return int((x1 / cap - 1e-9) / (1.0 - 2e-9) * (points - 1))
-
-
 def dense_scan_roots(p: ModelParams, points: int) -> list[float]:
     F = interior_scan_function(p)
-    xs = _grid(p.carrying_capacity, points)
+    cap = p.carrying_capacity
+    xs = [cap * (1e-9 + (1.0 - 2e-9) * k / (points - 1)) for k in range(points)]
     vals = [F(x) for x in xs]
     roots = [x for x, v in zip(xs, vals) if v == 0.0]
     for a, b, fa, fb in zip(xs, xs[1:], vals, vals[1:]):
@@ -78,7 +71,8 @@ def match_dense_scan(got: list[float], p: ModelParams, points: int) -> list[floa
         near = [g for g in extra if abs(g - x) <= 1e-9 * x]
         assert near, f"scan root {x!r} missing from {got}"
         extra.remove(near[0])
-    cells = sorted(_cell(x, p.carrying_capacity, points) for x in extra)
+    cap = p.carrying_capacity
+    cells = sorted(int((x / cap - 1e-9) / (1.0 - 2e-9) * (points - 1)) for x in extra)
     assert cells[::2] == cells[1::2], f"unpaired extra roots {extra}"
     return extra
 
