@@ -81,3 +81,9 @@ def match_dense_scan(got: list[float], p: ModelParams, points: int) -> list[floa
 def dense_scan():
     """match_dense_scan(got, p, points), the dense-scan oracle check."""
     return match_dense_scan
+
+
+@pytest.fixture(scope="session")
+def scan_roots():
+    """dense_scan_roots(p, points), the dense-scan oracle's roots."""
+    return dense_scan_roots

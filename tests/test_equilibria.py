@@ -287,10 +287,15 @@ def test_interior_equilibria_over_the_domain(p):
         assert j22 == pytest.approx((fp2[1] - fm2[1]) / (2 * h2), rel=1e-6, abs=1e-9)
 
 
-def test_transcritical_edge_root_is_the_closed_form(transcritical_edge_params):
-    # the m2 = 1 root is taken in closed form, even where it sits one ulp
-    # below the last point of a dense scan (no scan sees its sign change)
+# The transcritical edge: the m2 = 1 root sits one ulp below the last point
+# of a dense scan, where F is rounding noise of the sign of the cell before,
+# so a scan of any of these sizes misses it.  The solver used to refuse it
+# with a DomainError; it now takes the closed form without a search.
+@pytest.mark.parametrize("scan_points", [16, 200, 2000])
+def test_missed_closed_form_root_is_a_domain_error(scan_points, transcritical_edge_params,
+                                                   scan_roots):
     p = transcritical_edge_params
+    assert scan_roots(p, scan_points) == []
     eqs = interior_equilibria(p)
     assert [e.point.x1 for e in eqs] == [predator_nullcline_x1(p)]
     assert eqs[0].point.x1 / p.carrying_capacity == pytest.approx(1.0 - 1.0e-9, abs=1e-15)
