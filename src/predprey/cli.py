@@ -132,7 +132,8 @@ def _cmd_separatrix(cfg: ScenarioConfig, out: str) -> int:
             horizon=spec.horizon, bisect_rel_tol=spec.bisect_rel_tol,
             integrator=cfg.integrator)
     ws = trace_stable_separatrix_E0(cfg.params, opts=sopts)
-    wu = trace_unstable_manifold_E1(cfg.params)
+    wu = trace_unstable_manifold_E1(
+        cfg.params, replace(cfg.integrator, horizon=sopts.horizon))
     cmp_ = separatrix_relative_position(ws, wu)
     csvio.write_curve(ws, os.path.join(out, "separatrix_ws.csv"))
     csvio.write_curve(wu, os.path.join(out, "manifold_wu.csv"))

@@ -57,8 +57,8 @@ def _write_rows(fh: TextIO, header: str, rows: Iterable[Sequence[str]]) -> None:
 def write_trajectory(traj: Trajectory, path: str, header: str = TRAJECTORY_HEADER) -> None:
     with open(path, "w", newline="\n") as fh:
         _write_rows(fh, header, (
-            (fmt_float(t), fmt_float(s.x1), fmt_float(s.x2))
-            for t, s in zip(traj.times, traj.states)))
+            (fmt_float(t), fmt_float(x1), fmt_float(x2))
+            for t, x1, x2 in zip(traj.times, traj.x1, traj.x2)))
 
 
 def read_trajectory(path: str) -> tuple[list[float], list[State]]:

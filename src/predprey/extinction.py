@@ -235,7 +235,7 @@ def verify_persistence(
         opts = replace(opts, horizon=horizon)
     traj = integrate(p, ic, opts)
     kind = traj.termination.kind
-    min_x1 = min(s.x1 for s in traj.states)
+    min_x1 = min(traj.x1)
     if kind is TerminationKind.PREY_EXTINCT:
         return PersistenceVerdict(False, horizon, min_x1, traj.termination.time, kind)
     if kind in (TerminationKind.HORIZON_REACHED, TerminationKind.PREDATOR_EXTINCT):

@@ -11,6 +11,8 @@ monotonically" is still well defined.  The classifier used here:
   * an orbit is ABOVE the stable set iff x1 decreases monotonically all the
     way into the prey-extinction event;
   * the first accepted state with dx1/dt > 0 (a turnaround) certifies BELOW;
+    dx1/dt is the derivative the integrator hands its stop predicate, so
+    the test costs no field evaluation;
   * reaching the horizon without either also counts as BELOW.
 
 Above the prey nullcline x2 = psi(x1) the prey derivative is negative, so
@@ -28,7 +30,8 @@ from dataclasses import dataclass, replace
 from .equilibria import predator_free_equilibrium
 from .extinction import dissipative_bound_K2
 from .integrate import IntegratorOptions, TerminationKind, integrate
-from .model import DomainError, ModelParams, State, eval_f, eval_g, make_rhs
+# make_rhs is unused here; it stays because the bench trace shim patches it
+from .model import DomainError, ModelParams, State, eval_f, eval_g, make_rhs  # noqa: F401
 
 __all__ = [
     "CurveLabel",
@@ -192,7 +195,7 @@ def trace_unstable_manifold_E1(
         opts = IntegratorOptions(horizon=500.0)
     guard_cap = 1e6 * max(1.0, cap)
     traj = integrate(p, seed, opts,
-                     stop_when=lambda t, s: s.x1 + s.x2 > guard_cap)
+                     stop_when=lambda t, x1, x2, dx1, dx2: x1 + x2 > guard_cap)
     if traj.termination is not None and traj.termination.kind is TerminationKind.STEP_FAILURE:
         raise DomainError(f"manifold trace failed: {traj.termination.reason}")
     return PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(traj.states))
@@ -205,12 +208,16 @@ _ABOVE = "above"
 _BELOW = "below"
 
 
+def _turned(t: float, x1: float, x2: float, dx1: float, dx2: float) -> bool:
+    return dx1 > 0.0
+
+
 def _classify_launch(p: ModelParams, x1_0: float, x2_0: float,
-                     iopts: IntegratorOptions, turned) -> str:
+                     iopts: IntegratorOptions) -> str:
     """ABOVE: prey decays monotonically into the extinction event.
-    BELOW: a turnaround (`turned`: dx1/dt > 0 at an accepted state) or
-    survival to the horizon."""
-    traj = integrate(p, State(x1_0, x2_0), iopts, stop_when=turned)
+    BELOW: a turnaround (dx1/dt > 0 at an accepted state, read off the
+    integrator's own derivative) or survival to the horizon."""
+    traj = integrate(p, State(x1_0, x2_0), iopts, stop_when=_turned)
     kind = traj.termination.kind
     if kind is TerminationKind.PREY_EXTINCT:
         return _ABOVE
@@ -233,19 +240,13 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
     k2 = dissipative_bound_K2(p).K2
     ceiling = opts.x2_cap_factor * max(k2, 1.0)
 
-    # the field, options and turnaround test serve every launch of the probe
-    f = make_rhs(p)
     iopts = replace(opts.integrator, horizon=opts.horizon)
-
-    def turned(t: float, s: State) -> bool:
-        return f(s.x1, s.x2)[0] > 0.0
-
     lo = 0.5 * base
-    if _classify_launch(p, probe_x1, lo, iopts, turned) != _BELOW:
+    if _classify_launch(p, probe_x1, lo, iopts) != _BELOW:
         lo = 0.0  # extremely flat nullcline; fall back to the axis
 
     hi = max(2.0 * base, 1.0)
-    while _classify_launch(p, probe_x1, hi, iopts, turned) == _BELOW:
+    while _classify_launch(p, probe_x1, hi, iopts) == _BELOW:
         hi *= 2.0
         if hi > ceiling:
             raise DomainError(
@@ -254,7 +255,7 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
                 "or outside the searched window")
     while hi - lo > opts.bisect_rel_tol * hi:
         mid = 0.5 * (lo + hi)
-        if _classify_launch(p, probe_x1, mid, iopts, turned) == _ABOVE:
+        if _classify_launch(p, probe_x1, mid, iopts) == _ABOVE:
             hi = mid
         else:
             lo = mid

@@ -5,10 +5,12 @@ separatrix machinery runs thousands of short integrations (about 31 per
 probe), and scalar arithmetic keeps each step in the microsecond range.
 The step itself is written out inline in the one loop (`_run`) that both
 charts share: in CPython a helper call per step, a tuple per step result,
-min/max builtin calls and per-event objects cost as much as the field
-evaluations they wrap.  The loop binds the tableau and the options to
-locals once per integration and spells min/max as comparisons with the same
-result.  Error control is the usual embedded-pair estimate with a PI
+min/max builtin calls and per-event or per-state objects cost as much as
+the field evaluations they wrap.  So the trajectory is stored as float
+columns, the stop predicate gets the derivative the step already holds,
+and the loop binds the tableau and the options to locals once per
+integration and spells min/max as comparisons with the same result.
+Error control is the usual embedded-pair estimate with a PI
 controller; dense output is linear on each accepted step, which is all the
 event localization needs at the tolerances used here.
 
@@ -81,11 +83,25 @@ class IntegratorOptions:
             raise DomainError("event_time_rel_tol must be nonnegative and finite")
 
 
+# stop_when(t, x1, x2, dx1, dx2): halt predicate on an accepted state and
+# the field there
+StopPredicate = Callable[[float, float, float, float, float], bool]
+
+
 @dataclass
 class Trajectory:
+    """An integration as float columns: times[i] and (x1[i], x2[i]) are the
+    i-th stored state (in the u-chart the x1 column holds u)."""
+
     times: list[float] = field(default_factory=list)
-    states: list[State] = field(default_factory=list)
+    x1: list[float] = field(default_factory=list)
+    x2: list[float] = field(default_factory=list)
     termination: Termination | None = None
+
+    @property
+    def states(self) -> list[State]:
+        """The stored states as a new list of State on every access."""
+        return list(map(State, self.x1, self.x2))
 
     @property
     def final_time(self) -> float:
@@ -93,7 +109,7 @@ class Trajectory:
 
     @property
     def final_state(self) -> State:
-        return self.states[-1]
+        return State(self.x1[-1], self.x2[-1])
 
     def __len__(self) -> int:
         return len(self.times)
@@ -144,13 +160,15 @@ def _run(
     ic: tuple[float, float],
     opts: IntegratorOptions,
     watch: tuple[bool, bool],
-    stop_when: Callable[[float, State], bool] | None,
+    stop_when: StopPredicate | None,
     blowup_ceiling: float | None,
 ) -> Trajectory:
     """Core loop shared by the x-system and the u-chart.
 
     watch[i] switches on the extinction event of component i (the u-chart
-    watches neither and ends at blowup_ceiling instead).  The min/max of
+    watches neither and ends at blowup_ceiling instead).  stop_when gets the
+    field at each accepted state from the step that produced it (FSAL), so
+    the predicate costs no field evaluation.  The min/max of
     the textbook loop are written as comparisons with the same result, ties
     and -0.0 included: max(a, b) is `b if b > a else a`, min(a, b) is
     `b if b < a else a`.
@@ -171,10 +189,10 @@ def _run(
     t = 0.0
     y1, y2 = ic
     traj = Trajectory()
-    add_time, add_state = traj.times.append, traj.states.append
-    add_time(t)
-    s = State(y1, y2)
-    add_state(s)
+    add_t, add_x1, add_x2 = traj.times.append, traj.x1.append, traj.x2.append
+    add_t(t)
+    add_x1(y1)
+    add_x2(y2)
 
     # An event is armed only if its component starts above the threshold,
     # and re-arms once the component climbs above twice the threshold; an
@@ -184,15 +202,15 @@ def _run(
     rearm1 = 2.0 * thr if watch[0] else inf
     rearm2 = 2.0 * thr if watch[1] else inf
 
-    if stop_when is not None and stop_when(t, s):
-        traj.termination = Termination(TerminationKind.STOPPED, t)
-        return traj
-
-    # one field evaluation at the initial condition: the step guess and k1
+    # one field evaluation at the initial condition: the predicate's
+    # derivative, the step guess and k1
     try:
         k1, k2 = f(y1, y2)
     except (OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"field not evaluable at the initial condition: {exc}") from exc
+    if stop_when is not None and stop_when(t, y1, y2, k1, k2):
+        traj.termination = Termination(TerminationKind.STOPPED, t)
+        return traj
     h = _initial_step(y1, y2, k1, k2, opts)
     err_prev = 1.0
 
@@ -275,32 +293,35 @@ def _run(
         if (armed1 and z1 < thr <= y1) or (armed2 and z2 < thr <= y2):
             te, ye1, ye2, kind = _first_crossing(
                 t, t_new, (y1, y2), (z1, z2), (armed1, armed2), thr, opts)
-            add_time(te)
-            add_state(State(0.0 if 0.0 > ye1 else ye1, 0.0 if 0.0 > ye2 else ye2))
+            add_t(te)
+            add_x1(0.0 if 0.0 > ye1 else ye1)
+            add_x2(0.0 if 0.0 > ye2 else ye2)
             traj.termination = Termination(kind, te)
             return traj
 
         if z1 > ceiling:
             te, ye1, ye2 = _locate_level(t, t_new, (y1, y2), (z1, z2), 0, ceiling, opts)
-            add_time(te)
-            add_state(State(ye1, 0.0 if 0.0 > ye2 else ye2))
+            add_t(te)
+            add_x1(ye1)
+            add_x2(0.0 if 0.0 > ye2 else ye2)
             traj.termination = Termination(TerminationKind.BLOWUP, te)
             return traj
 
-        # accept
+        # accept; (k1, k2) = f(y1, y2) exactly, as the field clamps
+        # negative inputs to zero just as this does
         t, k1, k2 = t_new, k1n, k2n
         y1 = 0.0 if 0.0 > z1 else z1  # max(z1, 0.0)
         y2 = 0.0 if 0.0 > z2 else z2
-        add_time(t)
-        s = State(y1, y2)
-        add_state(s)
+        add_t(t)
+        add_x1(y1)
+        add_x2(y2)
 
         if not armed1 and y1 > rearm1:
             armed1 = True
         if not armed2 and y2 > rearm2:
             armed2 = True
 
-        if stop_when is not None and stop_when(t, s):
+        if stop_when is not None and stop_when(t, y1, y2, k1, k2):
             traj.termination = Termination(TerminationKind.STOPPED, t)
             return traj
 
@@ -358,15 +379,19 @@ def integrate(
     ic: State,
     opts: IntegratorOptions | None = None,
     *,
-    stop_when: Callable[[float, State], bool] | None = None,
+    stop_when: StopPredicate | None = None,
 ) -> Trajectory:
     """Integrate the (x1, x2) system from a nonnegative initial condition.
 
     Terminations: PreyExtinct when x1 falls through the extinction threshold
     (armed only off-axis), PredatorExtinct likewise but only when m2 < 1,
-    HorizonReached, StepFailure.  `stop_when` is a coarse halt predicate
-    evaluated at accepted states (also at t=0); when it fires the trajectory
-    ends with kind STOPPED at that accepted time, no localization.
+    HorizonReached, StepFailure.  `stop_when(t, x1, x2, dx1, dx2)` is a
+    coarse halt predicate evaluated at accepted states (also at t=0), where
+    (dx1, dx2) is the field at (x1, x2), bit for bit `make_rhs(p)(x1, x2)`;
+    when it fires the trajectory ends with kind STOPPED at that accepted
+    time, no localization.  The field is evaluated at the initial condition
+    before the predicate, so a field that cannot be evaluated there raises
+    DomainError even when the predicate would have stopped the run.
     """
     if opts is None:
         opts = IntegratorOptions()
@@ -386,7 +411,7 @@ def integrate_u_system(
 
     Prey touchdown appears as u blowing up; the run terminates with kind
     Blowup when u exceeds `blowup_ceiling` (default 1e12, i.e. x1 below
-    1e-12).  State tuples reuse State with the u value in the x1 slot.
+    1e-12).  The trajectory's x1 column holds u.
     """
     if opts is None:
         opts = IntegratorOptions()

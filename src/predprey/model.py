@@ -196,6 +196,8 @@ def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
             return (x1 * (a1 - b1 * x1) - w0 * gx2, x2 * (-a2) + w1 * gx2)
         return field
 
+    unit_m2 = m2 == 1.0  # x2 ** 1.0 is x2: skip the power
+
     def field(x1: float, x2: float) -> tuple[float, float]:
         if x1 < 0.0:
             x1 = 0.0
@@ -203,7 +205,7 @@ def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
             x2 = 0.0
         s = r * x1
         g = 0.0 if s == 0.0 else (s / (s + d)) ** m1
-        pw = 0.0 if x2 == 0.0 else x2 ** m2
+        pw = 0.0 if x2 == 0.0 else (x2 if unit_m2 else x2 ** m2)
         inter = g * pw
         return (
             x1 * (a1 - b1 * x1) - w0 * inter,

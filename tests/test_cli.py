@@ -4,7 +4,8 @@ import subprocess
 import sys
 import textwrap
 
-from predprey import cli
+from predprey import IntegratorOptions, cli, csvio, trace_unstable_manifold_E1
+from predprey.config import load_config
 
 MODEL = textwrap.dedent("""\
     [model]
@@ -115,6 +116,29 @@ def test_separatrix_command(tmp_path):
     assert ws[0] == "# stable_separatrix_E0"
     assert ws[1] == "x1,x2"
     assert (out / "manifold_wu.csv").exists()
+
+
+def test_separatrix_traces_the_manifold_with_the_integrator_section(tmp_path, capsys):
+    # W^u(E1) follows [integrator] as W^s(E0) does, at the separatrix horizon
+    cfg = write(tmp_path / "sep.ini", MODEL + textwrap.dedent("""\
+
+        [integrator]
+        rel_tol = 1e-10
+        abs_tol = 1e-12
+
+        [separatrix]
+        probes = 3
+        bisect_rel_tol = 1e-4
+        """))
+    out = tmp_path / "out"
+    assert cli.main(["separatrix", "--config", cfg, "--out", str(out)]) == 0
+    p = load_config(cfg).params
+    for opts, path in ((IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, horizon=500.0), "tight"),
+                       (None, "default")):
+        csvio.write_curve(trace_unstable_manifold_E1(p, opts), str(tmp_path / path))
+    got = (out / "manifold_wu.csv").read_bytes()
+    assert got == (tmp_path / "tight").read_bytes()
+    assert got != (tmp_path / "default").read_bytes()
 
 
 def test_extinction_command(tmp_path):

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import sys
 
 import pytest
 
@@ -87,8 +88,43 @@ def test_boundary_bisection_separates_fates(osc_params):
 
     down = integrate(osc_params, State(5.0, b * 0.99),
                      IntegratorOptions(horizon=500.0),
-                     stop_when=lambda t, s: s.x1 > 5.0)
+                     stop_when=lambda t, x1, x2, dx1, dx2: x1 > 5.0)
     assert down.termination.kind is not TerminationKind.PREY_EXTINCT
+
+
+def test_probe_makes_only_the_steps_field_calls(osc_params, monkeypatch):
+    # Wrap the make_rhs products where the integrator and this module look
+    # them up, as the bench trace shim does.  The turnaround test reads the
+    # derivative the step already holds, so a probe costs the DP5 step's 6
+    # field calls per accepted step plus its rejections; re-evaluating the
+    # field at each accepted state made it 7.0.
+    calls, steps = [], []
+
+    def counting(factory):
+        def make(p):
+            f = factory(p)
+
+            def field(x1, x2):
+                calls.append(1)
+                return f(x1, x2)
+            return field
+        return make
+
+    for name in ("predprey.integrate", "predprey.geometry"):
+        mod = sys.modules[name]
+        monkeypatch.setattr(mod, "make_rhs", counting(mod.make_rhs))
+    geo = sys.modules["predprey.geometry"]
+    launch = geo.integrate
+
+    def counted_launch(*args, **kwargs):
+        traj = launch(*args, **kwargs)
+        steps.append(len(traj) - 1)
+        return traj
+
+    monkeypatch.setattr(geo, "integrate", counted_launch)
+    separatrix_boundary_x2(osc_params, 1.389)  # a station of the default fan
+    assert len(steps) == 31
+    assert len(calls) <= 6.1 * sum(steps)
 
 
 def test_separatrix_requires_fractional_m1(osc_params):

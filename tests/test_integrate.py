@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import math
 import sys
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from predprey import (
     DomainError,
@@ -19,7 +22,7 @@ from predprey.integrate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _A71, _A73, _A74, _A75, _A76,
     _BETA1, _BETA2, _E1, _E3, _E4, _E5, _E6, _E7, _MAX_FACTOR, _MIN_FACTOR, _SAFETY,
-    Termination, Trajectory, _locate_level,
+    Termination, _locate_level,
 )
 from predprey.model import make_rhs, make_u_rhs
 
@@ -55,6 +58,38 @@ def test_times_monotone_states_nonnegative(osc_params):
         assert math.isfinite(s.x1) and math.isfinite(s.x2)
 
 
+def test_trajectory_is_float_columns(osc_params):
+    traj = integrate(osc_params, State(5.0, 1.0), IntegratorOptions(horizon=10.0))
+    assert len(traj) == len(traj.times) == len(traj.x1) == len(traj.x2) > 2
+    assert all(type(v) is float for v in traj.times + traj.x1 + traj.x2)
+    assert traj.states == [State(a, b) for a, b in zip(traj.x1, traj.x2)]
+    assert traj.final_state == State(traj.x1[-1], traj.x2[-1])
+    with pytest.raises(AttributeError):
+        traj.states = []  # a view of the columns, not a field
+
+
+# The documented domain: rates spanning four decades, exponents and refuge
+# in (0, 1] with 1 itself drawn often.
+RATE = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+UNIT = st.one_of(st.just(1.0), st.floats(1e-2, 1.0))
+DOMAIN = st.builds(ModelParams, a1=RATE, a2=RATE, b1=RATE, w0=RATE, w1=RATE, d=RATE,
+                   m1=UNIT, m2=UNIT, r=UNIT)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=DOMAIN, u1=st.floats(0.0, 2.0), u2=st.floats(0.0, 10.0))
+def test_trajectory_invariants(p, u1, u2):
+    cap = p.carrying_capacity
+    x1_0 = u1 * cap
+    traj = integrate(p, State(x1_0, u2 * max(1.0, cap)), IntegratorOptions(horizon=20.0))
+    assert len(traj.times) == len(traj.x1) == len(traj.x2)
+    assert all(b > a for a, b in zip(traj.times, traj.times[1:]))
+    assert min(traj.x1) >= 0.0 and min(traj.x2) >= 0.0
+    # dx1/dt < 0 wherever x1 > a1/b1: the prey never climbs above its start
+    # or the carrying capacity, up to the local error
+    assert max(traj.x1) <= max(x1_0, cap) * (1.0 + 1e-6)
+
+
 def test_rejects_negative_initial_condition(osc_params):
     with pytest.raises(DomainError):
         integrate(osc_params, State(-0.1, 1.0))
@@ -88,7 +123,7 @@ def test_predator_extinction_requires_fractional_m2(bistable_params):
 
 def test_stop_when_checks_initial_state(osc_params):
     traj = integrate(osc_params, State(5.0, 1.0),
-                     stop_when=lambda t, s: s.x1 > 1.0)
+                     stop_when=lambda t, x1, x2, dx1, dx2: x1 > 1.0)
     assert traj.termination.kind is TerminationKind.STOPPED
     assert traj.termination.time == 0.0
     assert len(traj) == 1
@@ -96,7 +131,7 @@ def test_stop_when_checks_initial_state(osc_params):
 
 def test_stop_when_mid_run(osc_params):
     traj = integrate(osc_params, State(5.0, 0.05),
-                     stop_when=lambda t, s: s.x1 > 7.0)
+                     stop_when=lambda t, x1, x2, dx1, dx2: x1 > 7.0)
     assert traj.termination.kind is TerminationKind.STOPPED
     assert traj.final_state.x1 > 7.0
 
@@ -199,14 +234,16 @@ def _ref_try_step(f, y1, y2, k1, k2, h, opts):
 
 
 def _ref_run(f, ic, opts, events, stop_when, blowup_ceiling):
+    # the predicate gets a fresh field evaluation at each accepted state, so
+    # the exact comparison also checks the loop's FSAL derivative
     t = 0.0
     y1, y2 = ic
-    traj = Trajectory()
+    traj = SimpleNamespace(times=[], states=[], termination=None)
     traj.times.append(t)
     traj.states.append(State(y1, y2))
     for ev in events:
         ev.arm_for((y1, y2)[ev.index])
-    if stop_when is not None and stop_when(t, traj.states[-1]):
+    if stop_when is not None and stop_when(t, y1, y2, *f(y1, y2)):
         traj.termination = Termination(TerminationKind.STOPPED, t)
         return traj
     h = _ref_initial_step(f, y1, y2, opts, opts.horizon)
@@ -261,7 +298,7 @@ def _ref_run(f, ic, opts, events, stop_when, blowup_ceiling):
         traj.states.append(State(y1, y2))
         for ev in events:
             ev.update_arming((y1, y2)[ev.index])
-        if stop_when is not None and stop_when(t, traj.states[-1]):
+        if stop_when is not None and stop_when(t, y1, y2, *f(y1, y2)):
             traj.termination = Termination(TerminationKind.STOPPED, t)
             return traj
         if err == 0.0:
@@ -307,8 +344,16 @@ _REFERENCE_CASES = {
     "event_tie": (with_params(_BISTABLE, w0=5.0, a2=5.0), (0.50001, 0.50001),
                   dict(horizon=10.0, extinction_threshold=0.5, event_time_rel_tol=1.0),
                   None, _K.PREY_EXTINCT),
-    "stop_at_t0": (_OSC, (5.0, 1.0), {}, lambda t, s: s.x1 > 1.0, _K.STOPPED),
-    "stop_mid_run": (_OSC, (5.0, 0.05), {}, lambda t, s: s.x1 > 7.0, _K.STOPPED),
+    "stop_at_t0": (_OSC, (5.0, 1.0), {}, lambda t, x1, x2, dx1, dx2: x1 > 1.0, _K.STOPPED),
+    "stop_mid_run": (_OSC, (5.0, 0.05), {}, lambda t, x1, x2, dx1, dx2: x1 > 7.0,
+                     _K.STOPPED),
+    # predicates on the loop's own derivative, firing mid-run: the
+    # separatrix turnaround test (the prey decays from this launch, then
+    # turns around at t = 5.48), and the predator's turnaround with m2 < 1
+    "stop_on_turnaround": (_OSC, (5.0, 3.0), dict(horizon=500.0),
+                           lambda t, x1, x2, dx1, dx2: dx1 > 0.0, _K.STOPPED),
+    "stop_on_predator_turnaround": (_BISTABLE, (5.0, 5.0), dict(horizon=500.0),
+                                    lambda t, x1, x2, dx1, dx2: dx2 < 0.0, _K.STOPPED),
     "step_failure": (_BISTABLE, (0.3, 50.0), dict(rel_tol=1e-16, min_step=1e-3, horizon=50.0),
                      None, _K.STEP_FAILURE),
 }
@@ -370,6 +415,10 @@ def test_field_failure_at_initial_condition_is_a_domain_error():
 
     with pytest.raises(DomainError, match="initial condition"):
         run(field, (1.0, 1.0), IntegratorOptions(), (True, False), None, None)
+    # the field is evaluated before the predicate, which needs its value
+    with pytest.raises(DomainError, match="initial condition"):
+        run(field, (1.0, 1.0), IntegratorOptions(), (True, False),
+            lambda t, x1, x2, dx1, dx2: True, None)
 
 
 def test_overflowing_trial_state_is_rejected():
