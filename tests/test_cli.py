@@ -118,7 +118,7 @@ def test_separatrix_command(tmp_path):
     assert (out / "manifold_wu.csv").exists()
 
 
-def test_separatrix_traces_the_manifold_with_the_integrator_section(tmp_path, capsys):
+def test_separatrix_traces_the_manifold_with_the_integrator_section(tmp_path):
     # W^u(E1) follows [integrator] as W^s(E0) does, at the separatrix horizon
     cfg = write(tmp_path / "sep.ini", MODEL + textwrap.dedent("""\
 
