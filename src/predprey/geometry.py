@@ -20,6 +20,16 @@ orbits that stay above it can only march left; the boundary orbit is the one
 that limits into the origin itself.  Bisection in the launch ordinate x2 at
 a fixed prey abscissa (a "probe") then brackets the boundary point; a fan of
 probes assembles the curve.
+
+Launches that close to the boundary stay together until x1 is within a
+decade or so of the extinction threshold, so once the bracket's BELOW orbit
+gets below a section three decades above it, the bisection continues on
+the segment joining the two bracket orbits there, where a launch is about a
+third as long.  The boundary point found
+on that section is integrated backward to the probe abscissa (backward in
+time, orbits near the boundary converge onto it); orbits cannot cross, so
+it lands inside the probe's bracket up to integration error, and it is
+returned only if it does.
 """
 from __future__ import annotations
 
@@ -29,7 +39,7 @@ from dataclasses import dataclass, replace
 
 from .equilibria import predator_free_equilibrium
 from .extinction import dissipative_bound_K2
-from .integrate import IntegratorOptions, TerminationKind, integrate
+from .integrate import IntegratorOptions, TerminationKind, Trajectory, integrate
 # make_rhs is unused here; it stays because the bench trace shim patches it
 from .model import DomainError, ModelParams, State, eval_f, eval_g, make_rhs  # noqa: F401
 
@@ -213,24 +223,88 @@ def _turned(t: float, x1: float, x2: float, dx1: float, dx2: float) -> bool:
 
 
 def _classify_launch(p: ModelParams, x1_0: float, x2_0: float,
-                     iopts: IntegratorOptions) -> str:
+                     iopts: IntegratorOptions) -> tuple[str, Trajectory]:
     """ABOVE: prey decays monotonically into the extinction event.
     BELOW: a turnaround (dx1/dt > 0 at an accepted state, read off the
-    integrator's own derivative) or survival to the horizon."""
+    integrator's own derivative) or survival to the horizon.  Returns the
+    fate and the launch's trajectory."""
     traj = integrate(p, State(x1_0, x2_0), iopts, stop_when=_turned)
     kind = traj.termination.kind
     if kind is TerminationKind.PREY_EXTINCT:
-        return _ABOVE
+        return _ABOVE, traj
     if kind in (TerminationKind.STOPPED, TerminationKind.HORIZON_REACHED,
                 TerminationKind.PREDATOR_EXTINCT):
-        return _BELOW
+        return _BELOW, traj
     raise DomainError(f"launch classification failed: {traj.termination!r}")
+
+
+# The deep section sits at this multiple of the extinction threshold:
+# launches that close to the boundary differ in fate only below it.
+_SECTION_DEPTH = 1e3
+
+
+def _last_at_or_above(traj: Trajectory, level: float) -> int:
+    """Index of the last stored state with x1 >= level; the launch state
+    must be one."""
+    i = len(traj) - 1
+    while traj.x1[i] < level:
+        i -= 1
+    return i
+
+
+def _hermite(th: float, y0: float, y1: float, hf0: float, hf1: float) -> float:
+    """Cubic Hermite interpolant on a step: values y0, y1 and step-scaled
+    derivatives hf0, hf1 at its ends, evaluated at the fraction th."""
+    return y0 + th * (hf0 + th * (3.0 * (y1 - y0) - 2.0 * hf0 - hf1
+                                  + th * (2.0 * (y0 - y1) + hf0 + hf1)))
+
+
+def _trace_to_probe(p: ModelParams, x1_0: float, x2_0: float, probe_x1: float,
+                    iopts: IntegratorOptions) -> float:
+    """Integrate backward from (x1_0, x2_0), x1_0 < probe_x1, until x1
+    reaches probe_x1, and return x2 there, located on the last step by
+    cubic Hermite on the integrator's own derivatives; NaN if the backward
+    run ends any other way."""
+    slopes: list[tuple[float, float]] = []
+
+    def reached(t: float, x1: float, x2: float, dx1: float, dx2: float) -> bool:
+        slopes.append((dx1, dx2))
+        return x1 >= probe_x1
+
+    traj = integrate(p, State(x1_0, x2_0), iopts, stop_when=reached, backward=True)
+    if traj.termination.kind is not TerminationKind.STOPPED:
+        return math.nan
+    h = traj.times[-1] - traj.times[-2]
+    (a1, a2), (b1, b2) = slopes[-2], slopes[-1]
+    u0, u1, v0, v1 = traj.x1[-2], traj.x1[-1], traj.x2[-2], traj.x2[-1]
+    lo, hi = 0.0, 1.0  # x1 < probe_x1 at lo, x1 >= probe_x1 at hi
+    while hi - lo > 1e-15:
+        th = 0.5 * (lo + hi)
+        if _hermite(th, u0, u1, h * a1, h * b1) < probe_x1:
+            lo = th
+        else:
+            hi = th
+    return _hermite(0.5 * (lo + hi), v0, v1, h * a2, h * b2)
 
 
 def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
                            opts: SeparatrixOptions | None = None) -> float:
-    """Bisect the launch ordinate at abscissa probe_x1 for the boundary of
-    monotone-decay extinction.  Returns the bracket midpoint."""
+    """The ordinate at abscissa probe_x1 of the boundary of monotone-decay
+    extinction.
+
+    Launch fates are bisected between a BELOW launch at x2 = lo and an
+    ABOVE launch at x2 = hi.  Once the BELOW orbit gets below the deep
+    section x1 = L (`_SECTION_DEPTH` times the extinction threshold), the
+    same bisection goes on along the segment AB that joins the two bracket
+    orbits at their last states with x1 >= L, where a launch runs about a
+    third of the steps, for the halvings the probe bracket still needed.
+    The midpoint of the final section bracket is integrated backward to
+    x1 = probe_x1, and its ordinate there is returned if it lies inside the
+    [lo, hi] that launches from the probe certified.  Orbits cannot cross,
+    so it does up to the backward run's integration error; when it does
+    not, or when the BELOW orbits never get below L (or L >= probe_x1), the
+    bisection goes on at the probe and returns the final bracket midpoint.
+    """
     if opts is None:
         opts = SeparatrixOptions()
     cap = p.carrying_capacity
@@ -242,24 +316,64 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
 
     iopts = replace(opts.integrator, horizon=opts.horizon)
     lo = 0.5 * base
-    if _classify_launch(p, probe_x1, lo, iopts) != _BELOW:
-        lo = 0.0  # extremely flat nullcline; fall back to the axis
+    fate, lo_traj = _classify_launch(p, probe_x1, lo, iopts)
+    if fate != _BELOW:
+        lo, lo_traj = 0.0, None  # extremely flat nullcline; fall back to the axis
 
     hi = max(2.0 * base, 1.0)
-    while _classify_launch(p, probe_x1, hi, iopts) == _BELOW:
+    fate, hi_traj = _classify_launch(p, probe_x1, hi, iopts)
+    while fate == _BELOW:
+        lo, lo_traj = hi, hi_traj  # a certified BELOW launch: the new lower end
         hi *= 2.0
         if hi > ceiling:
             raise DomainError(
                 f"no monotone-extinction launch found below x2 = {ceiling!r} "
                 f"at probe x1 = {probe_x1!r}; stable set of the origin absent "
                 "or outside the searched window")
-    while hi - lo > opts.bisect_rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if _classify_launch(p, probe_x1, mid, iopts) == _ABOVE:
-            hi = mid
+        fate, hi_traj = _classify_launch(p, probe_x1, hi, iopts)
+
+    # One bisection on launches from (ax + s*ux, ay + s*uy), BELOW at s = lo
+    # and ABOVE at s = hi.  On the probe line ax = probe_x1, ay = ux = 0 and
+    # uy = 1, so s is the launch ordinate itself, bit for bit.
+    ax, ay, ux, uy, launch_opts = probe_x1, 0.0, 0.0, 1.0, iopts
+    deep = _SECTION_DEPTH * iopts.extinction_threshold
+    may_enter = deep < probe_x1
+    probe_bracket = None  # the probe's (lo, hi) while the section is bisected
+    halvings = 0
+    while True:
+        if probe_bracket is None:
+            if not hi - lo > opts.bisect_rel_tol * hi:
+                return 0.5 * (lo + hi)
+            if may_enter and lo_traj is not None and lo_traj.x1[-1] < deep:
+                may_enter = False
+                i = _last_at_or_above(lo_traj, deep)
+                j = _last_at_or_above(hi_traj, deep)
+                ax, ay = lo_traj.x1[i], lo_traj.x2[i]
+                ux, uy = hi_traj.x1[j] - ax, hi_traj.x2[j] - ay
+                # from the section, BELOW at the horizon means what it
+                # meant from the probe
+                launch_opts = replace(
+                    iopts, horizon=iopts.horizon - max(lo_traj.times[i], hi_traj.times[j]))
+                halvings = math.ceil(math.log2((hi - lo) / (opts.bisect_rel_tol * hi)))
+                probe_bracket, lo, hi = (lo, hi), 0.0, 1.0
+                continue
+        elif halvings == 0:
+            s = 0.5 * (lo + hi)
+            y = _trace_to_probe(p, ax + s * ux, ay + s * uy, probe_x1, iopts)
+            (lo, hi), probe_bracket = probe_bracket, None
+            if lo <= y <= hi:
+                return y
+            # the trace left the certified bracket: go on at the probe
+            ax, ay, ux, uy, launch_opts = probe_x1, 0.0, 0.0, 1.0, iopts
+            continue
         else:
-            lo = mid
-    return 0.5 * (lo + hi)
+            halvings -= 1
+        mid = 0.5 * (lo + hi)
+        fate, traj = _classify_launch(p, ax + mid * ux, ay + mid * uy, launch_opts)
+        if fate == _ABOVE:
+            hi, hi_traj = mid, traj
+        else:
+            lo, lo_traj = mid, traj
 
 
 def _probe_stations(p: ModelParams, opts: SeparatrixOptions) -> list[float]:

@@ -20,7 +20,9 @@ component.  An event is armed only if its component starts above threshold
 initial condition sitting on an axis integrates as the constant/on-axis
 solution instead of reporting extinction at t = 0.  The predator event
 exists only for m2 < 1: with m2 = 1 the axis is reached only as t -> inf and
-a threshold crossing would misreport a finite extinction time.
+a threshold crossing would misreport a finite extinction time.  A backward
+run (`integrate(..., backward=True)`) is the same loop on the negated field
+and watches no event.
 """
 from __future__ import annotations
 
@@ -380,6 +382,7 @@ def integrate(
     opts: IntegratorOptions | None = None,
     *,
     stop_when: StopPredicate | None = None,
+    backward: bool = False,
 ) -> Trajectory:
     """Integrate the (x1, x2) system from a nonnegative initial condition.
 
@@ -392,12 +395,25 @@ def integrate(
     time, no localization.  The field is evaluated at the initial condition
     before the predicate, so a field that cannot be evaluated there raises
     DomainError even when the predicate would have stopped the run.
+
+    With backward=True the run follows the orbit back in time: the loop
+    integrates the negated field, (dx1, dx2) handed to `stop_when` is that
+    negated field, the times column holds the elapsed backward time (0 up to
+    at most the horizon), and no extinction event is watched, so a backward
+    run never ends in PreyExtinct or PredatorExtinct.
     """
     if opts is None:
         opts = IntegratorOptions()
     x1 = _check_ic(ic.x1, "x1")
     x2 = _check_ic(ic.x2, "x2")
-    return _run(make_rhs(p), (x1, x2), opts, (True, p.m2 < 1.0), stop_when, None)
+    f = make_rhs(p)
+    if not backward:
+        return _run(f, (x1, x2), opts, (True, p.m2 < 1.0), stop_when, None)
+
+    def reversed_field(x1: float, x2: float) -> tuple[float, float]:
+        d1, d2 = f(x1, x2)
+        return -d1, -d2
+    return _run(reversed_field, (x1, x2), opts, (False, False), stop_when, None)
 
 
 def integrate_u_system(

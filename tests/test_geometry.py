@@ -125,6 +125,50 @@ def test_probe_makes_only_the_steps_field_calls(osc_params, monkeypatch):
     separatrix_boundary_x2(osc_params, 1.389)  # a station of the default fan
     assert len(steps) == 31
     assert len(calls) <= 6.1 * sum(steps)
+    # launches from the deep section run about a third of the steps of
+    # launches from the probe: 1 113 accepted steps, against 2 548 when the
+    # whole bisection stays at the probe
+    assert sum(steps) <= 1300
+
+
+def _fan_sets(osc):
+    enriched = with_params(osc, a1=2.0, b1=0.21)
+    return {"osc": osc, "enriched": enriched, "enriched_r_0.3": with_params(enriched, r=0.3)}
+
+
+@pytest.mark.parametrize("name", ["osc", "enriched", "enriched_r_0.3"])
+def test_section_bisection_matches_the_probe_loop(osc_params, monkeypatch, name):
+    # an infinite depth puts the section above every probe, so the same
+    # bisection runs at the probe to the end, as it did before the section
+    p = _fan_sets(osc_params)[name]
+    ws = trace_stable_separatrix_E0(p)
+    geo = sys.modules["predprey.geometry"]
+    monkeypatch.setattr(geo, "_SECTION_DEPTH", math.inf)
+    plain = [separatrix_boundary_x2(p, x) for x in ws.x1s()]
+    assert ws.x2s() == pytest.approx(plain, rel=1e-4)
+    if name == "enriched":
+        # right of x1 = 4 the BELOW launches turn at t = 0 and never reach
+        # the section: those four probes keep the probe loop's bits
+        assert ws.x2s()[8:] == plain[8:]
+
+
+@pytest.mark.parametrize("landing", [-1.0, math.nan])
+def test_trace_outside_the_bracket_resumes_at_the_probe(osc_params, monkeypatch, landing):
+    # a traced ordinate outside the bracket the probe launches certified, or
+    # a backward run that never gets back (NaN), is never returned: the
+    # bisection resumes at the probe from that bracket
+    geo = sys.modules["predprey.geometry"]
+    traces = []
+
+    def missing(*args):
+        traces.append(args)
+        return landing
+
+    monkeypatch.setattr(geo, "_trace_to_probe", missing)
+    got = separatrix_boundary_x2(osc_params, 1.389)
+    assert len(traces) == 1
+    monkeypatch.setattr(geo, "_SECTION_DEPTH", math.inf)
+    assert repr(got) == repr(separatrix_boundary_x2(osc_params, 1.389))
 
 
 def test_separatrix_requires_fractional_m1(osc_params):

@@ -436,3 +436,60 @@ def test_overflowing_trial_state_is_rejected():
     assert all(math.isfinite(s.x1) for s in got.states)
     assert repr((got.times, got.states, got.termination)) == \
         repr((ref.times, ref.states, ref.termination))
+
+
+# --------------------------------------------------------------------------
+# Backward runs: the same loop on the negated field, with no event watched.
+
+@pytest.mark.parametrize("p, ic", [(_OSC, (5.0, 1.0)), (_BISTABLE, (3.0, 2.0))],
+                         ids=["osc", "bistable"])
+def test_backward_run_retraces_the_forward_run(p, ic):
+    opts = IntegratorOptions(horizon=3.0)
+    fwd = integrate(p, State(*ic), opts)
+    back = integrate(p, fwd.final_state, opts, backward=True)
+    assert back.termination.kind is TerminationKind.HORIZON_REACHED
+    assert back.times[-1] == 3.0  # elapsed backward time
+    assert all(b > a for a, b in zip(back.times, back.times[1:]))
+    assert back.final_state.x1 == pytest.approx(ic[0], rel=1e-6)
+    assert back.final_state.x2 == pytest.approx(ic[1], rel=1e-6)
+
+
+@pytest.mark.parametrize("p, ic, component", [
+    # backward in time the prey on the empty predator axis decays like
+    # exp(-a1 t), and with m2 < 1 a scarce predator beside plentiful prey
+    # drains to zero in finite time: a watched event would fire on both
+    (_OSC, (1e-6, 0.0), 0),
+    (_BISTABLE, (8.0, 1e-6), 1),
+], ids=["prey", "predator"])
+def test_backward_run_ends_in_no_extinction_event(p, ic, component):
+    opts = IntegratorOptions(horizon=20.0)
+    traj = integrate(p, State(*ic), opts, backward=True)
+    assert traj.termination.kind is TerminationKind.HORIZON_REACHED
+    assert min((traj.x1, traj.x2)[component]) < opts.extinction_threshold
+
+
+_BACKWARD_CASES = {
+    # the separatrix trace: back from near the origin to a probe abscissa
+    "osc_back_to_probe": (_OSC, (1e-3, 3.0), dict(horizon=500.0),
+                          lambda t, x1, x2, dx1, dx2: x1 >= 1.389, _K.STOPPED),
+    "bistable_predator_drains": (_BISTABLE, (8.0, 1e-6), dict(horizon=20.0), None,
+                                 _K.HORIZON_REACHED),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_BACKWARD_CASES))
+def test_backward_loop_matches_reference_exactly(case):
+    p, ic, kw, stop_when, kind = _BACKWARD_CASES[case]
+    opts = IntegratorOptions(**kw)
+    f = make_rhs(p)
+
+    def negated(x1, x2):
+        d1, d2 = f(x1, x2)
+        return -d1, -d2
+
+    got = integrate(p, State(*ic), opts, stop_when=stop_when, backward=True)
+    ref = _ref_run(negated, ic, opts, (), stop_when, None)
+    assert got.termination.kind is kind
+    assert repr(got.termination) == repr(ref.termination)
+    assert repr(got.times) == repr(ref.times)
+    assert repr(got.states) == repr(ref.states)
