@@ -7,7 +7,6 @@ repeated run produces byte-identical output.  None becomes the empty field.
 """
 from __future__ import annotations
 
-import math
 from typing import Iterable, Sequence, TextIO
 
 from .bifurcation import BifurcationEvent, Branch
@@ -40,11 +39,9 @@ EVENTS_HEADER = "kind,param_name,critical_value,x1,x2,diagnostic"
 
 
 def fmt_float(x: float | None) -> str:
+    # '.17g' writes inf, -inf and nan (of either sign) as float() reads them
     if x is None:
         return ""
-    if not math.isfinite(x):
-        # inf/nan round-trip through float() fine, but be explicit
-        return repr(x) if x == x else "nan"
     return f"{x:.17g}"
 
 
@@ -55,10 +52,12 @@ def _write_rows(fh: TextIO, header: str, rows: Iterable[Sequence[str]]) -> None:
 
 
 def write_trajectory(traj: Trajectory, path: str, header: str = TRAJECTORY_HEADER) -> None:
+    # the rows of a long run are most of the CLI's output: one f-string per
+    # row (fmt_float's format inlined) and one write
     with open(path, "w", newline="\n") as fh:
-        _write_rows(fh, header, (
-            (fmt_float(t), fmt_float(x1), fmt_float(x2))
-            for t, x1, x2 in zip(traj.times, traj.x1, traj.x2)))
+        fh.write(header + "\n" + "".join([
+            f"{t:.17g},{x1:.17g},{x2:.17g}\n"
+            for t, x1, x2 in zip(traj.times, traj.x1, traj.x2)]))
 
 
 def read_trajectory(path: str) -> tuple[list[float], list[State]]:

@@ -22,14 +22,15 @@ a fixed prey abscissa (a "probe") then brackets the boundary point; a fan of
 probes assembles the curve.
 
 Launches that close to the boundary stay together until x1 is within a
-decade or so of the extinction threshold, so once the bracket's BELOW orbit
-gets below a section three decades above it, the bisection continues on
-the segment joining the two bracket orbits there, where a launch is about a
-third as long.  The boundary point found
-on that section is integrated backward to the probe abscissa (backward in
-time, orbits near the boundary converge onto it); orbits cannot cross, so
-it lands inside the probe's bracket up to integration error, and it is
-returned only if it does.
+decade or so of the extinction threshold, and near-boundary orbits turn
+around just above it.  So whenever the bracket's BELOW orbit gets below the
+next rung of a ladder of sections, x1 = thr*(1 + 10**k) for k = 8 down to
+-1, the bisection moves to the deepest rung that orbit passed and continues
+on the segment joining the two bracket orbits there, where a launch is
+short.  The boundary point found on the last section is integrated
+backward to the probe abscissa (backward in time, orbits near the boundary
+converge onto it); orbits cannot cross, so it lands inside the probe's
+bracket up to integration error, and it is returned only if it does.
 """
 from __future__ import annotations
 
@@ -238,9 +239,10 @@ def _classify_launch(p: ModelParams, x1_0: float, x2_0: float,
     raise DomainError(f"launch classification failed: {traj.termination!r}")
 
 
-# The deep section sits at this multiple of the extinction threshold:
-# launches that close to the boundary differ in fate only below it.
-_SECTION_DEPTH = 1e3
+# Sections at these multiples of the extinction threshold, thr*(1 + 10**k):
+# turnarounds approach the threshold from above, so the rungs are geometric
+# in x1/thr - 1.
+_SECTION_LADDER = tuple(1.0 + 10.0 ** k for k in range(8, -2, -1))
 
 
 def _last_at_or_above(traj: Trajectory, level: float) -> int:
@@ -293,17 +295,21 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
     extinction.
 
     Launch fates are bisected between a BELOW launch at x2 = lo and an
-    ABOVE launch at x2 = hi.  Once the BELOW orbit gets below the deep
-    section x1 = L (`_SECTION_DEPTH` times the extinction threshold), the
-    same bisection goes on along the segment AB that joins the two bracket
-    orbits at their last states with x1 >= L, where a launch runs about a
-    third of the steps, for the halvings the probe bracket still needed.
-    The midpoint of the final section bracket is integrated backward to
-    x1 = probe_x1, and its ordinate there is returned if it lies inside the
-    [lo, hi] that launches from the probe certified.  Orbits cannot cross,
-    so it does up to the backward run's integration error; when it does
-    not, or when the BELOW orbits never get below L (or L >= probe_x1), the
-    bisection goes on at the probe and returns the final bracket midpoint.
+    ABOVE launch at x2 = hi.  Whenever the bracket's BELOW orbit ends below
+    the next rung of a ladder of sections x1 = L (`_SECTION_LADDER` times
+    the extinction threshold, the rungs below probe_x1 from the top down),
+    the bisection moves to the deepest rung that orbit passed: it goes on
+    along the segment AB joining the two bracket orbits at their last
+    states with x1 >= L, with the horizon left after the later of the two,
+    so a launch starts just above the depth where fates part.  The halvings
+    the probe bracket still needed at the first move are counted down
+    across all later moves.  The midpoint of the final section bracket is
+    integrated backward to x1 = probe_x1, and its ordinate there is
+    returned if it lies inside the [lo, hi] that launches from the probe
+    certified.  Orbits cannot cross, so it does up to the backward run's
+    integration error; when it does not, or when the BELOW orbits never get
+    below a rung, the bisection goes on at the probe and returns the final
+    bracket midpoint.
     """
     if opts is None:
         opts = SeparatrixOptions()
@@ -334,29 +340,19 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
 
     # One bisection on launches from (ax + s*ux, ay + s*uy), BELOW at s = lo
     # and ABOVE at s = hi.  On the probe line ax = probe_x1, ay = ux = 0 and
-    # uy = 1, so s is the launch ordinate itself, bit for bit.
+    # uy = 1, so s is the launch ordinate itself, bit for bit.  t0 is the
+    # time from the probe to the current segment, lo_t0 and hi_t0 the same
+    # for the segments the bracket orbits were launched from.
     ax, ay, ux, uy, launch_opts = probe_x1, 0.0, 0.0, 1.0, iopts
-    deep = _SECTION_DEPTH * iopts.extinction_threshold
-    may_enter = deep < probe_x1
-    probe_bracket = None  # the probe's (lo, hi) while the section is bisected
+    t0 = lo_t0 = hi_t0 = 0.0
+    thr = iopts.extinction_threshold
+    rungs = [m * thr for m in _SECTION_LADDER if m * thr < probe_x1]
+    probe_bracket = None  # the probe's (lo, hi) while a section is bisected
     halvings = 0
     while True:
         if probe_bracket is None:
             if not hi - lo > opts.bisect_rel_tol * hi:
                 return 0.5 * (lo + hi)
-            if may_enter and lo_traj is not None and lo_traj.x1[-1] < deep:
-                may_enter = False
-                i = _last_at_or_above(lo_traj, deep)
-                j = _last_at_or_above(hi_traj, deep)
-                ax, ay = lo_traj.x1[i], lo_traj.x2[i]
-                ux, uy = hi_traj.x1[j] - ax, hi_traj.x2[j] - ay
-                # from the section, BELOW at the horizon means what it
-                # meant from the probe
-                launch_opts = replace(
-                    iopts, horizon=iopts.horizon - max(lo_traj.times[i], hi_traj.times[j]))
-                halvings = math.ceil(math.log2((hi - lo) / (opts.bisect_rel_tol * hi)))
-                probe_bracket, lo, hi = (lo, hi), 0.0, 1.0
-                continue
         elif halvings == 0:
             s = 0.5 * (lo + hi)
             y = _trace_to_probe(p, ax + s * ux, ay + s * uy, probe_x1, iopts)
@@ -365,15 +361,35 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
                 return y
             # the trace left the certified bracket: go on at the probe
             ax, ay, ux, uy, launch_opts = probe_x1, 0.0, 0.0, 1.0, iopts
+            rungs = []
             continue
-        else:
+        if rungs and lo_traj is not None and lo_traj.x1[-1] < rungs[0]:
+            # move to the deepest rung the BELOW orbit passed: above it dx1 < 0
+            # between the bracket orbits, which no orbit crosses, so every
+            # orbit from the current segment crosses the new one
+            passed = [L for L in rungs if lo_traj.x1[-1] < L]
+            level, rungs = passed[-1], rungs[len(passed):]
+            i = _last_at_or_above(lo_traj, level)
+            j = _last_at_or_above(hi_traj, level)
+            ax, ay = lo_traj.x1[i], lo_traj.x2[i]
+            ux, uy = hi_traj.x1[j] - ax, hi_traj.x2[j] - ay
+            # from a section, BELOW at the horizon means what it meant
+            # from the probe
+            t0 = max(lo_t0 + lo_traj.times[i], hi_t0 + hi_traj.times[j])
+            launch_opts = replace(iopts, horizon=iopts.horizon - t0)
+            if probe_bracket is None:
+                halvings = math.ceil(math.log2((hi - lo) / (opts.bisect_rel_tol * hi)))
+                probe_bracket = (lo, hi)
+            lo, hi = 0.0, 1.0
+            continue
+        if probe_bracket is not None:
             halvings -= 1
         mid = 0.5 * (lo + hi)
         fate, traj = _classify_launch(p, ax + mid * ux, ay + mid * uy, launch_opts)
         if fate == _ABOVE:
-            hi, hi_traj = mid, traj
+            hi, hi_traj, hi_t0 = mid, traj, t0
         else:
-            lo, lo_traj = mid, traj
+            lo, lo_traj, lo_t0 = mid, traj, t0
 
 
 def _probe_stations(p: ModelParams, opts: SeparatrixOptions) -> list[float]:

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 import textwrap
 
 import pytest
@@ -11,6 +12,7 @@ from predprey import (
     IntegratorOptions,
     PlanarCurve,
     State,
+    Trajectory,
     integrate,
 )
 from predprey import csvio
@@ -91,6 +93,35 @@ def test_fmt_float_round_trips(x):
 
 def test_fmt_float_none_is_empty():
     assert csvio.fmt_float(None) == ""
+
+
+def _fmt_float_reference(x):
+    # fmt_float as it was, with an explicit branch for non-finite values
+    if x is None:
+        return ""
+    if not math.isfinite(x):
+        return repr(x) if x == x else "nan"
+    return f"{x:.17g}"
+
+
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, -math.nan,
+                1.0 / 3.0, 1e300]
+
+
+def test_trajectory_writer_bytes_match_the_per_field_formatter(tmp_path):
+    # write_trajectory inlines fmt_float's format in one f-string per row;
+    # the bytes must be those of three fmt_float calls joined by commas
+    vals = _EDGE_FLOATS
+    rows = [(vals[i], vals[(i + 3) % len(vals)], vals[(i + 7) % len(vals)])
+            for i in range(len(vals))]
+    traj = Trajectory([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+    path = tmp_path / "traj.csv"
+    csvio.write_trajectory(traj, str(path))
+    expected = "t,x1,x2\n" + "".join(
+        ",".join(_fmt_float_reference(v) for v in r) + "\n" for r in rows)
+    assert path.read_bytes() == expected.encode()
+    for x in vals + [None]:
+        assert csvio.fmt_float(x) == _fmt_float_reference(x)
 
 
 def test_trajectory_round_trip(tmp_path, osc_params):

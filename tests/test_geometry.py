@@ -125,10 +125,10 @@ def test_probe_makes_only_the_steps_field_calls(osc_params, monkeypatch):
     separatrix_boundary_x2(osc_params, 1.389)  # a station of the default fan
     assert len(steps) == 31
     assert len(calls) <= 6.1 * sum(steps)
-    # launches from the deep section run about a third of the steps of
-    # launches from the probe: 1 113 accepted steps, against 2 548 when the
-    # whole bisection stays at the probe
-    assert sum(steps) <= 1300
+    # launches from the sections start just above where fates part: 681
+    # accepted steps, against 1 113 on one section at 1e3 times the
+    # threshold and 2 548 when the whole bisection stays at the probe
+    assert sum(steps) <= 750
 
 
 def _fan_sets(osc):
@@ -138,18 +138,77 @@ def _fan_sets(osc):
 
 @pytest.mark.parametrize("name", ["osc", "enriched", "enriched_r_0.3"])
 def test_section_bisection_matches_the_probe_loop(osc_params, monkeypatch, name):
-    # an infinite depth puts the section above every probe, so the same
-    # bisection runs at the probe to the end, as it did before the section
+    # with no rungs on the ladder the same bisection runs at the probe to
+    # the end, as it did before the sections
     p = _fan_sets(osc_params)[name]
     ws = trace_stable_separatrix_E0(p)
     geo = sys.modules["predprey.geometry"]
-    monkeypatch.setattr(geo, "_SECTION_DEPTH", math.inf)
+    monkeypatch.setattr(geo, "_SECTION_LADDER", ())
     plain = [separatrix_boundary_x2(p, x) for x in ws.x1s()]
     assert ws.x2s() == pytest.approx(plain, rel=1e-4)
     if name == "enriched":
         # right of x1 = 4 the BELOW launches turn at t = 0 and never reach
-        # the section: those four probes keep the probe loop's bits
+        # a section: those four probes keep the probe loop's bits
         assert ws.x2s()[8:] == plain[8:]
+
+
+# The default fans' ordinates from the single section at 1e3 times the
+# extinction threshold that the ladder replaced.
+_ONE_SECTION_FANS = {
+    "osc": [
+        7.569604535060952, 7.811238010236188, 8.014743535997413,
+        8.1625233344444, 8.230814225659781, 8.1869148666776, 7.985301059972136,
+        7.561295620636901, 6.8211219119728375, 5.625946525430647,
+        3.769616677148553, 1.0621673885492107,
+    ],
+    "enriched": [
+        9.620581934680363, 9.946326129930622, 10.226934053861653,
+        10.436960680283612, 10.537775739410645, 10.467309769269566,
+        10.116065753783403, 9.245702356692746, 6.418044359610674,
+        6.075075868923689, 4.632489917003925, 1.0615044368858906,
+    ],
+    "enriched_r_0.3": [
+        26.496220516279138, 27.722612774640805, 28.94806514755344,
+        30.152499964479656, 31.3082019522568, 32.37781795153205,
+        33.31131514790172, 34.042779758093694, 34.48919551061564,
+        34.55527698237735, 34.15482872308484, 33.25946824253814,
+    ],
+}
+
+
+@pytest.mark.parametrize("name", ["osc", "enriched", "enriched_r_0.3"])
+def test_one_rung_ladder_is_the_single_section(osc_params, monkeypatch, name):
+    # the rung-by-rung moves reduce to the single section's one entry, bit
+    # for bit
+    geo = sys.modules["predprey.geometry"]
+    monkeypatch.setattr(geo, "_SECTION_LADDER", (1e3,))
+    ws = trace_stable_separatrix_E0(_fan_sets(osc_params)[name])
+    assert [repr(y) for y in ws.x2s()] == [repr(y) for y in _ONE_SECTION_FANS[name]]
+
+
+def test_every_traced_fan_probe_returns_its_trace(osc_params, monkeypatch):
+    # traced back from the deepest rung, the boundary point lands inside the
+    # bracket the probe launches certified on every bundled fan probe that
+    # reaches a section (all but the four ENRICHED probes right of x1 = 4),
+    # so none of them falls back to the probe loop
+    geo = sys.modules["predprey.geometry"]
+    trace = geo._trace_to_probe
+    traced = []
+
+    def recording(*args):
+        traced.append(trace(*args))
+        return traced[-1]
+
+    monkeypatch.setattr(geo, "_trace_to_probe", recording)
+    returned = []
+    for p in _fan_sets(osc_params).values():
+        for x in geo._probe_stations(p, SeparatrixOptions()):
+            traced.clear()
+            y = separatrix_boundary_x2(p, x)
+            if traced:
+                returned.append(y == traced[0])
+    assert len(returned) == 32
+    assert all(returned)
 
 
 @pytest.mark.parametrize("landing", [-1.0, math.nan])
@@ -167,7 +226,7 @@ def test_trace_outside_the_bracket_resumes_at_the_probe(osc_params, monkeypatch,
     monkeypatch.setattr(geo, "_trace_to_probe", missing)
     got = separatrix_boundary_x2(osc_params, 1.389)
     assert len(traces) == 1
-    monkeypatch.setattr(geo, "_SECTION_DEPTH", math.inf)
+    monkeypatch.setattr(geo, "_SECTION_LADDER", ())
     assert repr(got) == repr(separatrix_boundary_x2(osc_params, 1.389))
 
 
