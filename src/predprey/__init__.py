@@ -79,7 +79,6 @@ from .model import (
     eval_g,
     make_rhs,
     make_u_rhs,
-    rhs,
     validate_params,
     verify_assumptions,
     with_params,

@@ -12,9 +12,10 @@ reported when tr < 0: a stable node meets a saddle), tr J for Hopf points
 (trace sign changes with det > 0; the first Lyapunov coefficient fixes
 sub/supercritical), v - v_i for the equilibrium at a fixed v_i, or the
 arclength constraint in the continuation corrector.  The Newton's Jacobian
-is exact in F's row (the closed-form partials of the scan function) and in
-the rows of the linear residuals; only the tr and det rows are central
-differences.
+is exact in every row: F's (the closed-form partials of the scan function),
+tr's and det's (the field's exact derivative table, _field_partials and
+_tr_det_slopes), and the linear residuals'.  The same table gives the
+transversality speed and the first Lyapunov coefficient.
 
 On refuge sweeps the interior equilibrium collides with the predator-free
 state (transcritical) when x1*(r) = a1/b1, at
@@ -36,7 +37,6 @@ from typing import Callable
 from .equilibria import (
     Equilibrium,
     EquilibriumKind,
-    _g_prime,
     _scan_gradient,
     classify,
     interior_equilibria,
@@ -44,15 +44,8 @@ from .equilibria import (
     jacobian,
     x2_of_x1,
 )
-from .model import (
-    DomainError,
-    ModelParams,
-    ParameterError,
-    State,
-    eval_g,
-    make_rhs,
-    with_params,
-)
+# make_rhs is unused here; it stays because the bench trace shim patches it
+from .model import DomainError, ModelParams, ParameterError, State, make_rhs, with_params  # noqa: F401
 
 __all__ = [
     "SWEEPABLE",
@@ -110,6 +103,90 @@ class Branch:
 
 
 # --------------------------------------------------------------------------
+# Exact derivatives of the field.  The interaction term is separable,
+#
+#     f1 = a1*x1 - b1*x1**2 - w0*G*P,    f2 = -a2*x2 + w1*G*P,
+#
+# with G = g(r*x1) and P = x2**m2, so every partial is a product G^(i)*P^(j).
+
+def _g_derivatives(x1: float, p: ModelParams) -> tuple[float, float, float, float]:
+    """(G, G', G'', G''') in x1 of G = g(r*x1), x1 > 0, by Faa di Bruno on
+    t**m1 with t = r*x1/q, q = r*x1 + d:  t' = r*d/q**2, t'' = -2*r*t'/q,
+    t''' = -3*r*t''/q.  Every term of G'' has the sign of m1 - 1 and every
+    term of G''' is positive, so nothing cancels (the log-derivative
+    recurrence cancels 1/x1**3 terms near the axis at m1 = 1)."""
+    r, m1 = p.r, p.m1
+    q = r * x1 + p.d
+    t = r * x1 / q
+    t1 = r * p.d / (q * q)
+    t2 = -2.0 * r * t1 / q
+    t3 = -3.0 * r * t2 / q
+    h0 = t ** m1  # d^k(t**m1)/dt^k by the falling factorial of m1
+    h1 = m1 * h0 / t
+    h2 = (m1 - 1.0) * h1 / t
+    h3 = (m1 - 2.0) * h2 / t
+    return h0, h1 * t1, h2 * t1 * t1 + h1 * t2, (h3 * t1 * t1 + 3.0 * h2 * t2) * t1 + h1 * t3
+
+
+def _p_derivatives(x2: float, m2: float) -> tuple[float, float, float, float]:
+    """(P, P', P'', P''') of P = x2**m2, x2 > 0: falling factorials of m2."""
+    p0 = x2 ** m2
+    p1 = m2 * p0 / x2
+    p2 = (m2 - 1.0) * p1 / x2
+    return p0, p1, p2, (m2 - 2.0) * p2 / x2
+
+
+def _field_partials(x1: float, x2: float, p: ModelParams) -> dict[tuple[int, int], tuple[float, float]]:
+    """D[i, j] = (d^(i+j) f1, d^(i+j) f2) / dx1^i dx2^j at an interior point,
+    i + j <= 3:  D(i, j) = (l_i*[j=0] - w0*G^(i)*P^(j), m_j*[i=0] + w1*G^(i)*P^(j))
+    with l = (a1*x1 - b1*x1**2, a1 - 2*b1*x1, -2*b1, 0), m = (-a2*x2, -a2, 0, 0)."""
+    G, P = _g_derivatives(x1, p), _p_derivatives(x2, p.m2)
+    ell = (x1 * (p.a1 - p.b1 * x1), p.a1 - 2.0 * p.b1 * x1, -2.0 * p.b1, 0.0)
+    lam = (-p.a2 * x2, -p.a2, 0.0, 0.0)
+    return {(i, j): ((0.0 if j else ell[i]) - p.w0 * G[i] * P[j],
+                     (0.0 if i else lam[j]) + p.w1 * G[i] * P[j])
+            for i in range(4) for j in range(4 - i)}
+
+
+def _tr_det_slopes(x1: float, p: ModelParams, name: str):
+    """The derivatives ((tr_x1, det_x1), (tr_v, det_v)) of tr J and det J
+    along the branch x2 = x2_of_x1(x1; v), v being the parameter `name`:
+    J moves with x1 through D and x2' = k*(a1 - 2*b1*x1), k = w1/(w0*a2),
+    and with v through its explicit partial and x2_v (a1: +1 on J11,
+    x2_v = k*x1; b1: -2*x1 on J11, -k*x1**2; a2: -1 on J22, -x2/a2; w0 and
+    w1 scale the interaction terms, -x2/w0 and x2/w1; r moves G^(i) by
+    (i*G^(i) + x1*G^(i+1))/r, x2_v = 0)."""
+    a1, a2, b1, w0, w1 = p.a1, p.a2, p.b1, p.w0, p.w1
+    k = w1 / (w0 * a2)
+    x2 = x2_of_x1(x1, p)
+    G, P = _g_derivatives(x1, p), _p_derivatives(x2, p.m2)
+    i10, i01 = G[1] * P[0], G[0] * P[1]
+    j11, j12, j21, j22 = a1 - 2.0 * b1 * x1 - w0 * i10, -w0 * i01, w1 * i10, -a2 + w1 * i01
+
+    def slopes(dl, dg0, dg1, x2s, dw0, dw1, da2):
+        """The rates of tr and det when l1, G, G' and x2 move at the rates
+        dl, dg0, dg1 and x2s, and w0, w1 and a2 at dw0, dw1 and da2."""
+        di10 = dg1 * P[0] + G[1] * P[1] * x2s
+        di01 = dg0 * P[1] + G[0] * P[2] * x2s
+        d11 = dl - w0 * di10 - dw0 * i10
+        d12 = -w0 * di01 - dw0 * i01
+        d21 = w1 * di10 + dw1 * i10
+        d22 = -da2 + w1 * di01 + dw1 * i01
+        return d11 + d22, d11 * j22 + j11 * d22 - d12 * j21 - j12 * d21
+
+    by_v = {  # (dl, dG, dG', x2_v, dw0, dw1, da2) per unit change of v
+        "a1": (1.0, 0.0, 0.0, k * x1, 0.0, 0.0, 0.0),
+        "b1": (-2.0 * x1, 0.0, 0.0, -k * x1 * x1, 0.0, 0.0, 0.0),
+        "a2": (0.0, 0.0, 0.0, -x2 / a2, 0.0, 0.0, 1.0),
+        "w0": (0.0, 0.0, 0.0, -x2 / w0, 1.0, 0.0, 0.0),
+        "w1": (0.0, 0.0, 0.0, x2 / w1, 0.0, 1.0, 0.0),
+        "r": (0.0, x1 * G[1] / p.r, (G[1] + x1 * G[2]) / p.r, 0.0, 0.0, 0.0, 0.0),
+    }
+    return (slopes(-2.0 * b1, G[1], G[2], k * (a1 - 2.0 * b1 * x1), 0.0, 0.0, 0.0),
+            slopes(*by_v[name]))
+
+
+# --------------------------------------------------------------------------
 # The 2-D Newton iteration and the continuation built on it.
 
 def _tr_det(x1: float, pv: ModelParams) -> tuple[float, float]:
@@ -130,11 +207,10 @@ def _residual(p: ModelParams, name: str, second, grad: tuple[float, float] | Non
 
     resid(x1, v) is (F, second), or None outside the parameter domain or the
     interior scan window.  jac(x1, v) is the columns d/dx1 and d/dv of resid
-    there: F's row in closed form (_scan_gradient); second's row is grad,
-    the constant gradient of a linear second residual, or else central
-    differences of second alone (one-sided where a side leaves the domain;
-    None if both do).  The parameters, F and the carrying capacity are
-    built once per v."""
+    there, exact: F's row in closed form (_scan_gradient); second's row is
+    grad, the constant gradient of a linear second residual, or, with grad
+    None, second is _tr or _det and its row is _tr_det_slopes.  The
+    parameters, F and the carrying capacity are built once per v."""
     at: dict[float, tuple[ModelParams, Callable[[float], float], float] | None] = {}
 
     def inside(x1: float, v: float) -> tuple[ModelParams, Callable[[float], float], float] | None:
@@ -160,21 +236,12 @@ def _residual(p: ModelParams, name: str, second, grad: tuple[float, float] | Non
         hit = inside(x1, v)
         if hit is None:
             return None
-        pv = hit[0]
-        f_x1, f_v = _scan_gradient(x1, pv, name)
+        f_x1, f_v = _scan_gradient(x1, hit[0], name)
         if grad is not None:
             return (f_x1, grad[0]), (f_v, grad[1])
-        cols = []
-        for f_d, dx, dv in ((f_x1, 1e-6 * abs(x1), 0.0),
-                            (f_v, 0.0, 1e-6 * max(1e-3, abs(v)))):
-            up, dn = inside(x1 + dx, v + dv), inside(x1 - dx, v - dv)
-            if up is None and dn is None:
-                return None
-            span = (up is not None) + (dn is not None)
-            s_up = second(x1, v, pv) if up is None else second(x1 + dx, v + dv, up[0])
-            s_dn = second(x1, v, pv) if dn is None else second(x1 - dx, v - dv, dn[0])
-            cols.append((f_d, (s_up - s_dn) / (span * (dx + dv))))
-        return cols
+        row = (_tr, _det).index(second)
+        s_x1, s_v = _tr_det_slopes(x1, hit[0], name)
+        return (f_x1, s_x1[row]), (f_v, s_v[row])
 
     return resid, jac
 
@@ -439,26 +506,20 @@ def _dedupe(events: list[BifurcationEvent]) -> list[BifurcationEvent]:
 
 def detect_hopf(branch: Branch, scan_points: int | None = None) -> list[BifurcationEvent]:
     """Trace sign changes along the traced curves, polished on (F, tr) and
-    kept where det > 0, with finite-difference transversality and the first
-    Lyapunov sign.  scan_points is accepted and ignored: the curves hold
-    the equilibria."""
+    kept where det > 0 and the trace crosses with nonzero speed, with the
+    exact transversality d Re(lambda)/dv = (tr_v - tr_x1*F_v/F_x1)/2 along
+    the branch and the first Lyapunov coefficient.  scan_points is accepted
+    and ignored: the curves hold the equilibria."""
     p, name = branch.base_params, branch.param_name
-
-    def tr_slope(x1: float, v: float, h: float) -> float | None:
-        xp, xm = _at(p, name, (v, x1), (v, x1), v + h), _at(p, name, (v, x1), (v, x1), v - h)
-        if xp is None or xm is None:
-            return None
-        return (_tr_det(xp, branch.params_at(v + h))[0]
-                - _tr_det(xm, branch.params_at(v - h))[0]) / (2.0 * h)
-
     events: list[BifurcationEvent] = []
     for x1s, v_star, pv in _zeros(branch, _tr):
         tr, det = _tr_det(x1s, pv)
         if not (det > 0.0 and abs(tr) < 1e-8):
             continue
-        h = max(1e-5 * abs(v_star), 1e-8)
-        est, est_half = tr_slope(x1s, v_star, h), tr_slope(x1s, v_star, 0.5 * h)
-        if est is None or est_half is None or abs(est) < 1e-8:
+        f_x1, f_v = _scan_gradient(x1s, pv, name)
+        (tr_x1, _), (tr_v, _) = _tr_det_slopes(x1s, pv, name)
+        slope = tr_v - tr_x1 * f_v / f_x1  # F_x1 = det/a2 along the branch, > 0 here
+        if abs(slope) < 1e-8:
             continue
         point = State(x1s, x2_of_x1(x1s, pv))
         lyap = first_lyapunov_coefficient(
@@ -468,8 +529,7 @@ def detect_hopf(branch: Branch, scan_points: int | None = None) -> list[Bifurcat
             {
                 "tr": tr,
                 "det": det,
-                "d_re_eig_dparam": 0.5 * est,
-                "d_re_eig_dparam_half_h": 0.5 * est_half,
+                "d_re_eig_dparam": 0.5 * slope,
                 "lyapunov": lyap,
                 "lyapunov_sign": math.copysign(1.0, lyap),
             }))
@@ -477,20 +537,18 @@ def detect_hopf(branch: Branch, scan_points: int | None = None) -> list[Bifurcat
 
 
 def hopf_critical_a1(p: ModelParams, eq_point: State) -> float:
-    """Trace-zero value of a1 with the equilibrium location held fixed:
+    """Trace-zero value of a1 with the equilibrium location held fixed,
+    a1 - tr J:
 
         a1* = a2 + 2*b1*x1 + w0*G'*x2**m2 - m2*w1*G*x2**(m2-1)
 
     Only self-consistent once x1, x2 are re-solved at a1*; see
     hopf_a1_fixed_point for the closed loop.
     """
-    x1, x2 = eq_point.x1, eq_point.x2
-    if not (x1 > 0.0 and x2 > 0.0):
+    if not (eq_point.x1 > 0.0 and eq_point.x2 > 0.0):
         raise DomainError(f"need an interior point, got {eq_point!r}")
-    G = eval_g(p.r * x1, p)
-    Gp = _g_prime(x1, p)
-    return (p.a2 + 2.0 * p.b1 * x1 + p.w0 * Gp * x2 ** p.m2
-            - p.m2 * p.w1 * G * x2 ** (p.m2 - 1.0))
+    (j11, _), (_, j22) = jacobian(eq_point, p)
+    return p.a1 - (j11 + j22)
 
 
 def hopf_a1_fixed_point(
@@ -575,14 +633,15 @@ def detect_transcritical(branch: Branch) -> list[BifurcationEvent]:
 # First Lyapunov coefficient at a Hopf point.
 
 def first_lyapunov_coefficient(p: ModelParams, hopf_event: BifurcationEvent) -> float:
-    """Sign-reliable first Lyapunov coefficient at a Hopf point.
+    """First Lyapunov coefficient at a Hopf point, from the field's exact
+    partials (_field_partials).
 
     The Jacobian (with trace removed) is brought to rotation normal form by
     T = [[B, 0], [-A, -omega]] / ||.||, where J - (tr/2)I = [[A, B], [C, -A]]
     and omega = sqrt(-A**2 - B*C); the classical cubic/quadratic expression
-    is then evaluated by central differences of the transformed field.  The
-    magnitude depends on the normalization of T (only the sign is
-    coordinate-free); negative means supercritical (stable cycle).
+    is then evaluated on the transformed field.  The magnitude depends on
+    the normalization of T (only the sign is coordinate-free); negative
+    means supercritical (stable cycle).
     """
     if hopf_event.kind is not BifurcationKind.HOPF:
         raise DomainError("first_lyapunov_coefficient expects a Hopf event")
@@ -591,17 +650,16 @@ def first_lyapunov_coefficient(p: ModelParams, hopf_event: BifurcationEvent) -> 
     x1 = _at(p, hopf_event.param_name, star, star, hopf_event.critical_value)
     if x1 is None:
         raise DomainError(f"no interior equilibrium near x1 = {hopf_event.point.x1!r}")
-    x2 = x2_of_x1(x1, pv)
-    (j11, j12), (j21, j22) = jacobian(State(x1, x2), pv)
-    return _lyapunov_of_field(make_rhs(pv), x1, x2, j11, j12, j21, j22)
+    return _lyapunov_of_field(_field_partials(x1, x2_of_x1(x1, pv), pv))
 
 
-def _lyapunov_of_field(f, x0: float, y0: float,
-                       j11: float, j12: float, j21: float, j22: float) -> float:
-    """Guckenheimer-Holmes 16a expression for a planar field f with Jacobian
-    J at the equilibrium (x0, y0); J must have ~zero trace and complex
-    eigenvalues.  Magnitude depends on the (normalized) eigenbasis, sign
-    does not."""
+def _lyapunov_of_field(D: dict[tuple[int, int], tuple[float, float]]) -> float:
+    """Guckenheimer-Holmes 16a expression for a planar field whose partials
+    at the equilibrium are D[i, j] = (d^(i+j) f1, d^(i+j) f2)/dx1^i dx2^j,
+    i + j <= 3 (as _field_partials); the Jacobian must have ~zero trace and
+    complex eigenvalues.  Magnitude depends on the (normalized) eigenbasis,
+    sign does not."""
+    (j11, j21), (j12, j22) = D[1, 0], D[0, 1]
     tr = j11 + j22
     det = j11 * j22 - j12 * j21
     scale = max(abs(j11), abs(j12), abs(j21), abs(j22), 1e-30)
@@ -614,51 +672,29 @@ def _lyapunov_of_field(f, x0: float, y0: float,
 
     A = j11 - 0.5 * tr
     B = j12
-    # T columns: Re/-Im of the eigenvector (B, i*omega - A)
-    t11, t12, t21, t22 = B, 0.0, -A, -omega
-    nrm = math.sqrt(t11 * t11 + t12 * t12 + t21 * t21 + t22 * t22)
-    t11, t12, t21, t22 = t11 / nrm, t12 / nrm, t21 / nrm, t22 / nrm
-    dt = t11 * t22 - t12 * t21
+    # T columns: Re/-Im of the eigenvector (B, i*omega - A); T12 = 0
+    nrm = math.sqrt(B * B + A * A + w2)
+    t11, t21, t22 = B / nrm, -A / nrm, -omega / nrm
+    dt = t11 * t22
     if abs(dt) < 1e-12:
         raise DomainError("degenerate eigenbasis at the Hopf point")
-    i11, i12, i21, i22 = t22 / dt, -t12 / dt, -t21 / dt, t11 / dt
 
-    def phi(xi: float, eta: float) -> tuple[float, float]:
-        u = x0 + t11 * xi + t12 * eta
-        v = y0 + t21 * xi + t22 * eta
-        d1, d2 = f(u, v)
-        return i11 * d1 + i12 * d2, i21 * d1 + i22 * d2
+    def phi(a: int, b: int) -> tuple[float, float]:
+        """d^(a+b)/dxi^a deta^b of T^-1 f(x0 + T(xi, eta)) at 0: with
+        d/dxi = t11*d/dx1 + t21*d/dx2 and d/deta = t22*d/dx2, the binomial
+        contraction of D."""
+        s1 = s2 = 0.0
+        for i in range(a + 1):
+            c = math.comb(a, i) * t11 ** i * t21 ** (a - i) * t22 ** b
+            d1, d2 = D[i, a - i + b]
+            s1 += c * d1
+            s2 += c * d2
+        return s1 / t11, (t11 * s2 - t21 * s1) / dt
 
-    h = 1e-4 * (1.0 + max(abs(x0), abs(y0)))
-    pp = phi(h, 0.0)
-    pm = phi(-h, 0.0)
-    qp = phi(0.0, h)
-    qm = phi(0.0, -h)
-    cpp = phi(h, h)
-    cpm = phi(h, -h)
-    cmp_ = phi(-h, h)
-    cmm = phi(-h, -h)
-    p2 = phi(2.0 * h, 0.0)
-    m2_ = phi(-2.0 * h, 0.0)
-    q2 = phi(0.0, 2.0 * h)
-    n2 = phi(0.0, -2.0 * h)
-    z = phi(0.0, 0.0)
-
-    h2, h3 = h * h, h * h * h
-    out = []
-    for k in (0, 1):
-        fxx = (pp[k] - 2.0 * z[k] + pm[k]) / h2
-        fyy = (qp[k] - 2.0 * z[k] + qm[k]) / h2
-        fxy = (cpp[k] - cpm[k] - cmp_[k] + cmm[k]) / (4.0 * h2)
-        fxxx = (p2[k] - 2.0 * pp[k] + 2.0 * pm[k] - m2_[k]) / (2.0 * h3)
-        fyyy = (q2[k] - 2.0 * qp[k] + 2.0 * qm[k] - n2[k]) / (2.0 * h3)
-        fxyy = (cpp[k] + cpm[k] - 2.0 * pp[k] - cmp_[k] - cmm[k] + 2.0 * pm[k]) / (2.0 * h3)
-        fxxy = (cpp[k] + cmp_[k] - 2.0 * qp[k] - cpm[k] - cmm[k] + 2.0 * qm[k]) / (2.0 * h3)
-        out.append((fxx, fyy, fxy, fxxx, fyyy, fxyy, fxxy))
-    (f1xx, f1yy, f1xy, f1xxx, _f1yyy, f1xyy, _f1xxy) = out[0]
-    (f2xx, f2yy, f2xy, _f2xxx, f2yyy, _f2xyy, f2xxy) = out[1]
-
-    a16 = (f1xxx + f1xyy + f2xxy + f2yyy
+    f1xx, f2xx = phi(2, 0)
+    f1yy, f2yy = phi(0, 2)
+    f1xy, f2xy = phi(1, 1)
+    a16 = (phi(3, 0)[0] + phi(1, 2)[0] + phi(2, 1)[1] + phi(0, 3)[1]
            + (f1xy * (f1xx + f1yy) - f2xy * (f2xx + f2yy)
               - f1xx * f2xx + f1yy * f2yy) / omega)
     return a16 / 16.0

@@ -29,10 +29,13 @@ from .equilibria import (
     predator_free_equilibrium,
     trivial_equilibrium,
 )
-from .extinction import (
+# extinction_ic_condition and integrate_u_system are unused here; they stay
+# because the bench trace shim patches them
+from .extinction import (  # noqa: F401
     dissipative_bound_K2,
     extinction_ic_condition,
     refuge_threshold,
+    simulate_extinction,
 )
 from .geometry import (
     SeparatrixOptions,
@@ -40,8 +43,8 @@ from .geometry import (
     trace_stable_separatrix_E0,
     trace_unstable_manifold_E1,
 )
-from .integrate import TerminationKind, integrate, integrate_u_system
-from .model import DomainError, ParameterError, State, verify_assumptions
+from .integrate import integrate, integrate_u_system  # noqa: F401
+from .model import DomainError, ParameterError, verify_assumptions
 
 __all__ = ["main"]
 
@@ -151,9 +154,10 @@ def _cmd_separatrix(cfg: ScenarioConfig, out: str) -> int:
 
 def _cmd_extinction(cfg: ScenarioConfig, out: str) -> int:
     spec = _need(cfg.extinction, "extinction")
-    verdict = extinction_ic_condition(spec.ic.x1, cfg.params)
-    traj = integrate(cfg.params, spec.ic, cfg.integrator)
-    csvio.write_trajectory(traj, os.path.join(out, "trajectory.csv"))
+    verdict = simulate_extinction(cfg.params, spec.ic, cfg.integrator)
+    sim = verdict.simulated
+    term = sim.trajectory.termination
+    csvio.write_trajectory(sim.trajectory, os.path.join(out, "trajectory.csv"))
     lines = [
         "command: extinction",
         f"initial: {_F(spec.ic.x1)},{_F(spec.ic.x2)}",
@@ -161,23 +165,20 @@ def _cmd_extinction(cfg: ScenarioConfig, out: str) -> int:
         f"criterion_rhs: {_F(verdict.rhs)}",
         f"criterion_met: {str(verdict.criterion_met).lower()}",
         f"note: {verdict.note}",
-        f"termination: {traj.termination.kind.value}",
-        f"termination_time: {_F(traj.termination.time)}",
+        f"termination: {term.kind.value}",
+        f"termination_time: {_F(term.time)}",
     ]
-    if traj.termination.kind is TerminationKind.PREY_EXTINCT and spec.ic.x1 > 0.0:
-        u_traj = integrate_u_system(cfg.params, State(1.0 / spec.ic.x1, spec.ic.x2),
-                                    cfg.integrator)
-        csvio.write_trajectory(u_traj, os.path.join(out, "u_trajectory.csv"),
+    if sim.u_trajectory is not None:
+        u_term = sim.u_trajectory.termination
+        csvio.write_trajectory(sim.u_trajectory, os.path.join(out, "u_trajectory.csv"),
                                header="t,u,x2")
-        lines.append(f"u_termination: {u_traj.termination.kind.value}")
-        lines.append(f"u_termination_time: {_F(u_traj.termination.time)}")
-        if u_traj.termination.kind is TerminationKind.BLOWUP:
-            gap = abs(traj.termination.time - u_traj.termination.time)
-            rel = gap / traj.termination.time if traj.termination.time > 0 else 0.0
-            lines.append(f"chart_agreement_rel_gap: {_F(rel)}")
+        lines.append(f"u_termination: {u_term.kind.value}")
+        lines.append(f"u_termination_time: {_F(u_term.time)}")
+        if sim.u_blowup_time is not None:
+            lines.append(f"chart_agreement_rel_gap: {_F(sim.rel_gap or 0.0)}")
     csvio.write_report(lines, os.path.join(out, "report.txt"))
     print(f"criterion_met: {str(verdict.criterion_met).lower()}; "
-          f"termination: {traj.termination.kind.value} at t = {_F(traj.termination.time)}")
+          f"termination: {term.kind.value} at t = {_F(term.time)}")
     return 0
 
 

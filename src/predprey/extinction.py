@@ -25,12 +25,13 @@ K1 = (a1 + a2) * (a1/b1 + eps1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .integrate import (
     U_BLOWUP_CEILING,
     IntegratorOptions,
     TerminationKind,
+    Trajectory,
     integrate,
     integrate_u_system,
 )
@@ -110,6 +111,8 @@ class SimulatedExtinction:
     u_blowup_time: float | None   # 1/x1 blowup time (u-chart)
     rel_gap: float | None         # |T_x - T_u| / T_x
     termination: TerminationKind
+    trajectory: Trajectory | None = field(default=None, repr=False, compare=False)
+    u_trajectory: Trajectory | None = field(default=None, repr=False, compare=False)
 
 
 @dataclass(frozen=True)
@@ -154,9 +157,13 @@ def simulate_extinction(
     """Run the criterion, then confirm dynamically in both charts.
 
     The (x1, x2) run reports the PreyExtinct event time T_x; the (u, x2) run
-    reports the u-blowup time T_u.  The two truncate the same touchdown at
-    different depths (x1 = threshold vs x1 = 1/ceiling), so they agree only
-    to a few percent -- rel_gap carries the observed mismatch.
+    reports the u-blowup time T_u; rel_gap carries their observed mismatch,
+    and the result keeps both trajectories.  The gap is not the truncation
+    depth (x1 = threshold vs x1 = 1/ceiling) alone: the touchdown times at
+    those depths differ by 1.6% (0.146953 and 0.149320 for OSC from
+    (0.3, 50), from a tight scipy run), but at the default abs_tol, equal to
+    the extinction threshold, the x-chart's error control is off near the
+    axis and its 0.148882 is 1.3% off its own depth's time.
     """
     verdict = extinction_ic_condition(ic.x1, p)
     if opts is None:
@@ -172,9 +179,9 @@ def simulate_extinction(
             rel = abs(t_x - t_u) / t_x if t_x > 0.0 else None
         else:
             t_u, rel = None, None
-        sim = SimulatedExtinction(True, t_x, t_u, rel, kind)
+        sim = SimulatedExtinction(True, t_x, t_u, rel, kind, traj, u_traj)
     else:
-        sim = SimulatedExtinction(False, None, None, None, kind)
+        sim = SimulatedExtinction(False, None, None, None, kind, traj)
     return replace(verdict, simulated=sim)
 
 

@@ -30,17 +30,12 @@ __all__ = [
     "validate_params",
     "eval_f",
     "eval_g",
-    "rhs",
     "make_rhs",
     "make_u_rhs",
     "AssumptionCheck",
     "verify_assumptions",
     "with_params",
 ]
-
-# Accepted sign slack for state components: values in (-_NEG_SLACK, 0) are
-# treated as zero, anything more negative is a caller error.
-_NEG_SLACK = 1e-12
 
 
 class DomainError(ValueError):
@@ -155,22 +150,6 @@ def eval_g(s: float, p: ModelParams) -> float:
     if s == 0.0:
         return 0.0
     return (s / (s + p.d)) ** p.m1
-
-
-def _clamped(value: float, name: str) -> float:
-    if value >= 0.0:
-        return value
-    if value > -_NEG_SLACK:
-        return 0.0
-    raise DomainError(f"{name} = {value!r} is negative beyond roundoff slack")
-
-
-def rhs(s: State, p: ModelParams) -> tuple[float, float]:
-    """Vector field at a state.  Tiny negative components (roundoff from an
-    integrator) are clamped to zero; genuinely negative ones raise."""
-    x1 = _clamped(s.x1, "x1")
-    x2 = _clamped(s.x2, "x2")
-    return make_rhs(p)(x1, x2)
 
 
 def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -24,7 +25,14 @@ from predprey import (
     with_params,
 )
 from predprey import bifurcation
-from predprey.bifurcation import SWEEPABLE, _lyapunov_of_field
+from predprey.bifurcation import (
+    SWEEPABLE,
+    _g_derivatives,
+    _lyapunov_of_field,
+    _p_derivatives,
+    _tr_det,
+    _tr_det_slopes,
+)
 from predprey.equilibria import x2_of_x1
 from predprey.model import make_rhs
 
@@ -67,11 +75,13 @@ def test_detect_hopf_agrees_with_fixed_point(osc_params):
     assert ev.kind is BifurcationKind.HOPF
     assert ev.critical_value == pytest.approx(a1_star, rel=1e-6)
     assert ev.point.x1 == pytest.approx(eq_star.point.x1, rel=1e-6)
-    # Eigenvalue crossing speed should be resolution-independent.
-    d1 = ev.diagnostics["d_re_eig_dparam"]
-    d2 = ev.diagnostics["d_re_eig_dparam_half_h"]
-    assert d1 != 0.0
-    assert d2 == pytest.approx(d1, rel=0.2)
+    # The eigenvalue crossing speed is the slope of tr/2 along the branch.
+    def half_tr(a1):
+        (eq,) = interior_equilibria(with_params(osc_params, a1=a1))
+        return 0.5 * eq.trace
+
+    want = _richardson(half_tr, ev.critical_value, 1e-3 * ev.critical_value)
+    assert ev.diagnostics["d_re_eig_dparam"] == pytest.approx(want, rel=1e-7)
     assert ev.diagnostics["lyapunov_sign"] == -1.0
 
 
@@ -142,18 +152,18 @@ def test_lyapunov_normal_form_scaling():
     # Lyapunov coefficient proportional to s; with the Frobenius-normalized
     # eigenbasis used here T = -I/sqrt(2), so the computed value is s/2.
     for w, s in [(1.3, 0.7), (0.8, -0.4)]:
-        def f(x, y, w=w, s=s):
-            q = x * x + y * y
-            return -w * y + s * x * q, w * x + s * y * q
-        a = _lyapunov_of_field(f, 0.0, 0.0, 0.0, -w, w, 0.0)
-        assert a == pytest.approx(s / 2.0, rel=1e-6)
+        D = {(i, j): (0.0, 0.0) for i in range(4) for j in range(4 - i)}
+        D.update({(1, 0): (0.0, w), (0, 1): (-w, 0.0), (3, 0): (6.0 * s, 0.0),
+                  (2, 1): (0.0, 2.0 * s), (1, 2): (2.0 * s, 0.0), (0, 3): (0.0, 6.0 * s)})
+        assert _lyapunov_of_field(D) == pytest.approx(s / 2.0, rel=1e-12)
 
 
 def test_lyapunov_rejects_non_hopf_jacobian():
-    def f(x, y):
-        return x, -y
+    # the saddle xdot = x, ydot = -y
+    D = {(i, j): (0.0, 0.0) for i in range(4) for j in range(4 - i)}
+    D.update({(1, 0): (1.0, 0.0), (0, 1): (0.0, -1.0)})
     with pytest.raises(DomainError):
-        _lyapunov_of_field(f, 0.0, 0.0, 1.0, 0.0, 0.0, -1.0)
+        _lyapunov_of_field(D)
 
 
 def test_first_lyapunov_requires_hopf_event(osc_params):
@@ -281,7 +291,8 @@ def test_exact_gradient_gives_the_central_difference_sweep(case, monkeypatch):
 
 # Scan-function evaluations on the Newton path (continuation, resampling,
 # polishes; not interior_equilibria's own evaluations) with the closed-form
-# gradient: 1 011 and 701, against 5 060 and 3 515 with central differences.
+# gradient: 1 011 and 701, against 5 060 and 3 515 with central differences
+# (1 001 and 701 once the tr and det rows are exact too).
 # The bound is 1.25 times the measured count; a return to difference
 # quotients in the F row would cross it.
 NEWTON_F_CALLS = {"osc_r_hopf": 1011, "bistable_w1": 701}
@@ -305,3 +316,158 @@ def test_newton_path_scan_function_calls(case, monkeypatch):
     base, changes, name, lo, hi, n = SAME_SWEEPS[case]
     _sweep_summary(ModelParams(**SWEEP_BASES[base], **changes), name, lo, hi, n)
     assert 0 < len(calls) <= 1.25 * NEWTON_F_CALLS[case]
+
+
+# --------------------------------------------------------------------------
+# The field's exact derivative table against independent oracles: mpmath's
+# high-precision differentiation and Richardson differences.
+
+# The documented domain: rates spanning four decades, exponents and refuge
+# in (0, 1], with the exponents' value 1 drawn on its own.
+RATE = st.floats(-2.0, 2.0).map(lambda e: 10.0 ** e)
+UNIT = st.floats(1e-2, 1.0)
+EXPONENT = st.one_of(st.just(1.0), UNIT)
+DOMAIN = st.builds(ModelParams, a1=RATE, a2=RATE, b1=RATE, w0=RATE, w1=RATE, d=RATE,
+                   m1=EXPONENT, m2=EXPONENT, r=UNIT)
+
+
+def _richardson(f, x, h):
+    """df/dx at x: central differences at h and h/2, extrapolated to O(h**4)."""
+    d1 = (f(x + h) - f(x - h)) / (2.0 * h)
+    d2 = (f(x + 0.5 * h) - f(x - 0.5 * h)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
+def _moved(p, name, v):
+    """p with one field set to v, unvalidated: a difference step in r may cross 1."""
+    q = object.__new__(ModelParams)
+    q.__dict__.update(vars(p), **{name: v})
+    return q
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=DOMAIN, e=st.floats(-9.0, math.log10(0.999)))
+def test_g_and_p_derivatives_match_mpmath(p, e):
+    # x1 down to 1e-9 of a1/b1, where r*x1 << d: at m1 = 1 the log-derivative
+    # recurrence G''' = G*(L'**3 + 3*L'*L'' + L''') cancels there and fails this
+    x1 = 10.0 ** e * p.carrying_capacity
+    x2 = x2_of_x1(x1, p)
+    with mpmath.workdps(30):
+        r, d, m1, m2 = (mpmath.mpf(v) for v in (p.r, p.d, p.m1, p.m2))
+        want_g = [mpmath.diff(lambda x: (r * x / (r * x + d)) ** m1, x1, k) for k in range(4)]
+        want_p = [mpmath.diff(lambda x: x ** m2, x2, k) for k in range(4)]
+    for got, want in ((_g_derivatives(x1, p), want_g), (_p_derivatives(x2, p.m2), want_p)):
+        for k in range(4):
+            assert got[k] == pytest.approx(float(want[k]), rel=1e-13, abs=0.0), (k, got, want)
+
+
+# Absolute floor of the tr/det row check, as a fraction of the row's natural
+# size (tr's terms, squared for det, over the coordinate): it admits the
+# difference quotients' rounding noise where a derivative cancels or vanishes
+# (tr_w0 and tr_w1 at m2 = 1), and nothing a wrong sign or factor would give.
+FLOOR = 1e-10
+
+
+def _check_tr_det_slopes(p, x1):
+    """_tr_det_slopes against Richardson differences of _tr_det, in x1
+    along the branch and in every sweepable v, to 1e-7 relative (above
+    FLOOR); steps as in tests/test_equilibria.py's _check_scan_gradient."""
+    cap = p.carrying_capacity
+    room = (cap - x1) / cap
+    x2 = x2_of_x1(x1, p)
+    G, P = _g_derivatives(x1, p), _p_derivatives(x2, p.m2)
+    terms = p.a1 + 2.0 * p.b1 * x1 + p.a2 + (p.w0 + p.w1) * (G[1] * P[0] + G[0] * P[1])
+    h_x1 = 1e-3 * min(x1, cap - x1)
+    want_x1 = [_richardson(lambda x: _tr_det(x, p)[k], x1, h_x1) for k in (0, 1)]
+    for name in SWEEPABLE:
+        got_x1, got_v = _tr_det_slopes(x1, p, name)
+        v = getattr(p, name)
+        h = 1e-3 * v * (room if name in ("a1", "b1") else 1.0)
+        want_v = [_richardson(lambda u: _tr_det(x1, _moved(p, name, u))[k], v, h) for k in (0, 1)]
+        for k, size in ((0, terms), (1, terms * terms)):
+            assert abs(got_x1[k] - want_x1[k]) <= 1e-7 * abs(want_x1[k]) + FLOOR * size / x1, (
+                name, k, got_x1, want_x1)
+            assert abs(got_v[k] - want_v[k]) <= 1e-7 * abs(want_v[k]) + FLOOR * size / v, (
+                name, k, got_v, want_v)
+
+
+@pytest.mark.parametrize("base, changes", [
+    ("osc", {}), ("osc", {"r": 0.3}), ("bistable", {}), ("bistable", {"r": 0.3}),
+    ("osc", {"m1": 1.0, "m2": 1.0})])
+def test_tr_det_rows_match_richardson_differences(base, changes):
+    p = ModelParams(**{**SWEEP_BASES[base], **changes})
+    for frac in (1e-8, 1e-3, 0.1, 0.37, 0.5, 0.8, 0.999):
+        _check_tr_det_slopes(p, frac * p.carrying_capacity)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(p=DOMAIN, low=st.booleans(), e=st.floats(-9.0, math.log10(0.5)))
+def test_tr_det_rows_over_the_domain(p, low, e):
+    # x1 log-spread toward both ends of the Newton window; within 1e-4 of
+    # a1/b1 f = a1 - b1*x1 loses too many digits for a difference quotient
+    frac = 10.0 ** e if low else 1.0 - max(10.0 ** e, 1e-4)
+    _check_tr_det_slopes(p, frac * p.carrying_capacity)
+
+
+def _lyapunov_mpmath(p, x1, x2):
+    """_lyapunov_of_field's 16a expression at 40 digits, in the same basis
+    T, with every partial taken by mpmath.diff of the transformed field."""
+    with mpmath.workdps(40):
+        a1, a2, b1, w0, w1, d, m1, m2, r = (
+            mpmath.mpf(getattr(p, k)) for k in ("a1", "a2", "b1", "w0", "w1", "d", "m1", "m2", "r"))
+        x1, x2 = mpmath.mpf(x1), mpmath.mpf(x2)
+
+        def field(u, v):
+            inter = (r * u / (r * u + d)) ** m1 * v ** m2
+            return a1 * u - b1 * u * u - w0 * inter, -a2 * v + w1 * inter
+
+        (j11, j12), (j21, j22) = (
+            [mpmath.diff(lambda u, v: field(u, v)[k], (x1, x2), n) for n in ((1, 0), (0, 1))]
+            for k in (0, 1))
+        tr = j11 + j22
+        omega = mpmath.sqrt(j11 * j22 - j12 * j21 - tr * tr / 4)
+        a, b = j11 - tr / 2, j12
+        nrm = mpmath.sqrt(a * a + b * b + omega * omega)
+        t11, t21, t22 = b / nrm, -a / nrm, -omega / nrm
+
+        def phi(k, i, j):
+            def transformed(xi, eta):
+                d1, d2 = field(x1 + t11 * xi, x2 + t21 * xi + t22 * eta)
+                return d1 / t11 if k == 0 else (t11 * d2 - t21 * d1) / (t11 * t22)
+            return mpmath.diff(transformed, (0, 0), (i, j))
+
+        a16 = (phi(0, 3, 0) + phi(0, 1, 2) + phi(1, 2, 1) + phi(1, 0, 3)
+               + (phi(0, 1, 1) * (phi(0, 2, 0) + phi(0, 0, 2))
+                  - phi(1, 1, 1) * (phi(1, 2, 0) + phi(1, 0, 2))
+                  - phi(0, 2, 0) * phi(1, 2, 0) + phi(0, 0, 2) * phi(1, 0, 2)) / omega)
+        return float(a16 / 16)
+
+
+# With m2 = 1, J22 vanishes at the equilibrium, so T is diagonal at these
+# Hopf points; the fourth, with m2 = 0.9, mixes the coordinates.
+@pytest.mark.parametrize("name, lo, hi, changes", [
+    ("r", 0.35, 0.55, {}), ("a1", 0.22, 0.32, {}), ("a1", 0.3, 0.45, {"m1": 1.0}),
+    ("a1", 0.35, 0.55, {"m2": 0.9})])
+def test_lyapunov_matches_mpmath_at_the_hopf_points(name, lo, hi, changes, osc_params):
+    p = with_params(osc_params, **changes)
+    (ev,) = detect_hopf(branch_sweep(p, name, lo, hi, n=41))
+    want = _lyapunov_mpmath(with_params(p, **{name: ev.critical_value}), *ev.point)
+    assert ev.diagnostics["lyapunov"] == pytest.approx(want, rel=1e-12, abs=0.0)
+
+
+def test_lyapunov_is_the_same_on_every_route_to_the_hopf_point(osc_params):
+    # the stencil it replaces gave -1.24931e-3, -1.24878e-3 and -1.24806e-3
+    got = [detect_hopf(branch_sweep(osc_params, "r", lo, hi, n=n))[0].diagnostics["lyapunov"]
+           for lo, hi, n in ((0.35, 0.55, 200), (0.2, 1.0, 25), (0.35, 0.55, 41))]
+    assert max(got) - min(got) <= 1e-12 * abs(got[0])
+
+
+def test_rosenzweig_macarthur_hopf_in_closed_form(osc_params):
+    # m1 = m2 = 1, r = 1: x1* = d*a2/(w1 - a2) does not move with a1, the
+    # trace vanishes at a1* = b1*(d + 2*x1*), and along the branch
+    # d tr/d a1 = 1 - d/(x1* + d) = a2/w1
+    p = with_params(osc_params, m1=1.0)
+    x1 = p.d * p.a2 / (p.w1 - p.a2)
+    (ev,) = detect_hopf(branch_sweep(p, "a1", 0.3, 0.45, n=16))
+    assert ev.critical_value == pytest.approx(p.b1 * (p.d + 2.0 * x1), rel=1e-12)
+    assert ev.diagnostics["d_re_eig_dparam"] == pytest.approx(p.a2 / (2.0 * p.w1), rel=1e-12)

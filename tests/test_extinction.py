@@ -70,6 +70,9 @@ def test_simulate_extinction_charts_agree(osc_params):
     assert sim.termination is TerminationKind.PREY_EXTINCT
     assert sim.u_blowup_time is not None
     assert sim.rel_gap is not None and sim.rel_gap < 0.05
+    # both runs are kept for the CLI to write
+    assert sim.trajectory.termination.time == sim.time
+    assert sim.u_trajectory.termination.time == sim.u_blowup_time
 
 
 def test_more_predators_die_faster(osc_params):
@@ -83,6 +86,8 @@ def test_no_extinction_when_started_on_the_calm_side(osc_params):
                               IntegratorOptions(horizon=50.0))
     assert not res.simulated.extinct
     assert res.simulated.termination is TerminationKind.HORIZON_REACHED
+    assert res.simulated.trajectory.final_time == 50.0
+    assert res.simulated.u_trajectory is None
 
 
 def test_refuge_threshold_values(osc_params):
