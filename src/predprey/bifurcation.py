@@ -551,18 +551,16 @@ def hopf_critical_a1(p: ModelParams, eq_point: State) -> float:
     return p.a1 - (j11 + j22)
 
 
-def hopf_a1_fixed_point(
-    p: ModelParams, *, tol: float = 1e-12, max_iter: int = 200
-) -> tuple[float, Equilibrium]:
+def hopf_a1_fixed_point(p: ModelParams) -> tuple[float, Equilibrium]:
     """The Hopf point in a1: the (F, tr) Newton solve in (x1, a1), seeded by
     interior_equilibria at p.a1 (the root nearest the middle of
-    (0, a1/b1)); tol and max_iter bound the Newton steps.  At the solution
-    a1 = hopf_critical_a1(params(a1), equilibrium(a1))."""
+    (0, a1/b1)), to a step of 1e-12 relative within 200 steps.  At the
+    solution a1 = hopf_critical_a1(params(a1), equilibrium(a1))."""
     eqs = interior_equilibria(p)
     if not eqs:
         raise DomainError(f"no interior equilibrium at a1 = {p.a1!r} to start from")
     seed = min(eqs, key=lambda e: abs(e.point.x1 - 0.5 * p.carrying_capacity))
-    z = _newton(_residual(p, "a1", _tr), seed.point.x1, p.a1, tol, max_iter)
+    z = _newton(_residual(p, "a1", _tr), seed.point.x1, p.a1, 1e-12, 200)
     if z is None:
         raise DomainError(f"hopf_a1_fixed_point did not converge from a1 = {p.a1!r}")
     x1, a1 = z

@@ -23,7 +23,7 @@ from .bifurcation import (
     detect_transcritical,
     transcritical_r,
 )
-from .config import ConfigError, ScenarioConfig, load_config
+from .config import ConfigError, ScenarioConfig, SeparatrixSpec, load_config
 from .equilibria import (
     interior_equilibria,
     predator_free_equilibrium,
@@ -127,16 +127,13 @@ def _cmd_sweep(cfg: ScenarioConfig, out: str) -> int:
 
 
 def _cmd_separatrix(cfg: ScenarioConfig, out: str) -> int:
-    spec = cfg.separatrix or None
-    sopts = SeparatrixOptions(integrator=cfg.integrator)
-    if spec is not None:
-        sopts = SeparatrixOptions(
-            probes=spec.probes, probe_span=(spec.probe_lo, spec.probe_hi),
-            horizon=spec.horizon, bisect_rel_tol=spec.bisect_rel_tol,
-            integrator=cfg.integrator)
+    spec = cfg.separatrix or SeparatrixSpec()
+    iopts = replace(cfg.integrator, horizon=spec.horizon)
+    sopts = SeparatrixOptions(
+        probes=spec.probes, probe_span=(spec.probe_lo, spec.probe_hi),
+        bisect_rel_tol=spec.bisect_rel_tol, integrator=iopts)
     ws = trace_stable_separatrix_E0(cfg.params, opts=sopts)
-    wu = trace_unstable_manifold_E1(
-        cfg.params, replace(cfg.integrator, horizon=sopts.horizon))
+    wu = trace_unstable_manifold_E1(cfg.params, iopts)
     cmp_ = separatrix_relative_position(ws, wu)
     csvio.write_curve(ws, os.path.join(out, "separatrix_ws.csv"))
     csvio.write_curve(wu, os.path.join(out, "manifold_wu.csv"))

@@ -9,8 +9,12 @@
     [extinction]       x1 x2
     [refuge]           x1 [eps1] [k2]
 
-scan_points (both sections) is accepted and ignored: interior equilibria
-are isolated exactly, with no scan grid to size; old configs still parse.
+[integrator] holds the integration options of every command.  Two
+sections replace only its horizon: [simulate] horizon, when given, for the
+simulation, and [separatrix] horizon (default 500) for both traced curves
+of the separatrix command.  [equilibria] and the scan_points keys (both
+sections) are accepted, type-checked and ignored: interior equilibria are
+isolated exactly, with no scan grid to size, and old configs still parse.
 Unknown sections and keys are rejected; every problem is collected and
 reported together with its section.key context rather than one at a time.
 """
@@ -25,7 +29,6 @@ from .model import ModelParams, ParameterError, State, validate_params
 __all__ = [
     "ConfigError",
     "SimulateSpec",
-    "EquilibriaSpec",
     "SweepSpec",
     "SeparatrixSpec",
     "ExtinctionSpec",
@@ -46,11 +49,6 @@ class ConfigError(ValueError):
 class SimulateSpec:
     ic: State
     horizon: float | None = None
-
-
-@dataclass(frozen=True)
-class EquilibriaSpec:
-    pass
 
 
 @dataclass(frozen=True)
@@ -87,7 +85,6 @@ class ScenarioConfig:
     params: ModelParams
     integrator: IntegratorOptions
     simulate: SimulateSpec | None = None
-    equilibria: EquilibriaSpec | None = None
     sweep: SweepSpec | None = None
     separatrix: SeparatrixSpec | None = None
     extinction: ExtinctionSpec | None = None
@@ -183,8 +180,6 @@ def parse_config(text: str, origin: str = "<config>") -> ScenarioConfig:
         t = typed["simulate"]
         cfg = replace(cfg, simulate=SimulateSpec(
             State(t["x1"], t["x2"]), t.get("horizon")))
-    if "equilibria" in typed:
-        cfg = replace(cfg, equilibria=EquilibriaSpec(**typed["equilibria"]))
     if "sweep" in typed:
         cfg = replace(cfg, sweep=SweepSpec(**typed["sweep"]))
     if "separatrix" in typed:

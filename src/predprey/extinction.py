@@ -28,7 +28,6 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .integrate import (
-    U_BLOWUP_CEILING,
     IntegratorOptions,
     TerminationKind,
     Trajectory,
@@ -151,29 +150,29 @@ def simulate_extinction(
     p: ModelParams,
     ic: State,
     opts: IntegratorOptions | None = None,
-    *,
-    blowup_ceiling: float = U_BLOWUP_CEILING,
 ) -> ExtinctionVerdict:
     """Run the criterion, then confirm dynamically in both charts.
 
     The (x1, x2) run reports the PreyExtinct event time T_x; the (u, x2) run
     reports the u-blowup time T_u; rel_gap carries their observed mismatch,
     and the result keeps both trajectories.  The gap is not the truncation
-    depth (x1 = threshold vs x1 = 1/ceiling) alone: the touchdown times at
-    those depths differ by 1.6% (0.146953 and 0.149320 for OSC from
+    depth (x1 = threshold vs x1 = 1/U_BLOWUP_CEILING) alone: the touchdown
+    times at those depths differ by 1.6% (0.146953 and 0.149320 for OSC from
     (0.3, 50), from a tight scipy run), but at the default abs_tol, equal to
     the extinction threshold, the x-chart's error control is off near the
-    axis and its 0.148882 is 1.3% off its own depth's time.
+    axis and its 0.148882 is 1.3% off its own depth's time.  A prey at or
+    below the extinction threshold raises DomainError: its event never
+    arms, so the run could not tell extinction from survival.
     """
-    verdict = extinction_ic_condition(ic.x1, p)
     if opts is None:
         opts = IntegratorOptions(horizon=100.0)
+    _check_prey_above_threshold(ic, opts)
+    verdict = extinction_ic_condition(ic.x1, p)
     traj = integrate(p, ic, opts)
     kind = traj.termination.kind
     if kind is TerminationKind.PREY_EXTINCT:
         t_x = traj.termination.time
-        u_traj = integrate_u_system(p, State(1.0 / ic.x1, ic.x2), opts,
-                                    blowup_ceiling=blowup_ceiling)
+        u_traj = integrate_u_system(p, State(1.0 / ic.x1, ic.x2), opts)
         if u_traj.termination.kind is TerminationKind.BLOWUP:
             t_u = u_traj.termination.time
             rel = abs(t_x - t_u) / t_x if t_x > 0.0 else None
@@ -232,19 +231,27 @@ class PersistenceVerdict:
 def verify_persistence(
     p: ModelParams,
     ic: State,
-    horizon: float = 500.0,
     opts: IntegratorOptions | None = None,
 ) -> PersistenceVerdict:
-    """Integrate to the horizon and report whether the prey survived."""
+    """Integrate to opts.horizon (default 500) and report whether the prey
+    survived.  A prey at or below the extinction threshold raises
+    DomainError: its event never arms, so the run would report a prey
+    that is already gone as persistent."""
     if opts is None:
-        opts = IntegratorOptions(horizon=horizon)
-    else:
-        opts = replace(opts, horizon=horizon)
+        opts = IntegratorOptions(horizon=500.0)
+    _check_prey_above_threshold(ic, opts)
     traj = integrate(p, ic, opts)
     kind = traj.termination.kind
     min_x1 = min(traj.x1)
     if kind is TerminationKind.PREY_EXTINCT:
-        return PersistenceVerdict(False, horizon, min_x1, traj.termination.time, kind)
+        return PersistenceVerdict(False, opts.horizon, min_x1, traj.termination.time, kind)
     if kind in (TerminationKind.HORIZON_REACHED, TerminationKind.PREDATOR_EXTINCT):
-        return PersistenceVerdict(True, horizon, min_x1, None, kind)
+        return PersistenceVerdict(True, opts.horizon, min_x1, None, kind)
     raise DomainError(f"persistence run failed: {traj.termination!r}")
+
+
+def _check_prey_above_threshold(ic: State, opts: IntegratorOptions) -> None:
+    if not ic.x1 > opts.extinction_threshold:
+        raise DomainError(
+            f"initial prey x1 = {ic.x1!r} is at or below the extinction threshold "
+            f"{opts.extinction_threshold!r}; its extinction event cannot arm")

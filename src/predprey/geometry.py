@@ -101,9 +101,9 @@ class SeparatrixComparison:
 class SeparatrixOptions:
     probes: int = 12
     probe_span: tuple[float, float] = (0.05, 0.95)  # fractions of a1/b1
-    horizon: float = 500.0
     bisect_rel_tol: float = 1e-8
     x2_cap_factor: float = 1e3   # give up above this multiple of K2
+    # the launches' options; its horizon bounds every launch
     integrator: IntegratorOptions = IntegratorOptions(
         rel_tol=1e-7, abs_tol=1e-9, horizon=500.0)
 
@@ -134,17 +134,8 @@ def prey_nullcline(
     p: ModelParams,
     n: int = 256,
     x1_range: tuple[float, float] | None = None,
-    *,
-    allow_general_m2: bool = False,
 ) -> PlanarCurve:
-    """Sample the interior prey nullcline x2 = psi(x1)**(1/m2).
-
-    By default requires m2 = 1 (the regime where the closed form is the one
-    used everywhere else); pass allow_general_m2=True to take the 1/m2 power.
-    """
-    if p.m2 != 1.0 and not allow_general_m2:
-        raise DomainError("prey nullcline closed form assumes m2 = 1 "
-                          "(pass allow_general_m2=True to take the 1/m2 power)")
+    """Sample the interior prey nullcline x2 = psi(x1)**(1/m2)."""
     cap = p.carrying_capacity
     if x1_range is None:
         x1_range = (1e-6 * cap, cap)
@@ -172,16 +163,19 @@ def predator_nullcline(p: ModelParams, x2_max: float, n: int = 2) -> PlanarCurve
     return PlanarCurve(CurveLabel.PREDATOR_NULLCLINE, pts)
 
 
+# The manifold's seed lies this fraction of a1/b1 off E1.
+_E1_SEED_SCALE = 1e-6
+
+
 def trace_unstable_manifold_E1(
     p: ModelParams,
     opts: IntegratorOptions | None = None,
-    *,
-    seed_scale: float = 1e-6,
 ) -> PlanarCurve:
     """Integrate the unstable manifold of E1 = (a1/b1, 0) into the interior.
 
-    Requires m2 = 1 (E1 linearizable) and E1 a saddle.  The seed steps off
-    E1 along the unstable eigenvector, oriented into the open quadrant.
+    Requires m2 = 1 (E1 linearizable) and E1 a saddle.  The seed steps
+    _E1_SEED_SCALE * a1/b1 off E1 along the unstable eigenvector, oriented
+    into the open quadrant.
     """
     e1 = predator_free_equilibrium(p)
     if e1.classification.name == "NON_LINEARIZABLE":
@@ -200,8 +194,8 @@ def trace_unstable_manifold_E1(
     if v2 < 0.0:
         v1, v2 = -v1, -v2
     cap = p.carrying_capacity
-    seed = State(e1.point.x1 + seed_scale * cap * v1,
-                 e1.point.x2 + seed_scale * cap * v2)
+    seed = State(e1.point.x1 + _E1_SEED_SCALE * cap * v1,
+                 e1.point.x2 + _E1_SEED_SCALE * cap * v2)
     if opts is None:
         opts = IntegratorOptions(horizon=500.0)
     guard_cap = 1e6 * max(1.0, cap)
@@ -320,7 +314,7 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
     k2 = dissipative_bound_K2(p).K2
     ceiling = opts.x2_cap_factor * max(k2, 1.0)
 
-    iopts = replace(opts.integrator, horizon=opts.horizon)
+    iopts = opts.integrator
     lo = 0.5 * base
     fate, lo_traj = _classify_launch(p, probe_x1, lo, iopts)
     if fate != _BELOW:
@@ -461,12 +455,14 @@ def _interp(xs: list[float], ys: list[float], x: float) -> float:
     return ys[lo] + t * (ys[hi] - ys[lo])
 
 
-def separatrix_relative_position(
-    ws: PlanarCurve, wu: PlanarCurve, grid_points: int = 200
-) -> SeparatrixComparison:
+# Stations of the separatrix comparison grid over the shared x1 range.
+_COMPARE_GRID = 200
+
+
+def separatrix_relative_position(ws: PlanarCurve, wu: PlanarCurve) -> SeparatrixComparison:
     """Compare W^s(E0) and (the first descending leg of) W^u(E1) as graphs
     over their shared x1 range.  Verdict is CROSSING iff the vertical gap
-    ws - wu changes sign on the grid."""
+    ws - wu changes sign on the _COMPARE_GRID stations."""
     if ws.label is not CurveLabel.STABLE_SEPARATRIX_E0:
         raise DomainError("first curve must be the stable separatrix of E0")
     if wu.label is not CurveLabel.UNSTABLE_MANIFOLD_E1:
@@ -490,9 +486,10 @@ def separatrix_relative_position(
 
     best: tuple[float, float] | None = None
     saw_pos = saw_neg = False
-    for i in range(grid_points):
+    n = _COMPARE_GRID
+    for i in range(n):
         # the last station is hi itself: the formula can round one ulp past it
-        x = hi if i == grid_points - 1 else lo + (hi - lo) * i / (grid_points - 1)
+        x = hi if i == n - 1 else lo + (hi - lo) * i / (n - 1)
         gap = _interp(ws_x, ws_y, x) - _interp(wu_x, wu_y, x)
         if gap > 0.0:
             saw_pos = True

@@ -11,8 +11,10 @@ columns, the stop predicate gets the derivative the step already holds,
 and the loop binds the tableau and the options to locals once per
 integration and spells min/max as comparisons with the same result.
 Error control is the usual embedded-pair estimate with a PI
-controller; dense output is linear on each accepted step, which is all the
-event localization needs at the tolerances used here.
+controller.  An event is located exactly on the step's chord, the straight
+line from the accepted state to the trial state: the crossing fraction is
+(v_old - level) / (v_old - v_new) in closed form, which serves the downward
+extinction threshold and the u-chart's upward blowup ceiling alike.
 
 Events watch for *downward* crossings of a small threshold by a state
 component.  An event is armed only if its component starts above threshold
@@ -70,7 +72,6 @@ class IntegratorOptions:
     min_step: float = 1e-12
     horizon: float = 200.0
     extinction_threshold: float = 1e-9
-    event_time_rel_tol: float = 1e-10  # event time localized to this * t
 
     def __post_init__(self):
         if not (0.0 < self.rel_tol < math.inf and 0.0 < self.abs_tol < math.inf):
@@ -81,8 +82,6 @@ class IntegratorOptions:
             raise DomainError("horizon must be positive and finite")
         if not (0.0 < self.extinction_threshold < 1.0):
             raise DomainError("extinction_threshold must lie in (0, 1)")
-        if not (0.0 <= self.event_time_rel_tol < math.inf):
-            raise DomainError("event_time_rel_tol must be nonnegative and finite")
 
 
 # stop_when(t, x1, x2, dx1, dx2): halt predicate on an accepted state and
@@ -294,7 +293,7 @@ def _run(
 
         if (armed1 and z1 < thr <= y1) or (armed2 and z2 < thr <= y2):
             te, ye1, ye2, kind = _first_crossing(
-                t, t_new, (y1, y2), (z1, z2), (armed1, armed2), thr, opts)
+                t, t_new, (y1, y2), (z1, z2), (armed1, armed2), thr)
             add_t(te)
             add_x1(0.0 if 0.0 > ye1 else ye1)
             add_x2(0.0 if 0.0 > ye2 else ye2)
@@ -302,7 +301,7 @@ def _run(
             return traj
 
         if z1 > ceiling:
-            te, ye1, ye2 = _locate_level(t, t_new, (y1, y2), (z1, z2), 0, ceiling, opts)
+            te, ye1, ye2 = _locate_level(t, t_new, (y1, y2), (z1, z2), 0, ceiling)
             add_t(te)
             add_x1(ye1)
             add_x2(0.0 if 0.0 > ye2 else ye2)
@@ -345,31 +344,25 @@ def _run(
     return traj
 
 
-def _first_crossing(t0, t1, y_old, y_new, armed, level, opts):
+def _first_crossing(t0, t1, y_old, y_new, armed, level):
     """The earliest downward crossing of `level` on the chord among the armed
     components, as (te, ye1, ye2, kind); the prey's wins a tie."""
     fired = None
     for index, kind in enumerate(_EVENT_KINDS):
         if armed[index] and y_new[index] < level <= y_old[index]:
-            te, ye1, ye2 = _locate_level(t0, t1, y_old, y_new, index, level, opts)
+            te, ye1, ye2 = _locate_level(t0, t1, y_old, y_new, index, level)
             if fired is None or te < fired[0]:
                 fired = (te, ye1, ye2, kind)
     return fired
 
 
-def _locate_level(t0, t1, y_old, y_new, index, level, opts):
-    lo, hi = 0.0, 1.0  # chord fractions; level is crossed in between
+def _locate_level(t0, t1, y_old, y_new, index, level):
+    """Where component `index` meets `level` on the chord from (t0, y_old)
+    to (t1, y_new), as (te, ye1, ye2).  The caller has seen the component
+    cross the level over the step, so v_old != v_new and the fraction lies
+    in [0, 1]; the located component equals the level to rounding."""
     v_old = y_old[index]
-    tol = max(opts.event_time_rel_tol * max(t1, 1e-6), 1e-16)
-    while (hi - lo) * (t1 - t0) > tol:
-        mid = 0.5 * (lo + hi)
-        v = v_old + mid * (y_new[index] - v_old)
-        crossed = v < level if v_old >= level else v > level
-        if crossed:
-            hi = mid
-        else:
-            lo = mid
-    frac = 0.5 * (lo + hi)
+    frac = (v_old - level) / (v_old - y_new[index])
     te = t0 + frac * (t1 - t0)
     ye1 = y_old[0] + frac * (y_new[0] - y_old[0])
     ye2 = y_old[1] + frac * (y_new[1] - y_old[1])
@@ -420,21 +413,21 @@ def integrate_u_system(
     p: ModelParams,
     ic: State,
     opts: IntegratorOptions | None = None,
-    *,
-    blowup_ceiling: float = U_BLOWUP_CEILING,
 ) -> Trajectory:
     """Integrate the inverted-prey chart (u, x2) = (1/x1, x2).
 
     Prey touchdown appears as u blowing up; the run terminates with kind
-    Blowup when u exceeds `blowup_ceiling` (default 1e12, i.e. x1 below
-    1e-12).  The trajectory's x1 column holds u.
+    Blowup when u exceeds U_BLOWUP_CEILING (1e12, i.e. x1 below 1e-12).  An
+    initial u must lie in (0, U_BLOWUP_CEILING].  The trajectory's x1
+    column holds u.
     """
     if opts is None:
         opts = IntegratorOptions()
-    if not (ic.x1 > 0.0 and math.isfinite(ic.x1)):
-        raise DomainError(f"u-chart initial condition needs u > 0, got {ic.x1!r}")
+    if not 0.0 < ic.x1 <= U_BLOWUP_CEILING:
+        raise DomainError(f"u-chart initial condition needs 0 < u <= "
+                          f"{U_BLOWUP_CEILING!r}, got {ic.x1!r}")
     x2 = _check_ic(ic.x2, "x2")
-    return _run(make_u_rhs(p), (ic.x1, x2), opts, (False, False), None, blowup_ceiling)
+    return _run(make_u_rhs(p), (ic.x1, x2), opts, (False, False), None, U_BLOWUP_CEILING)
 
 
 def _check_ic(v: float, name: str) -> float:

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Mapping
 
 __all__ = [
     "DomainError",
@@ -249,9 +249,7 @@ def _default_grid(p: ModelParams) -> list[float]:
     return pts + [top * (i + 1) / n for i in range(n)]
 
 
-def verify_assumptions(
-    p: ModelParams, grid: Iterable[float] | None = None
-) -> list[AssumptionCheck]:
+def verify_assumptions(p: ModelParams) -> list[AssumptionCheck]:
     """Numerically audit the standing assumptions on f and g.
 
     (
@@ -263,12 +261,10 @@ def verify_assumptions(
      vi) for m1 < 1, g not differentiable at 0 (same divergence);
     vii) the integral of 1/g over (0, beta] converges (finite-time reach).
 
-    Checks are evidence on a grid, not proofs; grid defaults to a mix of
-    log-spaced points near the axis and uniform points up to 2*a1/b1.
+    Checks are evidence on a grid, not proofs: a mix of log-spaced points
+    near the axis and uniform points up to 2*a1/b1.
     """
-    xs = sorted(x for x in (grid if grid is not None else _default_grid(p)) if x > 0.0)
-    if len(xs) < 8:
-        raise DomainError("assumption grid needs at least 8 positive points")
+    xs = _default_grid(p)
     checks: list[AssumptionCheck] = []
 
     # g ~ x**m1 toward 0+: the log-log slope of g far below d, where the

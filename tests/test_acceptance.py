@@ -199,7 +199,7 @@ def test_c08_refuge_restores_persistence():
     th = refuge_threshold(0.3, OSC)
     assert th.r_star == pytest.approx(0.010358, rel=1e-4)
     sheltered = with_params(OSC, r=0.9 * th.r_star)
-    verdict = verify_persistence(sheltered, State(0.3, 50.0), horizon=500.0)
+    verdict = verify_persistence(sheltered, State(0.3, 50.0))
     assert verdict.persistent
     assert verdict.min_x1 > 0.25
 

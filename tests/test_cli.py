@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import os
 import subprocess
 import sys
 import textwrap
 
+import predprey
 from predprey import IntegratorOptions, cli, csvio, trace_unstable_manifold_E1
 from predprey.config import load_config
 
@@ -159,6 +161,15 @@ def test_extinction_command(tmp_path):
     assert u_head == "t,u,x2"
 
 
+def test_extinction_below_the_threshold_exits_1(tmp_path):
+    # the prey event cannot arm from here: the run would end at the horizon
+    # over x1 = 0 and read as a surviving prey
+    cfg = write(tmp_path / "ext.ini", MODEL + "\n[extinction]\nx1 = 5e-10\nx2 = 50.0\n")
+    res = run_cli("extinction", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "extinction threshold" in res.stderr
+
+
 def test_refuge_threshold_command(tmp_path):
     cfg = write(tmp_path / "ref.ini", MODEL + textwrap.dedent("""\
 
@@ -232,3 +243,21 @@ def test_non_finite_tolerances_are_rejected(tmp_path):
     res = run_cli("separatrix", "--config", cfg, "--out", str(tmp_path / "b"))
     assert res.returncode == 1
     assert "bad separatrix tolerances" in res.stderr
+
+
+def test_imports_only_the_standard_library():
+    # zero runtime dependencies: importing the package and its CLI in a
+    # fresh interpreter adds no module from outside the standard library
+    # (the interpreter's own site hooks may load some before the import)
+    code = textwrap.dedent("""\
+        import sys
+        sys.path.insert(0, sys.argv[1])
+        before = set(sys.modules)
+        import predprey, predprey.cli
+        added = {name.split(".")[0] for name in set(sys.modules) - before}
+        print(sorted(added - set(sys.stdlib_module_names) - {"predprey"}))
+        """)
+    root = os.path.dirname(os.path.dirname(predprey.__file__))
+    res = subprocess.run([sys.executable, "-c", code, root], capture_output=True, text=True)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout.strip() == "[]"

@@ -16,7 +16,7 @@ from predprey import (
     integrate,
 )
 from predprey import csvio
-from predprey.config import ConfigError, EquilibriaSpec, SweepSpec, parse_config
+from predprey.config import ConfigError, SweepSpec, parse_config
 
 BASE_CFG = textwrap.dedent("""\
     [model]
@@ -78,8 +78,9 @@ def test_parse_config_bad_float_reports_location():
 def test_parse_config_accepts_scan_points_as_a_no_op():
     cfg = parse_config(BASE_CFG + "\n[equilibria]\nscan_points = 400\n"
                        "\n[sweep]\nparam = a1\nlo = 0.2\nhi = 0.4\nscan_points = 600\n")
-    assert cfg.equilibria == EquilibriaSpec()
     assert cfg.sweep == SweepSpec("a1", 0.2, 0.4)
+    # the [equilibria] section and both scan_points keys configure nothing
+    assert cfg == parse_config(BASE_CFG + "\n[sweep]\nparam = a1\nlo = 0.2\nhi = 0.4\n")
     with pytest.raises(ConfigError) as exc:  # still type-checked
         parse_config(BASE_CFG + "\n[equilibria]\nscan_points = many\n")
     assert any("equilibria.scan_points" in e for e in exc.value.errors)

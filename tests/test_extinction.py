@@ -118,7 +118,23 @@ def test_refuge_threshold_domain(osc_params):
 
 
 def test_persistence_fails_without_refuge(osc_params):
-    v = verify_persistence(osc_params, State(0.3, 50.0), horizon=5.0)
+    v = verify_persistence(osc_params, State(0.3, 50.0), IntegratorOptions(horizon=5.0))
     assert not v.persistent
+    assert v.horizon == 5.0
     assert v.extinct_at is not None and v.extinct_at < 1.0
     assert v.termination is TerminationKind.PREY_EXTINCT
+
+
+@pytest.mark.parametrize("x1", [0.0, 5e-10, 1e-9])
+def test_prey_at_or_below_the_threshold_is_a_domain_error(osc_params, x1):
+    # the prey event arms only above the threshold: from here the run would
+    # end at the horizon with x1 = 0 and read as a surviving prey
+    with pytest.raises(DomainError, match="extinction threshold"):
+        simulate_extinction(osc_params, State(x1, 50.0))
+    with pytest.raises(DomainError, match="extinction threshold"):
+        verify_persistence(osc_params, State(x1, 50.0))
+    # the threshold is the one of the options in use
+    opts = IntegratorOptions(extinction_threshold=1e-11)
+    if x1 > 1e-11:
+        assert verify_persistence(osc_params, State(x1, 50.0), opts).termination \
+            is TerminationKind.PREY_EXTINCT

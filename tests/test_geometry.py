@@ -24,6 +24,7 @@ from predprey import (
     trace_unstable_manifold_E1,
     with_params,
 )
+from predprey.model import make_rhs
 
 
 def test_psi_domain_and_values(osc_params):
@@ -44,12 +45,13 @@ def test_prey_nullcline_samples_psi(osc_params):
     assert mid.x2 == pytest.approx(psi(mid.x1, osc_params))
 
 
-def test_prey_nullcline_m2_gate(bistable_params):
-    with pytest.raises(DomainError):
-        prey_nullcline(bistable_params)
-    curve = prey_nullcline(bistable_params, n=16, allow_general_m2=True)
+def test_prey_nullcline_takes_the_1_over_m2_power(bistable_params):
+    curve = prey_nullcline(bistable_params, n=16)
     s = curve.points[8]
     assert s.x2 == pytest.approx(psi(s.x1, bistable_params) ** 2.0)
+    # the field's prey component vanishes on it
+    dx1, _ = make_rhs(bistable_params)(s.x1, s.x2)
+    assert abs(dx1) < 1e-12 * s.x1
 
 
 def test_predator_nullcline_is_vertical(osc_params):
@@ -90,6 +92,26 @@ def test_boundary_bisection_separates_fates(osc_params):
                      IntegratorOptions(horizon=500.0),
                      stop_when=lambda t, x1, x2, dx1, dx2: x1 > 5.0)
     assert down.termination.kind is not TerminationKind.PREY_EXTINCT
+
+
+@pytest.mark.parametrize("horizon", [3.0, 500.0])
+def test_launches_run_to_the_integrator_horizon(osc_params, monkeypatch, horizon):
+    # the integrator options are the launches' only home: the first launch
+    # runs to their horizon, and a section launch to what is left of it
+    mod = sys.modules["predprey.geometry"]
+    seen = []
+
+    def recording(p, ic, opts=None, **kw):
+        if not kw.get("backward"):
+            seen.append(opts.horizon)
+        return integrate(p, ic, opts, **kw)
+
+    monkeypatch.setattr(mod, "integrate", recording)
+    sopts = SeparatrixOptions(bisect_rel_tol=1e-4,
+                              integrator=IntegratorOptions(horizon=horizon))
+    separatrix_boundary_x2(osc_params, 1.389, sopts)
+    assert seen[0] == horizon
+    assert all(0.0 < h <= horizon for h in seen)
 
 
 def test_probe_makes_only_the_steps_field_calls(osc_params, monkeypatch):

@@ -22,7 +22,7 @@ from predprey.integrate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _A71, _A73, _A74, _A75, _A76,
     _BETA1, _BETA2, _E1, _E3, _E4, _E5, _E6, _E7, _MAX_FACTOR, _MIN_FACTOR, _SAFETY,
-    Termination, _locate_level,
+    U_BLOWUP_CEILING, Termination, _first_crossing, _locate_level,
 )
 from predprey.model import make_rhs, make_u_rhs
 
@@ -32,10 +32,9 @@ from predprey.model import make_rhs, make_u_rhs
     dict(min_step=2.0, max_step=1.0), dict(horizon=0.0),
     dict(horizon=math.inf), dict(extinction_threshold=0.0),
     dict(extinction_threshold=1.0),
-    # non-finite tolerances switch error control or event localisation off
+    # non-finite tolerances switch error control off
     dict(rel_tol=math.inf), dict(abs_tol=math.inf), dict(rel_tol=math.nan),
-    dict(abs_tol=math.nan), dict(event_time_rel_tol=math.nan),
-    dict(event_time_rel_tol=math.inf), dict(event_time_rel_tol=-1e-10),
+    dict(abs_tol=math.nan),
 ])
 def test_options_validation(bad):
     with pytest.raises(DomainError):
@@ -167,6 +166,60 @@ def test_u_chart_rejects_nonpositive_u(osc_params):
         integrate_u_system(osc_params, State(0.0, 1.0))
 
 
+@pytest.mark.parametrize("u", [2.0 * U_BLOWUP_CEILING, math.inf, math.nan])
+def test_u_chart_rejects_u_past_the_ceiling(osc_params, u):
+    # a start past the blowup ceiling has no upward crossing to locate
+    with pytest.raises(DomainError, match="u-chart initial condition"):
+        integrate_u_system(osc_params, State(u, 1.0))
+    # a start on the ceiling blows up at once, at t = 0 on the ceiling
+    at = integrate_u_system(osc_params, State(U_BLOWUP_CEILING, 1.0),
+                            IntegratorOptions(horizon=1.0))
+    assert at.termination == Termination(TerminationKind.BLOWUP, 0.0)
+    assert at.x1[-1] == U_BLOWUP_CEILING
+
+
+# --------------------------------------------------------------------------
+# Event location on the step's chord.
+
+def test_first_crossing_tie_goes_to_the_prey():
+    # both components fall through the level at the same chord fraction
+    te, ye1, ye2, kind = _first_crossing(1.0, 2.0, (0.6, 0.6), (0.4, 0.4), (True, True), 0.5)
+    assert kind is TerminationKind.PREY_EXTINCT
+    assert (te, ye1, ye2) == (1.5, 0.5, 0.5)
+
+
+def test_first_crossing_earlier_predator_wins():
+    # the prey crosses at fraction 0.8, the predator at 0.5
+    te, ye1, ye2, kind = _first_crossing(1.0, 2.0, (0.9, 0.6), (0.4, 0.4), (True, True), 0.5)
+    assert kind is TerminationKind.PREDATOR_EXTINCT
+    assert te == pytest.approx(1.5, rel=1e-15)
+    assert ye2 == pytest.approx(0.5, rel=1e-15)
+    # an unarmed component's crossing does not count
+    assert _first_crossing(1.0, 2.0, (0.9, 0.6), (0.4, 0.4), (True, False), 0.5)[3] \
+        is TerminationKind.PREY_EXTINCT
+
+
+@pytest.mark.parametrize("y_old, y_new, index, level", [
+    # downward through the extinction threshold
+    ((3.7e-9, 12.25), (-4.1e-10, 12.5), 0, 1e-9),
+    ((0.81, 1.3e-9), (0.83, 2.9e-10), 1, 1e-9),
+    # upward through the u-chart's blowup ceiling
+    ((9.31e11, 2.0), (1.77e12, 1.5), 0, U_BLOWUP_CEILING),
+], ids=["prey_down", "predator_down", "u_up"])
+def test_locate_level_lands_on_the_level(y_old, y_new, index, level):
+    t0, t1 = 0.125, 0.3
+    te, ye1, ye2 = _locate_level(t0, t1, y_old, y_new, index, level)
+    ye = (ye1, ye2)
+    scale = max(abs(y_old[index]), abs(y_new[index]))
+    assert abs(ye[index] - level) <= 4.0 * math.ulp(scale)
+    assert t0 <= te <= t1
+    # the other component sits on the chord at the same fraction
+    other = 1 - index
+    frac = (te - t0) / (t1 - t0)
+    assert ye[other] == pytest.approx(
+        y_old[other] + frac * (y_new[other] - y_old[other]), rel=1e-12)
+
+
 # --------------------------------------------------------------------------
 # Reference: the integrator loop as it stood with a separate step function
 # (`_try_step`) and per-event objects.  The inlined loop must reproduce it
@@ -277,7 +330,7 @@ def _ref_run(f, ic, opts, events, stop_when, blowup_ceiling):
             new = (z1, z2)[ev.index]
             if ev.armed and new < ev.threshold <= old:
                 te, ye1, ye2 = _locate_level(t, t_new, (y1, y2), (z1, z2),
-                                             ev.index, ev.threshold, opts)
+                                             ev.index, ev.threshold)
                 if fired is None or te < fired[0]:
                     fired = (te, ye1, ye2, ev)
         if fired is not None:
@@ -288,7 +341,7 @@ def _ref_run(f, ic, opts, events, stop_when, blowup_ceiling):
             return traj
         if blowup_ceiling is not None and z1 > blowup_ceiling:
             te, ye1, ye2 = _locate_level(t, t_new, (y1, y2), (z1, z2), 0,
-                                         blowup_ceiling, opts)
+                                         blowup_ceiling)
             traj.times.append(te)
             traj.states.append(State(ye1, max(ye2, 0.0)))
             traj.termination = Termination(TerminationKind.BLOWUP, te)
@@ -339,11 +392,10 @@ _REFERENCE_CASES = {
                     None, _K.PREY_EXTINCT),
     "predator_rearms": (_BISTABLE, (5e-10, 5e-10), dict(horizon=500.0), None,
                         _K.PREDATOR_EXTINCT),
-    # both events cross in one step; with no localisation their times tie
-    # and the prey event wins
-    "event_tie": (with_params(_BISTABLE, w0=5.0, a2=5.0), (0.50001, 0.50001),
-                  dict(horizon=10.0, extinction_threshold=0.5, event_time_rel_tol=1.0),
-                  None, _K.PREY_EXTINCT),
+    # both events cross in the first step; the prey's crossing comes first
+    "both_events_in_one_step": (with_params(_BISTABLE, w0=5.0, a2=5.0), (0.50001, 0.50001),
+                                dict(horizon=10.0, extinction_threshold=0.5),
+                                None, _K.PREY_EXTINCT),
     "stop_at_t0": (_OSC, (5.0, 1.0), {}, lambda t, x1, x2, dx1, dx2: x1 > 1.0, _K.STOPPED),
     "stop_mid_run": (_OSC, (5.0, 0.05), {}, lambda t, x1, x2, dx1, dx2: x1 > 7.0,
                      _K.STOPPED),

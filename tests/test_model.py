@@ -198,8 +198,3 @@ def test_audit_verdicts_match_theory(rates, m1, m2, r):
     want = (["pass"] * 4 + (["pass"] * 2 if frac else ["not applicable"] * 2)
             + ["pass" if frac else "fail"])
     assert [c.status for c in verify_assumptions(p)] == want
-
-
-def test_assumption_grid_needs_points(osc_params):
-    with pytest.raises(DomainError):
-        verify_assumptions(osc_params, grid=[1.0, 2.0])
