@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from . import csvio
 from .bifurcation import (
@@ -23,7 +22,7 @@ from .bifurcation import (
     detect_transcritical,
     transcritical_r,
 )
-from .config import ConfigError, ScenarioConfig, SeparatrixSpec, load_config
+from .config import ConfigError, ScenarioConfig, load_config
 from .equilibria import (
     interior_equilibria,
     predator_free_equilibrium,
@@ -38,7 +37,6 @@ from .extinction import (  # noqa: F401
     simulate_extinction,
 )
 from .geometry import (
-    SeparatrixOptions,
     separatrix_relative_position,
     trace_stable_separatrix_E0,
     trace_unstable_manifold_E1,
@@ -59,16 +57,13 @@ def _need(section, name: str):
 
 def _cmd_simulate(cfg: ScenarioConfig, out: str) -> int:
     spec = _need(cfg.simulate, "simulate")
-    opts = cfg.integrator
-    if spec.horizon is not None:
-        opts = replace(opts, horizon=spec.horizon)
-    traj = integrate(cfg.params, spec.ic, opts)
+    traj = integrate(cfg.params, spec.ic, spec.integrator)
     csvio.write_trajectory(traj, os.path.join(out, "trajectory.csv"))
     term = traj.termination
     csvio.write_report([
         "command: simulate",
         f"initial: {_F(spec.ic.x1)},{_F(spec.ic.x2)}",
-        f"horizon: {_F(opts.horizon)}",
+        f"horizon: {_F(spec.integrator.horizon)}",
         f"termination: {term.kind.value}",
         f"termination_time: {_F(term.time)}",
         f"final_x1: {_F(traj.final_state.x1)}",
@@ -127,13 +122,8 @@ def _cmd_sweep(cfg: ScenarioConfig, out: str) -> int:
 
 
 def _cmd_separatrix(cfg: ScenarioConfig, out: str) -> int:
-    spec = cfg.separatrix or SeparatrixSpec()
-    iopts = replace(cfg.integrator, horizon=spec.horizon)
-    sopts = SeparatrixOptions(
-        probes=spec.probes, probe_span=(spec.probe_lo, spec.probe_hi),
-        bisect_rel_tol=spec.bisect_rel_tol, integrator=iopts)
-    ws = trace_stable_separatrix_E0(cfg.params, opts=sopts)
-    wu = trace_unstable_manifold_E1(cfg.params, iopts)
+    ws = trace_stable_separatrix_E0(cfg.params, opts=cfg.separatrix)
+    wu = trace_unstable_manifold_E1(cfg.params, cfg.separatrix.integrator)
     cmp_ = separatrix_relative_position(ws, wu)
     csvio.write_curve(ws, os.path.join(out, "separatrix_ws.csv"))
     csvio.write_curve(wu, os.path.join(out, "manifold_wu.csv"))

@@ -1,36 +1,40 @@
 """Scenario configuration: flat key-value INI with one section per concern.
 
     [model]            a1 a2 b1 w0 w1 d m1 m2 [r]
-    [integrator]       rel_tol abs_tol max_step min_step horizon extinction_threshold
+    [integrator]       [rel_tol] [abs_tol] [max_step] [min_step] [horizon]
+                       [extinction_threshold]
     [simulate]         x1 x2 [horizon]
-    [equilibria]       [scan_points]
-    [sweep]            param lo hi [n] [scan_points]
+    [sweep]            param lo hi [n]
     [separatrix]       [probes] [horizon] [probe_lo] [probe_hi] [bisect_rel_tol]
     [extinction]       x1 x2
-    [refuge]           x1 [eps1] [k2]
+    [refuge]           x1 [eps1 | k2]
 
-[integrator] holds the integration options of every command.  Two
-sections replace only its horizon: [simulate] horizon, when given, for the
-simulation, and [separatrix] horizon (default 500) for both traced curves
-of the separatrix command.  [equilibria] and the scan_points keys (both
-sections) are accepted, type-checked and ignored: interior equilibria are
-isolated exactly, with no scan grid to size, and old configs still parse.
-Unknown sections and keys are rejected; every problem is collected and
-reported together with its section.key context rather than one at a time.
+Each section is parsed straight into the library object it configures, so
+every setting keeps its one home there: the [model] and [integrator] keys
+are the fields of ModelParams and IntegratorOptions; SimulateSpec carries
+[integrator] with the [simulate] horizon applied; ScenarioConfig.separatrix
+is the SeparatrixOptions built from [separatrix] (or its defaults: 12
+probes, at least 2) plus [integrator] at the [separatrix] horizon (default
+500), whose integrator also traces the unstable manifold.  The objects'
+own checks judge the values, so an invalid option value is a config error
+(exit 2) filed under its section.key.  [refuge] takes k2 or eps1 (the
+margin K2 is derived with), not both.  Unknown sections and keys are
+rejected; every problem is collected and reported together.
 """
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
+from typing import Callable
 
+from .geometry import SeparatrixOptions
 from .integrate import IntegratorOptions
-from .model import ModelParams, ParameterError, State, validate_params
+from .model import DomainError, ModelParams, ParameterError, State, validate_params
 
 __all__ = [
     "ConfigError",
     "SimulateSpec",
     "SweepSpec",
-    "SeparatrixSpec",
     "ExtinctionSpec",
     "RefugeSpec",
     "ScenarioConfig",
@@ -48,7 +52,7 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class SimulateSpec:
     ic: State
-    horizon: float | None = None
+    integrator: IntegratorOptions  # [integrator] with the [simulate] horizon
 
 
 @dataclass(frozen=True)
@@ -57,15 +61,6 @@ class SweepSpec:
     lo: float
     hi: float
     n: int = 200
-
-
-@dataclass(frozen=True)
-class SeparatrixSpec:
-    probes: int = 12
-    horizon: float = 500.0
-    probe_lo: float = 0.05
-    probe_hi: float = 0.95
-    bisect_rel_tol: float = 1e-8
 
 
 @dataclass(frozen=True)
@@ -84,23 +79,18 @@ class RefugeSpec:
 class ScenarioConfig:
     params: ModelParams
     integrator: IntegratorOptions
+    separatrix: SeparatrixOptions  # [separatrix] or its defaults, plus [integrator]
     simulate: SimulateSpec | None = None
     sweep: SweepSpec | None = None
-    separatrix: SeparatrixSpec | None = None
     extinction: ExtinctionSpec | None = None
     refuge: RefugeSpec | None = None
 
 
-_MODEL_KEYS = {"a1", "a2", "b1", "w0", "w1", "d", "m1", "m2", "r"}
 _SCHEMA: dict[str, dict[str, type]] = {
-    "model": {k: float for k in _MODEL_KEYS},
-    "integrator": {
-        "rel_tol": float, "abs_tol": float, "max_step": float,
-        "min_step": float, "horizon": float, "extinction_threshold": float,
-    },
+    "model": {f.name: float for f in fields(ModelParams)},
+    "integrator": {f.name: float for f in fields(IntegratorOptions)},
     "simulate": {"x1": float, "x2": float, "horizon": float},
-    "equilibria": {"scan_points": int},
-    "sweep": {"param": str, "lo": float, "hi": float, "n": int, "scan_points": int},
+    "sweep": {"param": str, "lo": float, "hi": float, "n": int},
     "separatrix": {
         "probes": int, "horizon": float, "probe_lo": float,
         "probe_hi": float, "bisect_rel_tol": float,
@@ -108,8 +98,6 @@ _SCHEMA: dict[str, dict[str, type]] = {
     "extinction": {"x1": float, "x2": float},
     "refuge": {"x1": float, "eps1": float, "k2": float},
 }
-# Keys that parse (type-checked) but configure nothing.
-_IGNORED = {"equilibria": ("scan_points",), "sweep": ("scan_points",)}
 _REQUIRED: dict[str, tuple[str, ...]] = {
     "simulate": ("x1", "x2"),
     "sweep": ("param", "lo", "hi"),
@@ -127,9 +115,6 @@ def _typed(section: str, raw: dict[str, str], errors: list[str]) -> dict:
             errors.append(f"{section}.{key}: unknown key")
             continue
         typ = schema[key]
-        if typ is str:
-            out[key] = sval
-            continue
         try:
             out[key] = typ(sval)
         except ValueError:
@@ -137,9 +122,32 @@ def _typed(section: str, raw: dict[str, str], errors: list[str]) -> dict:
     for key in _REQUIRED.get(section, ()):
         if key not in raw:
             errors.append(f"{section}.{key}: missing required key")
-    for key in _IGNORED.get(section, ()):
-        out.pop(key, None)
     return out
+
+
+def _build(section: str, make: Callable[[dict], object], values: dict,
+           errors: list[str] | None = None):
+    """make(values), the library object the section's keys configure, or
+    None if the object rejects them.  Its message then goes to errors, filed
+    under the keys it rejects on their own (all the given keys if only their
+    combination fails)."""
+    try:
+        return make(values)
+    except DomainError as exc:
+        if errors is not None:
+            keys = [k for k in values
+                    if _build(section, make, {k: values[k]}) is None] or list(values)
+            errors.append(", ".join(f"{section}.{k}" for k in keys) + f": {exc}")
+        return None
+
+
+def _separatrix(t: dict, integrator: IntegratorOptions) -> SeparatrixOptions:
+    d = SeparatrixOptions()
+    return replace(
+        d, probes=t.get("probes", d.probes),
+        probe_span=(t.get("probe_lo", d.probe_span[0]), t.get("probe_hi", d.probe_span[1])),
+        bisect_rel_tol=t.get("bisect_rel_tol", d.bisect_rel_tol),
+        integrator=replace(integrator, horizon=t.get("horizon", d.integrator.horizon)))
 
 
 def parse_config(text: str, origin: str = "<config>") -> ScenarioConfig:
@@ -149,16 +157,10 @@ def parse_config(text: str, origin: str = "<config>") -> ScenarioConfig:
     except configparser.Error as exc:
         raise ConfigError([f"cannot parse config: {exc}"]) from exc
 
-    errors: list[str] = []
     sections = {name.lower(): dict(cp.items(name)) for name in cp.sections()}
-    for name in sections:
-        if name not in _SCHEMA:
-            errors.append(f"[{name}]: unknown section")
+    errors = [f"[{name}]: unknown section" for name in sections if name not in _SCHEMA]
     if "model" not in sections:
         errors.append("[model]: required section missing")
-    if errors:
-        raise ConfigError(errors)
-
     typed = {name: _typed(name, raw, errors)
              for name, raw in sections.items() if name in _SCHEMA}
     if errors:
@@ -167,30 +169,33 @@ def parse_config(text: str, origin: str = "<config>") -> ScenarioConfig:
     try:
         params = validate_params(typed["model"])
     except ParameterError as exc:
-        raise ConfigError([f"model: {e}" for e in exc.errors]) from exc
-
-    try:
-        integrator = IntegratorOptions(**typed.get("integrator", {}))
-    except (ValueError, TypeError) as exc:
-        raise ConfigError([f"integrator: {exc}"]) from exc
-
-    cfg = ScenarioConfig(params=params, integrator=integrator)
-
+        errors += [f"model: {e}" for e in exc.errors]
+    integrator = _build("integrator", lambda v: IntegratorOptions(**v),
+                        typed.get("integrator", {}), errors)
+    base = integrator or IntegratorOptions()  # judges the other sections alone
+    separatrix = _build("separatrix", lambda v: _separatrix(v, base),
+                        typed.get("separatrix", {}), errors)
+    simulate = sweep = extinction = refuge = None
     if "simulate" in typed:
         t = typed["simulate"]
-        cfg = replace(cfg, simulate=SimulateSpec(
-            State(t["x1"], t["x2"]), t.get("horizon")))
+        horizon = {"horizon": t["horizon"]} if "horizon" in t else {}
+        simulate = SimulateSpec(State(t["x1"], t["x2"]), _build(
+            "simulate", lambda v: replace(base, **v), horizon, errors))
     if "sweep" in typed:
-        cfg = replace(cfg, sweep=SweepSpec(**typed["sweep"]))
-    if "separatrix" in typed:
-        cfg = replace(cfg, separatrix=SeparatrixSpec(**typed["separatrix"]))
+        sweep = SweepSpec(**typed["sweep"])
     if "extinction" in typed:
         t = typed["extinction"]
-        cfg = replace(cfg, extinction=ExtinctionSpec(State(t["x1"], t["x2"])))
+        extinction = ExtinctionSpec(State(t["x1"], t["x2"]))
     if "refuge" in typed:
         t = typed["refuge"]
-        cfg = replace(cfg, refuge=RefugeSpec(t["x1"], t.get("eps1"), t.get("k2")))
-    return cfg
+        if "eps1" in t and "k2" in t:
+            errors.append("refuge.eps1, refuge.k2: give one of them; "
+                          "K2 is derived with eps1 only when k2 is absent")
+        refuge = RefugeSpec(t["x1"], t.get("eps1"), t.get("k2"))
+    if errors:
+        raise ConfigError(errors)
+    return ScenarioConfig(params, integrator, separatrix, simulate, sweep,
+                          extinction, refuge)
 
 
 def load_config(path: str) -> ScenarioConfig:

@@ -80,11 +80,7 @@ def boundedness_bound(p: ModelParams, delta: float | None = None) -> BoundsRepor
     return BoundsReport(delta=delta, W1=w1_, Q_bound=w1_ / delta, notes=notes)
 
 
-def dissipative_bound_K2(
-    p: ModelParams,
-    eps1: float | None = None,
-    base: BoundsReport | None = None,
-) -> BoundsReport:
+def dissipative_bound_K2(p: ModelParams, eps1: float | None = None) -> BoundsReport:
     """Complete a BoundsReport with the eventual ceilings K1 and K2.
 
     Prey satisfies limsup x1 <= a1/b1, so eventually x1 <= a1/b1 + eps1 and
@@ -92,15 +88,13 @@ def dissipative_bound_K2(
     comparison:  K1 = (a1 + a2)*(a1/b1 + eps1),  K2 = (w1/(w0*a2)) * K1.
     eps1 defaults to a relative margin of 1% of a1/b1.
     """
-    if base is None:
-        base = boundedness_bound(p)
     if eps1 is None:
         eps1 = 0.01 * p.carrying_capacity
-    if eps1 <= 0.0:
-        raise DomainError(f"eps1 must be positive, got {eps1!r}")
+    if not 0.0 < eps1 < math.inf:
+        raise DomainError(f"eps1 must be positive and finite, got {eps1!r}")
     k1 = (p.a1 + p.a2) * (p.carrying_capacity + eps1)
     k2 = (p.w1 / (p.w0 * p.a2)) * k1
-    return replace(base, eps1=eps1, K1=k1, K2=k2)
+    return replace(boundedness_bound(p), eps1=eps1, K1=k1, K2=k2)
 
 
 @dataclass(frozen=True)
@@ -207,8 +201,8 @@ def refuge_threshold(x1_0: float, p: ModelParams, K2: float | None = None) -> Re
             f"got {x1_0!r}")
     if K2 is None:
         K2 = dissipative_bound_K2(p).K2
-    if K2 <= 0.0:
-        raise DomainError(f"K2 must be positive, got {K2!r}")
+    if not 0.0 < K2 < math.inf:
+        raise DomainError(f"K2 must be positive and finite, got {K2!r}")
     v0 = 1.0 / x1_0 - p.b1 / p.a1
     raw = (p.a1 * p.d ** p.m1 * v0
            / (p.w0 * (p.b1 / p.a1 + v0) ** (2.0 - p.m1) * K2 ** p.m2)) ** (1.0 / p.m1)

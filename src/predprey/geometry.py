@@ -102,19 +102,17 @@ class SeparatrixOptions:
     probes: int = 12
     probe_span: tuple[float, float] = (0.05, 0.95)  # fractions of a1/b1
     bisect_rel_tol: float = 1e-8
-    x2_cap_factor: float = 1e3   # give up above this multiple of K2
     # the launches' options; its horizon bounds every launch
     integrator: IntegratorOptions = IntegratorOptions(
         rel_tol=1e-7, abs_tol=1e-9, horizon=500.0)
 
     def __post_init__(self):
-        if self.probes < 1:
-            raise DomainError("need at least one probe")
+        if self.probes < 2:
+            raise DomainError(f"need at least 2 probes, got {self.probes!r}")
         lo, hi = self.probe_span
         if not (0.0 < lo < hi < 1.0):
             raise DomainError("probe_span fractions must satisfy 0 < lo < hi < 1")
-        if not (0.0 < self.bisect_rel_tol < math.inf
-                and 1.0 < self.x2_cap_factor < math.inf):
+        if not 0.0 < self.bisect_rel_tol < math.inf:
             raise DomainError("bad separatrix tolerances")
 
 
@@ -130,18 +128,11 @@ def psi(x1: float, p: ModelParams) -> float:
     return x1 * eval_f(x1, p) / (p.w0 * eval_g(p.r * x1, p))
 
 
-def prey_nullcline(
-    p: ModelParams,
-    n: int = 256,
-    x1_range: tuple[float, float] | None = None,
-) -> PlanarCurve:
-    """Sample the interior prey nullcline x2 = psi(x1)**(1/m2)."""
+def prey_nullcline(p: ModelParams, n: int = 256) -> PlanarCurve:
+    """Sample the interior prey nullcline x2 = psi(x1)**(1/m2) at n evenly
+    spaced x1 from 1e-6*a1/b1 to a1/b1."""
     cap = p.carrying_capacity
-    if x1_range is None:
-        x1_range = (1e-6 * cap, cap)
-    lo, hi = x1_range
-    if not (0.0 < lo < hi <= cap):
-        raise DomainError(f"x1_range must lie inside (0, a1/b1], got {x1_range!r}")
+    lo, hi = 1e-6 * cap, cap
     if n < 2:
         raise DomainError("need n >= 2 sample points")
     pts = []
@@ -211,6 +202,9 @@ def trace_unstable_manifold_E1(
 
 _ABOVE = "above"
 _BELOW = "below"
+
+# The search for an ABOVE launch gives up above this multiple of max(K2, 1).
+_X2_CAP_FACTOR = 1e3
 
 
 def _turned(t: float, x1: float, x2: float, dx1: float, dx2: float) -> bool:
@@ -312,7 +306,7 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
         raise DomainError(f"probe must sit in (0, a1/b1), got {probe_x1!r}")
     base = psi(probe_x1, p) if p.m2 == 1.0 else psi(probe_x1, p) ** (1.0 / p.m2)
     k2 = dissipative_bound_K2(p).K2
-    ceiling = opts.x2_cap_factor * max(k2, 1.0)
+    ceiling = _X2_CAP_FACTOR * max(k2, 1.0)
 
     iopts = opts.integrator
     lo = 0.5 * base
@@ -389,8 +383,6 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
 def _probe_stations(p: ModelParams, opts: SeparatrixOptions) -> list[float]:
     lo_f, hi_f = opts.probe_span
     cap = p.carrying_capacity
-    if opts.probes == 1:
-        return [math.sqrt(lo_f * hi_f) * cap]
     # geometric spacing: resolves the steep left end where the curve plunges
     ratio = (hi_f / lo_f) ** (1.0 / (opts.probes - 1))
     return [cap * lo_f * ratio ** i for i in range(opts.probes)]
@@ -398,13 +390,13 @@ def _probe_stations(p: ModelParams, opts: SeparatrixOptions) -> list[float]:
 
 def trace_stable_separatrix_E0(
     p: ModelParams,
-    probe_x1: float | list[float] | None = None,
+    probe_x1: list[float] | None = None,
     opts: SeparatrixOptions | None = None,
 ) -> PlanarCurve:
     """Assemble the stable set of the origin from per-probe bisections.
 
-    probe_x1 may be a single abscissa, an explicit list, or None for the
-    default geometric fan.
+    probe_x1 is an explicit list of at least 2 abscissae, or None for the
+    default geometric fan of opts.probes.
     """
     if opts is None:
         opts = SeparatrixOptions()
@@ -413,19 +405,14 @@ def trace_stable_separatrix_E0(
                           "no extinction separatrix to trace")
     if probe_x1 is None:
         stations = _probe_stations(p, opts)
-    elif isinstance(probe_x1, (int, float)):
-        stations = [float(probe_x1)]
     else:
         stations = sorted(float(v) for v in probe_x1)
-        if not stations:
-            raise DomainError("empty probe list")
+        if len(stations) < 2:
+            raise DomainError(f"need at least 2 probes, got {len(stations)}")
 
     ys = [separatrix_boundary_x2(p, x, opts) for x in stations]
-    pts = tuple(State(x, y) for x, y in zip(stations, ys))
-    if len(pts) == 1:
-        # a curve needs two points; duplicate with a hair of width
-        pts = (pts[0], State(pts[0].x1 * (1.0 + 1e-9), pts[0].x2))
-    return PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0, pts)
+    return PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0,
+                       tuple(State(x, y) for x, y in zip(stations, ys)))
 
 
 def _descending_prefix(points: tuple[State, ...]) -> list[State]:

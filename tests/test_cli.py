@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import os
+import pathlib
 import subprocess
 import sys
+import tempfile
 import textwrap
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import predprey
 from predprey import IntegratorOptions, cli, csvio, trace_unstable_manifold_E1
@@ -73,7 +79,6 @@ def test_sweep_writes_branch_and_hopf_event(tmp_path):
         lo = 0.24
         hi = 0.29
         n = 11
-        scan_points = 600
         """))
     out = tmp_path / "out"
     res = run_cli("sweep", "--config", cfg, "--out", str(out))
@@ -94,7 +99,6 @@ def test_refuge_sweep_reports_transcritical(tmp_path):
         lo = 0.12
         hi = 0.20
         n = 9
-        scan_points = 400
         """))
     out = tmp_path / "out"
     res = run_cli("sweep", "--config", cfg, "--out", str(out))
@@ -208,6 +212,14 @@ def test_domain_error_exits_1(tmp_path):
     assert res.stderr.startswith("error:")
 
 
+@pytest.mark.parametrize("key, name", [("eps1", "eps1"), ("k2", "K2")])
+def test_refuge_non_finite_bound_exits_1(tmp_path, capsys, key, name):
+    # a NaN margin or K2 passed both positivity checks and reported r_star: nan
+    cfg = write(tmp_path / "ref.ini", MODEL + f"\n[refuge]\nx1 = 0.3\n{key} = nan\n")
+    assert cli.main(["refuge-threshold", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert f"error: {name} must be positive and finite" in capsys.readouterr().err
+
+
 def test_transcritical_edge_root_exits_0(tmp_path, capsys, transcritical_edge_params):
     # the closed-form root one ulp below the last point of a dense scan
     cfg = write(tmp_path / "edge.ini", "[model]\n" + "".join(
@@ -225,8 +237,8 @@ def test_missing_config_file_exits_2(tmp_path):
 
 
 def test_non_finite_tolerances_are_rejected(tmp_path):
-    # [integrator] problems are config errors (exit 2); SeparatrixOptions
-    # rejects its tolerance as a domain error (exit 1)
+    # a tolerance the integrator or the separatrix options reject is a
+    # config error (exit 2)
     cfg = write(tmp_path / "int.ini", MODEL + textwrap.dedent("""\
 
         [integrator]
@@ -241,8 +253,82 @@ def test_non_finite_tolerances_are_rejected(tmp_path):
     assert "tolerances must be positive and finite" in res.stderr
     cfg = write(tmp_path / "sep.ini", MODEL + "\n[separatrix]\nbisect_rel_tol = nan\n")
     res = run_cli("separatrix", "--config", cfg, "--out", str(tmp_path / "b"))
-    assert res.returncode == 1
-    assert "bad separatrix tolerances" in res.stderr
+    assert res.returncode == 2
+    assert "separatrix.bisect_rel_tol: bad separatrix tolerances" in res.stderr
+
+
+@pytest.mark.parametrize("command, section, where", [
+    ("simulate", "[integrator]\nrel_tol = 0", "integrator.rel_tol"),
+    ("simulate", "[integrator]\nabs_tol = nan", "integrator.abs_tol"),
+    ("simulate", "[integrator]\nmax_step = 1e-13", "integrator.max_step"),
+    ("simulate", "[integrator]\nmin_step = -1", "integrator.min_step"),
+    ("simulate", "[integrator]\nhorizon = inf", "integrator.horizon"),
+    ("simulate", "[integrator]\nextinction_threshold = 1", "integrator.extinction_threshold"),
+    ("simulate", "[simulate]\nx1 = 0.5\nx2 = 2.0\nhorizon = nan", "simulate.horizon"),
+    ("separatrix", "[separatrix]\nprobes = 1", "separatrix.probes"),
+    ("separatrix", "[separatrix]\nhorizon = -5", "separatrix.horizon"),
+    ("separatrix", "[separatrix]\nprobe_lo = 0", "separatrix.probe_lo"),
+    ("separatrix", "[separatrix]\nprobe_hi = 1", "separatrix.probe_hi"),
+    ("separatrix", "[separatrix]\nbisect_rel_tol = nan", "separatrix.bisect_rel_tol"),
+    ("equilibria", "[equilibria]\nscan_points = 400", "[equilibria]: unknown section"),
+    ("sweep", "[sweep]\nparam = a1\nlo = 0.2\nhi = 0.4\nscan_points = 600",
+     "sweep.scan_points: unknown key"),
+])
+def test_invalid_option_value_exits_2(tmp_path, capsys, command, section, where):
+    # the options are built, and judged, when the config is parsed
+    sim = "" if section.startswith("[simulate]") else "\n[simulate]\nx1 = 0.5\nx2 = 2.0\n"
+    cfg = write(tmp_path / "bad.ini", MODEL + sim + "\n" + section + "\n")
+    assert cli.main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and where in err
+    assert not (tmp_path / "o").exists()
+
+
+def test_refuge_k2_with_eps1_exits_2(tmp_path, capsys):
+    # given k2, the command never derived K2 and so ignored eps1
+    cfg = write(tmp_path / "ref.ini", MODEL + "\n[refuge]\nx1 = 0.3\neps1 = 0.01\nk2 = 30\n")
+    assert cli.main(["refuge-threshold", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: refuge.eps1, refuge.k2:")
+
+
+_RATE = st.floats(0.0, 1.0).map(lambda u: 0.1 * 100.0 ** u)  # log-uniform on [0.1, 10]
+_EXPONENT = st.floats(0.0, 1.0, exclude_min=True)
+
+
+def _run_twice(command: str, cfg: str, root: str) -> int:
+    """Run the command into two fresh directories; both runs must exit 0
+    or 1 alike and write the same files byte for byte."""
+    codes, files = [], []
+    for run in ("a", "b"):
+        out = os.path.join(root, command, run)
+        codes.append(cli.main([command, "--config", cfg, "--out", out]))
+        names = sorted(os.listdir(out)) if os.path.isdir(out) else []
+        files.append({n: pathlib.Path(out, n).read_bytes() for n in names})
+    assert codes[0] in (0, 1) and codes[0] == codes[1]
+    assert files[0] == files[1]
+    return codes[0]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(rates=st.lists(_RATE, min_size=6, max_size=6),
+       exponents=st.lists(_EXPONENT, min_size=3, max_size=3),
+       ic=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 10.0)))
+def test_cli_is_total_and_deterministic_over_the_domain(rates, exponents, ic):
+    # over the documented domain these commands exit 0 or 1, never raise,
+    # and write the same bytes on a second run
+    p = dict(zip(("a1", "a2", "b1", "w0", "w1", "d"), rates),
+             **dict(zip(("m1", "m2", "r"), exponents)))
+    cap = p["a1"] / p["b1"]
+    text = "[model]\n" + "".join(f"{k} = {v!r}\n" for k, v in p.items()) + (
+        f"\n[simulate]\nx1 = {ic[0] * cap!r}\nx2 = {ic[1]!r}\nhorizon = 5.0\n"
+        f"\n[refuge]\nx1 = {ic[0] * cap!r}\n")
+    with tempfile.TemporaryDirectory() as root:
+        cfg = os.path.join(root, "cfg.ini")
+        with open(cfg, "w") as fh:
+            fh.write(text)
+        for command in ("equilibria", "refuge-threshold", "verify-assumptions", "simulate"):
+            _run_twice(command, cfg, root)
 
 
 def test_imports_only_the_standard_library():

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 import textwrap
+from dataclasses import fields
 
 import pytest
 
@@ -10,7 +11,9 @@ from predprey import (
     BifurcationKind,
     CurveLabel,
     IntegratorOptions,
+    ModelParams,
     PlanarCurve,
+    SeparatrixOptions,
     State,
     Trajectory,
     integrate,
@@ -75,15 +78,69 @@ def test_parse_config_bad_float_reports_location():
     assert any("simulate.x2" in e for e in exc.value.errors)
 
 
-def test_parse_config_accepts_scan_points_as_a_no_op():
-    cfg = parse_config(BASE_CFG + "\n[equilibria]\nscan_points = 400\n"
-                       "\n[sweep]\nparam = a1\nlo = 0.2\nhi = 0.4\nscan_points = 600\n")
-    assert cfg.sweep == SweepSpec("a1", 0.2, 0.4)
-    # the [equilibria] section and both scan_points keys configure nothing
-    assert cfg == parse_config(BASE_CFG + "\n[sweep]\nparam = a1\nlo = 0.2\nhi = 0.4\n")
-    with pytest.raises(ConfigError) as exc:  # still type-checked
-        parse_config(BASE_CFG + "\n[equilibria]\nscan_points = many\n")
-    assert any("equilibria.scan_points" in e for e in exc.value.errors)
+def test_parse_config_rejects_scan_points_and_equilibria():
+    # interior equilibria are isolated exactly: there is no scan grid to size
+    sweep = "\n[sweep]\nparam = a1\nlo = 0.2\nhi = 0.4\n"
+    assert parse_config(BASE_CFG + sweep).sweep == SweepSpec("a1", 0.2, 0.4)
+    with pytest.raises(ConfigError) as exc:
+        parse_config(BASE_CFG + "\n[equilibria]\nscan_points = 400\n"
+                     + sweep + "scan_points = 600\n")
+    assert exc.value.errors == ["[equilibria]: unknown section",
+                                "sweep.scan_points: unknown key"]
+
+
+def test_parse_config_keys_are_the_option_fields():
+    # every field of ModelParams and of IntegratorOptions is a key of its section
+    params = ModelParams(a1=0.5, a2=0.7, b1=0.05, w0=0.2, w1=4.0,
+                         d=0.2, m1=0.5, m2=0.5, r=0.3)
+    opts = IntegratorOptions(rel_tol=1e-6, abs_tol=1e-8, max_step=2.0,
+                             min_step=1e-10, horizon=9.0, extinction_threshold=1e-8)
+    text = "".join(f"[{sec}]\n" + "".join(f"{f.name} = {getattr(obj, f.name)!r}\n"
+                                          for f in fields(obj))
+                   for sec, obj in (("model", params), ("integrator", opts)))
+    cfg = parse_config(text)
+    assert (cfg.params, cfg.integrator) == (params, opts)
+
+
+def test_parse_config_builds_the_library_options():
+    cfg = parse_config(BASE_CFG + "\n[integrator]\nrel_tol = 1e-9\nhorizon = 42.0\n")
+    assert cfg.simulate.integrator == cfg.integrator == IntegratorOptions(rel_tol=1e-9,
+                                                                          horizon=42.0)
+    # no [separatrix]: its defaults, with [integrator] at the default horizon 500
+    assert cfg.separatrix == SeparatrixOptions(
+        integrator=IntegratorOptions(rel_tol=1e-9, horizon=500.0))
+    cfg = parse_config(BASE_CFG + "horizon = 7.5\n\n[separatrix]\nprobes = 3\nhorizon = 60\n"
+                       "probe_lo = 0.1\nprobe_hi = 0.9\nbisect_rel_tol = 1e-5\n")
+    assert cfg.simulate.integrator == IntegratorOptions(horizon=7.5)
+    assert cfg.integrator == IntegratorOptions()
+    assert cfg.separatrix == SeparatrixOptions(
+        probes=3, probe_span=(0.1, 0.9), bisect_rel_tol=1e-5,
+        integrator=IntegratorOptions(horizon=60.0))
+
+
+@pytest.mark.parametrize("section, keys", [
+    ("[integrator]\nmin_step = 0.5\nmax_step = 0.25\nrel_tol = 1e-9\n",
+     "integrator.min_step, integrator.max_step, integrator.rel_tol"),
+    ("[integrator]\nmin_step = 2\nrel_tol = 1e-9\n", "integrator.min_step"),
+    ("[separatrix]\nprobe_lo = 0.5\nprobe_hi = 0.25\n",
+     "separatrix.probe_lo, separatrix.probe_hi"),
+    ("[separatrix]\nprobe_hi = 1.5\nprobes = 3\n", "separatrix.probe_hi"),
+])
+def test_parse_config_files_an_option_error_under_its_keys(section, keys):
+    # the keys the options reject on their own, or every given key when only
+    # their combination fails
+    with pytest.raises(ConfigError) as exc:
+        parse_config(BASE_CFG + "\n" + section)
+    [err] = exc.value.errors
+    assert err.startswith(keys + ": ")
+
+
+def test_parse_config_collects_every_section_problem():
+    with pytest.raises(ConfigError) as exc:
+        parse_config(BASE_CFG.replace("a1 = 0.6", "a1 = -1") + "horizon = 0\n"
+                     "\n[integrator]\nabs_tol = 0\n\n[separatrix]\nprobes = 1\n")
+    assert [e.split(":")[0] for e in exc.value.errors] == [
+        "model", "integrator.abs_tol", "separatrix.probes", "simulate.horizon"]
 
 
 @pytest.mark.parametrize("x", [0.1, 1.0 / 3.0, 2.0 ** -52, 12345.678901234567,

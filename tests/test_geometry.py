@@ -305,9 +305,17 @@ def test_relative_position_checks_labels_and_overlap():
 
 @pytest.mark.parametrize("bad", [
     dict(bisect_rel_tol=math.nan), dict(bisect_rel_tol=math.inf), dict(bisect_rel_tol=0.0),
-    dict(x2_cap_factor=math.nan), dict(x2_cap_factor=math.inf), dict(x2_cap_factor=1.0),
 ])
 def test_separatrix_options_reject_bad_tolerances(bad):
     # a NaN or infinite bisection tolerance returned the unbisected bracket
     with pytest.raises(DomainError):
         SeparatrixOptions(**bad)
+
+
+def test_separatrix_needs_two_probes(osc_params):
+    # one probe made a curve by inventing a second point at x1*(1 + 1e-9)
+    with pytest.raises(DomainError, match="at least 2 probes"):
+        SeparatrixOptions(probes=1)
+    for probes in ([], [5.0]):
+        with pytest.raises(DomainError, match="at least 2 probes"):
+            trace_stable_separatrix_E0(osc_params, probe_x1=probes)
