@@ -64,6 +64,7 @@ __all__ = [
 ]
 
 SWEEPABLE = ("a1", "a2", "b1", "w0", "w1", "r")
+SWEEP_SAMPLES = 200  # branch_sweep's default sample count
 
 # Exact root-count cross-check at every _CHECK_EVERY-th sample (and both ends).
 _CHECK_EVERY = 10
@@ -392,12 +393,22 @@ def _resample(p: ModelParams, name: str, curve, samples) -> list[list[tuple[int,
     return chains
 
 
+def check_sweep(param_name: str, lo: float, hi: float, n: int) -> None:
+    """The checks branch_sweep makes of its arguments before it samples."""
+    if param_name not in SWEEPABLE:
+        raise DomainError(f"cannot sweep {param_name!r}; choose one of {SWEEPABLE}")
+    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
+        raise DomainError(f"need finite lo < hi, got {lo!r}, {hi!r}")
+    if n < 2:
+        raise DomainError("need at least 2 samples")
+
+
 def branch_sweep(
     p: ModelParams,
     param_name: str,
     lo: float,
     hi: float,
-    n: int = 200,
+    n: int = SWEEP_SAMPLES,
     scan_points: int | None = None,
 ) -> Branch:
     """Trace the interior equilibria along one parameter and sample them.
@@ -408,12 +419,7 @@ def branch_sweep(
     spacing, so n also sets how finely tr and det are watched).
     scan_points is accepted and ignored: no dense scan is left to size.
     """
-    if param_name not in SWEEPABLE:
-        raise DomainError(f"cannot sweep {param_name!r}; choose one of {SWEEPABLE}")
-    if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi):
-        raise DomainError(f"need finite lo < hi, got {lo!r}, {hi!r}")
-    if n < 2:
-        raise DomainError("need at least 2 samples")
+    check_sweep(param_name, lo, hi, n)
     # the last sample is hi itself: the formula can round one ulp past it
     samples = tuple(lo + (hi - lo) * i / (n - 1) for i in range(n - 1)) + (hi,)
     pvs = []

@@ -5,7 +5,7 @@
                        [extinction_threshold]
     [simulate]         x1 x2 [horizon]
     [sweep]            param lo hi [n]
-    [separatrix]       [probes] [horizon] [probe_lo] [probe_hi] [bisect_rel_tol]
+    [separatrix]       [probes] [horizon] [probe_lo] [probe_hi]
     [extinction]       x1 x2
     [refuge]           x1 [eps1 | k2]
 
@@ -15,11 +15,14 @@ are the fields of ModelParams and IntegratorOptions; SimulateSpec carries
 [integrator] with the [simulate] horizon applied; ScenarioConfig.separatrix
 is the SeparatrixOptions built from [separatrix] (or its defaults: 12
 probes, at least 2) plus [integrator] at the [separatrix] horizon (default
-500), whose integrator also traces the unstable manifold.  The objects'
-own checks judge the values, so an invalid option value is a config error
-(exit 2) filed under its section.key.  [refuge] takes k2 or eps1 (the
-margin K2 is derived with), not both.  Unknown sections and keys are
-rejected; every problem is collected and reported together.
+500), whose integrator also traces the unstable manifold; its rel_tol sets
+both the launches' accuracy and the bisection width (rel_tol / 10).  The
+objects' own checks, and those of branch_sweep, dissipative_bound_K2 and
+refuge_threshold, judge the values, so an invalid option value is a config
+error (exit 2) filed under its section.key; a [refuge] x1 outside (0, a1/b1)
+stays a domain error (exit 1).  [refuge] takes k2 or eps1 (the margin K2
+is derived with), not both.  Unknown sections and keys are rejected; every
+problem is collected and reported together.
 """
 from __future__ import annotations
 
@@ -27,6 +30,8 @@ import configparser
 from dataclasses import dataclass, fields, replace
 from typing import Callable
 
+from .bifurcation import SWEEP_SAMPLES, SWEEPABLE, check_sweep
+from .extinction import check_positive_finite
 from .geometry import SeparatrixOptions
 from .integrate import IntegratorOptions
 from .model import DomainError, ModelParams, ParameterError, State, validate_params
@@ -60,7 +65,10 @@ class SweepSpec:
     param: str
     lo: float
     hi: float
-    n: int = 200
+    n: int = SWEEP_SAMPLES
+
+    def __post_init__(self):
+        check_sweep(self.param, self.lo, self.hi, self.n)
 
 
 @dataclass(frozen=True)
@@ -73,6 +81,13 @@ class RefugeSpec:
     x1_0: float
     eps1: float | None = None
     k2: float | None = None
+
+    def __post_init__(self):
+        if self.eps1 is not None and self.k2 is not None:
+            raise DomainError("give one of them; K2 is derived with eps1 only when k2 is absent")
+        for name, v in (("eps1", self.eps1), ("K2", self.k2)):
+            if v is not None:
+                check_positive_finite(name, v)
 
 
 @dataclass(frozen=True)
@@ -91,10 +106,7 @@ _SCHEMA: dict[str, dict[str, type]] = {
     "integrator": {f.name: float for f in fields(IntegratorOptions)},
     "simulate": {"x1": float, "x2": float, "horizon": float},
     "sweep": {"param": str, "lo": float, "hi": float, "n": int},
-    "separatrix": {
-        "probes": int, "horizon": float, "probe_lo": float,
-        "probe_hi": float, "bisect_rel_tol": float,
-    },
+    "separatrix": {"probes": int, "horizon": float, "probe_lo": float, "probe_hi": float},
     "extinction": {"x1": float, "x2": float},
     "refuge": {"x1": float, "eps1": float, "k2": float},
 }
@@ -141,12 +153,16 @@ def _build(section: str, make: Callable[[dict], object], values: dict,
         return None
 
 
+# A [sweep] key judged alone meets these partners, the widest finite range,
+# so lo >= hi is no one key's fault.
+_SWEEP_PARTNERS = {"param": SWEEPABLE[0], "lo": -1e308, "hi": 1e308}
+
+
 def _separatrix(t: dict, integrator: IntegratorOptions) -> SeparatrixOptions:
     d = SeparatrixOptions()
     return replace(
         d, probes=t.get("probes", d.probes),
         probe_span=(t.get("probe_lo", d.probe_span[0]), t.get("probe_hi", d.probe_span[1])),
-        bisect_rel_tol=t.get("bisect_rel_tol", d.bisect_rel_tol),
         integrator=replace(integrator, horizon=t.get("horizon", d.integrator.horizon)))
 
 
@@ -182,16 +198,15 @@ def parse_config(text: str, origin: str = "<config>") -> ScenarioConfig:
         simulate = SimulateSpec(State(t["x1"], t["x2"]), _build(
             "simulate", lambda v: replace(base, **v), horizon, errors))
     if "sweep" in typed:
-        sweep = SweepSpec(**typed["sweep"])
+        sweep = _build("sweep", lambda v: SweepSpec(**{**_SWEEP_PARTNERS, **v}),
+                       typed["sweep"], errors)
     if "extinction" in typed:
         t = typed["extinction"]
         extinction = ExtinctionSpec(State(t["x1"], t["x2"]))
     if "refuge" in typed:
         t = typed["refuge"]
-        if "eps1" in t and "k2" in t:
-            errors.append("refuge.eps1, refuge.k2: give one of them; "
-                          "K2 is derived with eps1 only when k2 is absent")
-        refuge = RefugeSpec(t["x1"], t.get("eps1"), t.get("k2"))
+        refuge = _build("refuge", lambda v: RefugeSpec(t["x1"], **v),
+                        {k: v for k, v in t.items() if k != "x1"}, errors)
     if errors:
         raise ConfigError(errors)
     return ScenarioConfig(params, integrator, separatrix, simulate, sweep,

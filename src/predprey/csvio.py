@@ -23,7 +23,6 @@ __all__ = [
     "read_curve",
     "write_equilibria",
     "write_branch",
-    "read_branch_rows",
     "write_events",
     "read_events",
     "write_report",
@@ -123,19 +122,6 @@ def write_branch(branch: Branch, path: str) -> None:
 
     with open(path, "w", newline="\n") as fh:
         _write_rows(fh, BRANCH_HEADER, rows())
-
-
-def read_branch_rows(path: str) -> list[tuple[float, int, float, float]]:
-    """(param, branch_id, x1, x2) per row -- enough for round-trip checks."""
-    out = []
-    with open(path) as fh:
-        header = fh.readline()
-        if not header.startswith("param,"):
-            raise DomainError(f"unexpected branch header {header!r}")
-        for line in fh:
-            f = line.rstrip("\n").split(",")
-            out.append((float(f[0]), int(f[1]), float(f[2]), float(f[3])))
-    return out
 
 
 def _diag_str(diag: dict[str, float]) -> str:

@@ -80,6 +80,12 @@ def boundedness_bound(p: ModelParams, delta: float | None = None) -> BoundsRepor
     return BoundsReport(delta=delta, W1=w1_, Q_bound=w1_ / delta, notes=notes)
 
 
+def check_positive_finite(name: str, value: float) -> None:
+    """The check dissipative_bound_K2 makes of eps1 and refuge_threshold of K2."""
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value!r}")
+
+
 def dissipative_bound_K2(p: ModelParams, eps1: float | None = None) -> BoundsReport:
     """Complete a BoundsReport with the eventual ceilings K1 and K2.
 
@@ -90,8 +96,7 @@ def dissipative_bound_K2(p: ModelParams, eps1: float | None = None) -> BoundsRep
     """
     if eps1 is None:
         eps1 = 0.01 * p.carrying_capacity
-    if not 0.0 < eps1 < math.inf:
-        raise DomainError(f"eps1 must be positive and finite, got {eps1!r}")
+    check_positive_finite("eps1", eps1)
     k1 = (p.a1 + p.a2) * (p.carrying_capacity + eps1)
     k2 = (p.w1 / (p.w0 * p.a2)) * k1
     return replace(boundedness_bound(p), eps1=eps1, K1=k1, K2=k2)
@@ -201,8 +206,7 @@ def refuge_threshold(x1_0: float, p: ModelParams, K2: float | None = None) -> Re
             f"got {x1_0!r}")
     if K2 is None:
         K2 = dissipative_bound_K2(p).K2
-    if not 0.0 < K2 < math.inf:
-        raise DomainError(f"K2 must be positive and finite, got {K2!r}")
+    check_positive_finite("K2", K2)
     v0 = 1.0 / x1_0 - p.b1 / p.a1
     raw = (p.a1 * p.d ** p.m1 * v0
            / (p.w0 * (p.b1 / p.a1 + v0) ** (2.0 - p.m1) * K2 ** p.m2)) ** (1.0 / p.m1)

@@ -18,8 +18,9 @@ monotonically" is still well defined.  The classifier used here:
 Above the prey nullcline x2 = psi(x1) the prey derivative is negative, so
 orbits that stay above it can only march left; the boundary orbit is the one
 that limits into the origin itself.  Bisection in the launch ordinate x2 at
-a fixed prey abscissa (a "probe") then brackets the boundary point; a fan of
-probes assembles the curve.
+a fixed prey abscissa (a "probe") then brackets the boundary point, until
+it is rel_tol / 10 wide relative: the launches' rel_tol is the one accuracy
+setting.  A fan of probes assembles the curve.
 
 Launches that close to the boundary stay together until x1 is within a
 decade or so of the extinction threshold, and near-boundary orbits turn
@@ -97,14 +98,16 @@ class SeparatrixComparison:
     gap_at: tuple[float, float]  # (x1, gap) where |gap| is smallest
 
 
+# The default options of separatrix launches and of the manifold trace.
+_LAUNCH_OPTIONS = IntegratorOptions(horizon=500.0)
+
+
 @dataclass(frozen=True)
 class SeparatrixOptions:
     probes: int = 12
     probe_span: tuple[float, float] = (0.05, 0.95)  # fractions of a1/b1
-    bisect_rel_tol: float = 1e-8
-    # the launches' options; its horizon bounds every launch
-    integrator: IntegratorOptions = IntegratorOptions(
-        rel_tol=1e-7, abs_tol=1e-9, horizon=500.0)
+    # the launches' options; rel_tol / 10 is also the bisection width
+    integrator: IntegratorOptions = _LAUNCH_OPTIONS
 
     def __post_init__(self):
         if self.probes < 2:
@@ -112,8 +115,6 @@ class SeparatrixOptions:
         lo, hi = self.probe_span
         if not (0.0 < lo < hi < 1.0):
             raise DomainError("probe_span fractions must satisfy 0 < lo < hi < 1")
-        if not 0.0 < self.bisect_rel_tol < math.inf:
-            raise DomainError("bad separatrix tolerances")
 
 
 def psi(x1: float, p: ModelParams) -> float:
@@ -160,7 +161,7 @@ _E1_SEED_SCALE = 1e-6
 
 def trace_unstable_manifold_E1(
     p: ModelParams,
-    opts: IntegratorOptions | None = None,
+    opts: IntegratorOptions = _LAUNCH_OPTIONS,
 ) -> PlanarCurve:
     """Integrate the unstable manifold of E1 = (a1/b1, 0) into the interior.
 
@@ -187,8 +188,6 @@ def trace_unstable_manifold_E1(
     cap = p.carrying_capacity
     seed = State(e1.point.x1 + _E1_SEED_SCALE * cap * v1,
                  e1.point.x2 + _E1_SEED_SCALE * cap * v2)
-    if opts is None:
-        opts = IntegratorOptions(horizon=500.0)
     guard_cap = 1e6 * max(1.0, cap)
     traj = integrate(p, seed, opts,
                      stop_when=lambda t, x1, x2, dx1, dx2: x1 + x2 > guard_cap)
@@ -278,29 +277,28 @@ def _trace_to_probe(p: ModelParams, x1_0: float, x2_0: float, probe_x1: float,
 
 
 def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
-                           opts: SeparatrixOptions | None = None) -> float:
+                           opts: IntegratorOptions = _LAUNCH_OPTIONS) -> float:
     """The ordinate at abscissa probe_x1 of the boundary of monotone-decay
     extinction.
 
-    Launch fates are bisected between a BELOW launch at x2 = lo and an
-    ABOVE launch at x2 = hi.  Whenever the bracket's BELOW orbit ends below
-    the next rung of a ladder of sections x1 = L (`_SECTION_LADDER` times
-    the extinction threshold, the rungs below probe_x1 from the top down),
-    the bisection moves to the deepest rung that orbit passed: it goes on
-    along the segment AB joining the two bracket orbits at their last
-    states with x1 >= L, with the horizon left after the later of the two,
-    so a launch starts just above the depth where fates part.  The halvings
-    the probe bracket still needed at the first move are counted down
-    across all later moves.  The midpoint of the final section bracket is
-    integrated backward to x1 = probe_x1, and its ordinate there is
-    returned if it lies inside the [lo, hi] that launches from the probe
-    certified.  Orbits cannot cross, so it does up to the backward run's
-    integration error; when it does not, or when the BELOW orbits never get
-    below a rung, the bisection goes on at the probe and returns the final
-    bracket midpoint.
+    Launch fates are bisected between a BELOW launch at x2 = lo and an ABOVE
+    launch at x2 = hi, each launch run with opts, until the bracket is
+    opts.rel_tol / 10 wide relative.  Whenever the bracket's BELOW orbit
+    ends below the next rung of a ladder of sections x1 = L
+    (`_SECTION_LADDER` times the extinction threshold, the rungs below
+    probe_x1 from the top down), the bisection moves to the deepest rung
+    that orbit passed: it goes on along the segment AB joining the two
+    bracket orbits at their last states with x1 >= L, with the horizon left
+    after the later of the two, so a launch starts just above the depth
+    where fates part.  The halvings the probe bracket still needed at the
+    first move are counted down across all later moves.  The midpoint of the
+    final section bracket is integrated backward to x1 = probe_x1, and its
+    ordinate there is returned if it lies inside the [lo, hi] that launches
+    from the probe certified.  Orbits cannot cross, so it does up to the
+    backward run's integration error; when it does not, or when the BELOW
+    orbits never get below a rung, the bisection goes on at the probe and
+    returns the final bracket midpoint.
     """
-    if opts is None:
-        opts = SeparatrixOptions()
     cap = p.carrying_capacity
     if not (0.0 < probe_x1 < cap):
         raise DomainError(f"probe must sit in (0, a1/b1), got {probe_x1!r}")
@@ -308,14 +306,14 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
     k2 = dissipative_bound_K2(p).K2
     ceiling = _X2_CAP_FACTOR * max(k2, 1.0)
 
-    iopts = opts.integrator
+    width = opts.rel_tol / 10.0  # the bracket's final relative width
     lo = 0.5 * base
-    fate, lo_traj = _classify_launch(p, probe_x1, lo, iopts)
+    fate, lo_traj = _classify_launch(p, probe_x1, lo, opts)
     if fate != _BELOW:
         lo, lo_traj = 0.0, None  # extremely flat nullcline; fall back to the axis
 
     hi = max(2.0 * base, 1.0)
-    fate, hi_traj = _classify_launch(p, probe_x1, hi, iopts)
+    fate, hi_traj = _classify_launch(p, probe_x1, hi, opts)
     while fate == _BELOW:
         lo, lo_traj = hi, hi_traj  # a certified BELOW launch: the new lower end
         hi *= 2.0
@@ -324,31 +322,31 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
                 f"no monotone-extinction launch found below x2 = {ceiling!r} "
                 f"at probe x1 = {probe_x1!r}; stable set of the origin absent "
                 "or outside the searched window")
-        fate, hi_traj = _classify_launch(p, probe_x1, hi, iopts)
+        fate, hi_traj = _classify_launch(p, probe_x1, hi, opts)
 
     # One bisection on launches from (ax + s*ux, ay + s*uy), BELOW at s = lo
     # and ABOVE at s = hi.  On the probe line ax = probe_x1, ay = ux = 0 and
     # uy = 1, so s is the launch ordinate itself, bit for bit.  t0 is the
     # time from the probe to the current segment, lo_t0 and hi_t0 the same
     # for the segments the bracket orbits were launched from.
-    ax, ay, ux, uy, launch_opts = probe_x1, 0.0, 0.0, 1.0, iopts
+    ax, ay, ux, uy, launch_opts = probe_x1, 0.0, 0.0, 1.0, opts
     t0 = lo_t0 = hi_t0 = 0.0
-    thr = iopts.extinction_threshold
+    thr = opts.extinction_threshold
     rungs = [m * thr for m in _SECTION_LADDER if m * thr < probe_x1]
     probe_bracket = None  # the probe's (lo, hi) while a section is bisected
     halvings = 0
     while True:
         if probe_bracket is None:
-            if not hi - lo > opts.bisect_rel_tol * hi:
+            if not hi - lo > width * hi:
                 return 0.5 * (lo + hi)
         elif halvings == 0:
             s = 0.5 * (lo + hi)
-            y = _trace_to_probe(p, ax + s * ux, ay + s * uy, probe_x1, iopts)
+            y = _trace_to_probe(p, ax + s * ux, ay + s * uy, probe_x1, opts)
             (lo, hi), probe_bracket = probe_bracket, None
             if lo <= y <= hi:
                 return y
             # the trace left the certified bracket: go on at the probe
-            ax, ay, ux, uy, launch_opts = probe_x1, 0.0, 0.0, 1.0, iopts
+            ax, ay, ux, uy, launch_opts = probe_x1, 0.0, 0.0, 1.0, opts
             rungs = []
             continue
         if rungs and lo_traj is not None and lo_traj.x1[-1] < rungs[0]:
@@ -364,9 +362,9 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
             # from a section, BELOW at the horizon means what it meant
             # from the probe
             t0 = max(lo_t0 + lo_traj.times[i], hi_t0 + hi_traj.times[j])
-            launch_opts = replace(iopts, horizon=iopts.horizon - t0)
+            launch_opts = replace(opts, horizon=opts.horizon - t0)
             if probe_bracket is None:
-                halvings = math.ceil(math.log2((hi - lo) / (opts.bisect_rel_tol * hi)))
+                halvings = math.ceil(math.log2((hi - lo) / (width * hi)))
                 probe_bracket = (lo, hi)
             lo, hi = 0.0, 1.0
             continue
@@ -391,15 +389,13 @@ def _probe_stations(p: ModelParams, opts: SeparatrixOptions) -> list[float]:
 def trace_stable_separatrix_E0(
     p: ModelParams,
     probe_x1: list[float] | None = None,
-    opts: SeparatrixOptions | None = None,
+    opts: SeparatrixOptions = SeparatrixOptions(),
 ) -> PlanarCurve:
     """Assemble the stable set of the origin from per-probe bisections.
 
     probe_x1 is an explicit list of at least 2 abscissae, or None for the
     default geometric fan of opts.probes.
     """
-    if opts is None:
-        opts = SeparatrixOptions()
     if p.m1 >= 1.0:
         raise DomainError("the origin attracts no open set for m1 = 1; "
                           "no extinction separatrix to trace")
@@ -410,7 +406,7 @@ def trace_stable_separatrix_E0(
         if len(stations) < 2:
             raise DomainError(f"need at least 2 probes, got {len(stations)}")
 
-    ys = [separatrix_boundary_x2(p, x, opts) for x in stations]
+    ys = [separatrix_boundary_x2(p, x, opts.integrator) for x in stations]
     return PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0,
                        tuple(State(x, y) for x, y in zip(stations, ys)))
 

@@ -134,14 +134,14 @@ def test_separatrix_traces_the_manifold_with_the_integrator_section(tmp_path):
 
         [separatrix]
         probes = 3
-        bisect_rel_tol = 1e-4
         """))
     out = tmp_path / "out"
     assert cli.main(["separatrix", "--config", cfg, "--out", str(out)]) == 0
     p = load_config(cfg).params
-    for opts, path in ((IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, horizon=500.0), "tight"),
-                       (None, "default")):
-        csvio.write_curve(trace_unstable_manifold_E1(p, opts), str(tmp_path / path))
+    tight = IntegratorOptions(rel_tol=1e-10, abs_tol=1e-12, horizon=500.0)
+    for wu, path in ((trace_unstable_manifold_E1(p, tight), "tight"),
+                     (trace_unstable_manifold_E1(p), "default")):
+        csvio.write_curve(wu, str(tmp_path / path))
     got = (out / "manifold_wu.csv").read_bytes()
     assert got == (tmp_path / "tight").read_bytes()
     assert got != (tmp_path / "default").read_bytes()
@@ -213,11 +213,13 @@ def test_domain_error_exits_1(tmp_path):
 
 
 @pytest.mark.parametrize("key, name", [("eps1", "eps1"), ("k2", "K2")])
-def test_refuge_non_finite_bound_exits_1(tmp_path, capsys, key, name):
-    # a NaN margin or K2 passed both positivity checks and reported r_star: nan
+def test_refuge_non_finite_bound_exits_2(tmp_path, capsys, key, name):
+    # a NaN margin or K2 passed both positivity checks and reported r_star: nan;
+    # the checks that now refuse it judge the config when it is parsed
     cfg = write(tmp_path / "ref.ini", MODEL + f"\n[refuge]\nx1 = 0.3\n{key} = nan\n")
-    assert cli.main(["refuge-threshold", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
-    assert f"error: {name} must be positive and finite" in capsys.readouterr().err
+    assert cli.main(["refuge-threshold", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert (f"config error: refuge.{key}: {name} must be positive and finite"
+            in capsys.readouterr().err)
 
 
 def test_transcritical_edge_root_exits_0(tmp_path, capsys, transcritical_edge_params):
@@ -251,10 +253,11 @@ def test_non_finite_tolerances_are_rejected(tmp_path):
     res = run_cli("simulate", "--config", cfg, "--out", str(tmp_path / "a"))
     assert res.returncode == 2
     assert "tolerances must be positive and finite" in res.stderr
+    # the separatrix bisects to the launches' own tolerance: it has no other
     cfg = write(tmp_path / "sep.ini", MODEL + "\n[separatrix]\nbisect_rel_tol = nan\n")
     res = run_cli("separatrix", "--config", cfg, "--out", str(tmp_path / "b"))
     assert res.returncode == 2
-    assert "separatrix.bisect_rel_tol: bad separatrix tolerances" in res.stderr
+    assert "separatrix.bisect_rel_tol: unknown key" in res.stderr
 
 
 @pytest.mark.parametrize("command, section, where", [
@@ -269,10 +272,16 @@ def test_non_finite_tolerances_are_rejected(tmp_path):
     ("separatrix", "[separatrix]\nhorizon = -5", "separatrix.horizon"),
     ("separatrix", "[separatrix]\nprobe_lo = 0", "separatrix.probe_lo"),
     ("separatrix", "[separatrix]\nprobe_hi = 1", "separatrix.probe_hi"),
-    ("separatrix", "[separatrix]\nbisect_rel_tol = nan", "separatrix.bisect_rel_tol"),
+    ("separatrix", "[separatrix]\nbisect_rel_tol = nan", "separatrix.bisect_rel_tol: unknown key"),
     ("equilibria", "[equilibria]\nscan_points = 400", "[equilibria]: unknown section"),
     ("sweep", "[sweep]\nparam = a1\nlo = 0.2\nhi = 0.4\nscan_points = 600",
      "sweep.scan_points: unknown key"),
+    ("sweep", "[sweep]\nparam = a1\nlo = 0.2\nhi = 0.4\nn = 1", "sweep.n"),
+    ("sweep", "[sweep]\nparam = a1\nlo = 0.3\nhi = 0.2", "sweep.lo"),
+    ("sweep", "[sweep]\nparam = a1\nlo = nan\nhi = 0.4", "sweep.lo"),
+    ("sweep", "[sweep]\nparam = m1\nlo = 0.2\nhi = 0.4", "sweep.param"),
+    ("refuge-threshold", "[refuge]\nx1 = 0.3\neps1 = -1", "refuge.eps1"),
+    ("refuge-threshold", "[refuge]\nx1 = 0.3\nk2 = -3", "refuge.k2"),
 ])
 def test_invalid_option_value_exits_2(tmp_path, capsys, command, section, where):
     # the options are built, and judged, when the config is parsed

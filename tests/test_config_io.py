@@ -79,14 +79,17 @@ def test_parse_config_bad_float_reports_location():
 
 
 def test_parse_config_rejects_scan_points_and_equilibria():
-    # interior equilibria are isolated exactly: there is no scan grid to size
+    # interior equilibria are isolated exactly: there is no scan grid to
+    # size; and the separatrix bisects to its launches' own tolerance
     sweep = "\n[sweep]\nparam = a1\nlo = 0.2\nhi = 0.4\n"
     assert parse_config(BASE_CFG + sweep).sweep == SweepSpec("a1", 0.2, 0.4)
     with pytest.raises(ConfigError) as exc:
         parse_config(BASE_CFG + "\n[equilibria]\nscan_points = 400\n"
-                     + sweep + "scan_points = 600\n")
+                     + sweep + "scan_points = 600\n"
+                     + "\n[separatrix]\nbisect_rel_tol = 1e-8\n")
     assert exc.value.errors == ["[equilibria]: unknown section",
-                                "sweep.scan_points: unknown key"]
+                                "sweep.scan_points: unknown key",
+                                "separatrix.bisect_rel_tol: unknown key"]
 
 
 def test_parse_config_keys_are_the_option_fields():
@@ -110,12 +113,11 @@ def test_parse_config_builds_the_library_options():
     assert cfg.separatrix == SeparatrixOptions(
         integrator=IntegratorOptions(rel_tol=1e-9, horizon=500.0))
     cfg = parse_config(BASE_CFG + "horizon = 7.5\n\n[separatrix]\nprobes = 3\nhorizon = 60\n"
-                       "probe_lo = 0.1\nprobe_hi = 0.9\nbisect_rel_tol = 1e-5\n")
+                       "probe_lo = 0.1\nprobe_hi = 0.9\n")
     assert cfg.simulate.integrator == IntegratorOptions(horizon=7.5)
     assert cfg.integrator == IntegratorOptions()
     assert cfg.separatrix == SeparatrixOptions(
-        probes=3, probe_span=(0.1, 0.9), bisect_rel_tol=1e-5,
-        integrator=IntegratorOptions(horizon=60.0))
+        probes=3, probe_span=(0.1, 0.9), integrator=IntegratorOptions(horizon=60.0))
 
 
 @pytest.mark.parametrize("section, keys", [
@@ -125,6 +127,10 @@ def test_parse_config_builds_the_library_options():
     ("[separatrix]\nprobe_lo = 0.5\nprobe_hi = 0.25\n",
      "separatrix.probe_lo, separatrix.probe_hi"),
     ("[separatrix]\nprobe_hi = 1.5\nprobes = 3\n", "separatrix.probe_hi"),
+    ("[sweep]\nparam = a1\nlo = 0.3\nhi = 0.2\n", "sweep.param, sweep.lo, sweep.hi"),
+    ("[sweep]\nparam = a1\nlo = nan\nhi = 0.2\nn = 50\n", "sweep.lo"),
+    ("[sweep]\nparam = m1\nlo = 0.2\nhi = inf\n", "sweep.param, sweep.hi"),
+    ("[refuge]\nx1 = 30.0\neps1 = -1\n", "refuge.eps1"),
 ])
 def test_parse_config_files_an_option_error_under_its_keys(section, keys):
     # the keys the options reject on their own, or every given key when only

@@ -79,9 +79,7 @@ def test_unstable_manifold_needs_a_saddle(osc_params, bistable_params):
 
 
 def test_boundary_bisection_separates_fates(osc_params):
-    sopts = SeparatrixOptions(bisect_rel_tol=1e-6,
-                              integrator=IntegratorOptions(horizon=500.0))
-    b = separatrix_boundary_x2(osc_params, 5.0, sopts)
+    b = separatrix_boundary_x2(osc_params, 5.0)
     assert b > psi(5.0, osc_params)  # boundary sits above the nullcline
 
     up = integrate(osc_params, State(5.0, b * 1.01),
@@ -107,9 +105,7 @@ def test_launches_run_to_the_integrator_horizon(osc_params, monkeypatch, horizon
         return integrate(p, ic, opts, **kw)
 
     monkeypatch.setattr(mod, "integrate", recording)
-    sopts = SeparatrixOptions(bisect_rel_tol=1e-4,
-                              integrator=IntegratorOptions(horizon=horizon))
-    separatrix_boundary_x2(osc_params, 1.389, sopts)
+    separatrix_boundary_x2(osc_params, 1.389, IntegratorOptions(horizon=horizon))
     assert seen[0] == horizon
     assert all(0.0 < h <= horizon for h in seen)
 
@@ -258,13 +254,10 @@ def test_separatrix_requires_fractional_m1(osc_params):
 
 
 def test_separatrix_explicit_probe_list(osc_params):
-    sopts = SeparatrixOptions(bisect_rel_tol=1e-6,
-                              integrator=IntegratorOptions(horizon=500.0))
-    ws = trace_stable_separatrix_E0(osc_params, probe_x1=[5.0, 4.0], opts=sopts)
+    ws = trace_stable_separatrix_E0(osc_params, probe_x1=[5.0, 4.0])
     assert ws.label is CurveLabel.STABLE_SEPARATRIX_E0
     assert [s.x1 for s in ws.points] == [4.0, 5.0]  # sorted by abscissa
-    assert ws.points[1].x2 == pytest.approx(
-        separatrix_boundary_x2(osc_params, 5.0, sopts), rel=1e-6)
+    assert ws.points[1].x2 == separatrix_boundary_x2(osc_params, 5.0)
 
 
 def test_relative_position_verdicts():
@@ -303,13 +296,27 @@ def test_relative_position_checks_labels_and_overlap():
         separatrix_relative_position(a, b)  # no shared x1 range
 
 
-@pytest.mark.parametrize("bad", [
-    dict(bisect_rel_tol=math.nan), dict(bisect_rel_tol=math.inf), dict(bisect_rel_tol=0.0),
-])
-def test_separatrix_options_reject_bad_tolerances(bad):
-    # a NaN or infinite bisection tolerance returned the unbisected bracket
-    with pytest.raises(DomainError):
-        SeparatrixOptions(**bad)
+@pytest.mark.parametrize("rel_tol", [1e-5, 1e-7])
+def test_bisection_width_follows_the_launch_tolerance(osc_params, monkeypatch, rel_tol):
+    # with no rungs the whole bisection runs at the probe: its final bracket
+    # is the tightest BELOW and ABOVE launch, at most rel_tol / 10 wide
+    # relative and, one halving earlier, wider than that
+    geo = sys.modules["predprey.geometry"]
+    classify = geo._classify_launch
+    fates = {geo._ABOVE: [], geo._BELOW: []}
+
+    def recording(p, x1_0, x2_0, iopts):
+        fate, traj = classify(p, x1_0, x2_0, iopts)
+        fates[fate].append(x2_0)
+        return fate, traj
+
+    monkeypatch.setattr(geo, "_SECTION_LADDER", ())
+    monkeypatch.setattr(geo, "_classify_launch", recording)
+    opts = IntegratorOptions(rel_tol=rel_tol, horizon=500.0)
+    got = separatrix_boundary_x2(osc_params, 1.389, opts)
+    lo, hi = max(fates[geo._BELOW]), min(fates[geo._ABOVE])
+    assert got == 0.5 * (lo + hi)
+    assert 0.5 * rel_tol / 10 < (hi - lo) / hi <= rel_tol / 10
 
 
 def test_separatrix_needs_two_probes(osc_params):
