@@ -11,11 +11,13 @@ solve is the one damped 2-D Newton iteration on
 reported when tr < 0: a stable node meets a saddle), tr J for Hopf points
 (trace sign changes with det > 0; the first Lyapunov coefficient fixes
 sub/supercritical), v - v_i for the equilibrium at a fixed v_i, or the
-arclength constraint in the continuation corrector.  The Newton's Jacobian
-is exact in every row: F's (the closed-form partials of the scan function),
-tr's and det's (the field's exact derivative table, _field_partials and
-_tr_det_slopes), and the linear residuals'.  The same table gives the
-transversality speed and the first Lyapunov coefficient.
+arclength constraint in the continuation corrector.  The Newton evaluates
+each point once, and its Jacobian is exact in every row: F's, tr's and
+det's come with their values from one _scan_gradient, the chain rule on
+the field's derivative table in model (F = -f1 along the branch), and the
+linear residuals' rows are constant.  The same table gives the
+transversality speed and, through _field_partials, the first Lyapunov
+coefficient.
 
 On refuge sweeps the interior equilibrium collides with the predator-free
 state (transcritical) when x1*(r) = a1/b1, at
@@ -32,9 +34,10 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable
 
-from .equilibria import (
+# interior_scan_function and make_rhs are unused here; they stay because the
+# bench trace shim patches them
+from .equilibria import (  # noqa: F401
     Equilibrium,
     EquilibriumKind,
     _scan_gradient,
@@ -44,8 +47,15 @@ from .equilibria import (
     jacobian,
     x2_of_x1,
 )
-# make_rhs is unused here; it stays because the bench trace shim patches it
-from .model import DomainError, ModelParams, ParameterError, State, make_rhs, with_params  # noqa: F401
+from .model import (  # noqa: F401
+    DomainError,
+    ModelParams,
+    ParameterError,
+    State,
+    _field_partials,
+    make_rhs,
+    with_params,
+)
 
 __all__ = [
     "SWEEPABLE",
@@ -104,163 +114,60 @@ class Branch:
 
 
 # --------------------------------------------------------------------------
-# Exact derivatives of the field.  The interaction term is separable,
-#
-#     f1 = a1*x1 - b1*x1**2 - w0*G*P,    f2 = -a2*x2 + w1*G*P,
-#
-# with G = g(r*x1) and P = x2**m2, so every partial is a product G^(i)*P^(j).
-
-def _g_derivatives(x1: float, p: ModelParams) -> tuple[float, float, float, float]:
-    """(G, G', G'', G''') in x1 of G = g(r*x1), x1 > 0, by Faa di Bruno on
-    t**m1 with t = r*x1/q, q = r*x1 + d:  t' = r*d/q**2, t'' = -2*r*t'/q,
-    t''' = -3*r*t''/q.  Every term of G'' has the sign of m1 - 1 and every
-    term of G''' is positive, so nothing cancels (the log-derivative
-    recurrence cancels 1/x1**3 terms near the axis at m1 = 1)."""
-    r, m1 = p.r, p.m1
-    q = r * x1 + p.d
-    t = r * x1 / q
-    t1 = r * p.d / (q * q)
-    t2 = -2.0 * r * t1 / q
-    t3 = -3.0 * r * t2 / q
-    h0 = t ** m1  # d^k(t**m1)/dt^k by the falling factorial of m1
-    h1 = m1 * h0 / t
-    h2 = (m1 - 1.0) * h1 / t
-    h3 = (m1 - 2.0) * h2 / t
-    return h0, h1 * t1, h2 * t1 * t1 + h1 * t2, (h3 * t1 * t1 + 3.0 * h2 * t2) * t1 + h1 * t3
-
-
-def _p_derivatives(x2: float, m2: float) -> tuple[float, float, float, float]:
-    """(P, P', P'', P''') of P = x2**m2, x2 > 0: falling factorials of m2."""
-    p0 = x2 ** m2
-    p1 = m2 * p0 / x2
-    p2 = (m2 - 1.0) * p1 / x2
-    return p0, p1, p2, (m2 - 2.0) * p2 / x2
-
-
-def _field_partials(x1: float, x2: float, p: ModelParams) -> dict[tuple[int, int], tuple[float, float]]:
-    """D[i, j] = (d^(i+j) f1, d^(i+j) f2) / dx1^i dx2^j at an interior point,
-    i + j <= 3:  D(i, j) = (l_i*[j=0] - w0*G^(i)*P^(j), m_j*[i=0] + w1*G^(i)*P^(j))
-    with l = (a1*x1 - b1*x1**2, a1 - 2*b1*x1, -2*b1, 0), m = (-a2*x2, -a2, 0, 0)."""
-    G, P = _g_derivatives(x1, p), _p_derivatives(x2, p.m2)
-    ell = (x1 * (p.a1 - p.b1 * x1), p.a1 - 2.0 * p.b1 * x1, -2.0 * p.b1, 0.0)
-    lam = (-p.a2 * x2, -p.a2, 0.0, 0.0)
-    return {(i, j): ((0.0 if j else ell[i]) - p.w0 * G[i] * P[j],
-                     (0.0 if i else lam[j]) + p.w1 * G[i] * P[j])
-            for i in range(4) for j in range(4 - i)}
-
-
-def _tr_det_slopes(x1: float, p: ModelParams, name: str):
-    """The derivatives ((tr_x1, det_x1), (tr_v, det_v)) of tr J and det J
-    along the branch x2 = x2_of_x1(x1; v), v being the parameter `name`:
-    J moves with x1 through D and x2' = k*(a1 - 2*b1*x1), k = w1/(w0*a2),
-    and with v through its explicit partial and x2_v (a1: +1 on J11,
-    x2_v = k*x1; b1: -2*x1 on J11, -k*x1**2; a2: -1 on J22, -x2/a2; w0 and
-    w1 scale the interaction terms, -x2/w0 and x2/w1; r moves G^(i) by
-    (i*G^(i) + x1*G^(i+1))/r, x2_v = 0)."""
-    a1, a2, b1, w0, w1 = p.a1, p.a2, p.b1, p.w0, p.w1
-    k = w1 / (w0 * a2)
-    x2 = x2_of_x1(x1, p)
-    G, P = _g_derivatives(x1, p), _p_derivatives(x2, p.m2)
-    i10, i01 = G[1] * P[0], G[0] * P[1]
-    j11, j12, j21, j22 = a1 - 2.0 * b1 * x1 - w0 * i10, -w0 * i01, w1 * i10, -a2 + w1 * i01
-
-    def slopes(dl, dg0, dg1, x2s, dw0, dw1, da2):
-        """The rates of tr and det when l1, G, G' and x2 move at the rates
-        dl, dg0, dg1 and x2s, and w0, w1 and a2 at dw0, dw1 and da2."""
-        di10 = dg1 * P[0] + G[1] * P[1] * x2s
-        di01 = dg0 * P[1] + G[0] * P[2] * x2s
-        d11 = dl - w0 * di10 - dw0 * i10
-        d12 = -w0 * di01 - dw0 * i01
-        d21 = w1 * di10 + dw1 * i10
-        d22 = -da2 + w1 * di01 + dw1 * i01
-        return d11 + d22, d11 * j22 + j11 * d22 - d12 * j21 - j12 * d21
-
-    by_v = {  # (dl, dG, dG', x2_v, dw0, dw1, da2) per unit change of v
-        "a1": (1.0, 0.0, 0.0, k * x1, 0.0, 0.0, 0.0),
-        "b1": (-2.0 * x1, 0.0, 0.0, -k * x1 * x1, 0.0, 0.0, 0.0),
-        "a2": (0.0, 0.0, 0.0, -x2 / a2, 0.0, 0.0, 1.0),
-        "w0": (0.0, 0.0, 0.0, -x2 / w0, 1.0, 0.0, 0.0),
-        "w1": (0.0, 0.0, 0.0, x2 / w1, 0.0, 1.0, 0.0),
-        "r": (0.0, x1 * G[1] / p.r, (G[1] + x1 * G[2]) / p.r, 0.0, 0.0, 0.0, 0.0),
-    }
-    return (slopes(-2.0 * b1, G[1], G[2], k * (a1 - 2.0 * b1 * x1), 0.0, 0.0, 0.0),
-            slopes(*by_v[name]))
-
-
-# --------------------------------------------------------------------------
 # The 2-D Newton iteration and the continuation built on it.
+
+_TR, _DET = 1, 2  # the rows of tr J and det J in _scan_gradient's table
+
 
 def _tr_det(x1: float, pv: ModelParams) -> tuple[float, float]:
     (j11, j12), (j21, j22) = jacobian(State(x1, x2_of_x1(x1, pv)), pv)
     return j11 + j22, j11 * j22 - j12 * j21
 
 
-def _tr(x1: float, v: float, pv: ModelParams) -> float:
-    return _tr_det(x1, pv)[0]
-
-
-def _det(x1: float, v: float, pv: ModelParams) -> float:
-    return _tr_det(x1, pv)[1]
+def _tr_det_slopes(x1: float, p: ModelParams, name: str):
+    """The derivatives ((tr_x1, det_x1), (tr_v, det_v)) of tr J and det J
+    along the branch x2 = x2_of_x1(x1; v), v being the parameter `name`:
+    _scan_gradient's rows, in the shape their Richardson check reads."""
+    _, (_, tr_x1, tr_v), (_, det_x1, det_v) = _scan_gradient(x1, p, name, True)
+    return (tr_x1, det_x1), (tr_v, det_v)
 
 
 def _residual(p: ModelParams, name: str, second, grad: tuple[float, float] | None = None):
-    """The Newton system (resid, jac) on (F(x1; v), second(x1, v, pv)).
+    """The Newton system on (F(x1; v), s): system(x1, v) is the residual
+    (F, s) with its exact Jacobian columns ((F_x1, s_x1), (F_v, s_v)), or
+    None outside the parameter domain or the interior scan window.  s is
+    second(x1, v), linear with the constant gradient grad, or, with grad
+    None, second is _TR or _DET and s is tr J or det J.  Each point builds
+    its parameters once and takes every entry from one _scan_gradient."""
 
-    resid(x1, v) is (F, second), or None outside the parameter domain or the
-    interior scan window.  jac(x1, v) is the columns d/dx1 and d/dv of resid
-    there, exact: F's row in closed form (_scan_gradient); second's row is
-    grad, the constant gradient of a linear second residual, or, with grad
-    None, second is _tr or _det and its row is _tr_det_slopes.  The
-    parameters, F and the carrying capacity are built once per v."""
-    at: dict[float, tuple[ModelParams, Callable[[float], float], float] | None] = {}
-
-    def inside(x1: float, v: float) -> tuple[ModelParams, Callable[[float], float], float] | None:
-        if v not in at:
-            try:
-                pv = with_params(p, **{name: v})
-            except ParameterError:
-                at[v] = None
-            else:
-                at[v] = pv, interior_scan_function(pv), pv.carrying_capacity
-        hit = at[v]
-        if hit is None or not 1e-9 * hit[2] < x1 < (1.0 - 1e-9) * hit[2]:
+    def system(x1: float, v: float):
+        try:
+            pv = with_params(p, **{name: v})
+        except ParameterError:
             return None
-        return hit
-
-    def resid(x1: float, v: float) -> tuple[float, float] | None:
-        hit = inside(x1, v)
-        if hit is None:
+        cap = pv.carrying_capacity
+        if not 1e-9 * cap < x1 < (1.0 - 1e-9) * cap:
             return None
-        return hit[1](x1), second(x1, v, hit[0])
-
-    def jac(x1: float, v: float):
-        hit = inside(x1, v)
-        if hit is None:
-            return None
-        f_x1, f_v = _scan_gradient(x1, hit[0], name)
         if grad is not None:
-            return (f_x1, grad[0]), (f_v, grad[1])
-        row = (_tr, _det).index(second)
-        s_x1, s_v = _tr_det_slopes(x1, hit[0], name)
-        return (f_x1, s_x1[row]), (f_v, s_v[row])
+            (F, F_x1, F_v), = _scan_gradient(x1, pv, name)
+            return (F, second(x1, v)), ((F_x1, grad[0]), (F_v, grad[1]))
+        rows = _scan_gradient(x1, pv, name, True)
+        (F, F_x1, F_v), (s, s_x1, s_v) = rows[0], rows[second]
+        return (F, s), ((F_x1, s_x1), (F_v, s_v))
 
-    return resid, jac
+    return system
 
 
 def _newton(system, x1: float, v: float, tol: float = 1e-12,
             max_iter: int = 60) -> tuple[float, float] | None:
-    """Damped Newton for resid(x1, v) = (0, 0), system being (resid, jac)
-    from _residual; converged once the full step is below tol relative in
-    both coordinates."""
-    resid, jac = system
-    r = resid(x1, v)
-    if r is None:
+    """Damped Newton for the residual of system(x1, v) (from _residual) =
+    (0, 0), evaluating each point once; converged once the full step is
+    below tol relative in both coordinates."""
+    at = system(x1, v)
+    if at is None:
         return None
     for _ in range(max_iter):
-        cols = jac(x1, v)
-        if cols is None:
-            return None
-        (a, c), (b, dd) = cols
+        r, ((a, c), (b, dd)) = at
         det = a * dd - b * c
         if det == 0.0 or not math.isfinite(det):
             return None
@@ -271,9 +178,9 @@ def _newton(system, x1: float, v: float, tol: float = 1e-12,
         step = 1.0
         norm0 = abs(r[0]) + abs(r[1])
         for _ in range(12):
-            cand = resid(x1 + step * dx, v + step * dv)
-            if cand is not None and abs(cand[0]) + abs(cand[1]) < norm0:
-                x1, v, r = x1 + step * dx, v + step * dv, cand
+            cand = system(x1 + step * dx, v + step * dv)
+            if cand is not None and abs(cand[0][0]) + abs(cand[0][1]) < norm0:
+                x1, v, at = x1 + step * dx, v + step * dv, cand
                 break
             step *= 0.5
         else:
@@ -294,7 +201,7 @@ def _at(p: ModelParams, name: str, a: tuple[float, float], b: tuple[float, float
     (va, xa), (vb, xb) = a, b
     fa, fb = xa / _cap(p, name, va), xb / _cap(p, name, vb)
     w = 0.0 if vb == va else (v - va) / (vb - va)
-    z = _newton(_residual(p, name, lambda x1_, v_, pv: v_ - v, (0.0, 1.0)),
+    z = _newton(_residual(p, name, lambda x1_, v_: v_ - v, (0.0, 1.0)),
                 _cap(p, name, v) * (fa + w * (fb - fa)), v)
     return None if z is None else z[0]
 
@@ -308,14 +215,15 @@ def _trace(p: ModelParams, name: str, x0: float, v0: float,
     xs = max(_cap(p, name, lo), _cap(p, name, hi))
     vs = hi - lo
     ds_max = min(1.0 / (len(samples) - 1), _DS_MAX)
-    _, gradient = _residual(p, name, lambda x1, v, pv: 0.0, (0.0, 0.0))
+    gradient = _residual(p, name, lambda x1, v: 0.0, (0.0, 0.0))
 
     def tangent(x: float, v: float, tx: float = 0.0, tv: float = 1.0) -> tuple[float, float]:
         """Unit tangent of F = 0 in scaled coordinates, on the side of (tx, tv)."""
-        cols = gradient(x, v)
-        if cols is None:
+        at = gradient(x, v)
+        if at is None:
             return tx, tv
-        gx, gv = -cols[1][0] * vs, cols[0][0] * xs
+        (f_x1, _), (f_v, _) = at[1]
+        gx, gv = -f_v * vs, f_x1 * xs
         norm = math.copysign(math.hypot(gx, gv), gx * tx + gv * tv)
         return (gx / norm, gv / norm) if norm else (tx, tv)
 
@@ -324,7 +232,7 @@ def _trace(p: ModelParams, name: str, x0: float, v0: float,
         x, v, ds, fresh = x0, v0, ds_max, True
         while ds >= _DS_MIN and len(pts) < 100 * len(samples):  # a safety cap on steps
             xp, vp = x + ds * tx * xs, v + ds * tv * vs
-            arc = _residual(p, name, lambda x_, v_, pv, tx=tx, tv=tv, xp=xp, vp=vp:
+            arc = _residual(p, name, lambda x_, v_, tx=tx, tv=tv, xp=xp, vp=vp:
                             tx * (x_ - xp) / xs + tv * (v_ - vp) / vs, (tx / xs, tv / vs))
             z = _newton(arc, xp, vp)
             if z is None and not lo <= vp <= hi:
@@ -359,7 +267,7 @@ def _trace(p: ModelParams, name: str, x0: float, v0: float,
     behind = [] if ahead[-1:] == [(v0, x0)] else march(-tx, -tv)
     curve = behind[::-1] + [(v0, x0)] + ahead
     for k in _turns(curve):
-        z = _newton(_residual(p, name, _det), curve[k][1], curve[k][0])
+        z = _newton(_residual(p, name, _DET), curve[k][1], curve[k][0])
         (va, xa), (vk, _), (_, xb) = curve[k - 1], curve[k], curve[k + 1]
         if z is not None and min(xa, xb) < z[0] < max(xa, xb) and (z[1] - vk) * (vk - va) >= 0.0:
             curve[k] = (z[1], z[0])
@@ -466,13 +374,14 @@ def branch_sweep(
 # --------------------------------------------------------------------------
 # Detectors: sign changes of det (folds) and tr (Hopf) along the curves.
 
-def _zeros(branch: Branch, second) -> list[tuple[float, float, ModelParams]]:
-    """(x1, v, params) where second changes sign between traced points,
-    polished on (F, second) = (0, 0), inside the swept range."""
-    system = _residual(branch.base_params, branch.param_name, second)
+def _zeros(branch: Branch, row: int) -> list[tuple[float, float, ModelParams]]:
+    """(x1, v, params) where tr J (row _TR) or det J (_DET) changes sign
+    between traced points, polished on (F, it) = (0, 0), inside the swept
+    range."""
+    system = _residual(branch.base_params, branch.param_name, row)
     out = []
     for curve in branch.curves:
-        s = [second(x1, v, branch.params_at(v)) for v, x1 in curve]
+        s = [_tr_det(x1, branch.params_at(v))[row - _TR] for v, x1 in curve]
         for (va, xa), (vb, xb), sa, sb in zip(curve, curve[1:], s, s[1:]):
             if sa * sb > 0.0 or sa == sb == 0.0:  # no sign change (zeros fall through)
                 continue
@@ -489,10 +398,10 @@ def detect_saddle_node(branch: Branch) -> list[BifurcationEvent]:
     function and det vanish together.  Only tr < 0 folds are reported (the
     colliding pair is a stable node and a saddle)."""
     events: list[BifurcationEvent] = []
-    for x1s, vs, pv in _zeros(branch, _det):
+    for x1s, vs, pv in _zeros(branch, _DET):
         tr, det = _tr_det(x1s, pv)
         if tr < 0.0:
-            f_v = _scan_gradient(x1s, pv, branch.param_name)[1]
+            (_, _, f_v), = _scan_gradient(x1s, pv, branch.param_name)
             events.append(BifurcationEvent(
                 BifurcationKind.SADDLE_NODE, branch.param_name, vs,
                 State(x1s, x2_of_x1(x1s, pv)), {"tr": tr, "det": det, "dF_dparam": f_v}))
@@ -518,12 +427,10 @@ def detect_hopf(branch: Branch, scan_points: int | None = None) -> list[Bifurcat
     and ignored: the curves hold the equilibria."""
     p, name = branch.base_params, branch.param_name
     events: list[BifurcationEvent] = []
-    for x1s, v_star, pv in _zeros(branch, _tr):
-        tr, det = _tr_det(x1s, pv)
+    for x1s, v_star, pv in _zeros(branch, _TR):
+        (_, f_x1, f_v), (tr, tr_x1, tr_v), (det, _, _) = _scan_gradient(x1s, pv, name, True)
         if not (det > 0.0 and abs(tr) < 1e-8):
             continue
-        f_x1, f_v = _scan_gradient(x1s, pv, name)
-        (tr_x1, _), (tr_v, _) = _tr_det_slopes(x1s, pv, name)
         slope = tr_v - tr_x1 * f_v / f_x1  # F_x1 = det/a2 along the branch, > 0 here
         if abs(slope) < 1e-8:
             continue
@@ -566,7 +473,7 @@ def hopf_a1_fixed_point(p: ModelParams) -> tuple[float, Equilibrium]:
     if not eqs:
         raise DomainError(f"no interior equilibrium at a1 = {p.a1!r} to start from")
     seed = min(eqs, key=lambda e: abs(e.point.x1 - 0.5 * p.carrying_capacity))
-    z = _newton(_residual(p, "a1", _tr), seed.point.x1, p.a1, 1e-12, 200)
+    z = _newton(_residual(p, "a1", _TR), seed.point.x1, p.a1, 1e-12, 200)
     if z is None:
         raise DomainError(f"hopf_a1_fixed_point did not converge from a1 = {p.a1!r}")
     x1, a1 = z

@@ -141,14 +141,17 @@ def _build(section: str, make: Callable[[dict], object], values: dict,
            errors: list[str] | None = None):
     """make(values), the library object the section's keys configure, or
     None if the object rejects them.  Its message then goes to errors, filed
-    under the keys it rejects on their own (all the given keys if only their
-    combination fails)."""
+    under the keys it rejects on their own, or, if only their combination
+    fails, under the keys without which the other values pass (all the
+    given keys if there are none)."""
     try:
         return make(values)
     except DomainError as exc:
         if errors is not None:
-            keys = [k for k in values
-                    if _build(section, make, {k: values[k]}) is None] or list(values)
+            keys = ([k for k in values if _build(section, make, {k: values[k]}) is None]
+                    or [k for k in values if _build(section, make, {
+                        j: v for j, v in values.items() if j != k}) is not None]
+                    or list(values))
             errors.append(", ".join(f"{section}.{k}" for k in keys) + f": {exc}")
         return None
 

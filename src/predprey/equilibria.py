@@ -15,14 +15,18 @@ pieces on which H is monotone, each holding at most one root
 through g(r*x1) = a2/w1, a closed form used as the root itself and for
 nullcline geometry.
 
-Linearization is exact:  with G = g(r*x1) and G' its x1-derivative,
+Linearization is exact, from the field's derivative table in model:  with
+G = g(r*x1), P = x2**m2 and their derivatives G' in x1 and P' in x2,
 
-    J11 = a1 - 2*b1*x1 - w0*G'*x2**m2        J12 = -m2*w0*G*x2**(m2-1)
-    J21 = w1*G'*x2**m2                        J22 = -a2 + m2*w1*G*x2**(m2-1)
+    J11 = a1 - 2*b1*x1 - w0*G'*P        J12 = -w0*G*P'
+    J21 = w1*G'*P                        J22 = -a2 + w1*G*P'
 
-These expressions lose meaning on the axes whenever the relevant exponent is
-fractional (x**(m1-1) or x**(m2-1) with a zero base); such points are
-reported as NON_LINEARIZABLE rather than classified.
+On an axis G' (x1 = 0) or P' (x2 = 0) is infinite whenever the exponent
+m1 or m2 is fractional; such points are reported as NON_LINEARIZABLE
+rather than classified.  At exponent 1 the table is exact there too, so
+E0 and E1 need no special case.  The same table gives F's and the
+Jacobian's exact derivatives along the branch of interior equilibria
+(_scan_gradient), the bifurcation Newton's rows.
 """
 from __future__ import annotations
 
@@ -30,7 +34,15 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .model import DomainError, ModelParams, State, eval_f, eval_g, make_rhs
+from .model import (
+    DomainError,
+    ModelParams,
+    State,
+    _g_derivatives,
+    _p_derivatives,
+    eval_f,
+    make_rhs,
+)
 
 __all__ = [
     "Classification",
@@ -100,14 +112,9 @@ def predator_nullcline_x1(p: ModelParams) -> float:
     return (p.d / p.r) * p.a2 ** em / (p.w1 ** em - p.a2 ** em)
 
 
-def _g_prime(x1: float, p: ModelParams) -> float:
-    """d/dx1 of g(r*x1) = m1 * d * r**m1 * x1**(m1-1) / (r*x1 + d)**(m1+1)."""
-    return (p.m1 * p.d * p.r ** p.m1 * x1 ** (p.m1 - 1.0)
-            / (p.r * x1 + p.d) ** (p.m1 + 1.0))
-
-
 def jacobian(point: State, p: ModelParams) -> tuple[tuple[float, float], tuple[float, float]]:
-    """Exact Jacobian of the field at a point.
+    """Exact Jacobian of the field at a point, from the field's derivative
+    table (G^(i) of G = g(r*x1), P^(j) of P = x2**m2).
 
     Evaluable at interior points always; on an axis only when the touching
     exponent equals 1 (the limits are then finite).  Otherwise DomainError.
@@ -119,27 +126,14 @@ def jacobian(point: State, p: ModelParams) -> tuple[tuple[float, float], tuple[f
         raise DomainError("Jacobian singular on the prey axis for m1 < 1")
     if x2 == 0.0 and p.m2 < 1.0:
         raise DomainError("Jacobian singular on the predator axis for m2 < 1")
+    return _jacobian(x1, p, _g_derivatives(x1, p), _p_derivatives(x2, p.m2))
 
-    G = eval_g(p.r * x1, p)
-    if x1 == 0.0:
-        # m1 = 1 here: g(r*x1)' at 0 is r/d
-        Gp = p.r / p.d
-    else:
-        Gp = _g_prime(x1, p)
 
-    if p.m2 == 1.0:
-        pw, pwm = x2, 1.0
-    elif x2 == 0.0:  # unreachable: guarded above
-        pw, pwm = 0.0, 0.0
-    else:
-        pw = x2 ** p.m2
-        pwm = x2 ** (p.m2 - 1.0)
-
-    j11 = p.a1 - 2.0 * p.b1 * x1 - p.w0 * Gp * pw
-    j12 = -p.m2 * p.w0 * G * pwm
-    j21 = p.w1 * Gp * pw
-    j22 = -p.a2 + p.m2 * p.w1 * G * pwm
-    return ((j11, j12), (j21, j22))
+def _jacobian(x1: float, p: ModelParams, G, P) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The Jacobian (D[1, 0], D[0, 1] of _field_partials, as rows) from G
+    and P with their derivatives at the point."""
+    return ((p.a1 - 2.0 * p.b1 * x1 - p.w0 * G[1] * P[0], -p.w0 * G[0] * P[1]),
+            (p.w1 * G[1] * P[0], -p.a2 + p.w1 * G[0] * P[1]))
 
 
 def _eig2(tr: float, det: float) -> tuple[complex, complex]:
@@ -237,43 +231,69 @@ def interior_scan_function(p: ModelParams):
     return F
 
 
-def _scan_gradient(x1: float, p: ModelParams, name: str) -> tuple[float, float]:
-    """(dF/dx1, dF/dv) of interior_scan_function(p) at x1, v being the
-    parameter `name` (one of a1, a2, b1, w0, w1, r).
+def _scan_gradient(x1: float, p: ModelParams, name: str, slopes: bool = False):
+    """The rows (F, F_x1, F_v) and, with slopes, (tr, tr_x1, tr_v) and
+    (det, det_x1, det_v) of interior_scan_function(p) and of jacobian's
+    trace and determinant along the branch x2 = x2_of_x1(x1; v), v being
+    the parameter `name` (one of a1, a2, b1, w0, w1, r).  F, tr and det are
+    those functions' values bit for bit.
 
-    Closed form on the Newton window 1e-9*cap < x1 < (1-1e-9)*cap, where x1,
-    f and x2 are positive.  With F's sub-expressions f = a1 - b1*x1,
-    x2 = (w1/(w0*a2))*x1*f, s = r*x1, g = (s/(s+d))**m1, pw = x2**m2 and
-    gl = m1*d/(s+d) = x1*g'/g, fx = f - b1*x1 = d(x1*f)/dx1 and
-    W = w0*g*m2*pw = x2 * d(w0*g*x2**m2)/dx2:
+    Exact on the Newton window 1e-9*cap < x1 < (1-1e-9)*cap, where x1, f
+    and x2 are positive, by the chain rule on the field's derivative table
+    (G^(i), P^(j)): F = -f1(x1, x2(x1)) and J move at the rates
 
-        F_x1 = w0*g*pw*gl/x1 + W*fx/(x1*f) - fx
-        F_a1 = W/f - x1           F_a2 = -W/a2        F_b1 = -W*x1/f + x1**2
-        F_w0 = (1-m2)*g*pw        F_w1 = W/w1         F_r = w0*g*pw*gl/r
+        (d(x1*f), dl1, dG, dG', dx2, dw0, dw1, da2)
+
+    of x1*f, J11's logistic part l1 = a1 - 2*b1*x1, G, G', x2, w0, w1 and a2,
+    as dF = w0*d(G*P) + dw0*G*P - d(x1*f) and likewise for J's products
+    G'*P and G*P'.  Per unit x1 along the branch and per unit v, with
+    k = w1/(w0*a2):
+
+        x1: (l1, -2*b1, G', G'', k*l1, 0, 0, 0)
+        a1: (x1, 1, 0, 0, k*x1, 0, 0, 0)     b1: (-x1**2, -2*x1, 0, 0, -k*x1**2, 0, 0, 0)
+        a2: (0, 0, 0, 0, -x2/a2, 0, 0, 1)     w0: (0, 0, 0, 0, -x2/w0, 1, 0, 0)
+        w1: (0, 0, 0, 0, x2/w1, 0, 1, 0)      r: (0, 0, x1*G'/r, (G' + x1*G'')/r, 0, 0, 0, 0)
     """
-    a1, b1, w0, d, m1, m2, r = p.a1, p.b1, p.w0, p.d, p.m1, p.m2, p.r
+    a1, a2, b1, w0, w1 = p.a1, p.a2, p.b1, p.w0, p.w1
     f = a1 - b1 * x1
-    x2 = (p.w1 / (w0 * p.a2)) * x1 * f
-    s = r * x1
-    g = (s / (s + d)) ** m1
-    pw = x2 ** m2
-    gl = m1 * d / (s + d)
-    fx = f - b1 * x1
-    W = w0 * g * m2 * pw
-    F_x1 = w0 * g * pw * gl / x1 + W * fx / (x1 * f) - fx
+    k = w1 / (w0 * a2)
+    x2 = k * x1 * f
+    G, P = _g_derivatives(x1, p), _p_derivatives(x2, p.m2)
+    (G0, G1, G2, _), (P0, P1, P2, _) = G, P
     if name == "a1":
-        return F_x1, W / f - x1
-    if name == "a2":
-        return F_x1, -W / p.a2
-    if name == "b1":
-        return F_x1, -W * x1 / f + x1 * x1
-    if name == "w0":
-        return F_x1, (1.0 - m2) * g * pw
-    if name == "w1":
-        return F_x1, W / p.w1
-    if name == "r":
-        return F_x1, w0 * g * pw * gl / r
-    raise DomainError(f"no closed-form partial of F in {name!r}")
+        across = (x1, 1.0, 0.0, 0.0, k * x1, 0.0, 0.0, 0.0)
+    elif name == "b1":
+        across = (-x1 * x1, -2.0 * x1, 0.0, 0.0, -k * x1 * x1, 0.0, 0.0, 0.0)
+    elif name == "a2":
+        across = (0.0, 0.0, 0.0, 0.0, -x2 / a2, 0.0, 0.0, 1.0)
+    elif name == "w0":
+        across = (0.0, 0.0, 0.0, 0.0, -x2 / w0, 1.0, 0.0, 0.0)
+    elif name == "w1":
+        across = (0.0, 0.0, 0.0, 0.0, x2 / w1, 0.0, 1.0, 0.0)
+    elif name == "r":
+        across = (0.0, 0.0, x1 * G1 / p.r, (G1 + x1 * G2) / p.r, 0.0, 0.0, 0.0, 0.0)
+    else:
+        raise DomainError(f"no closed-form partial of F in {name!r}")
+    l1 = a1 - 2.0 * b1 * x1
+    rows = (l1, -2.0 * b1, G1, G2, k * l1, 0.0, 0.0, 0.0), across  # along the branch, in v
+    i00, i10, i01 = G0 * P0, G1 * P0, G0 * P1
+    F = [w0 * G0 * P0 - x1 * f]
+    for dxf, _, dg0, _, dx2, dw0, _, _ in rows:
+        F.append(w0 * (dg0 * P0 + i01 * dx2) + dw0 * i00 - dxf)
+    if not slopes:
+        return (tuple(F),)
+    (j11, j12), (j21, j22) = _jacobian(x1, p, G, P)
+    tr, det = [j11 + j22], [j11 * j22 - j12 * j21]
+    for _, dl1, dg0, dg1, dx2, dw0, dw1, da2 in rows:
+        di10 = dg1 * P0 + G1 * P1 * dx2
+        di01 = dg0 * P1 + G0 * P2 * dx2
+        d11 = dl1 - w0 * di10 - dw0 * i10
+        d12 = -w0 * di01 - dw0 * i01
+        d21 = w1 * di10 + dw1 * i10
+        d22 = -da2 + w1 * di01 + dw1 * i01
+        tr.append(d11 + d22)
+        det.append(d11 * j22 + j11 * d22 - d12 * j21 - j12 * d21)
+    return tuple(F), tuple(tr), tuple(det)
 
 
 # The interior window: F's trivial zeros at x1 = 0 and a1/b1 stay outside it.
@@ -333,15 +353,15 @@ def _isolate(p: ModelParams, lo: float, hi: float) -> list[float]:
         q = F(x1) / (x1 * (a1 - b1 * x1))
         return math.log1p(q) if q > -1.0 else -math.inf  # w0*g*x2**m2 underflowed
 
-    def dH(x1: float) -> float:
-        return ((A * x1 + B) * x1 + C) / (x1 * (r * x1 + d) * (a1 - b1 * x1))
+    def dH(x1: float) -> float:  # in y = log(x1/(a1/b1 - x1)), as b1*(a1/b1 - x1) = f
+        return ((A * x1 + B) * x1 + C) / (a1 * (r * x1 + d))
 
     nodes = [lo, *(c for c in _quadratic_roots(A, B, C) if lo < c < hi), hi]
     hs = [H(x1) for x1 in nodes]
     roots = [x1 for x1, h in zip(nodes, hs) if h == 0.0]
     for a, b, ha, hb in zip(nodes, nodes[1:], hs, hs[1:]):
         if ha * hb < 0.0:
-            roots.append(_solve_monotone(H, dH, a, b, ha < 0.0))
+            roots.append(_solve_monotone(H, dH, a, b, ha < 0.0, p.carrying_capacity))
     return sorted(roots)
 
 
@@ -357,11 +377,18 @@ def _quadratic_roots(A: float, B: float, C: float) -> list[float]:
     return sorted({q / A, C / q})
 
 
-def _solve_monotone(H, dH, a: float, b: float, rising: bool) -> float:
-    """The root of H in (a, b), where H is monotone: rising (H(a) < 0 < H(b))
-    or falling.  Newton from the midpoint, bisecting whenever a step leaves
-    the bracket, fails to halve the step before last, or H is -inf; stops
-    once a step is within a few ulps."""
+def _solve_monotone(H, dH, a: float, b: float, rising: bool, cap: float) -> float:
+    """The root of H in (a, b), 0 < a < b < cap = a1/b1, where H is
+    monotone: rising (H(a) < 0 < H(b)) or falling.  Newton from the
+    midpoint, bisecting whenever a step leaves the bracket, fails to halve
+    the step before last, or H is -inf; stops once a step is within a few
+    ulps, a step that rounds onto the bracket's end included.
+
+    H moves with log(x1) near the axis and with log(cap - x1) near a1/b1,
+    and the window spans nine decades of each, so the Newton runs in
+    y = log(x1/(cap - x1)), where H is near linear at both ends; dH is
+    dH/dy.  With w = dx1/dy = x1*(cap - x1)/cap and e = expm1(-H/dH) the
+    step is x1 -> x1 + w*e/(1 + x1*e/cap), -H/(dH/dx1) to first order."""
     x = 0.5 * (a + b)
     dx = dx_old = b - a
     for _ in range(400):
@@ -373,8 +400,11 @@ def _solve_monotone(H, dH, a: float, b: float, rising: bool) -> float:
         else:
             b = x
         slope = dH(x)
-        xn = x - h / slope if slope != 0.0 and h != -math.inf else math.nan
-        if not (a < xn < b and abs(xn - x) <= 0.5 * abs(dx_old)):
+        q = h / slope if slope != 0.0 and h != -math.inf else math.nan
+        e = math.expm1(-q) if q > -700.0 else math.nan  # past 700, exp(-q) overflows
+        w = x * (cap - x) / cap
+        xn = x + w * e / (1.0 + x * e / cap)
+        if not (a <= xn <= b and abs(xn - x) <= 0.5 * abs(dx_old)):
             xn = 0.5 * (a + b)
         dx_old, dx = dx, xn - x
         if abs(dx) <= 4.0 * math.ulp(xn):

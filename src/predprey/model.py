@@ -15,6 +15,12 @@ infinite slope at s = 0, so the field is non-Lipschitz on the prey axis and
 orbits can hit x1 = 0 in finite time; m2 < 1 does the same on the predator
 axis.  Everything downstream (event handling, equilibrium classification,
 the extinction criterion) leans on those two facts.
+
+The field's partials have their one home here: the derivatives of
+G = g(r*x1) and P = x2**m2 up to third order (_g_derivatives,
+_p_derivatives), and the table of the field's partials built from them
+(_field_partials).  The Jacobian, the bifurcation Newton's rows and the
+first Lyapunov coefficient all read them.
 """
 from __future__ import annotations
 
@@ -162,19 +168,6 @@ def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
     """
     a1, a2, b1, w0, w1, d = p.a1, p.a2, p.b1, p.w0, p.w1, p.d
     m1, m2, r = p.m1, p.m2, p.r
-
-    if m1 == 1.0 and m2 == 1.0:
-        def field(x1: float, x2: float) -> tuple[float, float]:
-            if x1 < 0.0:
-                x1 = 0.0
-            if x2 < 0.0:
-                x2 = 0.0
-            s = r * x1
-            g = s / (s + d)
-            gx2 = g * x2
-            return (x1 * (a1 - b1 * x1) - w0 * gx2, x2 * (-a2) + w1 * gx2)
-        return field
-
     unit_m2 = m2 == 1.0  # x2 ** 1.0 is x2: skip the power
 
     def field(x1: float, x2: float) -> tuple[float, float]:
@@ -192,6 +185,59 @@ def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
         )
 
     return field
+
+
+# --------------------------------------------------------------------------
+# Exact derivatives of the field.  The interaction term is separable,
+#
+#     f1 = a1*x1 - b1*x1**2 - w0*G*P,    f2 = -a2*x2 + w1*G*P,
+#
+# with G = g(r*x1) and P = x2**m2, so every partial is a product G^(i)*P^(j).
+
+def _g_derivatives(x1: float, p: ModelParams) -> tuple[float, float, float, float]:
+    """(G, G', G'', G''') in x1 of G = g(r*x1), x1 > 0 (x1 >= 0 at m1 = 1),
+    by Faa di Bruno on t**m1 with t = r*x1/q, q = r*x1 + d:  t' = r*d/q**2,
+    t'' = -2*r*t'/q, t''' = -3*r*t''/q.  Every term of G'' has the sign of
+    m1 - 1 and every term of G''' is positive, so nothing cancels (the
+    log-derivative recurrence cancels 1/x1**3 terms near the axis at
+    m1 = 1).  At m1 = 1, G = t exactly, so the axis x1 = 0 is no special
+    case."""
+    r, m1 = p.r, p.m1
+    q = r * x1 + p.d
+    t = r * x1 / q
+    t1 = r * p.d / (q * q)
+    t2 = -2.0 * r * t1 / q
+    t3 = -3.0 * r * t2 / q
+    if m1 == 1.0:
+        return t, t1, t2, t3
+    h0 = t ** m1  # d^k(t**m1)/dt^k by the falling factorial of m1
+    h1 = m1 * h0 / t
+    h2 = (m1 - 1.0) * h1 / t
+    h3 = (m1 - 2.0) * h2 / t
+    return h0, h1 * t1, h2 * t1 * t1 + h1 * t2, (h3 * t1 * t1 + 3.0 * h2 * t2) * t1 + h1 * t3
+
+
+def _p_derivatives(x2: float, m2: float) -> tuple[float, float, float, float]:
+    """(P, P', P'', P''') of P = x2**m2, x2 > 0 (x2 >= 0 at m2 = 1):
+    falling factorials of m2."""
+    if m2 == 1.0:
+        return x2, 1.0, 0.0, 0.0
+    p0 = x2 ** m2
+    p1 = m2 * p0 / x2
+    p2 = (m2 - 1.0) * p1 / x2
+    return p0, p1, p2, (m2 - 2.0) * p2 / x2
+
+
+def _field_partials(x1: float, x2: float, p: ModelParams) -> dict[tuple[int, int], tuple[float, float]]:
+    """D[i, j] = (d^(i+j) f1, d^(i+j) f2) / dx1^i dx2^j at an interior point,
+    i + j <= 3:  D(i, j) = (l_i*[j=0] - w0*G^(i)*P^(j), m_j*[i=0] + w1*G^(i)*P^(j))
+    with l = (a1*x1 - b1*x1**2, a1 - 2*b1*x1, -2*b1, 0), m = (-a2*x2, -a2, 0, 0)."""
+    G, P = _g_derivatives(x1, p), _p_derivatives(x2, p.m2)
+    ell = (x1 * (p.a1 - p.b1 * x1), p.a1 - 2.0 * p.b1 * x1, -2.0 * p.b1, 0.0)
+    lam = (-p.a2 * x2, -p.a2, 0.0, 0.0)
+    return {(i, j): ((0.0 if j else ell[i]) - p.w0 * G[i] * P[j],
+                     (0.0 if i else lam[j]) + p.w1 * G[i] * P[j])
+            for i in range(4) for j in range(4 - i)}
 
 
 def make_u_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:

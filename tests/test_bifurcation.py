@@ -25,16 +25,9 @@ from predprey import (
     with_params,
 )
 from predprey import bifurcation
-from predprey.bifurcation import (
-    SWEEPABLE,
-    _g_derivatives,
-    _lyapunov_of_field,
-    _p_derivatives,
-    _tr_det,
-    _tr_det_slopes,
-)
+from predprey.bifurcation import SWEEPABLE, _lyapunov_of_field, _tr_det, _tr_det_slopes
 from predprey.equilibria import x2_of_x1
-from predprey.model import make_rhs
+from predprey.model import _g_derivatives, _p_derivatives, make_rhs
 
 
 def test_branch_sweep_validates_inputs(osc_params):
@@ -227,7 +220,8 @@ def test_sweep_onto_the_transcritical_edge_keeps_one_chain(transcritical_edge_pa
 def _central_jac(resid, r0, x1, v):
     """The Newton Jacobian before the closed-form gradient: columns
     d(resid)/dx1 and d(resid)/dv by central differences of both rows
-    (one-sided where a side leaves the domain), or None."""
+    (one-sided where a side leaves the domain), or None; resid(x1, v) is
+    the residual or None."""
     cols = []
     for dx, dv in ((1e-6 * abs(x1), 0.0), (0.0, 1e-6 * max(1e-3, abs(v)))):
         up, dn, span = resid(x1 + dx, v + dv), resid(x1 - dx, v - dv), 2.0
@@ -268,8 +262,21 @@ def test_exact_gradient_gives_the_central_difference_sweep(case, monkeypatch):
     exact = bifurcation._residual
 
     def central(p_, name_, second, grad=None):
-        resid, _ = exact(p_, name_, second)
-        return resid, lambda x1, v: _central_jac(resid, resid(x1, v), x1, v)
+        system = exact(p_, name_, second, grad)
+
+        def resid(x1, v):
+            at = system(x1, v)
+            return None if at is None else at[0]
+
+        def central_system(x1, v):
+            r0 = resid(x1, v)
+            if r0 is None:
+                return None
+            cols = _central_jac(resid, r0, x1, v)
+            # a None Jacobian stops the Newton as a singular one does
+            return r0, cols or ((0.0, 0.0), (0.0, 0.0))
+
+        return central_system
 
     monkeypatch.setattr(bifurcation, "_residual", central)
     ref, ref_events = _sweep_summary(p, name, lo, hi, n)
@@ -289,33 +296,29 @@ def test_exact_gradient_gives_the_central_difference_sweep(case, monkeypatch):
         assert e.diagnostics.get("lyapunov_sign") == r.diagnostics.get("lyapunov_sign")
 
 
-# Scan-function evaluations on the Newton path (continuation, resampling,
-# polishes; not interior_equilibria's own evaluations) with the closed-form
-# gradient: 1 011 and 701, against 5 060 and 3 515 with central differences
-# (1 001 and 701 once the tr and det rows are exact too).
-# The bound is 1.25 times the measured count; a return to difference
-# quotients in the F row would cross it.
-NEWTON_F_CALLS = {"osc_r_hopf": 1011, "bistable_w1": 701}
+# Points evaluated on the Newton path (continuation, resampling, polishes,
+# tangents and the detectors; not interior_equilibria's own evaluations),
+# each one _scan_gradient call that gives F and its exact gradient: 1 003
+# and 703.  Central differences took 5 060 and 3 515 F evaluations.  The
+# bound is 1.25 times the measured count; a return to difference quotients,
+# or to a second evaluation per point, would cross it.
+NEWTON_POINTS = {"osc_r_hopf": 1003, "bistable_w1": 703}
 
 
-@pytest.mark.parametrize("case", sorted(NEWTON_F_CALLS))
+@pytest.mark.parametrize("case", sorted(NEWTON_POINTS))
 def test_newton_path_scan_function_calls(case, monkeypatch):
     calls = []
-    factory = bifurcation.interior_scan_function
+    gradient = bifurcation._scan_gradient
 
-    def counted(pv):
-        F = factory(pv)
+    def counted(x1, *args):
+        calls.append(x1)
+        return gradient(x1, *args)
 
-        def F_counted(x1):
-            calls.append(x1)
-            return F(x1)
-
-        return F_counted
-
-    monkeypatch.setattr(bifurcation, "interior_scan_function", counted)
+    monkeypatch.setattr(bifurcation, "_scan_gradient", counted)
+    monkeypatch.setattr(bifurcation, "interior_scan_function", None)  # no F off the table
     base, changes, name, lo, hi, n = SAME_SWEEPS[case]
     _sweep_summary(ModelParams(**SWEEP_BASES[base], **changes), name, lo, hi, n)
-    assert 0 < len(calls) <= 1.25 * NEWTON_F_CALLS[case]
+    assert 0 < len(calls) <= 1.25 * NEWTON_POINTS[case]
 
 
 # --------------------------------------------------------------------------

@@ -62,6 +62,24 @@ def test_predator_free_not_linearizable_for_fractional_m2(bistable_params):
     assert e1.classification is Classification.NON_LINEARIZABLE
 
 
+AXIS_SETS = [("osc", {}), ("osc", {"r": 0.3}), ("osc", {"m1": 1.0}),
+             ("osc", {"m1": 1.0, "r": 0.3}), ("bistable", {"m2": 1.0}),
+             ("bistable", {"m1": 1.0, "m2": 1.0, "r": 0.3})]
+
+
+@pytest.mark.parametrize("table, changes", AXIS_SETS)
+def test_axis_jacobians_in_closed_form(table, changes, osc_params, bistable_params):
+    # m2 = 1 in every set; E0 is linearizable only at m1 = 1 as well
+    p = with_params(osc_params if table == "osc" else bistable_params, **changes)
+    if p.m1 == 1.0:
+        assert jacobian(State(0.0, 0.0), p) == ((p.a1, 0.0), (0.0, -p.a2))
+    g = eval_g(p.r * p.carrying_capacity, p)
+    want = ((-p.a1, -p.w0 * g), (0.0, -p.a2 + p.w1 * g))
+    got = jacobian(State(p.carrying_capacity, 0.0), p)
+    for got_row, want_row in zip(got, want):
+        assert got_row == pytest.approx(want_row, rel=1e-14, abs=0.0)
+
+
 def test_interior_unique_for_oscillatory_set(osc_params):
     eqs = interior_equilibria(osc_params)
     assert len(eqs) == 1
@@ -233,7 +251,8 @@ def _check_scan_gradient(p, x1):
     F = interior_scan_function(p)
     want_x1 = _richardson(F, x1, 1e-3 * min(x1, cap - x1))
     for name in SWEEPABLE:
-        got_x1, got_v = _scan_gradient(x1, p, name)
+        (got_F, got_x1, got_v), = _scan_gradient(x1, p, name)
+        assert got_F == F(x1)
         assert abs(got_x1 - want_x1) <= 1e-7 * abs(want_x1) + FLOOR * terms / x1, (
             name, got_x1, want_x1)
         v = getattr(p, name)
@@ -337,9 +356,9 @@ def test_interior_equilibria_match_a_20000_point_scan(p, dense_scan):
 
 
 # F evaluations of one interior_equilibria solve: 0 for OSC (m2 = 1, the
-# closed form), 15 and 14 for BISTABLE plain and at r = 0.3.  A 2 000-point
+# closed form), 15 and 12 for BISTABLE plain and at r = 0.3.  A 2 000-point
 # scan makes 2 000 and more.  The bound is 1.25 times the measured count.
-SOLVE_F_CALLS = {("osc", 1.0): 0, ("osc", 0.3): 0, ("bistable", 1.0): 15, ("bistable", 0.3): 14}
+SOLVE_F_CALLS = {("osc", 1.0): 0, ("osc", 0.3): 0, ("bistable", 1.0): 15, ("bistable", 0.3): 12}
 
 
 @pytest.mark.parametrize("table, r", sorted(SOLVE_F_CALLS))
@@ -361,3 +380,35 @@ def test_interior_equilibria_scan_function_calls(table, r, osc_params, bistable_
     p = with_params(osc_params if table == "osc" else bistable_params, r=r)
     assert len(interior_equilibria(p)) == (1 if table == "osc" else 2)
     assert len(calls) <= 1.25 * SOLVE_F_CALLS[table, r]
+
+
+# H evaluations per bracketed solve over 300 random sets (rates log-uniform
+# on [0.1, 10], m1 and r uniform on [0.05, 1], m2 on [0.05, 0.999]): with
+# the Newton in log(x1/(a1/b1 - x1)), 6 at the median, 7 at p90 and at most
+# 10.  A Newton in x1 from the window's linear midpoint took 13, 37 and 56:
+# a root near either end of the nine-decade window cost a long bisection.
+# The bounds are 1.25 times the measured counts.
+def test_bracketed_solves_take_few_evaluations(monkeypatch):
+    calls = []
+    solve = equilibria._solve_monotone
+
+    def counted(H, *args):
+        calls.append(0)
+
+        def H_counted(x1):
+            calls[-1] += 1
+            return H(x1)
+
+        return solve(H_counted, *args)
+
+    monkeypatch.setattr(equilibria, "_solve_monotone", counted)
+    rng = random.Random(20261019)
+    for _ in range(300):
+        rates = {k: 10.0 ** rng.uniform(-1.0, 1.0) for k in ("a1", "a2", "b1", "w0", "w1", "d")}
+        interior_equilibria(ModelParams(**rates, m1=rng.uniform(0.05, 1.0),
+                                        m2=rng.uniform(0.05, 0.999), r=rng.uniform(0.05, 1.0)))
+    calls.sort()
+    assert len(calls) == 250
+    assert calls[len(calls) // 2] <= 1.25 * 6
+    assert calls[int(0.9 * len(calls))] <= 1.25 * 7
+    assert calls[-1] <= 1.25 * 10
