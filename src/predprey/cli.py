@@ -5,12 +5,15 @@
 Commands: simulate, equilibria, sweep, separatrix, extinction,
 refuge-threshold, verify-assumptions.  Exit codes: 0 success, 1 domain error
 (the configuration is well formed but the requested computation does not
-apply), 2 malformed/invalid configuration.  Output files are byte-identical
-across repeated runs on the same config.
+apply), 2 malformed/invalid configuration, a config file that cannot be read,
+or an output directory or file that cannot be made or written.  Output files
+are byte-identical across repeated runs on the same config.  In one process,
+main() builds its argument parser on the first call and reuses it.
 """
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -219,6 +222,7 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="predprey",
@@ -249,6 +253,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DomainError, ParameterError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except OSError as exc:  # --out names a file, or an output name is a directory
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -4,9 +4,13 @@ Floats are written with repr-faithful 17 significant digits ('%.17g'), which
 float() parses back to the identical bits; files end with a newline and
 contain nothing run-dependent (no timestamps, hostnames, or paths), so a
 repeated run produces byte-identical output.  None becomes the empty field.
+A trajectory, most of the CLI's output bytes, is formatted in blocks of
+_TRAJECTORY_BLOCK rows with one '%' operation and one write per block; its
+bytes are those of one '%.17g' per field.
 """
 from __future__ import annotations
 
+from itertools import chain
 from typing import Iterable, Sequence, TextIO
 
 from .bifurcation import BifurcationEvent, Branch
@@ -36,6 +40,10 @@ BRANCH_HEADER = ("param,branch_id,x1,x2,tr,det,"
                  "eig1_re,eig1_im,eig2_re,eig2_im")
 EVENTS_HEADER = "kind,param_name,critical_value,x1,x2,diagnostic"
 
+_TRAJECTORY_BLOCK = 2048  # rows per formatting block
+_TRAJECTORY_ROW = "%.17g,%.17g,%.17g\n"
+_TRAJECTORY_BLOCK_FORMAT = _TRAJECTORY_ROW * _TRAJECTORY_BLOCK
+
 
 def fmt_float(x: float | None) -> str:
     # '.17g' writes inf, -inf and nan (of either sign) as float() reads them
@@ -51,12 +59,16 @@ def _write_rows(fh: TextIO, header: str, rows: Iterable[Sequence[str]]) -> None:
 
 
 def write_trajectory(traj: Trajectory, path: str, header: str = TRAJECTORY_HEADER) -> None:
-    # the rows of a long run are most of the CLI's output: one f-string per
-    # row (fmt_float's format inlined) and one write
+    # fmt_float's format, applied to a block of rows by one '%' on the row
+    # format repeated; one write per block bounds the transient string
+    times, x1, x2 = traj.times, traj.x1, traj.x2
+    n, k = len(times), _TRAJECTORY_BLOCK
     with open(path, "w", newline="\n") as fh:
-        fh.write(header + "\n" + "".join([
-            f"{t:.17g},{x1:.17g},{x2:.17g}\n"
-            for t, x1, x2 in zip(traj.times, traj.x1, traj.x2)]))
+        fh.write(header + "\n")
+        for i in range(0, n, k):
+            j = min(i + k, n)
+            fmt = _TRAJECTORY_BLOCK_FORMAT if j - i == k else _TRAJECTORY_ROW * (j - i)
+            fh.write(fmt % tuple(chain.from_iterable(zip(times[i:j], x1[i:j], x2[i:j]))))
 
 
 def read_trajectory(path: str) -> tuple[list[float], list[State]]:

@@ -169,6 +169,7 @@ def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
     a1, a2, b1, w0, w1, d = p.a1, p.a2, p.b1, p.w0, p.w1, p.d
     m1, m2, r = p.m1, p.m2, p.r
     unit_m2 = m2 == 1.0  # x2 ** 1.0 is x2: skip the power
+    log_rd = math.log(r) - math.log(d)
 
     def field(x1: float, x2: float) -> tuple[float, float]:
         if x1 < 0.0:
@@ -176,7 +177,16 @@ def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
         if x2 < 0.0:
             x2 = 0.0
         s = r * x1
-        g = 0.0 if s == 0.0 else (s / (s + d)) ** m1
+        if s >= 2.2250738585072014e-308:  # the smallest normal float
+            g = (s / (s + d)) ** m1
+        elif x1 == 0.0:
+            g = 0.0
+        else:
+            # r*x1 is subnormal or underflowed to 0, and its few bits would
+            # make g jump: take log(s/(s+d)) = -log1p(d/s) from z = log(s/d)
+            z = log_rd + math.log(x1)
+            g = math.exp(m1 * (z - math.log1p(math.exp(z)) if z < 0.0
+                               else -math.log1p(math.exp(-z))))
         pw = 0.0 if x2 == 0.0 else (x2 if unit_m2 else x2 ** m2)
         inter = g * pw
         return (

@@ -232,6 +232,41 @@ def test_transcritical_edge_root_exits_0(tmp_path, capsys, transcritical_edge_pa
     assert capsys.readouterr().out.startswith("1 interior equilibria")
 
 
+@pytest.mark.parametrize("taken", ["out", "report"])
+def test_unusable_output_exits_2(tmp_path, capsys, taken):
+    # --out names an existing file, or an output name is taken by a
+    # directory: one error line and exit 2, as for an unreadable config
+    cfg = write(tmp_path / "chk.ini", MODEL)
+    out = tmp_path / "o"
+    if taken == "out":
+        out.write_text("")
+    else:
+        (out / "report.txt").mkdir(parents=True)
+    assert cli.main(["verify-assumptions", "--config", cfg, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_main_builds_its_parser_once_and_usage_errors_change_nothing(tmp_path, capsys):
+    cfg = write(tmp_path / "sim.ini", MODEL + "\n[simulate]\nx1 = 0.5\nx2 = 2.0\nhorizon = 5\n")
+    cli._build_parser.cache_clear()
+    files = []
+    try:
+        for run in ("a", "b"):
+            out = tmp_path / run
+            assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+            files.append({n.name: n.read_bytes() for n in sorted(out.iterdir())})
+            if run == "a":
+                with pytest.raises(SystemExit) as exc:
+                    cli.main(["simulate", "--config", cfg, "--bogus"])
+                assert exc.value.code == 2
+                assert "usage: predprey simulate" in capsys.readouterr().err
+        assert cli._build_parser.cache_info().misses == 1
+    finally:
+        cli._build_parser.cache_clear()
+    assert files[0] == files[1] and set(files[0]) == {"report.txt", "trajectory.csv"}
+
+
 def test_missing_config_file_exits_2(tmp_path):
     res = run_cli("simulate", "--config", str(tmp_path / "nope.ini"),
                   "--out", str(tmp_path / "o"))
@@ -325,18 +360,21 @@ def _run_twice(command: str, cfg: str, root: str) -> int:
        ic=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 10.0)))
 def test_cli_is_total_and_deterministic_over_the_domain(rates, exponents, ic):
     # over the documented domain these commands exit 0 or 1, never raise,
-    # and write the same bytes on a second run
+    # and write the same bytes on a second run (sweep and separatrix are
+    # left out for their cost)
     p = dict(zip(("a1", "a2", "b1", "w0", "w1", "d"), rates),
              **dict(zip(("m1", "m2", "r"), exponents)))
     cap = p["a1"] / p["b1"]
     text = "[model]\n" + "".join(f"{k} = {v!r}\n" for k, v in p.items()) + (
         f"\n[simulate]\nx1 = {ic[0] * cap!r}\nx2 = {ic[1]!r}\nhorizon = 5.0\n"
-        f"\n[refuge]\nx1 = {ic[0] * cap!r}\n")
+        f"\n[refuge]\nx1 = {ic[0] * cap!r}\n"
+        f"\n[extinction]\nx1 = {ic[0] * cap!r}\nx2 = {ic[1]!r}\n")
     with tempfile.TemporaryDirectory() as root:
         cfg = os.path.join(root, "cfg.ini")
         with open(cfg, "w") as fh:
             fh.write(text)
-        for command in ("equilibria", "refuge-threshold", "verify-assumptions", "simulate"):
+        for command in ("equilibria", "refuge-threshold", "verify-assumptions", "simulate",
+                        "extinction"):
             _run_twice(command, cfg, root)
 
 

@@ -172,20 +172,36 @@ _EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, -math
                 1.0 / 3.0, 1e300]
 
 
+def _trajectory_reference(rows, header):
+    return (header + "\n" + "".join(
+        ",".join(_fmt_float_reference(v) for v in r) + "\n" for r in rows)).encode()
+
+
 def test_trajectory_writer_bytes_match_the_per_field_formatter(tmp_path):
-    # write_trajectory inlines fmt_float's format in one f-string per row;
-    # the bytes must be those of three fmt_float calls joined by commas
+    # write_trajectory formats blocks of rows with one '%' each; the bytes
+    # must be those of three fmt_float calls joined by commas
     vals = _EDGE_FLOATS
     rows = [(vals[i], vals[(i + 3) % len(vals)], vals[(i + 7) % len(vals)])
             for i in range(len(vals))]
     traj = Trajectory([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
     path = tmp_path / "traj.csv"
     csvio.write_trajectory(traj, str(path))
-    expected = "t,x1,x2\n" + "".join(
-        ",".join(_fmt_float_reference(v) for v in r) + "\n" for r in rows)
-    assert path.read_bytes() == expected.encode()
+    assert path.read_bytes() == _trajectory_reference(rows, "t,x1,x2")
     for x in vals + [None]:
         assert csvio.fmt_float(x) == _fmt_float_reference(x)
+
+
+@pytest.mark.parametrize("header", ["t,x1,x2", "t,u,x2"])
+@pytest.mark.parametrize("n_rows", [0, 1, 2 * csvio._TRAJECTORY_BLOCK + 1])
+def test_trajectory_writer_blocks_keep_the_bytes(tmp_path, n_rows, header):
+    # two full blocks and a one-row remainder, and the runs shorter than a block
+    vals = _EDGE_FLOATS
+    rows = [(vals[i % len(vals)], vals[(i + 3) % len(vals)], vals[(i + 7) % len(vals)])
+            for i in range(n_rows)]
+    traj = Trajectory([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+    path = tmp_path / "traj.csv"
+    csvio.write_trajectory(traj, str(path), header=header)
+    assert path.read_bytes() == _trajectory_reference(rows, header)
 
 
 def test_trajectory_round_trip(tmp_path, osc_params):

@@ -105,6 +105,17 @@ def test_prey_extinction_event(osc_params):
     assert traj.final_state.x2 > 1.0
 
 
+def test_underflowing_refuge_product_keeps_the_run_short():
+    # with r = 5e-324, r*x1 underflows to 0 below x1 = 0.5; g taken from it
+    # jumped there, and the run slid along the jump: 145 528 states by t = 8
+    p = ModelParams(a1=0.1, a2=0.1, b1=0.1, w0=0.1, w1=0.1, d=0.1, m1=1e-10,
+                    m2=5e-324, r=5e-324)
+    assert len(integrate(p, State(1.0, 0.01), IntegratorOptions(horizon=5.0))) == 17
+    traj = integrate(p, State(1.0, 0.01), IntegratorOptions(horizon=200.0))
+    assert traj.termination.kind is TerminationKind.PREY_EXTINCT
+    assert len(traj) == 41
+
+
 def test_predator_extinction_requires_fractional_m2(bistable_params):
     # Prey starts below the extinction threshold, so the prey event stays
     # disarmed for the whole run; the predator decays along g ~ 0.

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import random
 
+import mpmath as mp
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -83,6 +84,46 @@ def test_make_rhs_matches_rhs(table):
         d1b, d2b = f(x1, x2)
         assert d1b == pytest.approx(d1a, rel=1e-14, abs=1e-300)
         assert d2b == pytest.approx(d2a, rel=1e-14, abs=1e-300)
+
+
+# r*x1 is subnormal or 0 for every x1 below 2**52 when r = 5e-324
+TINY_R = dict(a1=0.1, a2=0.1, b1=0.1, w0=0.1, w1=0.1, d=0.1, m1=1e-10, m2=5e-324,
+              r=5e-324)
+
+
+def test_field_is_continuous_where_r_x1_underflows():
+    # r*x1 underflows to 0 for x1 <= 0.5 and to the smallest subnormal above;
+    # g taken from those few bits dropped from about 1 to 0 at x1 = 0.5
+    p = ModelParams(**TINY_R)
+    f = make_rhs(p)
+
+    def g_exact(x1):
+        with mp.workdps(40):
+            s = mp.mpf(p.r) * x1
+            return float((s / (s + p.d)) ** p.m1)
+
+    x2 = 0.01  # x2**m2 == 1.0
+    for x1 in (1e-300, 0.25, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
+               0.75, 1.0):
+        d1, d2 = f(x1, x2)
+        g = g_exact(x1)
+        assert d1 == pytest.approx(x1 * (p.a1 - p.b1 * x1) - p.w0 * g, rel=1e-14)
+        assert d2 == pytest.approx(-p.a2 * x2 + p.w1 * g, rel=1e-14)
+    below, above = f(math.nextafter(0.5, 0.0), x2), f(math.nextafter(0.5, 1.0), x2)
+    assert abs(above[1] - below[1]) < 1e-15
+    assert f(0.0, x2) == (0.0, -p.a2 * x2)
+
+
+def test_field_keeps_its_bits_where_r_x1_is_normal():
+    # the log route is taken only below the smallest normal r*x1
+    p = ModelParams(**{**TINY_R, "r": 1e-300})
+    f = make_rhs(p)
+    x2 = 0.01
+    for x1 in (1e-7, 0.5, 0.9, 1.0):
+        s = p.r * x1
+        inter = (s / (s + p.d)) ** p.m1 * x2 ** p.m2
+        assert f(x1, x2) == (x1 * (p.a1 - p.b1 * x1) - p.w0 * inter,
+                             -p.a2 * x2 + p.w1 * inter)
 
 
 def test_prey_axis_is_invariant(osc_params, bistable_params):
