@@ -124,14 +124,6 @@ def _tr_det(x1: float, pv: ModelParams) -> tuple[float, float]:
     return j11 + j22, j11 * j22 - j12 * j21
 
 
-def _tr_det_slopes(x1: float, p: ModelParams, name: str):
-    """The derivatives ((tr_x1, det_x1), (tr_v, det_v)) of tr J and det J
-    along the branch x2 = x2_of_x1(x1; v), v being the parameter `name`:
-    _scan_gradient's rows, in the shape their Richardson check reads."""
-    _, (_, tr_x1, tr_v), (_, det_x1, det_v) = _scan_gradient(x1, p, name, True)
-    return (tr_x1, det_x1), (tr_v, det_v)
-
-
 def _residual(p: ModelParams, name: str, second, grad: tuple[float, float] | None = None):
     """The Newton system on (F(x1; v), s): system(x1, v) is the residual
     (F, s) with its exact Jacobian columns ((F_x1, s_x1), (F_v, s_v)), or

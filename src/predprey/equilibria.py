@@ -195,38 +195,18 @@ def predator_free_equilibrium(p: ModelParams) -> Equilibrium:
 def interior_scan_function(p: ModelParams):
     """F(x1) whose roots in (0, a1/b1) are the interior equilibria:
 
-        F(x1) = w0 * g(r*x1) * x2_of_x1(x1)**m2 - x1 * f(x1)
+        F(x1) = -f1(x1, x2_of_x1(x1)) = w0 * g(r*x1) * x2**m2 - x1 * f(x1)
 
-    (equals (w0/w1) times the predator-balance residual along the prey
-    nullcline, so its zeros are exactly the simultaneous solutions).
-
-    A float closure over the parameters (the sweep's Newton hot path); it
-    computes x2_of_x1 and eval_g inline, with their checks and the same
-    floating-point operations in the same order.
+    the field's prey component, taken from make_rhs(p), negated along the
+    prey nullcline: (w0/w1) times the predator-balance residual there, so
+    its zeros are exactly the simultaneous solutions.  DomainError outside
+    x2_of_x1's domain; in its slack past a1/b1 the field clamps x2 < 0 to
+    0, so F is -x1 * f(x1) there.
     """
-    a1, b1, w0, d, m1, m2, r = p.a1, p.b1, p.w0, p.d, p.m1, p.m2, p.r
-    cap = p.carrying_capacity
-    top = cap * (1.0 + 1e-12)
-    k = p.w1 / (w0 * p.a2)
+    field = make_rhs(p)
 
     def F(x1: float) -> float:
-        if not (0.0 <= x1 <= top):
-            raise DomainError(f"x2_of_x1 needs x1 in [0, a1/b1] = [0, {cap!r}], got {x1!r}")
-        f = a1 - b1 * x1
-        x2 = k * x1 * f
-        if x2 > 0.0 or (x2 < 0.0 and m2 == 1.0):
-            pw = x2 ** m2
-        elif x2 == 0.0:
-            pw = 0.0
-        else:
-            # past a1/b1 (the slack above it) x2 < 0, and x2**m2 is complex
-            raise DomainError(f"predator level x2 = {x2!r} < 0 at x1 = {x1!r} "
-                              f"has no real power m2 = {m2!r}")
-        s = r * x1
-        if s < 0.0:
-            raise DomainError(f"g is defined for nonnegative arguments, got {s!r}")
-        g = 0.0 if s == 0.0 else (s / (s + d)) ** m1
-        return w0 * g * pw - x1 * f
+        return -field(x1, x2_of_x1(x1, p))[0]
 
     return F
 
@@ -236,7 +216,7 @@ def _scan_gradient(x1: float, p: ModelParams, name: str, slopes: bool = False):
     (det, det_x1, det_v) of interior_scan_function(p) and of jacobian's
     trace and determinant along the branch x2 = x2_of_x1(x1; v), v being
     the parameter `name` (one of a1, a2, b1, w0, w1, r).  F, tr and det are
-    those functions' values bit for bit.
+    those functions' values bit for bit (F to the sign of a zero).
 
     Exact on the Newton window 1e-9*cap < x1 < (1-1e-9)*cap, where x1, f
     and x2 are positive, by the chain rule on the field's derivative table
@@ -277,7 +257,7 @@ def _scan_gradient(x1: float, p: ModelParams, name: str, slopes: bool = False):
     l1 = a1 - 2.0 * b1 * x1
     rows = (l1, -2.0 * b1, G1, G2, k * l1, 0.0, 0.0, 0.0), across  # along the branch, in v
     i00, i10, i01 = G0 * P0, G1 * P0, G0 * P1
-    F = [w0 * G0 * P0 - x1 * f]
+    F = [w0 * i00 - x1 * f]  # the field's association, w0*(G*P)
     for dxf, _, dg0, _, dx2, dw0, _, _ in rows:
         F.append(w0 * (dg0 * P0 + i01 * dx2) + dw0 * i00 - dxf)
     if not slopes:
@@ -366,8 +346,11 @@ def _isolate(p: ModelParams, lo: float, hi: float) -> list[float]:
 
 
 def _quadratic_roots(A: float, B: float, C: float) -> list[float]:
-    """Real roots of A*x**2 + B*x + C (A > 0), ascending and distinct, by
-    the cancellation-free formula."""
+    """Real roots of A*x**2 + B*x + C (A >= 0), ascending and distinct, by
+    the cancellation-free formula; at A = 0 (A = 2*r*b1*(1 - m2) underflows
+    for r below about 1e-307) the linear root -C/B, if B != 0."""
+    if A == 0.0:
+        return [-C / B] if B != 0.0 else []
     disc = B * B - 4.0 * A * C
     if disc < 0.0:
         return []

@@ -19,8 +19,9 @@ Above the prey nullcline x2 = psi(x1) the prey derivative is negative, so
 orbits that stay above it can only march left; the boundary orbit is the one
 that limits into the origin itself.  Bisection in the launch ordinate x2 at
 a fixed prey abscissa (a "probe") then brackets the boundary point, until
-it is rel_tol / 10 wide relative: the launches' rel_tol is the one accuracy
-setting.  A fan of probes assembles the curve.
+it is rel_tol / 10 wide relative (the launches' rel_tol is the one accuracy
+setting) or no float lies between its ends, as when the boundary rounds
+onto the prey axis.  A fan of probes assembles the curve.
 
 Launches that close to the boundary stay together until x1 is within a
 decade or so of the extinction threshold, and near-boundary orbits turn
@@ -43,7 +44,7 @@ from .equilibria import predator_free_equilibrium
 from .extinction import dissipative_bound_K2
 from .integrate import IntegratorOptions, TerminationKind, Trajectory, integrate
 # make_rhs is unused here; it stays because the bench trace shim patches it
-from .model import DomainError, ModelParams, State, eval_f, eval_g, make_rhs  # noqa: F401
+from .model import DomainError, ModelParams, State, _response, eval_f, make_rhs  # noqa: F401
 
 __all__ = [
     "CurveLabel",
@@ -126,7 +127,7 @@ def psi(x1: float, p: ModelParams) -> float:
     """
     if not (0.0 < x1 <= p.carrying_capacity):
         raise DomainError(f"psi needs x1 in (0, a1/b1], got {x1!r}")
-    return x1 * eval_f(x1, p) / (p.w0 * eval_g(p.r * x1, p))
+    return x1 * eval_f(x1, p) / (p.w0 * _response(x1, p.r, p.d, p.m1))
 
 
 def prey_nullcline(p: ModelParams, n: int = 256) -> PlanarCurve:
@@ -283,21 +284,21 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
 
     Launch fates are bisected between a BELOW launch at x2 = lo and an ABOVE
     launch at x2 = hi, each launch run with opts, until the bracket is
-    opts.rel_tol / 10 wide relative.  Whenever the bracket's BELOW orbit
-    ends below the next rung of a ladder of sections x1 = L
-    (`_SECTION_LADDER` times the extinction threshold, the rungs below
-    probe_x1 from the top down), the bisection moves to the deepest rung
-    that orbit passed: it goes on along the segment AB joining the two
-    bracket orbits at their last states with x1 >= L, with the horizon left
-    after the later of the two, so a launch starts just above the depth
-    where fates part.  The halvings the probe bracket still needed at the
-    first move are counted down across all later moves.  The midpoint of the
-    final section bracket is integrated backward to x1 = probe_x1, and its
-    ordinate there is returned if it lies inside the [lo, hi] that launches
-    from the probe certified.  Orbits cannot cross, so it does up to the
-    backward run's integration error; when it does not, or when the BELOW
-    orbits never get below a rung, the bisection goes on at the probe and
-    returns the final bracket midpoint.
+    opts.rel_tol / 10 wide relative or no float lies between its ends.
+    Whenever the bracket's BELOW orbit ends below the next rung of a ladder
+    of sections x1 = L (`_SECTION_LADDER` times the extinction threshold,
+    the rungs below probe_x1 from the top down), the bisection moves to the
+    deepest rung that orbit passed: it goes on along the segment AB joining
+    the two bracket orbits at their last states with x1 >= L, with the
+    horizon left after the later of the two, so a launch starts just above
+    the depth where fates part.  The halvings the probe bracket still
+    needed at the first move are counted down across all later moves.  The
+    midpoint of the final section bracket is integrated backward to
+    x1 = probe_x1, and its ordinate there is returned if it lies inside the
+    [lo, hi] that launches from the probe certified.  Orbits cannot cross,
+    so it does up to the backward run's integration error; when it does
+    not, or when the BELOW orbits never get below a rung, the bisection
+    goes on at the probe and returns the final bracket midpoint.
     """
     cap = p.carrying_capacity
     if not (0.0 < probe_x1 < cap):
@@ -337,8 +338,9 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
     halvings = 0
     while True:
         if probe_bracket is None:
-            if not hi - lo > width * hi:
-                return 0.5 * (lo + hi)
+            mid = 0.5 * (lo + hi)  # no float between lo and hi: mid is one of them
+            if not hi - lo > width * hi or mid == lo or mid == hi:
+                return mid
         elif halvings == 0:
             s = 0.5 * (lo + hi)
             y = _trace_to_probe(p, ax + s * ux, ay + s * uy, probe_x1, opts)

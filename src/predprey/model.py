@@ -16,6 +16,12 @@ orbits can hit x1 = 0 in finite time; m2 < 1 does the same on the predator
 axis.  Everything downstream (event handling, equilibrium classification,
 the extinction criterion) leans on those two facts.
 
+G = g(r*x1) has one home, _response: the formula above where r*x1 is a
+normal float, logs where it is subnormal or underflows (its few bits would
+make g jump).  make_rhs, the integrator's hot path, inlines only the
+normal-float line; psi and _g_derivatives read G from _response, and the
+interior scan function is the field itself.  eval_g(s) is g of a given s.
+
 The field's partials have their one home here: the derivatives of
 G = g(r*x1) and P = x2**m2 up to third order (_g_derivatives,
 _p_derivatives), and the table of the field's partials built from them
@@ -158,18 +164,34 @@ def eval_g(s: float, p: ModelParams) -> float:
     return (s / (s + p.d)) ** p.m1
 
 
+def _response(x1: float, r: float, d: float, m1: float) -> float:
+    """G = g(r*x1) = (r*x1/(r*x1 + d))**m1 for x1 >= 0; G(0) = 0.
+
+    Where r*x1 is subnormal or underflows to 0, its few bits would make g
+    jump, so there log(s/(s+d)) = -log1p(d/s) is taken from
+    z = log(s/d) = log(r) - log(d) + log(x1) instead."""
+    s = r * x1
+    if s >= 2.2250738585072014e-308:  # the smallest normal float
+        return (s / (s + d)) ** m1
+    if x1 == 0.0:
+        return 0.0
+    z = math.log(r) - math.log(d) + math.log(x1)
+    return math.exp(m1 * (z - math.log1p(math.exp(z)) if z < 0.0
+                          else -math.log1p(math.exp(-z))))
+
+
 def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
     """Compile the field to a float closure (the integrator's hot path).
 
     The closure treats negative inputs as zero without complaint -- embedded
     Runge-Kutta trial stages may peek slightly across the axes, and a Python
     float power with negative base and fractional exponent would come back
-    complex.
+    complex.  It evaluates g(r*x1) inline where r*x1 is a normal float, as
+    _response does, and calls _response below that.
     """
     a1, a2, b1, w0, w1, d = p.a1, p.a2, p.b1, p.w0, p.w1, p.d
     m1, m2, r = p.m1, p.m2, p.r
     unit_m2 = m2 == 1.0  # x2 ** 1.0 is x2: skip the power
-    log_rd = math.log(r) - math.log(d)
 
     def field(x1: float, x2: float) -> tuple[float, float]:
         if x1 < 0.0:
@@ -177,16 +199,10 @@ def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
         if x2 < 0.0:
             x2 = 0.0
         s = r * x1
-        if s >= 2.2250738585072014e-308:  # the smallest normal float
+        if s >= 2.2250738585072014e-308:  # _response's normal-float line
             g = (s / (s + d)) ** m1
-        elif x1 == 0.0:
-            g = 0.0
         else:
-            # r*x1 is subnormal or underflowed to 0, and its few bits would
-            # make g jump: take log(s/(s+d)) = -log1p(d/s) from z = log(s/d)
-            z = log_rd + math.log(x1)
-            g = math.exp(m1 * (z - math.log1p(math.exp(z)) if z < 0.0
-                               else -math.log1p(math.exp(-z))))
+            g = _response(x1, r, d, m1)
         pw = 0.0 if x2 == 0.0 else (x2 if unit_m2 else x2 ** m2)
         inter = g * pw
         return (
@@ -206,25 +222,32 @@ def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
 
 def _g_derivatives(x1: float, p: ModelParams) -> tuple[float, float, float, float]:
     """(G, G', G'', G''') in x1 of G = g(r*x1), x1 > 0 (x1 >= 0 at m1 = 1),
-    by Faa di Bruno on t**m1 with t = r*x1/q, q = r*x1 + d:  t' = r*d/q**2,
-    t'' = -2*r*t'/q, t''' = -3*r*t''/q.  Every term of G'' has the sign of
-    m1 - 1 and every term of G''' is positive, so nothing cancels (the
-    log-derivative recurrence cancels 1/x1**3 terms near the axis at
-    m1 = 1).  At m1 = 1, G = t exactly, so the axis x1 = 0 is no special
-    case."""
-    r, m1 = p.r, p.m1
-    q = r * x1 + p.d
-    t = r * x1 / q
-    t1 = r * p.d / (q * q)
-    t2 = -2.0 * r * t1 / q
-    t3 = -3.0 * r * t2 / q
+    with G from _response.  By Faa di Bruno on t**m1 with t = r*x1/q,
+    q = r*x1 + d, c = r/q:  t' = r*d/q**2, t'' = -2*c*t', t''' = -3*c*t'',
+    so with rho = t'/t = d/(x1*q)
+
+        G'   = m1*G*rho
+        G''  = G'*((m1 - 1)*rho - 2*c)
+        G''' = G'*((m1 - 1)*rho*((m1 - 2)*rho - 6*c) + 6*c**2)
+
+    and nothing divides by t, which underflows with r*x1.  Both terms of
+    G'' are negative or zero and every term of G''' is positive, so nothing
+    cancels (the log-derivative recurrence cancels 1/x1**3 terms near the
+    axis at m1 = 1).  At m1 = 1, G = t and the rest are t', t'', t''', so
+    the axis x1 = 0 is no special case."""
+    r, d, m1 = p.r, p.d, p.m1
+    G = _response(x1, r, d, m1)
+    q = r * x1 + d
+    c = r / q
     if m1 == 1.0:
-        return t, t1, t2, t3
-    h0 = t ** m1  # d^k(t**m1)/dt^k by the falling factorial of m1
-    h1 = m1 * h0 / t
-    h2 = (m1 - 1.0) * h1 / t
-    h3 = (m1 - 2.0) * h2 / t
-    return h0, h1 * t1, h2 * t1 * t1 + h1 * t2, (h3 * t1 * t1 + 3.0 * h2 * t2) * t1 + h1 * t3
+        t1 = r * d / (q * q)
+        t2 = -2.0 * c * t1
+        return G, t1, t2, -3.0 * c * t2
+    rho = d / (x1 * q)
+    g1 = m1 * G * rho
+    u = (m1 - 1.0) * rho
+    return (G, g1, g1 * (u - 2.0 * c),
+            g1 * (u * ((m1 - 2.0) * rho - 6.0 * c) + 6.0 * c * c))
 
 
 def _p_derivatives(x2: float, m2: float) -> tuple[float, float, float, float]:

@@ -4,7 +4,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from predprey import (
@@ -25,8 +25,8 @@ from predprey import (
     with_params,
 )
 from predprey import bifurcation
-from predprey.bifurcation import SWEEPABLE, _lyapunov_of_field, _tr_det, _tr_det_slopes
-from predprey.equilibria import x2_of_x1
+from predprey.bifurcation import SWEEPABLE, _lyapunov_of_field, _tr_det
+from predprey.equilibria import _scan_gradient, x2_of_x1
 from predprey.model import _g_derivatives, _p_derivatives, make_rhs
 
 
@@ -348,8 +348,16 @@ def _moved(p, name, v):
     return q
 
 
+# r*x1 is subnormal for x1 below 2**52 here; t = r*x1/(r*x1 + d) underflows
+# to 0 at x1 = 0.4.  With m2 = 5e-324, 30 digits cannot tell x2**m2 from 1,
+# so mpmath's P' would read 0: the example takes the m2 = 0.5 variant.
+TINY_R_M2_HALF = ModelParams(a1=0.1, a2=0.1, b1=0.1, w0=0.1, w1=0.1, d=0.1, m1=1e-10,
+                             m2=0.5, r=5e-324)
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(p=DOMAIN, e=st.floats(-9.0, math.log10(0.999)))
+@example(p=TINY_R_M2_HALF, e=math.log10(0.4))
 def test_g_and_p_derivatives_match_mpmath(p, e):
     # x1 down to 1e-9 of a1/b1, where r*x1 << d: at m1 = 1 the log-derivative
     # recurrence G''' = G*(L'**3 + 3*L'*L'' + L''') cancels there and fails this
@@ -372,9 +380,10 @@ FLOOR = 1e-10
 
 
 def _check_tr_det_slopes(p, x1):
-    """_tr_det_slopes against Richardson differences of _tr_det, in x1
-    along the branch and in every sweepable v, to 1e-7 relative (above
-    FLOOR); steps as in tests/test_equilibria.py's _check_scan_gradient."""
+    """_scan_gradient's tr and det rows against Richardson differences of
+    _tr_det, in x1 along the branch and in every sweepable v, to 1e-7
+    relative (above FLOOR); steps as in tests/test_equilibria.py's
+    _check_scan_gradient."""
     cap = p.carrying_capacity
     room = (cap - x1) / cap
     x2 = x2_of_x1(x1, p)
@@ -383,7 +392,8 @@ def _check_tr_det_slopes(p, x1):
     h_x1 = 1e-3 * min(x1, cap - x1)
     want_x1 = [_richardson(lambda x: _tr_det(x, p)[k], x1, h_x1) for k in (0, 1)]
     for name in SWEEPABLE:
-        got_x1, got_v = _tr_det_slopes(x1, p, name)
+        _, tr, det = _scan_gradient(x1, p, name, True)
+        got_x1, got_v = (tr[1], det[1]), (tr[2], det[2])
         v = getattr(p, name)
         h = 1e-3 * v * (room if name in ("a1", "b1") else 1.0)
         want_v = [_richardson(lambda u: _tr_det(x1, _moved(p, name, u))[k], v, h) for k in (0, 1)]

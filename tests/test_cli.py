@@ -232,6 +232,36 @@ def test_transcritical_edge_root_exits_0(tmp_path, capsys, transcritical_edge_pa
     assert capsys.readouterr().out.startswith("1 interior equilibria")
 
 
+@pytest.mark.parametrize("m2", ["0.5", "5e-324"])
+def test_underflowing_refuge_has_no_interior_equilibria(tmp_path, capsys, m2):
+    # at r = 5e-324, r*x1 is subnormal or 0 on the whole window: the scan
+    # function jumped across x1 = 0.5 and the quadratic's leading term
+    # 2*r*b1*(1 - m2) underflowed to 0, a division by zero
+    cfg = write(tmp_path / "tiny.ini", textwrap.dedent(f"""\
+        [model]
+        a1 = 0.1
+        a2 = 0.1
+        b1 = 0.1
+        w0 = 0.1
+        w1 = 0.1
+        d = 0.1
+        m1 = 1e-10
+        m2 = {m2}
+        r = 5e-324
+
+        [sweep]
+        param = a1
+        lo = 0.05
+        hi = 0.2
+        n = 11
+        """))
+    for cmd in ("equilibria", "sweep"):
+        out = tmp_path / cmd
+        assert cli.main([cmd, "--config", cfg, "--out", str(out)]) == 0, capsys.readouterr().err
+        report = (out / "report.txt").read_text().splitlines()
+        assert ("interior_count: 0" if cmd == "equilibria" else "events: 0") in report
+
+
 @pytest.mark.parametrize("taken", ["out", "report"])
 def test_unusable_output_exits_2(tmp_path, capsys, taken):
     # --out names an existing file, or an output name is taken by a

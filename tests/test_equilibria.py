@@ -117,11 +117,12 @@ def test_scan_function_signs_bracket_roots(bistable_params):
 
 
 def _scan_function_reference(p):
-    """F as the composition of the model's helpers."""
+    """F as the composition of the model's helpers, written as the field's
+    f1 = x1*f - w0*(g*x2**m2), negated."""
     def F(x1):
         x2 = x2_of_x1(x1, p)
         pw = 0.0 if x2 == 0.0 else x2 ** p.m2
-        return p.w0 * eval_g(p.r * x1, p) * pw - x1 * (p.a1 - p.b1 * x1)
+        return -(x1 * (p.a1 - p.b1 * x1) - p.w0 * (eval_g(p.r * x1, p) * pw))
     return F
 
 
@@ -136,13 +137,13 @@ def test_scan_function_matches_reference_exactly(table, changes, osc_params, bis
     top = cap * (1.0 + 1e-12)
     lo_frac, hi_frac, n = 1e-9, 1.0 - 1e-9, 2000  # interior_equilibria's scan grid
     xs = [cap * (lo_frac + (hi_frac - lo_frac) * i / (n - 1)) for i in range(n)]
-    # repr tells every float apart (-0.0 too); past cap x2 < 0, which has
-    # a real power only for m2 = 1 (the composition's value is complex else)
-    xs += [0.0, cap] + ([top] if p.m2 == 1.0 else [])
+    # repr tells every float apart (-0.0 too)
+    xs += [0.0, cap]
     assert [repr(F(x)) for x in xs] == [repr(ref(x)) for x in xs]
-    if p.m2 != 1.0:
-        with pytest.raises(DomainError):
-            F(top)
+    # F is the field's f1 negated: -(0 - 0) at the origin; past cap the
+    # field clamps x2 < 0 to 0, which leaves -x1*f(x1) for every m2
+    assert repr(F(0.0)) == "-0.0"
+    assert F(top) == -(top * (p.a1 - p.b1 * top)) > 0.0
     for x in (-5e-324, -1e-12, math.nextafter(top, math.inf), 2.0 * cap, math.nan):
         for f in (F, ref):
             with pytest.raises(DomainError):

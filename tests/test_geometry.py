@@ -9,6 +9,7 @@ from predprey import (
     CurveLabel,
     DomainError,
     IntegratorOptions,
+    ModelParams,
     PlanarCurve,
     SeparatrixOptions,
     State,
@@ -317,6 +318,27 @@ def test_bisection_width_follows_the_launch_tolerance(osc_params, monkeypatch, r
     lo, hi = max(fates[geo._BELOW]), min(fates[geo._ABOVE])
     assert got == 0.5 * (lo + hi)
     assert 0.5 * rel_tol / 10 < (hi - lo) / hi <= rel_tol / 10
+
+
+@pytest.mark.parametrize("m2", [1e-30, 1e-3])
+def test_bisection_ends_where_the_boundary_rounds_to_the_prey_axis(monkeypatch, m2):
+    # x2**m2 rounds to 1 for every launch above the axis (m2 = 1e-30), or
+    # psi**(1/m2) underflows to 0 (m2 = 1e-3): every such launch dies
+    # monotonically, so the bracket [0, hi] halves until no float lies
+    # between its ends, where hi - 0 > width * hi still holds
+    geo = sys.modules["predprey.geometry"]
+    classify = geo._classify_launch
+    launches = []
+
+    def counted(p, x1_0, x2_0, iopts):
+        launches.append(x2_0)
+        assert len(launches) <= 1100, "the bisection does not end"
+        return classify(p, x1_0, x2_0, iopts)
+
+    monkeypatch.setattr(geo, "_classify_launch", counted)
+    p = ModelParams(a1=0.1, a2=0.1, b1=0.1, w0=0.1, w1=0.1, d=0.1, m1=0.5, m2=m2)
+    assert separatrix_boundary_x2(p, 0.5) == 0.0
+    assert min(x for x in launches if x > 0.0) == 5e-324
 
 
 def test_separatrix_needs_two_probes(osc_params):

@@ -21,6 +21,9 @@ from predprey import (
     verify_assumptions,
     with_params,
 )
+from predprey.equilibria import interior_scan_function, x2_of_x1
+from predprey.geometry import psi
+from predprey.model import _g_derivatives
 
 OSC = dict(a1=0.6, a2=1.0, b1=0.063, w0=1.0, w1=2.0, d=2.0, m1=0.8, m2=1.0)
 BISTABLE = dict(a1=0.5, a2=0.7, b1=0.05, w0=0.2, w1=4.0, d=0.2, m1=0.5, m2=0.5)
@@ -91,27 +94,40 @@ TINY_R = dict(a1=0.1, a2=0.1, b1=0.1, w0=0.1, w1=0.1, d=0.1, m1=1e-10, m2=5e-324
               r=5e-324)
 
 
-def test_field_is_continuous_where_r_x1_underflows():
-    # r*x1 underflows to 0 for x1 <= 0.5 and to the smallest subnormal above;
-    # g taken from those few bits dropped from about 1 to 0 at x1 = 0.5
-    p = ModelParams(**TINY_R)
+def _check_continuous_where_r_x1_underflows(p):
     f = make_rhs(p)
+    F = interior_scan_function(p)
 
-    def g_exact(x1):
+    def g_exact(x1, k=0):
         with mp.workdps(40):
-            s = mp.mpf(p.r) * x1
-            return float((s / (s + p.d)) ** p.m1)
+            return float(mp.diff(lambda x: (p.r * x / (p.r * x + p.d)) ** p.m1, x1, k))
 
-    x2 = 0.01  # x2**m2 == 1.0
+    x2 = 0.01
     for x1 in (1e-300, 0.25, math.nextafter(0.5, 0.0), 0.5, math.nextafter(0.5, 1.0),
                0.75, 1.0):
         d1, d2 = f(x1, x2)
         g = g_exact(x1)
-        assert d1 == pytest.approx(x1 * (p.a1 - p.b1 * x1) - p.w0 * g, rel=1e-14)
-        assert d2 == pytest.approx(-p.a2 * x2 + p.w1 * g, rel=1e-14)
+        pw = x2 ** p.m2
+        assert d1 == pytest.approx(x1 * (p.a1 - p.b1 * x1) - p.w0 * g * pw, rel=1e-14)
+        assert d2 == pytest.approx(-p.a2 * x2 + p.w1 * g * pw, rel=1e-14)
+        xf = x1 * (p.a1 - p.b1 * x1)
+        assert F(x1) == pytest.approx(p.w0 * g * x2_of_x1(x1, p) ** p.m2 - xf, rel=1e-14)
+        assert psi(x1, p) == pytest.approx(xf / (p.w0 * g), rel=1e-14)
+        if x1 > 1e-300:  # mpmath's difference steps reach across the axis there
+            for k, got in enumerate(_g_derivatives(x1, p)):
+                assert got == pytest.approx(g_exact(x1, k), rel=1e-13), k
     below, above = f(math.nextafter(0.5, 0.0), x2), f(math.nextafter(0.5, 1.0), x2)
     assert abs(above[1] - below[1]) < 1e-15
+    assert abs(F(math.nextafter(0.5, 1.0)) - F(math.nextafter(0.5, 0.0))) < 1e-15
     assert f(0.0, x2) == (0.0, -p.a2 * x2)
+
+
+def test_field_is_continuous_where_r_x1_underflows():
+    # r*x1 underflows to 0 for x1 <= 0.5 and to the smallest subnormal above;
+    # g taken from those few bits dropped from about 1 to 0 at x1 = 0.5.  The
+    # scan function, psi and the derivative table take g from the same kernel
+    for m2 in (TINY_R["m2"], 0.5):
+        _check_continuous_where_r_x1_underflows(ModelParams(**{**TINY_R, "m2": m2}))
 
 
 def test_field_keeps_its_bits_where_r_x1_is_normal():
