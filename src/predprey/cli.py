@@ -125,13 +125,15 @@ def _cmd_sweep(cfg: ScenarioConfig, out: str) -> int:
 
 
 def _cmd_separatrix(cfg: ScenarioConfig, out: str) -> int:
-    ws = trace_stable_separatrix_E0(cfg.params, opts=cfg.separatrix)
+    # the manifold first: it refuses every m2 < 1 set before any probe launch
     wu = trace_unstable_manifold_E1(cfg.params, cfg.separatrix.integrator)
+    ws = trace_stable_separatrix_E0(cfg.params, opts=cfg.separatrix)
     cmp_ = separatrix_relative_position(ws, wu)
     csvio.write_curve(ws, os.path.join(out, "separatrix_ws.csv"))
     csvio.write_curve(wu, os.path.join(out, "manifold_wu.csv"))
     csvio.write_report([
         "command: separatrix",
+        f"extinction_threshold: {_F(cfg.separatrix.integrator.extinction_threshold)}",
         f"verdict: {cmp_.verdict.value}",
         f"margin: {_F(cmp_.margin)}",
         f"x1_range: {_F(cmp_.x1_range[0])},{_F(cmp_.x1_range[1])}",

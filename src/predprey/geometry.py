@@ -16,23 +16,24 @@ monotonically" is still well defined.  The classifier used here:
   * reaching the horizon without either also counts as BELOW.
 
 Above the prey nullcline x2 = psi(x1) the prey derivative is negative, so
-orbits that stay above it can only march left; the boundary orbit is the one
-that limits into the origin itself.  Bisection in the launch ordinate x2 at
-a fixed prey abscissa (a "probe") then brackets the boundary point, until
-it is rel_tol / 10 wide relative (the launches' rel_tol is the one accuracy
-setting) or no float lies between its ends, as when the boundary rounds
-onto the prey axis.  A fan of probes assembles the curve.
+orbits that stay above it can only march left.  The curve computed here is
+the boundary of that classifier at the extinction threshold thr, not the
+stable set of the origin itself: the orbit that meets the prey nullcline
+at x1 = thr, S = (thr, psi(thr)**(1/m2)).  An orbit above it crosses
+x1 = thr still falling; one below meets the nullcline, and turns, first.
+The thresholded curve lies below the origin's own stable orbit: on the
+bundled OSC fan at thr = 1e-9 by 0.8% to 2.4%, and by 14% at the rightmost
+probe.
 
-Launches that close to the boundary stay together until x1 is within a
-decade or so of the extinction threshold, and near-boundary orbits turn
-around just above it.  So whenever the bracket's BELOW orbit gets below the
-next rung of a ladder of sections, x1 = thr*(1 + 10**k) for k = 8 down to
--1, the bisection moves to the deepest rung that orbit passed and continues
-on the segment joining the two bracket orbits there, where a launch is
-short.  The boundary point found on the last section is integrated
-backward to the probe abscissa (backward in time, orbits near the boundary
-converge onto it); orbits cannot cross, so it lands inside the probe's
-bracket up to integration error, and it is returned only if it does.
+At a fixed prey abscissa (a "probe") the boundary ordinate comes from one
+backward run from S (backward in time, orbits near the boundary converge
+onto it), certified by two launches 1e-4 either side.  Where that orbit
+turns back before the probe and the fates part at the nullcline itself,
+the nullcline ordinate is the answer; otherwise bisection in the launch
+ordinate x2 brackets the boundary until it is rel_tol / 10 wide relative
+(the launches' rel_tol is the one accuracy setting) or no float lies
+between its ends, as when the boundary rounds onto the prey axis.  A fan
+of probes assembles the curve.
 """
 from __future__ import annotations
 
@@ -42,7 +43,7 @@ from dataclasses import dataclass, replace
 
 from .equilibria import predator_free_equilibrium
 from .extinction import dissipative_bound_K2
-from .integrate import IntegratorOptions, TerminationKind, Trajectory, integrate
+from .integrate import IntegratorOptions, TerminationKind, integrate
 # make_rhs is unused here; it stays because the bench trace shim patches it
 from .model import DomainError, ModelParams, State, _response, eval_f, make_rhs  # noqa: F401
 
@@ -130,6 +131,12 @@ def psi(x1: float, p: ModelParams) -> float:
     return x1 * eval_f(x1, p) / (p.w0 * _response(x1, p.r, p.d, p.m1))
 
 
+def _nullcline_x2(x1: float, p: ModelParams) -> float:
+    """The prey nullcline's ordinate psi(x1)**(1/m2)."""
+    v = psi(x1, p)
+    return v if p.m2 == 1.0 else v ** (1.0 / p.m2)
+
+
 def prey_nullcline(p: ModelParams, n: int = 256) -> PlanarCurve:
     """Sample the interior prey nullcline x2 = psi(x1)**(1/m2) at n evenly
     spaced x1 from 1e-6*a1/b1 to a1/b1."""
@@ -140,8 +147,7 @@ def prey_nullcline(p: ModelParams, n: int = 256) -> PlanarCurve:
     pts = []
     for i in range(n):
         x1 = lo + (hi - lo) * i / (n - 1)
-        v = psi(x1, p)
-        pts.append(State(x1, v if p.m2 == 1.0 else v ** (1.0 / p.m2)))
+        pts.append(State(x1, _nullcline_x2(x1, p)))
     return PlanarCurve(CurveLabel.PREY_NULLCLINE, tuple(pts))
 
 
@@ -212,34 +218,18 @@ def _turned(t: float, x1: float, x2: float, dx1: float, dx2: float) -> bool:
 
 
 def _classify_launch(p: ModelParams, x1_0: float, x2_0: float,
-                     iopts: IntegratorOptions) -> tuple[str, Trajectory]:
+                     iopts: IntegratorOptions) -> str:
     """ABOVE: prey decays monotonically into the extinction event.
     BELOW: a turnaround (dx1/dt > 0 at an accepted state, read off the
-    integrator's own derivative) or survival to the horizon.  Returns the
-    fate and the launch's trajectory."""
+    integrator's own derivative) or survival to the horizon."""
     traj = integrate(p, State(x1_0, x2_0), iopts, stop_when=_turned)
     kind = traj.termination.kind
     if kind is TerminationKind.PREY_EXTINCT:
-        return _ABOVE, traj
+        return _ABOVE
     if kind in (TerminationKind.STOPPED, TerminationKind.HORIZON_REACHED,
                 TerminationKind.PREDATOR_EXTINCT):
-        return _BELOW, traj
+        return _BELOW
     raise DomainError(f"launch classification failed: {traj.termination!r}")
-
-
-# Sections at these multiples of the extinction threshold, thr*(1 + 10**k):
-# turnarounds approach the threshold from above, so the rungs are geometric
-# in x1/thr - 1.
-_SECTION_LADDER = tuple(1.0 + 10.0 ** k for k in range(8, -2, -1))
-
-
-def _last_at_or_above(traj: Trajectory, level: float) -> int:
-    """Index of the last stored state with x1 >= level; the launch state
-    must be one."""
-    i = len(traj) - 1
-    while traj.x1[i] < level:
-        i -= 1
-    return i
 
 
 def _hermite(th: float, y0: float, y1: float, hf0: float, hf1: float) -> float:
@@ -249,20 +239,29 @@ def _hermite(th: float, y0: float, y1: float, hf0: float, hf1: float) -> float:
                                   + th * (2.0 * (y0 - y1) + hf0 + hf1)))
 
 
-def _trace_to_probe(p: ModelParams, x1_0: float, x2_0: float, probe_x1: float,
-                    iopts: IntegratorOptions) -> float:
-    """Integrate backward from (x1_0, x2_0), x1_0 < probe_x1, until x1
-    reaches probe_x1, and return x2 there, located on the last step by
-    cubic Hermite on the integrator's own derivatives; NaN if the backward
-    run ends any other way."""
+def _trace_to_probe(p: ModelParams, probe_x1: float, opts: IntegratorOptions) -> float:
+    """Integrate the boundary orbit backward from S = (thr, psi(thr)**(1/m2)),
+    thr the extinction threshold, until x1 reaches probe_x1, and return x2
+    there, located on the last step by cubic Hermite on the integrator's own
+    derivatives.  The run uses opts with abs_tol at most 1e-3 * thr.  NaN
+    if x1 stops increasing first (the orbit turns back, as when it spirals
+    into a focus) or the run ends any other way."""
+    thr = opts.extinction_threshold
+    if not thr < probe_x1:
+        return math.nan
+    try:
+        seed = _nullcline_x2(thr, p)
+    except OverflowError:
+        return math.nan
     slopes: list[tuple[float, float]] = []
 
     def reached(t: float, x1: float, x2: float, dx1: float, dx2: float) -> bool:
         slopes.append((dx1, dx2))
-        return x1 >= probe_x1
+        return x1 >= probe_x1 or (t > 0.0 and not dx1 > 0.0)
 
-    traj = integrate(p, State(x1_0, x2_0), iopts, stop_when=reached, backward=True)
-    if traj.termination.kind is not TerminationKind.STOPPED:
+    topts = replace(opts, abs_tol=min(opts.abs_tol, 1e-3 * thr))
+    traj = integrate(p, State(thr, seed), topts, stop_when=reached, backward=True)
+    if traj.termination.kind is not TerminationKind.STOPPED or traj.x1[-1] < probe_x1:
         return math.nan
     h = traj.times[-1] - traj.times[-2]
     (a1, a2), (b1, b2) = slopes[-2], slopes[-1]
@@ -277,107 +276,77 @@ def _trace_to_probe(p: ModelParams, x1_0: float, x2_0: float, probe_x1: float,
     return _hermite(0.5 * (lo + hi), v0, v1, h * a2, h * b2)
 
 
-def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
-                           opts: IntegratorOptions = _LAUNCH_OPTIONS) -> float:
-    """The ordinate at abscissa probe_x1 of the boundary of monotone-decay
-    extinction.
+def _parts(p: ModelParams, probe_x1: float, lo: float, hi: float,
+           opts: IntegratorOptions) -> bool:
+    """True if the launch from (probe_x1, lo) is BELOW and the one from
+    (probe_x1, hi) ABOVE; the second is made only if the first is BELOW."""
+    return (_classify_launch(p, probe_x1, lo, opts) == _BELOW
+            and _classify_launch(p, probe_x1, hi, opts) == _ABOVE)
 
-    Launch fates are bisected between a BELOW launch at x2 = lo and an ABOVE
-    launch at x2 = hi, each launch run with opts, until the bracket is
-    opts.rel_tol / 10 wide relative or no float lies between its ends.
-    Whenever the bracket's BELOW orbit ends below the next rung of a ladder
-    of sections x1 = L (`_SECTION_LADDER` times the extinction threshold,
-    the rungs below probe_x1 from the top down), the bisection moves to the
-    deepest rung that orbit passed: it goes on along the segment AB joining
-    the two bracket orbits at their last states with x1 >= L, with the
-    horizon left after the later of the two, so a launch starts just above
-    the depth where fates part.  The halvings the probe bracket still
-    needed at the first move are counted down across all later moves.  The
-    midpoint of the final section bracket is integrated backward to
-    x1 = probe_x1, and its ordinate there is returned if it lies inside the
-    [lo, hi] that launches from the probe certified.  Orbits cannot cross,
-    so it does up to the backward run's integration error; when it does
-    not, or when the BELOW orbits never get below a rung, the bisection
-    goes on at the probe and returns the final bracket midpoint.
-    """
-    cap = p.carrying_capacity
-    if not (0.0 < probe_x1 < cap):
-        raise DomainError(f"probe must sit in (0, a1/b1), got {probe_x1!r}")
-    base = psi(probe_x1, p) if p.m2 == 1.0 else psi(probe_x1, p) ** (1.0 / p.m2)
-    k2 = dissipative_bound_K2(p).K2
-    ceiling = _X2_CAP_FACTOR * max(k2, 1.0)
 
-    width = opts.rel_tol / 10.0  # the bracket's final relative width
+# A traced ordinate y is returned once launches at y*(1 -+ this) part.  The
+# margin covers the launches' own error near the threshold, which rel_tol / 10
+# does not: on the bundled fans the plain bisection sits 1.5e-6, 1.8e-5 and
+# 8.1e-5 from the trace at rel_tol 1e-8, 1e-7 and 1e-6.
+_CERTIFY_MARGIN = 1e-4
+
+
+def _bisect_probe(p: ModelParams, probe_x1: float, base: float,
+                  opts: IntegratorOptions) -> float:
+    """Bisect launch fates at the probe between a BELOW launch at x2 = lo
+    and an ABOVE launch at x2 = hi, starting from lo = base / 2 and
+    hi = max(2 * base, 1) doubled until ABOVE, until the bracket is
+    opts.rel_tol / 10 wide relative or no float lies between its ends (as
+    when the boundary rounds onto the prey axis); returns the midpoint."""
+    ceiling = _X2_CAP_FACTOR * max(dissipative_bound_K2(p).K2, 1.0)
+    width = opts.rel_tol / 10.0
     lo = 0.5 * base
-    fate, lo_traj = _classify_launch(p, probe_x1, lo, opts)
-    if fate != _BELOW:
-        lo, lo_traj = 0.0, None  # extremely flat nullcline; fall back to the axis
-
+    if _classify_launch(p, probe_x1, lo, opts) != _BELOW:
+        lo = 0.0  # extremely flat nullcline; fall back to the axis
     hi = max(2.0 * base, 1.0)
-    fate, hi_traj = _classify_launch(p, probe_x1, hi, opts)
-    while fate == _BELOW:
-        lo, lo_traj = hi, hi_traj  # a certified BELOW launch: the new lower end
-        hi *= 2.0
+    while _classify_launch(p, probe_x1, hi, opts) == _BELOW:
+        lo, hi = hi, 2.0 * hi  # a certified BELOW launch: the new lower end
         if hi > ceiling:
             raise DomainError(
                 f"no monotone-extinction launch found below x2 = {ceiling!r} "
                 f"at probe x1 = {probe_x1!r}; stable set of the origin absent "
                 "or outside the searched window")
-        fate, hi_traj = _classify_launch(p, probe_x1, hi, opts)
-
-    # One bisection on launches from (ax + s*ux, ay + s*uy), BELOW at s = lo
-    # and ABOVE at s = hi.  On the probe line ax = probe_x1, ay = ux = 0 and
-    # uy = 1, so s is the launch ordinate itself, bit for bit.  t0 is the
-    # time from the probe to the current segment, lo_t0 and hi_t0 the same
-    # for the segments the bracket orbits were launched from.
-    ax, ay, ux, uy, launch_opts = probe_x1, 0.0, 0.0, 1.0, opts
-    t0 = lo_t0 = hi_t0 = 0.0
-    thr = opts.extinction_threshold
-    rungs = [m * thr for m in _SECTION_LADDER if m * thr < probe_x1]
-    probe_bracket = None  # the probe's (lo, hi) while a section is bisected
-    halvings = 0
     while True:
-        if probe_bracket is None:
-            mid = 0.5 * (lo + hi)  # no float between lo and hi: mid is one of them
-            if not hi - lo > width * hi or mid == lo or mid == hi:
-                return mid
-        elif halvings == 0:
-            s = 0.5 * (lo + hi)
-            y = _trace_to_probe(p, ax + s * ux, ay + s * uy, probe_x1, opts)
-            (lo, hi), probe_bracket = probe_bracket, None
-            if lo <= y <= hi:
-                return y
-            # the trace left the certified bracket: go on at the probe
-            ax, ay, ux, uy, launch_opts = probe_x1, 0.0, 0.0, 1.0, opts
-            rungs = []
-            continue
-        if rungs and lo_traj is not None and lo_traj.x1[-1] < rungs[0]:
-            # move to the deepest rung the BELOW orbit passed: above it dx1 < 0
-            # between the bracket orbits, which no orbit crosses, so every
-            # orbit from the current segment crosses the new one
-            passed = [L for L in rungs if lo_traj.x1[-1] < L]
-            level, rungs = passed[-1], rungs[len(passed):]
-            i = _last_at_or_above(lo_traj, level)
-            j = _last_at_or_above(hi_traj, level)
-            ax, ay = lo_traj.x1[i], lo_traj.x2[i]
-            ux, uy = hi_traj.x1[j] - ax, hi_traj.x2[j] - ay
-            # from a section, BELOW at the horizon means what it meant
-            # from the probe
-            t0 = max(lo_t0 + lo_traj.times[i], hi_t0 + hi_traj.times[j])
-            launch_opts = replace(opts, horizon=opts.horizon - t0)
-            if probe_bracket is None:
-                halvings = math.ceil(math.log2((hi - lo) / (width * hi)))
-                probe_bracket = (lo, hi)
-            lo, hi = 0.0, 1.0
-            continue
-        if probe_bracket is not None:
-            halvings -= 1
-        mid = 0.5 * (lo + hi)
-        fate, traj = _classify_launch(p, ax + mid * ux, ay + mid * uy, launch_opts)
-        if fate == _ABOVE:
-            hi, hi_traj, hi_t0 = mid, traj, t0
+        mid = 0.5 * (lo + hi)  # no float between lo and hi: mid is one of them
+        if not hi - lo > width * hi or mid == lo or mid == hi:
+            return mid
+        if _classify_launch(p, probe_x1, mid, opts) == _ABOVE:
+            hi = mid
         else:
-            lo, lo_traj, lo_t0 = mid, traj, t0
+            lo = mid
+
+
+def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
+                           opts: IntegratorOptions = _LAUNCH_OPTIONS) -> float:
+    """The ordinate at abscissa probe_x1 of the boundary of monotone-decay
+    extinction at the threshold thr = opts.extinction_threshold, each
+    launch run with opts.  The first of three routes that applies gives it:
+
+    1. traced: the backward run from S = (thr, psi(thr)**(1/m2)) to the
+       probe (`_trace_to_probe`) gives y, and launches at y*(1 - 1e-4)
+       and y*(1 + 1e-4) come out BELOW and ABOVE; y is returned;
+    2. nullcline: launches at base*(1 -+ rel_tol / 10), base =
+       psi(probe_x1)**(1/m2), come out BELOW and ABOVE (right of where the
+       traced orbit turns back); base is returned;
+    3. bisected: the plain probe bisection (`_bisect_probe`).
+    """
+    cap = p.carrying_capacity
+    if not (0.0 < probe_x1 < cap):
+        raise DomainError(f"probe must sit in (0, a1/b1), got {probe_x1!r}")
+    y = _trace_to_probe(p, probe_x1, opts)
+    if y > 0.0 and _parts(p, probe_x1, y * (1.0 - _CERTIFY_MARGIN),
+                          y * (1.0 + _CERTIFY_MARGIN), opts):
+        return y
+    base = _nullcline_x2(probe_x1, p)
+    step = opts.rel_tol / 10.0
+    if _parts(p, probe_x1, base * (1.0 - step), base * (1.0 + step), opts):
+        return base
+    return _bisect_probe(p, probe_x1, base, opts)
 
 
 def _probe_stations(p: ModelParams, opts: SeparatrixOptions) -> list[float]:

@@ -118,10 +118,33 @@ def test_separatrix_command(tmp_path):
     assert res.returncode == 0, res.stderr
     report = (out / "report.txt").read_text()
     assert "verdict: ws_above_wu" in report
+    assert "extinction_threshold: 1.0000000000000001e-09" in report
     ws = (out / "separatrix_ws.csv").read_text().splitlines()
     assert ws[0] == "# stable_separatrix_E0"
     assert ws[1] == "x1,x2"
     assert (out / "manifold_wu.csv").exists()
+
+
+def test_separatrix_refuses_m2_below_1_before_any_launch(tmp_path, capsys, monkeypatch):
+    # E1 is not linearizable for m2 < 1, so the manifold refuses BISTABLE:
+    # the command exits 1 before a single separatrix launch or probe
+    geo = sys.modules["predprey.geometry"]
+    launches = []
+    monkeypatch.setattr(geo, "integrate", lambda *a, **k: launches.append(a))
+    cfg = write(tmp_path / "bistable.ini", textwrap.dedent("""\
+        [model]
+        a1 = 0.5
+        a2 = 0.7
+        b1 = 0.05
+        w0 = 0.2
+        w1 = 4.0
+        d = 0.2
+        m1 = 0.5
+        m2 = 0.5
+        """))
+    assert cli.main(["separatrix", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "E1 is not linearizable" in capsys.readouterr().err
+    assert launches == []
 
 
 def test_separatrix_traces_the_manifold_with_the_integrator_section(tmp_path):
@@ -390,8 +413,8 @@ def _run_twice(command: str, cfg: str, root: str) -> int:
        ic=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 10.0)))
 def test_cli_is_total_and_deterministic_over_the_domain(rates, exponents, ic):
     # over the documented domain these commands exit 0 or 1, never raise,
-    # and write the same bytes on a second run (sweep and separatrix are
-    # left out for their cost)
+    # and write the same bytes on a second run (sweep is left out for its
+    # cost)
     p = dict(zip(("a1", "a2", "b1", "w0", "w1", "d"), rates),
              **dict(zip(("m1", "m2", "r"), exponents)))
     cap = p["a1"] / p["b1"]
@@ -404,8 +427,26 @@ def test_cli_is_total_and_deterministic_over_the_domain(rates, exponents, ic):
         with open(cfg, "w") as fh:
             fh.write(text)
         for command in ("equilibria", "refuge-threshold", "verify-assumptions", "simulate",
-                        "extinction"):
+                        "extinction", "separatrix"):
             _run_twice(command, cfg, root)
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(rates=st.lists(_RATE, min_size=6, max_size=6),
+       m1=st.floats(0.05, 0.99), r=st.floats(0.05, 1.0))
+def test_separatrix_is_total_and_deterministic_where_E1_is_a_saddle(rates, m1, r):
+    # the property above draws m2 < 1 almost surely, where the manifold
+    # refuses at once; here m2 = 1 and w1 puts E1's predator eigenvalue
+    # -a2 + w1*g(r*a1/b1) at a2*k (the sixth rate), so the probe fan runs
+    a1, a2, b1, w0, k, d = rates
+    s = r * a1 / b1
+    p = dict(a1=a1, a2=a2, b1=b1, w0=w0, w1=a2 * (1.0 + k) / (s / (s + d)) ** m1,
+             d=d, m1=m1, m2=1.0, r=r)
+    with tempfile.TemporaryDirectory() as root:
+        cfg = os.path.join(root, "cfg.ini")
+        with open(cfg, "w") as fh:
+            fh.write("[model]\n" + "".join(f"{k} = {v!r}\n" for k, v in p.items()))
+        _run_twice("separatrix", cfg, root)
 
 
 def test_imports_only_the_standard_library():

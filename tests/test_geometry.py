@@ -142,12 +142,12 @@ def test_probe_makes_only_the_steps_field_calls(osc_params, monkeypatch):
 
     monkeypatch.setattr(geo, "integrate", counted_launch)
     separatrix_boundary_x2(osc_params, 1.389)  # a station of the default fan
-    assert len(steps) == 31
+    # one backward trace from the threshold and the two launches that
+    # certify it: 308 accepted steps, against 31 launches and 681 steps
+    # when the probe was bisected on a ladder of sections
+    assert len(steps) == 3
     assert len(calls) <= 6.1 * sum(steps)
-    # launches from the sections start just above where fates part: 681
-    # accepted steps, against 1 113 on one section at 1e3 times the
-    # threshold and 2 548 when the whole bisection stays at the probe
-    assert sum(steps) <= 750
+    assert sum(steps) <= 1.25 * 308
 
 
 def _fan_sets(osc):
@@ -156,60 +156,72 @@ def _fan_sets(osc):
 
 
 @pytest.mark.parametrize("name", ["osc", "enriched", "enriched_r_0.3"])
-def test_section_bisection_matches_the_probe_loop(osc_params, monkeypatch, name):
-    # with no rungs on the ladder the same bisection runs at the probe to
-    # the end, as it did before the sections
+def test_section_bisection_matches_the_probe_loop(osc_params, name):
+    # the traced and nullcline routes agree with the plain bisection of
+    # launch fates at the probe on every bundled fan probe
     p = _fan_sets(osc_params)[name]
     ws = trace_stable_separatrix_E0(p)
     geo = sys.modules["predprey.geometry"]
-    monkeypatch.setattr(geo, "_SECTION_LADDER", ())
-    plain = [separatrix_boundary_x2(p, x) for x in ws.x1s()]
+    opts = IntegratorOptions(horizon=500.0)
+    plain = [geo._bisect_probe(p, x, psi(x, p), opts) for x in ws.x1s()]
     assert ws.x2s() == pytest.approx(plain, rel=1e-4)
     if name == "enriched":
-        # right of x1 = 4 the BELOW launches turn at t = 0 and never reach
-        # a section: those four probes keep the probe loop's bits
-        assert ws.x2s()[8:] == plain[8:]
+        # right of x1 = 4 the traced orbit has turned back into the focus:
+        # those four probes return the nullcline, which the bisection
+        # brackets to its width
+        assert ws.x2s()[8:] == [psi(x, p) for x in ws.x1s()[8:]]
+        assert ws.x2s()[8:] == pytest.approx(plain[8:], rel=1e-8, abs=0.0)
 
 
-# The default fans' ordinates from the single section at 1e3 times the
-# extinction threshold that the ladder replaced.
-_ONE_SECTION_FANS = {
-    "osc": [
-        7.569604535060952, 7.811238010236188, 8.014743535997413,
-        8.1625233344444, 8.230814225659781, 8.1869148666776, 7.985301059972136,
-        7.561295620636901, 6.8211219119728375, 5.625946525430647,
-        3.769616677148553, 1.0621673885492107,
-    ],
-    "enriched": [
-        9.620581934680363, 9.946326129930622, 10.226934053861653,
-        10.436960680283612, 10.537775739410645, 10.467309769269566,
-        10.116065753783403, 9.245702356692746, 6.418044359610674,
-        6.075075868923689, 4.632489917003925, 1.0615044368858906,
-    ],
-    "enriched_r_0.3": [
-        26.496220516279138, 27.722612774640805, 28.94806514755344,
-        30.152499964479656, 31.3082019522568, 32.37781795153205,
-        33.31131514790172, 34.042779758093694, 34.48919551061564,
-        34.55527698237735, 34.15482872308484, 33.25946824253814,
-    ],
-}
+def _scipy_backward_trace(p, probes, thr):
+    """x2 where the orbit through (thr, psi(thr)**(1/m2)) crosses each probe
+    abscissa backward in time, by scipy's DOP853 at rtol 1e-12 on the field
+    written out here; NaN for the probes right of where x1 turns back."""
+    from scipy.integrate import solve_ivp
+
+    a1, a2, b1, w0, w1, d, m1, m2, r = (p.a1, p.a2, p.b1, p.w0, p.w1, p.d,
+                                        p.m1, p.m2, p.r)
+
+    def back(t, y):
+        x1, x2 = max(y[0], 0.0), max(y[1], 0.0)
+        inter = (r * x1 / (r * x1 + d)) ** m1 * x2 ** m2
+        return [w0 * inter - x1 * (a1 - b1 * x1), a2 * x2 - w1 * inter]
+
+    def turned(t, y):
+        return back(t, y)[0]
+    turned.terminal, turned.direction = True, -1.0
+    events = []
+    for x in probes:
+        def crossed(t, y, x=x):
+            return y[0] - x
+        crossed.direction = 1.0
+        events.append(crossed)
+    events[-1].terminal = True
+    seed = (thr * (a1 - b1 * thr) / (w0 * (r * thr / (r * thr + d)) ** m1)) ** (1.0 / m2)
+    sol = solve_ivp(back, (0.0, 500.0), [thr, seed], method="DOP853", rtol=1e-12,
+                    atol=1e-21, events=events + [turned])
+    return [float(ys[0][1]) if len(ys) else math.nan for ys in sol.y_events[:-1]]
 
 
 @pytest.mark.parametrize("name", ["osc", "enriched", "enriched_r_0.3"])
-def test_one_rung_ladder_is_the_single_section(osc_params, monkeypatch, name):
-    # the rung-by-rung moves reduce to the single section's one entry, bit
-    # for bit
-    geo = sys.modules["predprey.geometry"]
-    monkeypatch.setattr(geo, "_SECTION_LADDER", (1e3,))
-    ws = trace_stable_separatrix_E0(_fan_sets(osc_params)[name])
-    assert [repr(y) for y in ws.x2s()] == [repr(y) for y in _ONE_SECTION_FANS[name]]
+def test_fan_probes_match_the_scipy_backward_trace(osc_params, name):
+    # the curve is the orbit that meets the prey nullcline at the extinction
+    # threshold; every fan probe it reaches lies within 5e-6 of an
+    # independent tight trace of it (worst 1.1e-6, OSC x1 = 9.05), and the
+    # rest (ENRICHED x1 >= 4.05) are the ones scipy's trace turns back from
+    p = _fan_sets(osc_params)[name]
+    ws = trace_stable_separatrix_E0(p)
+    oracle = _scipy_backward_trace(p, ws.x1s(), 1e-9)
+    reached = [i for i, y in enumerate(oracle) if not math.isnan(y)]
+    assert reached == list(range(8 if name == "enriched" else 12))
+    for i in reached:
+        assert ws.x2s()[i] == pytest.approx(oracle[i], rel=5e-6)
 
 
 def test_every_traced_fan_probe_returns_its_trace(osc_params, monkeypatch):
-    # traced back from the deepest rung, the boundary point lands inside the
-    # bracket the probe launches certified on every bundled fan probe that
-    # reaches a section (all but the four ENRICHED probes right of x1 = 4),
-    # so none of them falls back to the probe loop
+    # the backward trace reaches every bundled fan probe but the four
+    # ENRICHED ones right of x1 = 4, and launches 1e-4 either side of it
+    # certify it there, so each of those 32 probes returns its trace
     geo = sys.modules["predprey.geometry"]
     trace = geo._trace_to_probe
     traced = []
@@ -224,17 +236,42 @@ def test_every_traced_fan_probe_returns_its_trace(osc_params, monkeypatch):
         for x in geo._probe_stations(p, SeparatrixOptions()):
             traced.clear()
             y = separatrix_boundary_x2(p, x)
-            if traced:
+            assert len(traced) == 1
+            if not math.isnan(traced[0]):
                 returned.append(y == traced[0])
     assert len(returned) == 32
     assert all(returned)
 
 
-@pytest.mark.parametrize("landing", [-1.0, math.nan])
+def test_nullcline_route_returns_psi(osc_params, monkeypatch):
+    # ENRICHED probes 8-11: the traced orbit spirals into the focus before
+    # x1 = 4.05, every launch above the nullcline dies monotonically and
+    # every launch below it turns at t = 0, so each probe returns psi itself
+    # after the trace and two launches
+    p = _fan_sets(osc_params)["enriched"]
+    geo = sys.modules["predprey.geometry"]
+    stations = geo._probe_stations(p, SeparatrixOptions())[8:]
+    launch = geo.integrate
+    runs = []
+
+    def counted(*args, **kwargs):
+        runs.append(kwargs.get("backward", False))
+        return launch(*args, **kwargs)
+
+    monkeypatch.setattr(geo, "integrate", counted)
+    for x in stations:
+        runs.clear()
+        assert separatrix_boundary_x2(p, x) == psi(x, p)
+        assert runs == [True, False, False]
+
+
+@pytest.mark.parametrize("landing", [-1.0, math.nan, 5.0, 9.0])
 def test_trace_outside_the_bracket_resumes_at_the_probe(osc_params, monkeypatch, landing):
-    # a traced ordinate outside the bracket the probe launches certified, or
-    # a backward run that never gets back (NaN), is never returned: the
-    # bisection resumes at the probe from that bracket
+    # a traced ordinate that launches 1e-4 either side of it do not
+    # certify (5.0 and 9.0 straddle the boundary, 8.23, from below and
+    # above), a negative one, or a backward run that never gets back (NaN)
+    # is never returned: the nullcline launches fail there too, and the
+    # plain bisection at the probe gives the answer, bit for bit
     geo = sys.modules["predprey.geometry"]
     traces = []
 
@@ -245,8 +282,8 @@ def test_trace_outside_the_bracket_resumes_at_the_probe(osc_params, monkeypatch,
     monkeypatch.setattr(geo, "_trace_to_probe", missing)
     got = separatrix_boundary_x2(osc_params, 1.389)
     assert len(traces) == 1
-    monkeypatch.setattr(geo, "_SECTION_LADDER", ())
-    assert repr(got) == repr(separatrix_boundary_x2(osc_params, 1.389))
+    opts = IntegratorOptions(horizon=500.0)
+    assert repr(got) == repr(geo._bisect_probe(osc_params, 1.389, psi(1.389, osc_params), opts))
 
 
 def test_separatrix_requires_fractional_m1(osc_params):
@@ -299,19 +336,19 @@ def test_relative_position_checks_labels_and_overlap():
 
 @pytest.mark.parametrize("rel_tol", [1e-5, 1e-7])
 def test_bisection_width_follows_the_launch_tolerance(osc_params, monkeypatch, rel_tol):
-    # with no rungs the whole bisection runs at the probe: its final bracket
-    # is the tightest BELOW and ABOVE launch, at most rel_tol / 10 wide
-    # relative and, one halving earlier, wider than that
+    # with no trace to certify the probe falls through to the bisection:
+    # its final bracket is the tightest BELOW and ABOVE launch, at most
+    # rel_tol / 10 wide relative and, one halving earlier, wider than that
     geo = sys.modules["predprey.geometry"]
     classify = geo._classify_launch
     fates = {geo._ABOVE: [], geo._BELOW: []}
 
     def recording(p, x1_0, x2_0, iopts):
-        fate, traj = classify(p, x1_0, x2_0, iopts)
+        fate = classify(p, x1_0, x2_0, iopts)
         fates[fate].append(x2_0)
-        return fate, traj
+        return fate
 
-    monkeypatch.setattr(geo, "_SECTION_LADDER", ())
+    monkeypatch.setattr(geo, "_trace_to_probe", lambda *args: math.nan)
     monkeypatch.setattr(geo, "_classify_launch", recording)
     opts = IntegratorOptions(rel_tol=rel_tol, horizon=500.0)
     got = separatrix_boundary_x2(osc_params, 1.389, opts)
