@@ -109,7 +109,11 @@ def predator_nullcline_x1(p: ModelParams) -> float:
         raise DomainError(
             f"predator nullcline empty: needs w1 > a2, got w1={p.w1!r}, a2={p.a2!r}")
     em = 1.0 / p.m1
-    return (p.d / p.r) * p.a2 ** em / (p.w1 ** em - p.a2 ** em)
+    try:
+        return (p.d / p.r) * p.a2 ** em / (p.w1 ** em - p.a2 ** em)
+    except OverflowError:  # a2**em or w1**em: take (w1/a2)**em - 1 from logs
+        z = em * math.log(p.w1 / p.a2)
+        return (p.d / p.r) * (1.0 / math.expm1(z) if z < 700.0 else math.exp(-z))
 
 
 def jacobian(point: State, p: ModelParams) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -365,7 +369,10 @@ def _solve_monotone(H, dH, a: float, b: float, rising: bool, cap: float) -> floa
     monotone: rising (H(a) < 0 < H(b)) or falling.  Newton from the
     midpoint, bisecting whenever a step leaves the bracket, fails to halve
     the step before last, or H is -inf; stops once a step is within a few
-    ulps, a step that rounds onto the bracket's end included.
+    ulps, a step that rounds onto the bracket's end included.  While the
+    bracket spans more than a factor 2 in x1 or in cap - x1 it is bisected
+    in y (below), so a root near either end of the window is reached in a
+    few halvings of y instead of one halving per bit of x1.
 
     H moves with log(x1) near the axis and with log(cap - x1) near a1/b1,
     and the window spans nine decades of each, so the Newton runs in
@@ -388,7 +395,11 @@ def _solve_monotone(H, dH, a: float, b: float, rising: bool, cap: float) -> floa
         w = x * (cap - x) / cap
         xn = x + w * e / (1.0 + x * e / cap)
         if not (a <= xn <= b and abs(xn - x) <= 0.5 * abs(dx_old)):
-            xn = 0.5 * (a + b)
+            if b > 2.0 * a or cap - a > 2.0 * (cap - b):
+                s = math.sqrt(a / (cap - a) * (b / (cap - b)))  # exp of y's midpoint
+                xn = cap * s / (1.0 + s)
+            else:
+                xn = 0.5 * (a + b)
         dx_old, dx = dx, xn - x
         if abs(dx) <= 4.0 * math.ulp(xn):
             return xn

@@ -23,7 +23,7 @@ from predprey import (
 )
 from predprey.equilibria import interior_scan_function, x2_of_x1
 from predprey.geometry import psi
-from predprey.model import _g_derivatives
+from predprey.model import _GAUSS6, _g_derivatives, _inverse_g_integral
 
 OSC = dict(a1=0.6, a2=1.0, b1=0.063, w0=1.0, w1=2.0, d=2.0, m1=0.8, m2=1.0)
 BISTABLE = dict(a1=0.5, a2=0.7, b1=0.05, w0=0.2, w1=4.0, d=0.2, m1=0.5, m2=0.5)
@@ -236,6 +236,43 @@ def test_assumption_v_detail_reports_exponent(osc_params):
     v = next(c for c in checks if c.name.startswith("V:"))
     # Measured slope of g(x)/x should sit near m1 - 1 = -0.2.
     assert "-0.2000" in v.detail
+
+
+def test_gauss_legendre_rule_matches_numpy():
+    import numpy as np
+
+    nodes, weights = np.polynomial.legendre.leggauss(2 * len(_GAUSS6))
+    half = len(_GAUSS6)
+    assert [t for t, _ in _GAUSS6] == pytest.approx(nodes[half:], rel=1e-15)
+    assert [w for _, w in _GAUSS6] == pytest.approx(weights[half:], rel=1e-15)
+
+
+# Check VII's total against an independent quadrature.  With x = u**q,
+# q = 1/(1 - m1), the integral of 1/g = ((x + d)/x)**m1 over (0, beta] is
+# that of q*(u**q + d)**m1 over (0, beta**(1 - m1)], whose integrand is
+# smooth, so mpmath's tanh-sinh rule takes it to 30 digits.  The shells'
+# Gauss-Legendre rule is good to 5e-10 on these sets; the old midpoint
+# shells without the inner tail printed 9.26946 for OSC and 2.92586 for
+# the third set.
+@pytest.mark.parametrize("table, want", [
+    (OSC, 9.2718564014),
+    (BISTABLE, 1.40434210549),
+    ({**OSC, "m1": 0.95, "d": 0.1}, 3.20643884943),
+])
+def test_integral_check_total_matches_mpmath(table, want):
+    p = ModelParams(**table)
+    beta = min(1.0, p.carrying_capacity)
+    with mp.workdps(30):
+        m1, d = mp.mpf(p.m1), mp.mpf(p.d)
+        q = 1 / (1 - m1)
+        oracle = float(mp.quad(lambda u: q * (u ** q + d) ** m1, [0, mp.mpf(beta) ** (1 - m1)]))
+    assert oracle == pytest.approx(want, rel=1e-11)
+    total, ratio = _inverse_g_integral(beta, p.d, p.m1)
+    assert total == pytest.approx(oracle, rel=1e-8)
+    assert ratio == pytest.approx(2.0 ** (p.m1 - 1.0), rel=1e-12)
+    vii = verify_assumptions(p)[-1]
+    assert vii.status == "pass"
+    assert f"int_(0,1] 1/g ~ {oracle:.6g}, shell ratio" in vii.detail
 
 
 def _log_uniform(lo: float, hi: float):
