@@ -170,11 +170,17 @@ def trace_unstable_manifold_E1(
     p: ModelParams,
     opts: IntegratorOptions = _LAUNCH_OPTIONS,
 ) -> PlanarCurve:
-    """Integrate the unstable manifold of E1 = (a1/b1, 0) into the interior.
+    """Integrate the first leg of the unstable manifold of E1 = (a1/b1, 0)
+    into the interior.
 
     Requires m2 = 1 (E1 linearizable) and E1 a saddle.  The seed steps
     _E1_SEED_SCALE * a1/b1 off E1 along the unstable eigenvector, oriented
-    into the open quadrant.
+    into the open quadrant.  The run ends at the first accepted state whose
+    x1 is not below the one before it (the leg's first turn, the last point
+    of the curve), at the prey-extinction event, past x1 + x2 > 1e6 *
+    max(1, a1/b1), or at the horizon of opts.  The curve is then the
+    descending leg separatrix_relative_position reads, plus at most the one
+    state that ends it.
     """
     e1 = predator_free_equilibrium(p)
     if e1.classification.name == "NON_LINEARIZABLE":
@@ -196,8 +202,16 @@ def trace_unstable_manifold_E1(
     seed = State(e1.point.x1 + _E1_SEED_SCALE * cap * v1,
                  e1.point.x2 + _E1_SEED_SCALE * cap * v2)
     guard_cap = 1e6 * max(1.0, cap)
-    traj = integrate(p, seed, opts,
-                     stop_when=lambda t, x1, x2, dx1, dx2: x1 + x2 > guard_cap)
+    last_x1 = math.inf
+
+    def turned_or_escaped(t: float, x1: float, x2: float, dx1: float, dx2: float) -> bool:
+        nonlocal last_x1
+        if not x1 < last_x1 or x1 + x2 > guard_cap:
+            return True
+        last_x1 = x1
+        return False
+
+    traj = integrate(p, seed, opts, stop_when=turned_or_escaped)
     if traj.termination is not None and traj.termination.kind is TerminationKind.STEP_FAILURE:
         raise DomainError(f"manifold trace failed: {traj.termination.reason}")
     return PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(traj.states))
@@ -253,10 +267,12 @@ def _trace_to_probe(p: ModelParams, probe_x1: float, opts: IntegratorOptions) ->
         seed = _nullcline_x2(thr, p)
     except OverflowError:
         return math.nan
-    slopes: list[tuple[float, float]] = []
+    # the field at the last two accepted states: the Hermite ends
+    before = last = (math.nan, math.nan)
 
     def reached(t: float, x1: float, x2: float, dx1: float, dx2: float) -> bool:
-        slopes.append((dx1, dx2))
+        nonlocal before, last
+        before, last = last, (dx1, dx2)
         return x1 >= probe_x1 or (t > 0.0 and not dx1 > 0.0)
 
     topts = replace(opts, abs_tol=min(opts.abs_tol, 1e-3 * thr))
@@ -264,7 +280,7 @@ def _trace_to_probe(p: ModelParams, probe_x1: float, opts: IntegratorOptions) ->
     if traj.termination.kind is not TerminationKind.STOPPED or traj.x1[-1] < probe_x1:
         return math.nan
     h = traj.times[-1] - traj.times[-2]
-    (a1, a2), (b1, b2) = slopes[-2], slopes[-1]
+    (a1, a2), (b1, b2) = before, last
     u0, u1, v0, v1 = traj.x1[-2], traj.x1[-1], traj.x2[-2], traj.x2[-1]
     lo, hi = 0.0, 1.0  # x1 < probe_x1 at lo, x1 >= probe_x1 at hi
     while hi - lo > 1e-15:
@@ -362,7 +378,10 @@ def trace_stable_separatrix_E0(
     probe_x1: list[float] | None = None,
     opts: SeparatrixOptions = SeparatrixOptions(),
 ) -> PlanarCurve:
-    """Assemble the stable set of the origin from per-probe bisections.
+    """Assemble the stable set of the origin probe by probe, each ordinate
+    from the first of separatrix_boundary_x2's three routes that applies:
+    the backward trace from the threshold, the prey nullcline, or the
+    launch bisection.
 
     probe_x1 is an explicit list of at least 2 abscissae, or None for the
     default geometric fan of opts.probes.

@@ -1,8 +1,9 @@
 """Adaptive Dormand-Prince 5(4) integration with axis-extinction events.
 
 The stepper is written out against plain floats for the 2D system -- the
-separatrix machinery runs thousands of short integrations (about 31 per
-probe), and scalar arithmetic keeps each step in the microsecond range.
+separatrix machinery runs thousands of short integrations (three per probe:
+one backward trace and two certifying launches), and scalar arithmetic keeps
+each step in the microsecond range.
 The step itself is written out inline in the one loop (`_run`) that both
 charts share: in CPython a helper call per step, a tuple per step result,
 min/max builtin calls and per-event or per-state objects cost as much as
@@ -23,8 +24,8 @@ initial condition sitting on an axis integrates as the constant/on-axis
 solution instead of reporting extinction at t = 0.  The predator event
 exists only for m2 < 1: with m2 = 1 the axis is reached only as t -> inf and
 a threshold crossing would misreport a finite extinction time.  A backward
-run (`integrate(..., backward=True)`) is the same loop on the negated field
-and watches no event.
+run (`integrate(..., backward=True)`) is the same loop on the field itself
+with the step negated, and watches no event.
 """
 from __future__ import annotations
 
@@ -98,6 +99,9 @@ class Trajectory:
     x1: list[float] = field(default_factory=list)
     x2: list[float] = field(default_factory=list)
     termination: Termination | None = None
+    # trial steps the error test turned down, the one that ends a
+    # STEP_FAILURE run included
+    rejected: int = 0
 
     @property
     def states(self) -> list[State]:
@@ -163,13 +167,19 @@ def _run(
     watch: tuple[bool, bool],
     stop_when: StopPredicate | None,
     blowup_ceiling: float | None,
+    sign: float = 1.0,
 ) -> Trajectory:
     """Core loop shared by the x-system and the u-chart.
 
     watch[i] switches on the extinction event of component i (the u-chart
     watches neither and ends at blowup_ceiling instead).  stop_when gets the
     field at each accepted state from the step that produced it (FSAL), so
-    the predicate costs no field evaluation.  The min/max of
+    the predicate costs no field evaluation.  sign = -1.0 runs the orbit
+    backward: the stage and error sums take the step as sign * h, and
+    stop_when gets sign times the field, the derivative along the run.  As
+    IEEE negation is exact, every stage point, state and time is the one the
+    loop would give on the negated field with sign 1.0.  The times column
+    counts elapsed time either way.  The min/max of
     the textbook loop are written as comparisons with the same result, ties
     and -0.0 included: max(a, b) is `b if b > a else a`, min(a, b) is
     `b if b < a else a`.
@@ -209,7 +219,7 @@ def _run(
         k1, k2 = f(y1, y2)
     except (OverflowError, ZeroDivisionError) as exc:
         raise DomainError(f"field not evaluable at the initial condition: {exc}") from exc
-    if stop_when is not None and stop_when(t, y1, y2, k1, k2):
+    if stop_when is not None and stop_when(t, y1, y2, sign * k1, sign * k2):
         traj.termination = Termination(TerminationKind.STOPPED, t)
         return traj
     h = _initial_step(y1, y2, k1, k2, opts)
@@ -223,27 +233,28 @@ def _run(
             h = min_step
 
         # --- one embedded step; err ends finite, or inf to reject outright --
+        sh = sign * h
         try:
-            a1 = y1 + h * a21 * k1
-            a2 = y2 + h * a21 * k2
+            a1 = y1 + sh * a21 * k1
+            a2 = y2 + sh * a21 * k2
             s21, s22 = f(a1, a2)
-            a1 = y1 + h * (a31 * k1 + a32 * s21)
-            a2 = y2 + h * (a31 * k2 + a32 * s22)
+            a1 = y1 + sh * (a31 * k1 + a32 * s21)
+            a2 = y2 + sh * (a31 * k2 + a32 * s22)
             s31, s32 = f(a1, a2)
-            a1 = y1 + h * (a41 * k1 + a42 * s21 + a43 * s31)
-            a2 = y2 + h * (a41 * k2 + a42 * s22 + a43 * s32)
+            a1 = y1 + sh * (a41 * k1 + a42 * s21 + a43 * s31)
+            a2 = y2 + sh * (a41 * k2 + a42 * s22 + a43 * s32)
             s41, s42 = f(a1, a2)
-            a1 = y1 + h * (a51 * k1 + a52 * s21 + a53 * s31 + a54 * s41)
-            a2 = y2 + h * (a51 * k2 + a52 * s22 + a53 * s32 + a54 * s42)
+            a1 = y1 + sh * (a51 * k1 + a52 * s21 + a53 * s31 + a54 * s41)
+            a2 = y2 + sh * (a51 * k2 + a52 * s22 + a53 * s32 + a54 * s42)
             s51, s52 = f(a1, a2)
-            a1 = y1 + h * (a61 * k1 + a62 * s21 + a63 * s31 + a64 * s41 + a65 * s51)
-            a2 = y2 + h * (a61 * k2 + a62 * s22 + a63 * s32 + a64 * s42 + a65 * s52)
+            a1 = y1 + sh * (a61 * k1 + a62 * s21 + a63 * s31 + a64 * s41 + a65 * s51)
+            a2 = y2 + sh * (a61 * k2 + a62 * s22 + a63 * s32 + a64 * s42 + a65 * s52)
             s61, s62 = f(a1, a2)
-            z1 = y1 + h * (a71 * k1 + a73 * s31 + a74 * s41 + a75 * s51 + a76 * s61)
-            z2 = y2 + h * (a71 * k2 + a73 * s32 + a74 * s42 + a75 * s52 + a76 * s62)
+            z1 = y1 + sh * (a71 * k1 + a73 * s31 + a74 * s41 + a75 * s51 + a76 * s61)
+            z2 = y2 + sh * (a71 * k2 + a73 * s32 + a74 * s42 + a75 * s52 + a76 * s62)
             k1n, k2n = f(z1, z2)
-            e1 = h * (ew1 * k1 + ew3 * s31 + ew4 * s41 + ew5 * s51 + ew6 * s61 + ew7 * k1n)
-            e2 = h * (ew1 * k2 + ew3 * s32 + ew4 * s42 + ew5 * s52 + ew6 * s62 + ew7 * k2n)
+            e1 = sh * (ew1 * k1 + ew3 * s31 + ew4 * s41 + ew5 * s51 + ew6 * s61 + ew7 * k1n)
+            e2 = sh * (ew1 * k2 + ew3 * s32 + ew4 * s42 + ew5 * s52 + ew6 * s62 + ew7 * k2n)
         except (OverflowError, ZeroDivisionError, DomainError):
             # a trial stage left the chart (u-system) or overflowed
             err = inf
@@ -269,6 +280,7 @@ def _run(
 
         if err > 1.0:
             # rejected: shrink and retry
+            traj.rejected += 1
             if h <= min_step:
                 traj.termination = Termination(
                     TerminationKind.STEP_FAILURE, t,
@@ -322,7 +334,7 @@ def _run(
         if not armed2 and y2 > rearm2:
             armed2 = True
 
-        if stop_when is not None and stop_when(t, y1, y2, k1, k2):
+        if stop_when is not None and stop_when(t, y1, y2, sign * k1, sign * k2):
             traj.termination = Termination(TerminationKind.STOPPED, t)
             return traj
 
@@ -390,23 +402,20 @@ def integrate(
     DomainError even when the predicate would have stopped the run.
 
     With backward=True the run follows the orbit back in time: the loop
-    integrates the negated field, (dx1, dx2) handed to `stop_when` is that
-    negated field, the times column holds the elapsed backward time (0 up to
-    at most the horizon), and no extinction event is watched, so a backward
-    run never ends in PreyExtinct or PredatorExtinct.
+    steps the field with the step negated, (dx1, dx2) handed to `stop_when`
+    is the negated field, the times column holds the elapsed backward time
+    (0 up to at most the horizon), and no extinction event is watched, so a
+    backward run never ends in PreyExtinct or PredatorExtinct.  The states
+    are bit for bit those of a forward run on the negated field.
     """
     if opts is None:
         opts = IntegratorOptions()
     x1 = _check_ic(ic.x1, "x1")
     x2 = _check_ic(ic.x2, "x2")
     f = make_rhs(p)
-    if not backward:
-        return _run(f, (x1, x2), opts, (True, p.m2 < 1.0), stop_when, None)
-
-    def reversed_field(x1: float, x2: float) -> tuple[float, float]:
-        d1, d2 = f(x1, x2)
-        return -d1, -d2
-    return _run(reversed_field, (x1, x2), opts, (False, False), stop_when, None)
+    if backward:
+        return _run(f, (x1, x2), opts, (False, False), stop_when, None, -1.0)
+    return _run(f, (x1, x2), opts, (True, p.m2 < 1.0), stop_when, None)
 
 
 def integrate_u_system(

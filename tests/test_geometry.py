@@ -79,6 +79,34 @@ def test_unstable_manifold_needs_a_saddle(osc_params, bistable_params):
         trace_unstable_manifold_E1(below)
 
 
+@pytest.mark.parametrize("name", ["osc", "enriched", "enriched_r_0.3"])
+def test_manifold_is_the_descending_prefix_of_the_long_trace(osc_params, name):
+    # the manifold ends at its leg's first turn: state for state the
+    # descending prefix of a run from the same seed to the horizon that
+    # stops only at the guard cap, plus the state that turns it
+    p = _fan_sets(osc_params)[name]
+    geo = sys.modules["predprey.geometry"]
+    wu = trace_unstable_manifold_E1(p)
+    guard_cap = 1e6 * max(1.0, p.carrying_capacity)
+    full = integrate(p, wu.points[0], IntegratorOptions(horizon=500.0),
+                     stop_when=lambda t, x1, x2, dx1, dx2: x1 + x2 > guard_cap)
+    leg = geo._descending_prefix(tuple(full.states))
+    if name == "enriched":
+        # the leg runs into prey extinction, which ends both runs
+        assert full.termination.kind is TerminationKind.PREY_EXTINCT
+        assert repr(wu.points) == repr(tuple(leg)) == repr(tuple(full.states))
+    else:
+        # the first state not left of its predecessor ends the curve
+        assert len(full) > len(leg) + 1
+        turn = full.states[len(leg)]
+        assert not turn.x1 < leg[-1].x1
+        assert repr(wu.points) == repr(tuple(leg) + (turn,))
+    ws = trace_stable_separatrix_E0(p)
+    old = separatrix_relative_position(
+        ws, PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(full.states)))
+    assert repr(separatrix_relative_position(ws, wu)) == repr(old)
+
+
 def test_boundary_bisection_separates_fates(osc_params):
     b = separatrix_boundary_x2(osc_params, 5.0)
     assert b > psi(5.0, osc_params)  # boundary sits above the nullcline

@@ -470,6 +470,36 @@ def test_one_field_call_fewer_than_reference(osc_params, monkeypatch):
     assert n == len(calls) - 1
 
 
+@pytest.mark.parametrize("case, rejected", [
+    ("osc_horizon_2000", 54), ("osc_touchdown", 0), ("stop_on_turnaround", 1),
+    # the rejected step that ends the run counts too
+    ("step_failure", 2),
+    ("backward:osc_back_to_probe", 0), ("backward:bistable_predator_drains", 11),
+])
+def test_field_calls_count_six_per_trial_step(case, rejected, monkeypatch):
+    # one field call at the initial condition and one per stage of every
+    # trial step, accepted or rejected, backward runs included
+    backward = case.startswith("backward:")
+    cases = _BACKWARD_CASES if backward else _REFERENCE_CASES
+    p, ic, kw, stop_when, kind = cases[case.removeprefix("backward:")]
+    calls = []
+
+    def counting(p):
+        f = make_rhs(p)
+
+        def field(x1, x2):
+            calls.append(1)
+            return f(x1, x2)
+        return field
+
+    monkeypatch.setattr(sys.modules["predprey.integrate"], "make_rhs", counting)
+    traj = integrate(p, State(*ic), IntegratorOptions(**kw), stop_when=stop_when,
+                     backward=backward)
+    assert traj.termination.kind is kind
+    assert traj.rejected == rejected
+    assert len(calls) == 6 * (len(traj) - 1 + traj.rejected) + 1
+
+
 def test_field_failure_at_initial_condition_is_a_domain_error():
     run = sys.modules["predprey.integrate"]._run
 
