@@ -5,13 +5,19 @@ being the interior scan function.  A sweep traces it by pseudo-arclength
 continuation, seeded and cross-checked by exact root isolation at every
 _CHECK_EVERY-th sample and both ends (interior_equilibria; a root that no
 traced curve passes through seeds a new curve), and resamples it onto the
-uniform sample grid, split at turning points into chains.  Every point
-solve is the one damped 2-D Newton iteration on
-(F, s) = (0, 0), with s = det J for folds (the curve's turning points,
-reported when tr < 0: a stable node meets a saddle), tr J for Hopf points
-(trace sign changes with det > 0; the first Lyapunov coefficient fixes
-sub/supercritical), v - v_i for the equilibrium at a fixed v_i, or the
-arclength constraint in the continuation corrector.  The Newton evaluates
+uniform sample grid, split at turning points into chains; each chain
+keeps the two ends of its curve piece (a polished turning point, or the
+last traced point on the range edge or in the interior window).  The
+detectors read what the sweep computed: folds start from the traced
+curves' turning points, and Hopf points from sign changes of the trace
+that classify stored at each chain sample, the chain closed by its piece
+ends.  Every point solve is the one damped 2-D Newton iteration on
+(F, s) = (0, 0), with s = det J for folds (reported when tr < 0: a stable
+node meets a saddle), tr J for Hopf points (kept with det > 0; the first
+Lyapunov coefficient fixes sub/supercritical), v - v_i for the
+equilibrium at a fixed v_i, or the arclength constraint in the
+continuation corrector.  The swept value enters each point through
+model._with_field, which checks only that field.  The Newton evaluates
 each point once, and its Jacobian is exact in every row: F's, tr's and
 det's come with their values from one _scan_gradient, the chain rule on
 the field's derivative table in model (F = -f1 along the branch), and the
@@ -53,6 +59,7 @@ from .model import (  # noqa: F401
     ParameterError,
     State,
     _field_partials,
+    _with_field,
     make_rhs,
     with_params,
 )
@@ -107,7 +114,10 @@ class Branch:
     samples: tuple[float, ...]
     equilibria: tuple[tuple[Equilibrium, ...], ...]   # per sample
     chains: tuple[tuple[tuple[int, int], ...], ...]   # chain -> (sample, eq index)
-    curves: tuple[tuple[tuple[float, float], ...], ...] = ()  # traced (v, x1), in order
+    curves: tuple[tuple[tuple[float, float], ...], ...]   # traced (v, x1), in order
+    # chain -> the (v, x1) ends of its curve piece, in v order: a polished
+    # turning point, or the last traced point on the range edge or in the window
+    ends: tuple[tuple[tuple[float, float], tuple[float, float]], ...]
 
     def params_at(self, value: float) -> ModelParams:
         return with_params(self.base_params, **{self.param_name: value})
@@ -119,11 +129,6 @@ class Branch:
 _TR, _DET = 1, 2  # the rows of tr J and det J in _scan_gradient's table
 
 
-def _tr_det(x1: float, pv: ModelParams) -> tuple[float, float]:
-    (j11, j12), (j21, j22) = jacobian(State(x1, x2_of_x1(x1, pv)), pv)
-    return j11 + j22, j11 * j22 - j12 * j21
-
-
 def _residual(p: ModelParams, name: str, second, grad: tuple[float, float] | None = None):
     """The Newton system on (F(x1; v), s): system(x1, v) is the residual
     (F, s) with its exact Jacobian columns ((F_x1, s_x1), (F_v, s_v)), or
@@ -133,11 +138,10 @@ def _residual(p: ModelParams, name: str, second, grad: tuple[float, float] | Non
     its parameters once and takes every entry from one _scan_gradient."""
 
     def system(x1: float, v: float):
-        try:
-            pv = with_params(p, **{name: v})
-        except ParameterError:
+        pv = _with_field(p, name, v)
+        if pv is None:
             return None
-        cap = pv.carrying_capacity
+        cap = pv.a1 / pv.b1
         if not 1e-9 * cap < x1 < (1.0 - 1e-9) * cap:
             return None
         if grad is not None:
@@ -272,9 +276,10 @@ def _turns(curve) -> list[int]:
             if (curve[k][0] - curve[k - 1][0]) * (curve[k + 1][0] - curve[k][0]) < 0.0]
 
 
-def _resample(p: ModelParams, name: str, curve, samples) -> list[list[tuple[int, float]]]:
-    """Chains of (sample index, x1): the curve split at its turning points,
-    each monotone piece corrected onto the samples it spans."""
+def _resample(p: ModelParams, name: str, curve, samples):
+    """Chains of (sample index, x1), each with the (v, x1) ends of its
+    piece in v order: the curve split at its turning points, each monotone
+    piece corrected onto the samples it spans."""
     cuts = [0, *_turns(curve), len(curve) - 1]
     chains = []
     for a, b in zip(cuts, cuts[1:]):
@@ -289,7 +294,7 @@ def _resample(p: ModelParams, name: str, curve, samples) -> list[list[tuple[int,
             if x1 is not None:
                 chain.append((i, x1))
         if chain:
-            chains.append(chain)
+            chains.append((chain, (piece[0], piece[-1])))
     return chains
 
 
@@ -345,12 +350,12 @@ def branch_sweep(
         for eq in interior_equilibria(pvs[i]):
             if new(i, eq.point.x1):
                 curves.append(_trace(p, param_name, eq.point.x1, samples[i], samples))
-                for chain in _resample(p, param_name, curves[-1], samples):
+                for chain, ends in _resample(p, param_name, curves[-1], samples):
                     chain = [(j, x1) for j, x1 in chain if new(j, x1)]
                     for j, x1 in chain:
                         roots[j].append(x1)
                     if chain:
-                        found.append(chain)
+                        found.append((chain, ends))
 
     found.sort()  # chain ids by first sample, then by x1 there
     for xs in roots:
@@ -359,44 +364,35 @@ def branch_sweep(
         param_name, p, samples,
         tuple(tuple(classify(State(x1, x2_of_x1(x1, pv)), pv, EquilibriumKind.INTERIOR)
                     for x1 in xs) for xs, pv in zip(roots, pvs)),
-        tuple(tuple((i, roots[i].index(x1)) for i, x1 in ch) for ch in found),
-        tuple(tuple(curve) for curve in curves))
+        tuple(tuple((i, roots[i].index(x1)) for i, x1 in ch) for ch, _ in found),
+        tuple(tuple(curve) for curve in curves),
+        tuple(ends for _, ends in found))
 
 
 # --------------------------------------------------------------------------
-# Detectors: sign changes of det (folds) and tr (Hopf) along the curves.
-
-def _zeros(branch: Branch, row: int) -> list[tuple[float, float, ModelParams]]:
-    """(x1, v, params) where tr J (row _TR) or det J (_DET) changes sign
-    between traced points, polished on (F, it) = (0, 0), inside the swept
-    range."""
-    system = _residual(branch.base_params, branch.param_name, row)
-    out = []
-    for curve in branch.curves:
-        s = [_tr_det(x1, branch.params_at(v))[row - _TR] for v, x1 in curve]
-        for (va, xa), (vb, xb), sa, sb in zip(curve, curve[1:], s, s[1:]):
-            if sa * sb > 0.0 or sa == sb == 0.0:  # no sign change (zeros fall through)
-                continue
-            w = sa / (sa - sb)
-            z = _newton(system, xa + w * (xb - xa), va + w * (vb - va))
-            if z is not None and branch.samples[0] <= z[1] <= branch.samples[-1]:
-                out.append((*z, branch.params_at(z[1])))
-    return out
-
+# Detectors: the sweep's turning points (folds) and tr sign changes along its
+# chains (Hopf points), polished on (F, det) and (F, tr).
 
 def detect_saddle_node(branch: Branch) -> list[BifurcationEvent]:
-    """Folds along the sweep: the turning points of the traced curves, where
-    the Jacobian determinant changes sign, polished to where the scan
-    function and det vanish together.  Only tr < 0 folds are reported (the
-    colliding pair is a stable node and a saddle)."""
+    """Folds along the sweep: the turning points of the traced curves,
+    which the trace has already polished, confirmed on (F, det) = (0, 0)
+    inside the swept range.  Only tr < 0 folds are reported (the colliding
+    pair is a stable node and a saddle)."""
+    p, name = branch.base_params, branch.param_name
+    system = _residual(p, name, _DET)
     events: list[BifurcationEvent] = []
-    for x1s, vs, pv in _zeros(branch, _DET):
-        tr, det = _tr_det(x1s, pv)
-        if tr < 0.0:
-            (_, _, f_v), = _scan_gradient(x1s, pv, branch.param_name)
-            events.append(BifurcationEvent(
-                BifurcationKind.SADDLE_NODE, branch.param_name, vs,
-                State(x1s, x2_of_x1(x1s, pv)), {"tr": tr, "det": det, "dF_dparam": f_v}))
+    for curve in branch.curves:
+        for k in _turns(curve):
+            z = _newton(system, curve[k][1], curve[k][0])
+            if z is None or not branch.samples[0] <= z[1] <= branch.samples[-1]:
+                continue
+            x1s, vs = z
+            pv = branch.params_at(vs)
+            (_, _, f_v), (tr, _, _), (det, _, _) = _scan_gradient(x1s, pv, name, True)
+            if tr < 0.0:
+                events.append(BifurcationEvent(
+                    BifurcationKind.SADDLE_NODE, name, vs,
+                    State(x1s, x2_of_x1(x1s, pv)), {"tr": tr, "det": det, "dF_dparam": f_v}))
     return _dedupe(events)
 
 
@@ -411,15 +407,43 @@ def _dedupe(events: list[BifurcationEvent]) -> list[BifurcationEvent]:
     return out
 
 
+def _trace_crossings(branch: Branch) -> list[tuple[float, float]]:
+    """(x1, v) where tr J changes sign along a chain, polished on
+    (F, tr) = (0, 0) inside the swept range.  tr is the one classify stored
+    at each sample; each chain is closed by its piece's ends, which lie
+    beyond its first and last samples where the piece turns or leaves the
+    interior window."""
+    system = _residual(branch.base_params, branch.param_name, _TR)
+    lo, hi = branch.samples[0], branch.samples[-1]
+    out = []
+    for chain, ((vh, xh), (vt, xt)) in zip(branch.chains, branch.ends):
+        pts = [(branch.samples[i], branch.equilibria[i][j].point.x1,
+                branch.equilibria[i][j].trace) for i, j in chain]
+        if vh < pts[0][0] and (at := system(xh, vh)) is not None:
+            pts.insert(0, (vh, xh, at[0][1]))
+        if vt > pts[-1][0] and (at := system(xt, vt)) is not None:
+            pts.append((vt, xt, at[0][1]))
+        for (va, xa, sa), (vb, xb, sb) in zip(pts, pts[1:]):
+            if sa * sb > 0.0 or sa == sb == 0.0:  # no sign change (zeros fall through)
+                continue
+            w = sa / (sa - sb)
+            z = _newton(system, xa + w * (xb - xa), va + w * (vb - va))
+            if z is not None and lo <= z[1] <= hi:
+                out.append(z)
+    return out
+
+
 def detect_hopf(branch: Branch, scan_points: int | None = None) -> list[BifurcationEvent]:
-    """Trace sign changes along the traced curves, polished on (F, tr) and
-    kept where det > 0 and the trace crosses with nonzero speed, with the
-    exact transversality d Re(lambda)/dv = (tr_v - tr_x1*F_v/F_x1)/2 along
-    the branch and the first Lyapunov coefficient.  scan_points is accepted
-    and ignored: the curves hold the equilibria."""
+    """Trace sign changes along the chains (the samples' stored tr, closed
+    by each chain's piece ends), polished on (F, tr) and kept where det > 0
+    and the trace crosses with nonzero speed, with the exact transversality
+    d Re(lambda)/dv = (tr_v - tr_x1*F_v/F_x1)/2 along the branch and the
+    first Lyapunov coefficient.  scan_points is accepted and ignored: the
+    chains hold the equilibria."""
     p, name = branch.base_params, branch.param_name
     events: list[BifurcationEvent] = []
-    for x1s, v_star, pv in _zeros(branch, _TR):
+    for x1s, v_star in _trace_crossings(branch):
+        pv = branch.params_at(v_star)
         (_, f_x1, f_v), (tr, tr_x1, tr_v), (det, _, _) = _scan_gradient(x1s, pv, name, True)
         if not (det > 0.0 and abs(tr) < 1e-8):
             continue

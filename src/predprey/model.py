@@ -458,25 +458,37 @@ def _integral_check(p: ModelParams) -> AssumptionCheck:
     )
 
 
+def _with_field(p: ModelParams, name: str, value: float) -> ModelParams | None:
+    """p with the one field name set to value, or None where _range_error
+    rejects the value; name must be a field.  Sweeps and their Newton
+    iterations substitute one parameter this way thousands of times, so
+    only the changed field is checked: the others were checked when p was
+    built."""
+    if _range_error(name, value):
+        return None
+    q = object.__new__(ModelParams)
+    q.__dict__.update(p.__dict__)
+    q.__dict__[name] = value
+    return q
+
+
 def with_params(p: ModelParams, **changes: float) -> ModelParams:
     """p with some fields changed, equal to dataclasses.replace(p, **changes).
 
-    Only the changed fields are validated: the others were checked when p
-    was built.  This keeps parameter substitution cheap where sweeps and
-    Newton iterations do it thousands of times.  Raises ParameterError
+    Each field is substituted by _with_field.  Raises ParameterError
     listing every bad changed field (messages and order as ModelParams
     gives them), and TypeError for a name that is not a field.
     """
     bad = []
+    q = p
     for name, value in changes.items():
         if name not in _FIELDS:
             raise TypeError(f"ModelParams has no field {name!r}")
-        msg = _range_error(name, value)
-        if msg:
-            bad.append((_FIELDS.index(name), msg))
+        moved = _with_field(q, name, value)
+        if moved is None:
+            bad.append((_FIELDS.index(name), _range_error(name, value)))
+        else:
+            q = moved
     if bad:
         raise ParameterError([msg for _, msg in sorted(bad)])
-    q = object.__new__(ModelParams)
-    q.__dict__.update(p.__dict__)
-    q.__dict__.update(changes)
     return q

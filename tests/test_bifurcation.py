@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import mpmath
 import pytest
@@ -25,8 +26,8 @@ from predprey import (
     with_params,
 )
 from predprey import bifurcation
-from predprey.bifurcation import SWEEPABLE, _lyapunov_of_field, _tr_det
-from predprey.equilibria import _scan_gradient, x2_of_x1
+from predprey.bifurcation import SWEEPABLE, _lyapunov_of_field
+from predprey.equilibria import _scan_gradient, jacobian, x2_of_x1
 from predprey.model import _g_derivatives, _p_derivatives, make_rhs
 
 
@@ -215,6 +216,105 @@ def test_sweep_onto_the_transcritical_edge_keeps_one_chain(transcritical_edge_pa
 
 
 # --------------------------------------------------------------------------
+# The detectors read the sweep: tr at the chains' samples, closed by the
+# ends of their curve pieces, and the traced curves' turning points.
+
+def test_hopf_between_the_last_sample_and_a_fold():
+    # the chain's last sample and the fold that ends its piece have opposite tr
+    p = ModelParams(a1=0.609156, a2=0.428509, b1=2.19943, w0=0.718915, w1=0.266305,
+                    d=0.403237, m1=0.166232, m2=0.788086, r=1.0)
+    (ev,) = detect_hopf(branch_sweep(p, "w0", 0.215674, 2.15674, n=41))
+    assert ev.critical_value == pytest.approx(0.799474936, rel=1e-9, abs=0.0)
+
+
+def test_hopf_between_the_last_sample_and_the_window_exit():
+    # the chain's last sample and the last traced point before the curve
+    # leaves the interior window have opposite tr
+    p = ModelParams(a1=1.4211, a2=6.25295, b1=0.382898, w0=0.164201, w1=2.89662,
+                    d=0.781408, m1=0.0743597, m2=1.0, r=1.0)
+    (ev,) = detect_hopf(branch_sweep(p, "a2", 1.87589, 18.7589, n=41))
+    assert ev.critical_value == pytest.approx(2.8212029465, rel=1e-9, abs=0.0)
+
+
+def _curve_scan_events(br):
+    """The reference the detectors replace: every tr and det sign change
+    between consecutive traced points of br.curves, polished on (F, tr) or
+    (F, det), kept and merged as the detectors keep and merge them.
+    (kind, v, x1), folds first, each kind by v."""
+    p, name = br.base_params, br.param_name
+    events = []
+    for kind, row in (("saddle_node", 2), ("hopf", 1)):
+        system = bifurcation._residual(p, name, row)
+        found = []
+        for curve in br.curves:
+            s = [_tr_det(x1, br.params_at(v))[row - 1] for v, x1 in curve]
+            for (va, xa), (vb, xb), sa, sb in zip(curve, curve[1:], s, s[1:]):
+                if sa * sb > 0.0 or sa == sb == 0.0:
+                    continue
+                w = sa / (sa - sb)
+                z = bifurcation._newton(system, xa + w * (xb - xa), va + w * (vb - va))
+                if z is None or not br.samples[0] <= z[1] <= br.samples[-1]:
+                    continue
+                x1, v = z
+                (_, f_x1, f_v), (tr, tr_x1, tr_v), (det, _, _) = _scan_gradient(
+                    x1, br.params_at(v), name, True)
+                if kind == "saddle_node":
+                    keep = tr < 0.0
+                else:
+                    keep = (det > 0.0 and abs(tr) < 1e-8
+                            and abs(tr_v - tr_x1 * f_v / f_x1) >= 1e-8)
+                if keep:
+                    found.append((v, x1))
+        kept = []
+        for v, x1 in sorted(found):
+            if not kept or abs(v - kept[-1][0]) > 1e-6 * max(1e-12, abs(kept[-1][0])):
+                kept.append((v, x1))
+        events += [(kind, v, x1) for v, x1 in kept]
+    return events
+
+
+@pytest.mark.parametrize("seed", [7, 11])
+def test_detectors_match_the_curve_scan_over_the_domain(seed):
+    # rates log-uniform over two decades, m1 in [0.05, 1], m2 and r each 1
+    # or fractional; one parameter swept over [0.3*v, 3*v] (r over
+    # [0.02, 1]).  A chain scan without its piece ends misses Hopf points
+    # here that the curve scan finds.
+    rng = random.Random(seed)
+    counts = {"saddle_node": 0, "hopf": 0}
+    for _ in range(100):
+        rates = {k: 0.1 * 100.0 ** rng.random() for k in ("a1", "a2", "b1", "w0", "w1", "d")}
+        p = ModelParams(**rates, m1=rng.uniform(0.05, 1.0),
+                        m2=rng.choice([1.0, rng.uniform(0.05, 1.0)]),
+                        r=rng.choice([1.0, rng.uniform(0.05, 1.0)]))
+        name = rng.choice(SWEEPABLE)
+        v = getattr(p, name)
+        lo, hi = (0.02, 1.0) if name == "r" else (0.3 * v, 3.0 * v)
+        br = branch_sweep(p, name, lo, hi, n=rng.choice([41, 101]))
+        got = [(e.kind.value, e.critical_value, e.point.x1)
+               for e in detect_saddle_node(br) + detect_hopf(br)]
+        want = _curve_scan_events(br)
+        assert [e[0] for e in got] == [e[0] for e in want], (p, name)
+        for (kind, v_got, x_got), (_, v_want, x_want) in zip(got, want):
+            assert v_got == pytest.approx(v_want, rel=1e-10, abs=0.0), (p, name, kind)
+            assert x_got == pytest.approx(x_want, rel=1e-10, abs=0.0), (p, name, kind)
+            counts[kind] += 1
+    assert min(counts.values()) > 0, counts
+
+
+@pytest.mark.parametrize("name, value", [
+    ("r", 1.5), ("r", 0.0), ("a1", -0.1), ("w0", math.nan), ("b1", math.inf)])
+def test_newton_system_rejects_an_out_of_domain_swept_value(name, value, osc_params):
+    # the swept value is substituted unbuilt; its range is still checked
+    (eq,) = interior_equilibria(osc_params)
+    v = getattr(osc_params, name)
+    for second, grad in ((bifurcation._TR, None), (bifurcation._DET, None),
+                         (lambda x1, v_: v_ - v, (0.0, 1.0))):
+        system = bifurcation._residual(osc_params, name, second, grad)
+        assert system(eq.point.x1, v) is not None
+        assert system(eq.point.x1, value) is None
+
+
+# --------------------------------------------------------------------------
 # The Newton's closed-form gradient against central differences.
 
 def _central_jac(resid, r0, x1, v):
@@ -377,6 +477,12 @@ def test_g_and_p_derivatives_match_mpmath(p, e):
 # difference quotients' rounding noise where a derivative cancels or vanishes
 # (tr_w0 and tr_w1 at m2 = 1), and nothing a wrong sign or factor would give.
 FLOOR = 1e-10
+
+
+def _tr_det(x1, p):
+    """tr J and det J at the branch point over x1, from jacobian."""
+    (j11, j12), (j21, j22) = jacobian(State(x1, x2_of_x1(x1, p)), p)
+    return j11 + j22, j11 * j22 - j12 * j21
 
 
 def _check_tr_det_slopes(p, x1):

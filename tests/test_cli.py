@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 import predprey
 from predprey import IntegratorOptions, cli, csvio, trace_unstable_manifold_E1
+from predprey.bifurcation import SWEEPABLE
 from predprey.config import load_config
 
 MODEL = textwrap.dedent("""\
@@ -410,24 +411,31 @@ def _run_twice(command: str, cfg: str, root: str) -> int:
 @settings(max_examples=30, deadline=None, derandomize=True)
 @given(rates=st.lists(_RATE, min_size=6, max_size=6), m1=_EXPONENT,
        m2=st.one_of(st.just(1.0), _EXPONENT), r=st.one_of(st.just(1.0), _EXPONENT),
-       ic=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 10.0)))
-def test_cli_is_total_and_deterministic_over_the_domain(rates, m1, m2, r, ic):
+       ic=st.tuples(st.floats(0.01, 1.0), st.floats(0.01, 10.0)),
+       sweep=st.tuples(st.sampled_from(SWEEPABLE), st.floats(1.1, 10.0)))
+def test_cli_is_total_and_deterministic_over_the_domain(rates, m1, m2, r, ic, sweep):
     # over the documented domain these commands exit 0 or 1, never raise,
     # and write the same bytes on a second run.  m2 and r are 1, as in the
-    # bundled sets, or fractional.  sweep is left out for its cost, and
-    # separatrix on m2 = 1, where the property below covers it.
+    # bundled sets, or fractional.  The sweep runs over v/factor..v*factor
+    # (r at most 1).  separatrix is left out on m2 = 1, where the property
+    # below covers it.
     p = dict(zip(("a1", "a2", "b1", "w0", "w1", "d"), rates), m1=m1, m2=m2, r=r)
     cap = p["a1"] / p["b1"]
+    name, factor = sweep
+    lo, hi = p[name] / factor, p[name] * factor
+    if name == "r":
+        hi = min(hi, 1.0)
     text = "[model]\n" + "".join(f"{k} = {v!r}\n" for k, v in p.items()) + (
         f"\n[simulate]\nx1 = {ic[0] * cap!r}\nx2 = {ic[1]!r}\nhorizon = 5.0\n"
         f"\n[refuge]\nx1 = {ic[0] * cap!r}\n"
-        f"\n[extinction]\nx1 = {ic[0] * cap!r}\nx2 = {ic[1]!r}\n")
+        f"\n[extinction]\nx1 = {ic[0] * cap!r}\nx2 = {ic[1]!r}\n"
+        f"\n[sweep]\nparam = {name}\nlo = {lo!r}\nhi = {hi!r}\nn = 11\n")
     with tempfile.TemporaryDirectory() as root:
         cfg = os.path.join(root, "cfg.ini")
         with open(cfg, "w") as fh:
             fh.write(text)
         for command in ("equilibria", "refuge-threshold", "verify-assumptions", "simulate",
-                        "extinction", "separatrix"):
+                        "extinction", "sweep", "separatrix"):
             if command != "separatrix" or m2 != 1.0:
                 _run_twice(command, cfg, root)
 
