@@ -2,7 +2,7 @@
 
 Library layout:
 
-    model        -- parameters, vector field (both charts), assumption audit
+    model        -- parameters, vector field (x, u and y charts), assumption audit
     integrate    -- adaptive RK with axis-extinction events
     equilibria   -- closed forms, interior root isolation, Jacobian, classification
     geometry     -- nullclines, unstable manifold of E1, extinction separatrix
@@ -79,6 +79,7 @@ from .model import (
     eval_g,
     make_rhs,
     make_u_rhs,
+    make_y_rhs,
     validate_params,
     verify_assumptions,
     with_params,

@@ -3,9 +3,14 @@
 The stepper is written out against plain floats for the 2D system -- the
 separatrix machinery runs thousands of short integrations (three per probe:
 one backward trace and two certifying launches), and scalar arithmetic keeps
-each step in the microsecond range.
-The step itself is written out inline in the one loop (`_run`) that both
-charts share: in CPython a helper call per step, a tuple per step result,
+each step in the microsecond range.  The backward trace is run in the
+desingularising prey chart y = x1**(1-m1) (model.make_y_rhs), where the
+field is smooth at the prey axis: geometry calls `_run` on that field with
+sign -1 and no event, and reads the probe off the last step's continuous
+extension (`_dense_term`); the certifying launches are `integrate` runs in
+the x-chart.
+The step itself is written out inline in the one loop (`_run`) that all
+three charts share: in CPython a helper call per step, a tuple per step result,
 min/max builtin calls and per-event or per-state objects cost as much as
 the field evaluations they wrap.  So the trajectory is stored as float
 columns, the stop predicate gets the derivative the step already holds,
@@ -169,7 +174,7 @@ def _run(
     blowup_ceiling: float | None,
     sign: float = 1.0,
 ) -> Trajectory:
-    """Core loop shared by the x-system and the u-chart.
+    """Core loop shared by the x-system, the u-chart and the y-chart.
 
     watch[i] switches on the extinction event of component i (the u-chart
     watches neither and ends at blowup_ceiling instead).  stop_when gets the
@@ -379,6 +384,53 @@ def _locate_level(t0, t1, y_old, y_new, index, level):
     ye1 = y_old[0] + frac * (y_new[0] - y_old[0])
     ye2 = y_old[1] + frac * (y_new[1] - y_old[1])
     return te, ye1, ye2
+
+
+def _dense_value(th: float, y0: float, y1: float, hf0: float, hf1: float,
+                 q: float) -> float:
+    """A step's continuous extension at the fraction th: the cubic Hermite
+    interpolant on values y0, y1 and step-scaled derivatives hf0, hf1 at
+    its ends, plus th**2 * (1 - th)**2 * q, q the step's quartic term."""
+    w = th * (1.0 - th)
+    return y0 + th * (hf0 + th * (3.0 * (y1 - y0) - 2.0 * hf0 - hf1
+                                  + th * (2.0 * (y0 - y1) + hf0 + hf1))) + w * w * q
+
+
+# Weights of the quartic term of the step's continuous extension (Hairer,
+# Norsett and Wanner, Solving ODEs I, section II.6; dopri5's dense output).
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075.0 / 11282082432.0, 87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0,
+)
+
+
+def _dense_term(f, y, k, kn, sh):
+    """The quartic term of the continuous extension of the accepted step of
+    signed size sh from the state y, where the field f is k, to the state
+    where it is kn: on that step the state at the fraction th is the cubic
+    Hermite on the ends' values and derivatives plus th**2 * (1 - th)**2
+    times the pair returned, to the step's own order.  The inner stages are
+    formed again as _run forms them (five field calls)."""
+    y1, y2 = y
+    k1, k2 = k
+    a1 = y1 + sh * _A21 * k1
+    a2 = y2 + sh * _A21 * k2
+    s21, s22 = f(a1, a2)
+    a1 = y1 + sh * (_A31 * k1 + _A32 * s21)
+    a2 = y2 + sh * (_A31 * k2 + _A32 * s22)
+    s31, s32 = f(a1, a2)
+    a1 = y1 + sh * (_A41 * k1 + _A42 * s21 + _A43 * s31)
+    a2 = y2 + sh * (_A41 * k2 + _A42 * s22 + _A43 * s32)
+    s41, s42 = f(a1, a2)
+    a1 = y1 + sh * (_A51 * k1 + _A52 * s21 + _A53 * s31 + _A54 * s41)
+    a2 = y2 + sh * (_A51 * k2 + _A52 * s22 + _A53 * s32 + _A54 * s42)
+    s51, s52 = f(a1, a2)
+    a1 = y1 + sh * (_A61 * k1 + _A62 * s21 + _A63 * s31 + _A64 * s41 + _A65 * s51)
+    a2 = y2 + sh * (_A61 * k2 + _A62 * s22 + _A63 * s32 + _A64 * s42 + _A65 * s52)
+    s61, s62 = f(a1, a2)
+    return (sh * (_D1 * k1 + _D3 * s31 + _D4 * s41 + _D5 * s51 + _D6 * s61 + _D7 * kn[0]),
+            sh * (_D1 * k2 + _D3 * s32 + _D4 * s42 + _D5 * s52 + _D6 * s62 + _D7 * kn[1]))
 
 
 def integrate(

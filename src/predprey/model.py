@@ -22,6 +22,11 @@ make g jump).  make_rhs, the integrator's hot path, inlines only the
 normal-float line; psi and _g_derivatives read G from _response, and the
 interior scan function is the field itself.  eval_g(s) is g of a given s.
 
+Two more charts take the prey coordinate apart from the axis: make_u_rhs
+(u = 1/x1, where touchdown is blowup) and make_y_rhs (y = x1**(1-m1), for
+m1 < 1, where the field is finite and smooth at y = 0 and touchdown is a
+transversal crossing).  The separatrix trace runs in the y-chart.
+
 The field's partials have their one home here: the derivatives of
 G = g(r*x1) and P = x2**m2 up to third order (_g_derivatives,
 _p_derivatives), and the table of the field's partials built from them
@@ -44,6 +49,7 @@ __all__ = [
     "eval_g",
     "make_rhs",
     "make_u_rhs",
+    "make_y_rhs",
     "AssumptionCheck",
     "verify_assumptions",
     "with_params",
@@ -298,6 +304,53 @@ def make_u_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
         return (
             -a1 * u + b1 + w0 * u * u * kernel,
             -a2 * x2 + w1 * kernel,
+        )
+
+    return field
+
+
+def make_y_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
+    """Field of the desingularising prey chart y = x1**(1-m1), for m1 < 1:
+
+        dy/dt  = (1-m1) * (a1*y - b1*x1*y - w0*c*x2**m2)
+        dx2/dt = -a2*x2 + w1*(x1/y)*c*x2**m2
+
+    with x1 = y**(1/(1-m1)) and c = (r/(r*x1 + d))**m1, so that
+    g(r*x1) = x1**m1 * c and x1/y = x1**m1.  Unlike the x-chart field this
+    one is finite and smooth at the prey axis y = 0, where dy/dt =
+    -(1-m1)*w0*(r/d)**m1*x2**m2 < 0: the finite-time touchdown is a
+    transversal crossing (Dumortier, Llibre and Artes, Qualitative Theory
+    of Planar Differential Systems, 2006, ch. 3).  Where r/(r*x1 + d) is
+    subnormal or underflows, c is taken from logs, as _response takes g.
+    Negative inputs count as zero, as in make_rhs.  At m1 = 1 the chart
+    does not exist: DomainError.
+    """
+    if not p.m1 < 1.0:
+        raise DomainError("the chart y = x1**(1-m1) needs m1 < 1")
+    a1, a2, b1, w0, w1, d = p.a1, p.a2, p.b1, p.w0, p.w1, p.d
+    m1, m2, r = p.m1, p.m2, p.r
+    k = 1.0 - m1
+    e = 1.0 / k
+    ka1, kb1, kw0 = k * a1, k * b1, k * w0
+    unit_m2 = m2 == 1.0
+    log_r, log, exp = math.log(r), math.log, math.exp
+
+    def field(y: float, x2: float) -> tuple[float, float]:
+        if y < 0.0:
+            y = 0.0
+        if x2 < 0.0:
+            x2 = 0.0
+        x1 = y ** e
+        q = r * x1 + d
+        v = r / q
+        if v >= 2.2250738585072014e-308:  # the smallest normal float
+            c = v ** m1
+        else:
+            c = exp(m1 * (log_r - log(q)))
+        inter = c * (0.0 if x2 == 0.0 else (x2 if unit_m2 else x2 ** m2))
+        return (
+            y * (ka1 - kb1 * x1) - kw0 * inter,
+            -a2 * x2 + (w1 * x1 / y * inter if y > 0.0 else 0.0),
         )
 
     return field

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import sys
 
 import pytest
@@ -161,21 +162,30 @@ def test_probe_makes_only_the_steps_field_calls(osc_params, monkeypatch):
         mod = sys.modules[name]
         monkeypatch.setattr(mod, "make_rhs", counting(mod.make_rhs))
     geo = sys.modules["predprey.geometry"]
-    launch = geo.integrate
+    monkeypatch.setattr(geo, "make_y_rhs", counting(geo.make_y_rhs))
+    launch, run = geo.integrate, geo._run
 
     def counted_launch(*args, **kwargs):
         traj = launch(*args, **kwargs)
         steps.append(len(traj) - 1)
         return traj
 
+    def counted_run(*args):
+        traj = run(*args)
+        steps.append(len(traj) - 1)
+        return traj
+
     monkeypatch.setattr(geo, "integrate", counted_launch)
+    monkeypatch.setattr(geo, "_run", counted_run)
     separatrix_boundary_x2(osc_params, 1.389)  # a station of the default fan
-    # one backward trace from the threshold and the two launches that
-    # certify it: 308 accepted steps, against 31 launches and 681 steps
-    # when the probe was bisected on a ladder of sections
+    # one backward trace from the threshold, in the y-chart, and the two
+    # launches that certify it: 251 accepted steps (64 of them the trace),
+    # against 308 when the trace ran in the x-chart at abs_tol 1e-3 * thr,
+    # and 31 launches and 681 steps when the probe was bisected on a ladder
+    # of sections
     assert len(steps) == 3
     assert len(calls) <= 6.1 * sum(steps)
-    assert sum(steps) <= 1.25 * 308
+    assert sum(steps) <= 1.25 * 251
 
 
 def _fan_sets(osc):
@@ -279,14 +289,19 @@ def test_nullcline_route_returns_psi(osc_params, monkeypatch):
     p = _fan_sets(osc_params)["enriched"]
     geo = sys.modules["predprey.geometry"]
     stations = geo._probe_stations(p, SeparatrixOptions())[8:]
-    launch = geo.integrate
+    launch, run = geo.integrate, geo._run
     runs = []
 
     def counted(*args, **kwargs):
         runs.append(kwargs.get("backward", False))
         return launch(*args, **kwargs)
 
+    def counted_run(f, ic, opts, watch, stop_when, ceiling, sign=1.0):
+        runs.append(sign < 0.0)
+        return run(f, ic, opts, watch, stop_when, ceiling, sign)
+
     monkeypatch.setattr(geo, "integrate", counted)
+    monkeypatch.setattr(geo, "_run", counted_run)
     for x in stations:
         runs.clear()
         assert separatrix_boundary_x2(p, x) == psi(x, p)
@@ -317,6 +332,71 @@ def test_trace_outside_the_bracket_resumes_at_the_probe(osc_params, monkeypatch,
 def test_separatrix_requires_fractional_m1(osc_params):
     with pytest.raises(DomainError):
         trace_stable_separatrix_E0(with_params(osc_params, m1=1.0, m2=1.0))
+
+
+def test_probe_refuses_unit_m1_as_the_fan_does(osc_params):
+    # at m1 = 1 the origin attracts no open set and the chart y = x1**(1-m1)
+    # does not exist; the probe returned 45.1223 at x1 = 0.5, an artifact of
+    # the threshold, before it refused
+    p = with_params(osc_params, m1=1.0)
+    message = "the origin attracts no open set for m1 = 1"
+    with pytest.raises(DomainError, match=message):
+        separatrix_boundary_x2(p, 0.5)
+    with pytest.raises(DomainError, match=message):
+        trace_stable_separatrix_E0(p)
+
+
+def _perturbed_sets(osc, m1s, seed, per):
+    """per sets for each m1 and each of OSC and ENRICHED, with the six rates
+    scaled by exp(U(-0.2, 0.2)) each from random.Random(seed)."""
+    rng = random.Random(seed)
+    out = []
+    for m1 in m1s:
+        for base in (osc, _fan_sets(osc)["enriched"]):
+            for _ in range(per):
+                rates = {k: getattr(base, k) * math.exp(rng.uniform(-0.2, 0.2))
+                         for k in ("a1", "a2", "b1", "w0", "w1", "d")}
+                out.append(with_params(base, m1=m1, **rates))
+    return out
+
+
+def test_traced_probes_match_the_scipy_backward_trace_over_the_domain(osc_params):
+    # the y-chart trace reaches exactly the fan probes scipy's x-chart trace
+    # reaches (241 of 288), each within 5e-6 of it (worst 1.7e-7)
+    geo = sys.modules["predprey.geometry"]
+    opts = IntegratorOptions(horizon=500.0)
+    reached = 0
+    for p in _perturbed_sets(osc_params, (0.6, 0.9, 0.95, 0.99), seed=1, per=3):
+        stations = geo._probe_stations(p, SeparatrixOptions())
+        oracle = _scipy_backward_trace(p, stations, 1e-9)
+        for x, want in zip(stations, oracle):
+            got = geo._trace_to_probe(p, x, opts)
+            assert math.isnan(got) == math.isnan(want), (p, x)
+            if not math.isnan(want):
+                reached += 1
+                assert got == pytest.approx(want, rel=5e-6, abs=0.0), (p, x)
+    assert reached == 241
+
+
+def test_probes_near_unit_m1_are_certified_as_before(osc_params, monkeypatch):
+    # near m1 = 1, x1 = y**(1/(1-m1)) amplifies the trace's error in y a
+    # thousandfold; the launches still certify the trace on 64 of the 72
+    # probes, as they did when the trace ran in the x-chart
+    geo = sys.modules["predprey.geometry"]
+    trace = geo._trace_to_probe
+    traced = []
+
+    def recording(*args):
+        traced.append(trace(*args))
+        return traced[-1]
+
+    monkeypatch.setattr(geo, "_trace_to_probe", recording)
+    certified = 0
+    for p in _perturbed_sets(osc_params, (0.999,), seed=1, per=3):
+        for x in geo._probe_stations(p, SeparatrixOptions()):
+            traced.clear()
+            certified += separatrix_boundary_x2(p, x) == traced[0]
+    assert certified == 64
 
 
 def test_separatrix_explicit_probe_list(osc_params):

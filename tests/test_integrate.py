@@ -22,7 +22,7 @@ from predprey.integrate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _A71, _A73, _A74, _A75, _A76,
     _BETA1, _BETA2, _E1, _E3, _E4, _E5, _E6, _E7, _MAX_FACTOR, _MIN_FACTOR, _SAFETY,
-    U_BLOWUP_CEILING, Termination, _first_crossing, _locate_level,
+    U_BLOWUP_CEILING, Termination, _dense_term, _dense_value, _first_crossing, _locate_level,
 )
 from predprey.model import make_rhs, make_u_rhs
 
@@ -586,3 +586,32 @@ def test_backward_loop_matches_reference_exactly(case):
     assert repr(got.termination) == repr(ref.termination)
     assert repr(got.times) == repr(ref.times)
     assert repr(got.states) == repr(ref.states)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_continuous_extension_is_an_order_above_the_cubic(sign):
+    # on x1' = -x1, x2' = -3*x2 (exact: exp(-t), exp(-3t) forward) the
+    # step's continuous extension stays within 1.1e-6 relative of the
+    # solution inside every step, the cubic Hermite on the same ends within
+    # 9.3e-6 only; backward runs (the separatrix trace) take the step as -h
+    def f(x1, x2):
+        return -x1, -3.0 * x2
+
+    traj = sys.modules["predprey.integrate"]._run(
+        f, (1.0, 1.0), IntegratorOptions(rel_tol=1e-6, horizon=3.0), (False, False),
+        None, None, sign)
+    worst = {"extension": 0.0, "cubic": 0.0}
+    for i in range(len(traj) - 1):
+        t0, h = traj.times[i], traj.times[i + 1] - traj.times[i]
+        y, z = (traj.x1[i], traj.x2[i]), (traj.x1[i + 1], traj.x2[i + 1])
+        k, kn = f(*y), f(*z)
+        q = _dense_term(f, y, k, kn, sign * h)
+        for th in (0.25, 0.5, 0.75):
+            for c, rate in ((0, 1.0), (1, 3.0)):
+                exact = math.exp(-sign * rate * (t0 + th * h))
+                ends = (y[c], z[c], sign * h * k[c], sign * h * kn[c])
+                for name, quartic in (("extension", q[c]), ("cubic", 0.0)):
+                    err = abs(_dense_value(th, *ends, quartic) / exact - 1.0)
+                    worst[name] = max(worst[name], err)
+    assert worst["extension"] < 2e-6
+    assert worst["extension"] < 0.2 * worst["cubic"]

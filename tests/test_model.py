@@ -17,6 +17,7 @@ from predprey import (
     eval_g,
     make_rhs,
     make_u_rhs,
+    make_y_rhs,
     validate_params,
     verify_assumptions,
     with_params,
@@ -165,6 +166,54 @@ def test_u_chart_rejects_nonpositive_u(osc_params):
         fu(0.0, 1.0)
     with pytest.raises(DomainError):
         fu(-1.0, 1.0)
+
+
+def test_y_chart_matches_chain_rule():
+    # y = x1**(1-m1): dy/dt = (1-m1)*x1**(-m1)*dx1/dt, and dx2/dt is the
+    # x-chart's, over a seeded draw of the domain with x1 from 1e-12 to a1/b1
+    rng = random.Random(23)
+    for _ in range(200):
+        rates = {k: 10.0 ** rng.uniform(-1.0, 1.0) for k in ("a1", "a2", "b1", "w0", "w1", "d")}
+        p = ModelParams(**rates, m1=rng.uniform(0.001, 0.999), m2=rng.uniform(0.001, 1.0),
+                        r=rng.uniform(0.001, 1.0))
+        fy, fx = make_y_rhs(p), make_rhs(p)
+        k = 1.0 - p.m1
+        for _ in range(5):
+            x1 = 10.0 ** rng.uniform(-12.0, math.log10(p.carrying_capacity))
+            x2 = 10.0 ** rng.uniform(-3.0, 2.0)
+            dy, d2y = fy(x1 ** k, x2)
+            d1, d2 = fx(x1, x2)
+            inter = (p.r * x1 / (p.r * x1 + p.d)) ** p.m1 * x2 ** p.m2
+            # the scale of the terms that cancel in each component
+            s1 = k * x1 ** -p.m1 * (p.a1 * x1 + p.b1 * x1 * x1 + p.w0 * inter)
+            s2 = p.a2 * x2 + p.w1 * inter
+            assert abs(dy - k * x1 ** -p.m1 * d1) <= 1e-11 * s1
+            assert abs(d2y - d2) <= 1e-11 * s2
+
+
+def test_y_chart_keeps_its_digits_where_r_x1_underflows():
+    # at r = 5e-324, r/(r*x1 + d) is subnormal and c = (r/(r*x1 + d))**m1
+    # comes from logs; at x1 = 1e-300 the field agrees with a 40-digit one.
+    # At d = 0.1 the quotient happens to be 10 subnormal ulps exactly; at
+    # d = 0.3 it rounds from 3.3 to 3, which the power would carry
+    for m2, half_saturation in ((TINY_R["m2"], 0.1), (0.5, 0.1), (0.5, 0.3)):
+        p = ModelParams(**{**TINY_R, "m2": m2, "d": half_saturation})
+        k = 1.0 - p.m1
+        y, x2 = 1e-300 ** k, 0.01
+        dy, d2 = make_y_rhs(p)(y, x2)
+        with mp.workdps(40):
+            my, r, d, m1 = mp.mpf(y), mp.mpf(p.r), mp.mpf(p.d), mp.mpf(p.m1)
+            x1 = my ** (1 / (1 - m1))
+            inter = (r / (r * x1 + d)) ** m1 * mp.mpf(x2) ** mp.mpf(p.m2)
+            want_y = (1 - m1) * (p.a1 * my - p.b1 * x1 * my - p.w0 * inter)
+            want_2 = -p.a2 * mp.mpf(x2) + p.w1 * (x1 / my) * inter
+        assert dy == pytest.approx(float(want_y), rel=1e-14, abs=0.0)
+        assert d2 == pytest.approx(float(want_2), rel=1e-14, abs=0.0)
+
+
+def test_y_chart_needs_fractional_m1(osc_params):
+    with pytest.raises(DomainError, match="needs m1 < 1"):
+        make_y_rhs(with_params(osc_params, m1=1.0))
 
 
 _FIELD_NAMES = [f.name for f in dataclasses.fields(ModelParams)]
