@@ -9,13 +9,19 @@ field is smooth at the prey axis: geometry calls `_run` on that field with
 sign -1 and no event, and reads the probe off the last step's continuous
 extension (`_dense_term`); the certifying launches are `integrate` runs in
 the x-chart.
-The step itself is written out inline in the one loop (`_run`) that all
-three charts share: in CPython a helper call per step, a tuple per step result,
-min/max builtin calls and per-event or per-state objects cost as much as
-the field evaluations they wrap.  So the trajectory is stored as float
-columns, the stop predicate gets the derivative the step already holds,
-and the loop binds the tableau and the options to locals once per
-integration and spells min/max as comparisons with the same result.
+There is one loop, the text `_LOOP`, written out inline against plain
+floats: in CPython a helper call per step, a tuple per step result, min/max
+builtin calls and per-event or per-state objects cost as much as the field
+evaluations they wrap.  So the trajectory is stored as float columns, the
+stop predicate gets the derivative the step already holds, and the loop
+binds the tableau and the options to locals once per integration and
+spells min/max as comparisons with the same result.  The field call is
+such a cost too, about a fifth of a step: each chart (x, u, y) gets its own
+kernel, the loop with that chart's field text (model._Field) written inline
+at its seven evaluation sites, compiled on first use and kept for the
+process (`_kernel`).  `_run` runs the kernel for a field the package made
+and the generic loop, the text as written, for any other callable, which
+sees every evaluation.  Both give the same floats.
 Error control is the usual embedded-pair estimate with a PI
 controller.  An event is located exactly on the step's chord, the straight
 line from the accepted state to the trial state: the crossing fraction is
@@ -36,6 +42,7 @@ from __future__ import annotations
 
 import enum
 import math
+import re
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -165,30 +172,14 @@ def _initial_step(y1: float, y2: float, f1: float, f2: float,
     return max(opts.min_step, min(h0, opts.max_step, opts.horizon))
 
 
-def _run(
-    f: Callable[[float, float], tuple[float, float]],
-    ic: tuple[float, float],
-    opts: IntegratorOptions,
-    watch: tuple[bool, bool],
-    stop_when: StopPredicate | None,
-    blowup_ceiling: float | None,
-    sign: float = 1.0,
-) -> Trajectory:
-    """Core loop shared by the x-system, the u-chart and the y-chart.
-
-    watch[i] switches on the extinction event of component i (the u-chart
-    watches neither and ends at blowup_ceiling instead).  stop_when gets the
-    field at each accepted state from the step that produced it (FSAL), so
-    the predicate costs no field evaluation.  sign = -1.0 runs the orbit
-    backward: the stage and error sums take the step as sign * h, and
-    stop_when gets sign times the field, the derivative along the run.  As
-    IEEE negation is exact, every stage point, state and time is the one the
-    loop would give on the negated field with sign 1.0.  The times column
-    counts elapsed time either way.  The min/max of
-    the textbook loop are written as comparisons with the same result, ties
-    and -0.0 included: max(a, b) is `b if b > a else a`, min(a, b) is
-    `b if b < a else a`.
-    """
+# The one Dormand-Prince loop, as a text.  Its seven field evaluations (at
+# the initial condition and at the six stages of a step) are the lines
+# `A, B = f(C, D)`.  Compiled as written it is the generic loop, which calls
+# any field f; _instantiate writes a chart's field text (model._Field)
+# inline at those lines instead, on the chart's constants `consts`.  The
+# loop's own names are kept apart from those the field texts use.
+_LOOP = """\
+def run(f, consts, ic, opts, watch, stop_when, blowup_ceiling, sign):
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
     a51, a52, a53, a54 = _A51, _A52, _A53, _A54
     a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
@@ -228,7 +219,9 @@ def _run(
         traj.termination = Termination(TerminationKind.STOPPED, t)
         return traj
     h = _initial_step(y1, y2, k1, k2, opts)
-    err_prev = 1.0
+    # err_prev ** beta2 of the PI controller, err_prev = 1.0 before the
+    # first accepted step
+    prev_pow = 1.0
 
     while t < horizon:
         rem = horizon - t
@@ -239,22 +232,23 @@ def _run(
 
         # --- one embedded step; err ends finite, or inf to reject outright --
         sh = sign * h
+        sh21 = sh * a21
         try:
-            a1 = y1 + sh * a21 * k1
-            a2 = y2 + sh * a21 * k2
-            s21, s22 = f(a1, a2)
-            a1 = y1 + sh * (a31 * k1 + a32 * s21)
-            a2 = y2 + sh * (a31 * k2 + a32 * s22)
-            s31, s32 = f(a1, a2)
-            a1 = y1 + sh * (a41 * k1 + a42 * s21 + a43 * s31)
-            a2 = y2 + sh * (a41 * k2 + a42 * s22 + a43 * s32)
-            s41, s42 = f(a1, a2)
-            a1 = y1 + sh * (a51 * k1 + a52 * s21 + a53 * s31 + a54 * s41)
-            a2 = y2 + sh * (a51 * k2 + a52 * s22 + a53 * s32 + a54 * s42)
-            s51, s52 = f(a1, a2)
-            a1 = y1 + sh * (a61 * k1 + a62 * s21 + a63 * s31 + a64 * s41 + a65 * s51)
-            a2 = y2 + sh * (a61 * k2 + a62 * s22 + a63 * s32 + a64 * s42 + a65 * s52)
-            s61, s62 = f(a1, a2)
+            st1 = y1 + sh21 * k1
+            st2 = y2 + sh21 * k2
+            s21, s22 = f(st1, st2)
+            st1 = y1 + sh * (a31 * k1 + a32 * s21)
+            st2 = y2 + sh * (a31 * k2 + a32 * s22)
+            s31, s32 = f(st1, st2)
+            st1 = y1 + sh * (a41 * k1 + a42 * s21 + a43 * s31)
+            st2 = y2 + sh * (a41 * k2 + a42 * s22 + a43 * s32)
+            s41, s42 = f(st1, st2)
+            st1 = y1 + sh * (a51 * k1 + a52 * s21 + a53 * s31 + a54 * s41)
+            st2 = y2 + sh * (a51 * k2 + a52 * s22 + a53 * s32 + a54 * s42)
+            s51, s52 = f(st1, st2)
+            st1 = y1 + sh * (a61 * k1 + a62 * s21 + a63 * s31 + a64 * s41 + a65 * s51)
+            st2 = y2 + sh * (a61 * k2 + a62 * s22 + a63 * s32 + a64 * s42 + a65 * s52)
+            s61, s62 = f(st1, st2)
             z1 = y1 + sh * (a71 * k1 + a73 * s31 + a74 * s41 + a75 * s51 + a76 * s61)
             z2 = y2 + sh * (a71 * k2 + a73 * s32 + a74 * s42 + a75 * s52 + a76 * s62)
             k1n, k2n = f(z1, z2)
@@ -268,13 +262,13 @@ def _run(
                 # max(abs(y), abs(z)) per component; a magnitude that comes
                 # out as -0.0 leaves abs_tol + rel_tol * big as it is
                 big1 = -y1 if y1 < 0.0 else y1
-                m = -z1 if z1 < 0.0 else z1
-                if m > big1:
-                    big1 = m
+                mag = -z1 if z1 < 0.0 else z1
+                if mag > big1:
+                    big1 = mag
                 big2 = -y2 if y2 < 0.0 else y2
-                m = -z2 if z2 < 0.0 else z2
-                if m > big2:
-                    big2 = m
+                mag = -z2 if z2 < 0.0 else z2
+                if mag > big2:
+                    big2 = mag
                 sc1 = abs_tol + rel_tol * big1
                 sc2 = abs_tol + rel_tol * big2
                 err = sqrt(0.5 * ((e1 / sc1) ** 2 + (e2 / sc2) ** 2))
@@ -347,7 +341,7 @@ def _run(
         if err == 0.0:
             fac = max_factor
         else:
-            fac = safety * err ** (-beta1) * err_prev ** beta2
+            fac = safety * err ** (-beta1) * prev_pow
             if not fac > min_factor:  # min(max_factor, max(min_factor, fac))
                 fac = min_factor
             if not fac < max_factor:
@@ -355,10 +349,79 @@ def _run(
         h = h * fac
         if not h < max_step:  # min(max_step, h * fac)
             h = max_step
-        err_prev = 1e-10 if 1e-10 > err else err  # max(err, 1e-10)
+        prev_pow = (1e-10 if 1e-10 > err else err) ** beta2  # max(err, 1e-10)
 
     traj.termination = Termination(TerminationKind.HORIZON_REACHED, t)
     return traj
+"""
+
+def _instantiate(chart) -> str:
+    """_LOOP with the chart's field text written inline at each field call
+    (None: _LOOP itself, the generic loop).  At each site the text's state
+    is bound to the call's arguments and its return becomes the assignment
+    of the call's targets; the chart's constants are unpacked from
+    `consts` once per run."""
+    if chart is None:
+        return _LOOP
+    head, _, tail = chart.body.rpartition("return ")
+
+    def inline(site: re.Match) -> str:
+        pad, out1, out2, in1, in2 = site.groups()
+        text = f"{chart.state} = {in1}, {in2}\n{head}{out1}, {out2} = {tail}"
+        return "".join(pad + line for line in text.splitlines(True))
+
+    top, _, rest = _LOOP.partition("\n")
+    rest = re.sub(r"^( *)(\w+), (\w+) = f\((\w+), (\w+)\)\n", inline, rest, flags=re.MULTILINE)
+    return f"{top}\n    {chart.consts} = consts\n{rest}"
+
+
+# compiled loops by chart text (None: the generic loop), each compiled on
+# first use
+_KERNELS: dict = {}
+
+
+def _kernel(chart) -> Callable:
+    run = _KERNELS.get(chart)
+    if run is None:
+        ns: dict = {}
+        name = "generic" if chart is None else chart.name
+        exec(compile(_instantiate(chart), f"<dopri5 loop: {name}>", "exec"), globals(), ns)
+        run = _KERNELS[chart] = ns["run"]
+    return run
+
+
+def _run(
+    f: Callable[[float, float], tuple[float, float]],
+    ic: tuple[float, float],
+    opts: IntegratorOptions,
+    watch: tuple[bool, bool],
+    stop_when: StopPredicate | None,
+    blowup_ceiling: float | None,
+    sign: float = 1.0,
+) -> Trajectory:
+    """Core loop shared by the x-system, the u-chart and the y-chart.
+
+    A field made by make_rhs, make_u_rhs or make_y_rhs runs its chart's
+    kernel, the loop with that field written inline; any other callable
+    runs the generic loop, which calls f once at the initial condition and
+    once per stage.  Both are instantiations of the one loop text, _LOOP,
+    and give the same floats.
+
+    watch[i] switches on the extinction event of component i (the u-chart
+    watches neither and ends at blowup_ceiling instead).  stop_when gets the
+    field at each accepted state from the step that produced it (FSAL), so
+    the predicate costs no field evaluation.  sign = -1.0 runs the orbit
+    backward: the stage and error sums take the step as sign * h, and
+    stop_when gets sign times the field, the derivative along the run.  As
+    IEEE negation is exact, every stage point, state and time is the one the
+    loop would give on the negated field with sign 1.0.  The times column
+    counts elapsed time either way.  The min/max of
+    the textbook loop are written as comparisons with the same result, ties
+    and -0.0 included: max(a, b) is `b if b > a else a`, min(a, b) is
+    `b if b < a else a`.
+    """
+    chart, consts = getattr(f, "chart", (None, None))
+    return _kernel(chart)(f, consts, ic, opts, watch, stop_when, blowup_ceiling, sign)
 
 
 def _first_crossing(t0, t1, y_old, y_new, armed, level):

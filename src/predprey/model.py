@@ -18,14 +18,21 @@ the extinction criterion) leans on those two facts.
 
 G = g(r*x1) has one home, _response: the formula above where r*x1 is a
 normal float, logs where it is subnormal or underflows (its few bits would
-make g jump).  make_rhs, the integrator's hot path, inlines only the
-normal-float line; psi and _g_derivatives read G from _response, and the
-interior scan function is the field itself.  eval_g(s) is g of a given s.
+make g jump).  The x-chart's field text writes only the normal-float
+line inline and calls _response below it; psi and _g_derivatives read G
+from _response, and the interior scan function is the field itself.
+eval_g(s) is g of a given s.
 
 Two more charts take the prey coordinate apart from the axis: make_u_rhs
 (u = 1/x1, where touchdown is blowup) and make_y_rhs (y = x1**(1-m1), for
 m1 < 1, where the field is finite and smooth at y = 0 and touchdown is a
 transversal crossing).  The separatrix trace runs in the y-chart.
+
+Each chart's field is one text (_Field: _X_FIELD, _U_FIELD, _Y_FIELD).
+make_rhs, make_u_rhs and make_y_rhs compile it to a closure, the
+equilibria, the tests and the continuous extension call that, and the
+integrator writes the same text inline into its loop (integrate._kernel),
+so the formula has one home and both give the same floats.
 
 The field's partials have their one home here: the derivatives of
 G = g(r*x1) and P = x2**m2 up to third order (_g_derivatives,
@@ -186,37 +193,66 @@ def _response(x1: float, r: float, d: float, m1: float) -> float:
                           else -math.log1p(math.exp(-z))))
 
 
+class _Field:
+    """A chart's field as one text.  `body` is the body of field(<state>):
+    it reads only the state, the constants named in `consts` and builtins,
+    and its last statement, its only return, returns the pair.
+    closure(*values) compiles the text inside a factory of the constants
+    (on first use, once per process) and returns the field at those values
+    with its `chart` attribute set to (this text, values); by that attribute
+    integrate._run picks the loop with this text written inline."""
+
+    def __init__(self, name: str, state: str, consts: str, body: str):
+        self.name, self.state, self.consts, self.body = name, state, consts, body
+        self._factory = None
+
+    def closure(self, *values) -> Callable[[float, float], tuple[float, float]]:
+        factory = self._factory
+        if factory is None:
+            body = "".join("        " + line for line in self.body.splitlines(True))
+            src = (f"def factory({self.consts}):\n"
+                   f"    def field({self.state}):\n{body}"
+                   f"    return field\n")
+            ns: dict = {}
+            exec(compile(src, f"<{self.name} field>", "exec"), {}, ns)
+            factory = self._factory = ns["factory"]
+        field = factory(*values)
+        field.chart = (self, values)
+        return field
+
+
+_X_FIELD = _Field(
+    "x-chart", "x1, x2", "a1, a2, b1, w0, w1, d, m1, m2, r, unit_m2, _response", """\
+if x1 < 0.0:
+    x1 = 0.0
+if x2 < 0.0:
+    x2 = 0.0
+s = r * x1
+if s >= 2.2250738585072014e-308:  # _response's normal-float line
+    g = (s / (s + d)) ** m1
+else:
+    g = _response(x1, r, d, m1)
+pw = 0.0 if x2 == 0.0 else (x2 if unit_m2 else x2 ** m2)
+inter = g * pw
+return (
+    x1 * (a1 - b1 * x1) - w0 * inter,
+    -a2 * x2 + w1 * inter,
+)
+""")
+
+
 def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
-    """Compile the field to a float closure (the integrator's hot path).
+    """Compile the field to a float closure.
 
     The closure treats negative inputs as zero without complaint -- embedded
     Runge-Kutta trial stages may peek slightly across the axes, and a Python
     float power with negative base and fractional exponent would come back
     complex.  It evaluates g(r*x1) inline where r*x1 is a normal float, as
-    _response does, and calls _response below that.
+    _response does, and calls _response below that.  x2 ** 1.0 is x2, so
+    the power is skipped at m2 = 1.
     """
-    a1, a2, b1, w0, w1, d = p.a1, p.a2, p.b1, p.w0, p.w1, p.d
-    m1, m2, r = p.m1, p.m2, p.r
-    unit_m2 = m2 == 1.0  # x2 ** 1.0 is x2: skip the power
-
-    def field(x1: float, x2: float) -> tuple[float, float]:
-        if x1 < 0.0:
-            x1 = 0.0
-        if x2 < 0.0:
-            x2 = 0.0
-        s = r * x1
-        if s >= 2.2250738585072014e-308:  # _response's normal-float line
-            g = (s / (s + d)) ** m1
-        else:
-            g = _response(x1, r, d, m1)
-        pw = 0.0 if x2 == 0.0 else (x2 if unit_m2 else x2 ** m2)
-        inter = g * pw
-        return (
-            x1 * (a1 - b1 * x1) - w0 * inter,
-            -a2 * x2 + w1 * inter,
-        )
-
-    return field
+    return _X_FIELD.closure(p.a1, p.a2, p.b1, p.w0, p.w1, p.d, p.m1, p.m2, p.r,
+                            p.m2 == 1.0, _response)
 
 
 # --------------------------------------------------------------------------
@@ -279,6 +315,22 @@ def _field_partials(x1: float, x2: float, p: ModelParams) -> dict[tuple[int, int
             for i in range(4) for j in range(4 - i)}
 
 
+_U_FIELD = _Field(
+    "u-chart", "u, x2", "a1, a2, b1, w0, w1, d, m1, m2, r, rm1, DomainError", """\
+if x2 < 0.0:
+    x2 = 0.0
+if u <= 0.0:
+    raise DomainError(f"u-chart requires u > 0, got {u!r}")
+denom = (r + d * u) ** m1
+pw = 0.0 if x2 == 0.0 else x2 ** m2
+kernel = rm1 * pw / denom
+return (
+    -a1 * u + b1 + w0 * u * u * kernel,
+    -a2 * x2 + w1 * kernel,
+)
+""")
+
+
 def make_u_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
     """Field of the inverted-prey chart u = 1/x1:
 
@@ -289,24 +341,29 @@ def make_u_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
     which a step controller can chase without resolving a non-Lipschitz
     touchdown.  Valid for u > 0.
     """
-    a1, a2, b1, w0, w1, d = p.a1, p.a2, p.b1, p.w0, p.w1, p.d
-    m1, m2, r = p.m1, p.m2, p.r
-    rm1 = r ** m1
+    return _U_FIELD.closure(p.a1, p.a2, p.b1, p.w0, p.w1, p.d, p.m1, p.m2, p.r,
+                            p.r ** p.m1, DomainError)
 
-    def field(u: float, x2: float) -> tuple[float, float]:
-        if x2 < 0.0:
-            x2 = 0.0
-        if u <= 0.0:
-            raise DomainError(f"u-chart requires u > 0, got {u!r}")
-        denom = (r + d * u) ** m1
-        pw = 0.0 if x2 == 0.0 else x2 ** m2
-        kernel = rm1 * pw / denom
-        return (
-            -a1 * u + b1 + w0 * u * u * kernel,
-            -a2 * x2 + w1 * kernel,
-        )
 
-    return field
+_Y_FIELD = _Field(
+    "y-chart", "y, x2", "ka1, kb1, kw0, a2, w1, d, m1, m2, r, e, unit_m2, log_r, log, exp", """\
+if y < 0.0:
+    y = 0.0
+if x2 < 0.0:
+    x2 = 0.0
+x1 = y ** e
+q = r * x1 + d
+v = r / q
+if v >= 2.2250738585072014e-308:  # the smallest normal float
+    c = v ** m1
+else:
+    c = exp(m1 * (log_r - log(q)))
+inter = c * (0.0 if x2 == 0.0 else (x2 if unit_m2 else x2 ** m2))
+return (
+    y * (ka1 - kb1 * x1) - kw0 * inter,
+    -a2 * x2 + (w1 * x1 / y * inter if y > 0.0 else 0.0),
+)
+""")
 
 
 def make_y_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
@@ -327,33 +384,9 @@ def make_y_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
     """
     if not p.m1 < 1.0:
         raise DomainError("the chart y = x1**(1-m1) needs m1 < 1")
-    a1, a2, b1, w0, w1, d = p.a1, p.a2, p.b1, p.w0, p.w1, p.d
-    m1, m2, r = p.m1, p.m2, p.r
-    k = 1.0 - m1
-    e = 1.0 / k
-    ka1, kb1, kw0 = k * a1, k * b1, k * w0
-    unit_m2 = m2 == 1.0
-    log_r, log, exp = math.log(r), math.log, math.exp
-
-    def field(y: float, x2: float) -> tuple[float, float]:
-        if y < 0.0:
-            y = 0.0
-        if x2 < 0.0:
-            x2 = 0.0
-        x1 = y ** e
-        q = r * x1 + d
-        v = r / q
-        if v >= 2.2250738585072014e-308:  # the smallest normal float
-            c = v ** m1
-        else:
-            c = exp(m1 * (log_r - log(q)))
-        inter = c * (0.0 if x2 == 0.0 else (x2 if unit_m2 else x2 ** m2))
-        return (
-            y * (ka1 - kb1 * x1) - kw0 * inter,
-            -a2 * x2 + (w1 * x1 / y * inter if y > 0.0 else 0.0),
-        )
-
-    return field
+    k = 1.0 - p.m1
+    return _Y_FIELD.closure(k * p.a1, k * p.b1, k * p.w0, p.a2, p.w1, p.d, p.m1, p.m2, p.r,
+                            1.0 / k, p.m2 == 1.0, math.log(p.r), math.log, math.exp)
 
 
 # --------------------------------------------------------------------------

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import random
+import subprocess
 import sys
 from types import SimpleNamespace
 
@@ -24,7 +26,8 @@ from predprey.integrate import (
     _BETA1, _BETA2, _E1, _E3, _E4, _E5, _E6, _E7, _MAX_FACTOR, _MIN_FACTOR, _SAFETY,
     U_BLOWUP_CEILING, Termination, _dense_term, _dense_value, _first_crossing, _locate_level,
 )
-from predprey.model import make_rhs, make_u_rhs
+from predprey.geometry import _turned
+from predprey.model import make_rhs, make_u_rhs, make_y_rhs
 
 
 @pytest.mark.parametrize("bad", [
@@ -615,3 +618,132 @@ def test_continuous_extension_is_an_order_above_the_cubic(sign):
                     worst[name] = max(worst[name], err)
     assert worst["extension"] < 2e-6
     assert worst["extension"] < 0.2 * worst["cubic"]
+
+
+# --------------------------------------------------------------------------
+# Kernels: the loop with a chart's field written inline must give the floats
+# of the generic loop, which calls the field, on every path of the loop.
+
+def _kernel_draw() -> list[ModelParams]:
+    """Rates log-uniform on [0.1, 10], m1 on [0.05, 0.999], m2 and r each 1
+    or fractional, and r = 5e-324 sets, where g and the y-chart's c take the
+    log route: the two with m1 = 1e-10, and one with m1 = 0.5 and d = 0.3,
+    where the subnormal quotient rounds and c's digits show next to the
+    prey axis."""
+    rng = random.Random(24)
+
+    def rate():
+        return math.exp(rng.uniform(math.log(0.1), math.log(10.0)))
+
+    def unit():
+        return 1.0 if rng.random() < 0.3 else rng.uniform(0.05, 1.0)
+
+    sets = [ModelParams(a1=rate(), a2=rate(), b1=rate(), w0=rate(), w1=rate(), d=rate(),
+                        m1=rng.uniform(0.05, 0.999), m2=unit(), r=unit())
+            for _ in range(24)]
+    tiny_r = dict(a1=0.1, a2=0.1, b1=0.1, w0=0.1, w1=0.1, d=0.1, m1=1e-10, r=5e-324)
+    return sets + [ModelParams(**tiny_r, m2=m2) for m2 in (0.5, 5e-324)] + [
+        ModelParams(**{**tiny_r, "m1": 0.5, "d": 0.3}, m2=0.5)]
+
+
+def _kernel_runs(p: ModelParams):
+    """(chart, field factory, ic, opts, watch, stop_when, ceiling, sign) for
+    each run of p: events, predicates, the ceiling, backward runs, a step
+    failure and starts on an axis and off the field's domain."""
+    cap, top = p.carrying_capacity, max(1.0, p.carrying_capacity)
+    wide = IntegratorOptions(horizon=30.0)
+    short = IntegratorOptions(horizon=5.0)
+    blocked = IntegratorOptions(rel_tol=1e-13, abs_tol=1e-16, min_step=0.4, max_step=0.5,
+                                horizon=10.0)
+    loose = IntegratorOptions(rel_tol=1e-3, abs_tol=1e-6, max_step=50.0, horizon=60.0)
+    x_watch = (True, p.m2 < 1.0)
+
+    def slowing(t, x1, x2, dx1, dx2):  # reads the derivative the step holds
+        return t > 0.5 and abs(dx1) + abs(dx2) < 1e-3 * (x1 + x2)
+
+    runs = [
+        ("x", make_rhs, (0.3 * cap, 5.0 * top), wide, x_watch, None, None, 1.0),
+        ("x", make_rhs, (0.3 * cap, 5.0 * top), wide, x_watch, _turned, None, 1.0),
+        ("x", make_rhs, (0.05 * cap, 0.5), wide, x_watch, slowing, None, 1.0),
+        ("x", make_rhs, (0.5 * cap, 0.0), wide, x_watch, None, None, 1.0),
+        ("x", make_rhs, (1e-12, 0.5), wide, x_watch, None, None, 1.0),
+        ("x", make_rhs, (0.5 * cap, 1.0), short, (False, False), slowing, None, -1.0),
+        ("x", make_rhs, (0.3 * cap, 5.0 * top), blocked, x_watch, None, None, 1.0),
+        ("u", make_u_rhs, (1.0 / (0.3 * cap), 5.0 * top), wide, (False, False), None,
+         U_BLOWUP_CEILING, 1.0),
+        ("u", make_u_rhs, (10.0 / cap, 0.5), loose, (False, False), None,
+         U_BLOWUP_CEILING, 1.0),
+        ("u", make_u_rhs, (1.0 / (0.5 * cap), 1.0), loose, (False, False), None,
+         U_BLOWUP_CEILING, -1.0),
+        ("u", make_u_rhs, (-1.0, 1.0), wide, (False, False), None, U_BLOWUP_CEILING, 1.0),
+    ]
+    k = 1.0 - p.m1
+    target = (0.5 * cap) ** k
+
+    def reached(t, y, x2, dy, dx2):
+        return y >= target or (t > 0.0 and not dy > 0.0)
+
+    runs += [
+        ("y", make_y_rhs, (1e-9 ** k, 2.0), short, (False, False), reached, None, -1.0),
+        ("y", make_y_rhs, ((0.3 * cap) ** k, 5.0 * top), wide, x_watch, None, None, 1.0),
+        ("y", make_y_rhs, (1e-300 ** k, 1.0), short, x_watch, None, None, 1.0),
+        ("y", make_y_rhs, (1e300, 1.0), wide, (False, False), None, None, 1.0),
+    ]
+    return runs
+
+
+def _outcome(run, f, ic, opts, watch, stop_when, ceiling, sign):
+    try:
+        traj = run(f, ic, opts, watch, stop_when, ceiling, sign)
+    except DomainError as exc:
+        return repr((exc, exc.__cause__)), None
+    return repr((traj.times, traj.x1, traj.x2, traj.rejected, traj.termination)), traj
+
+
+def test_chart_kernels_match_the_generic_loop_bit_for_bit():
+    # the package's fields run their charts' kernels; a plain wrapper of the
+    # same field runs the generic loop and sees every stage
+    mod = sys.modules["predprey.integrate"]
+    seen = set()
+    stages_off_the_u_chart = 0
+    for p in _kernel_draw():
+        for chart, factory, ic, opts, watch, stop_when, ceiling, sign in _kernel_runs(p):
+            f = factory(p)
+            calls = []
+
+            def plain(a, b):
+                calls.append(a)
+                return f(a, b)
+
+            got, traj = _outcome(mod._run, f, ic, opts, watch, stop_when, ceiling, sign)
+            want, _ = _outcome(mod._run, plain, ic, opts, watch, stop_when, ceiling, sign)
+            assert got == want, (chart, p, ic, sign)
+            assert f.chart[0] in mod._KERNELS
+            seen.add((chart, "raised" if traj is None else traj.termination.kind))
+            if chart == "u":
+                stages_off_the_u_chart += sum(1 for u in calls if u <= 0.0)
+    # the draw reaches every way a run ends
+    assert {kind for chart, kind in seen if chart == "x"} == set(TerminationKind) - {
+        TerminationKind.BLOWUP}
+    assert {("u", TerminationKind.BLOWUP), ("u", TerminationKind.STEP_FAILURE), ("u", "raised"),
+            ("y", TerminationKind.STOPPED), ("y", "raised")} <= seen
+    assert stages_off_the_u_chart > 0
+
+
+def test_field_texts_share_no_name_with_the_loop():
+    # a kernel binds the loop's names and its field text's in one frame
+    mod = sys.modules["predprey.integrate"]
+    loop = set(mod._kernel(None).__code__.co_varnames)
+    for factory in (make_rhs, make_u_rhs, make_y_rhs):
+        code = factory(_OSC).__code__
+        assert loop.isdisjoint(code.co_varnames + code.co_freevars), factory.__name__
+
+
+def test_nothing_is_compiled_at_import():
+    # the closures' factories and the loops compile on first use
+    probe = ("import sys, predprey\n"
+             "from predprey import model\n"
+             "assert not sys.modules['predprey.integrate']._KERNELS\n"
+             "assert all(c._factory is None for c in (model._X_FIELD, model._U_FIELD,"
+             " model._Y_FIELD))\n")
+    subprocess.run([sys.executable, "-c", probe], check=True)

@@ -109,14 +109,14 @@ def _check_continuous_where_r_x1_underflows(p):
         d1, d2 = f(x1, x2)
         g = g_exact(x1)
         pw = x2 ** p.m2
-        assert d1 == pytest.approx(x1 * (p.a1 - p.b1 * x1) - p.w0 * g * pw, rel=1e-14)
-        assert d2 == pytest.approx(-p.a2 * x2 + p.w1 * g * pw, rel=1e-14)
+        assert d1 == pytest.approx(x1 * (p.a1 - p.b1 * x1) - p.w0 * g * pw, rel=1e-14, abs=0.0)
+        assert d2 == pytest.approx(-p.a2 * x2 + p.w1 * g * pw, rel=1e-14, abs=0.0)
         xf = x1 * (p.a1 - p.b1 * x1)
-        assert F(x1) == pytest.approx(p.w0 * g * x2_of_x1(x1, p) ** p.m2 - xf, rel=1e-14)
-        assert psi(x1, p) == pytest.approx(xf / (p.w0 * g), rel=1e-14)
+        assert F(x1) == pytest.approx(p.w0 * g * x2_of_x1(x1, p) ** p.m2 - xf, rel=1e-14, abs=0.0)
+        assert psi(x1, p) == pytest.approx(xf / (p.w0 * g), rel=1e-14, abs=0.0)
         if x1 > 1e-300:  # mpmath's difference steps reach across the axis there
             for k, got in enumerate(_g_derivatives(x1, p)):
-                assert got == pytest.approx(g_exact(x1, k), rel=1e-13), k
+                assert got == pytest.approx(g_exact(x1, k), rel=1e-13, abs=0.0), k
     below, above = f(math.nextafter(0.5, 0.0), x2), f(math.nextafter(0.5, 1.0), x2)
     assert abs(above[1] - below[1]) < 1e-15
     assert abs(F(math.nextafter(0.5, 1.0)) - F(math.nextafter(0.5, 0.0))) < 1e-15
