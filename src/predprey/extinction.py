@@ -159,7 +159,8 @@ def simulate_extinction(
     times at those depths differ by 1.6% (0.146953 and 0.149320 for OSC from
     (0.3, 50), from a tight scipy run), but at the default abs_tol, equal to
     the extinction threshold, the x-chart's error control is off near the
-    axis and its 0.148882 is 1.3% off its own depth's time.  A prey at or
+    axis and its 0.148002 is 0.71% off its own depth's time; the u-chart's
+    0.14931987 is within 1e-8 of its own.  A prey at or
     below the extinction threshold raises DomainError: its event never
     arms, so the run could not tell extinction from survival.
     """

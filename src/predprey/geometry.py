@@ -30,8 +30,10 @@ backward run from S (backward in time, orbits near the boundary converge
 onto it), certified by two launches 1e-4 either side.  The backward run is
 made in the chart y = x1**(1-m1) (model.make_y_rhs), where the field is
 smooth at the prey axis S sits next to, so it needs no absolute tolerance
-far below thr; the launches stay in the x-chart, so the certified object is
-the same thresholded boundary.  Where that orbit turns back before the
+far below thr; the probe's y is the run's ceiling, so the integrator
+locates the probe on the step's continuous extension as it locates every
+level crossing.  The launches stay in the x-chart, so the certified object
+is the same thresholded boundary.  Where that orbit turns back before the
 probe and the fates part at the nullcline itself, the nullcline ordinate is
 the answer; otherwise bisection in the launch ordinate x2 brackets the
 boundary until it is rel_tol / 10 wide relative (the launches' rel_tol is
@@ -48,8 +50,7 @@ from dataclasses import dataclass, replace
 
 from .equilibria import predator_free_equilibrium
 from .extinction import dissipative_bound_K2
-from .integrate import (IntegratorOptions, TerminationKind, _dense_term, _dense_value, _run,
-                        integrate)
+from .integrate import IntegratorOptions, TerminationKind, _run, integrate
 # make_rhs is unused here; it stays because the bench trace shim patches it
 from .model import (DomainError, ModelParams, State, _response, eval_f,  # noqa: F401
                     make_rhs, make_y_rhs)
@@ -253,20 +254,22 @@ def _classify_launch(p: ModelParams, x1_0: float, x2_0: float,
     raise DomainError(f"launch classification failed: {traj.termination!r}")
 
 
+def _turned_back(t: float, y: float, x2: float, dy: float, dx2: float) -> bool:
+    return t > 0.0 and not dy > 0.0
+
+
 def _trace_to_probe(p: ModelParams, probe_x1: float, opts: IntegratorOptions) -> float:
     """Integrate the boundary orbit backward from S = (thr, psi(thr)**(1/m2)),
     thr the extinction threshold, until x1 reaches probe_x1, and return x2
     there.  The run is made in the chart y = x1**(1-m1) (make_y_rhs), where
     the field is smooth at the prey axis the orbit starts next to, from
-    (thr**(1-m1), psi(thr)**(1/m2)), at half opts.rel_tol.  It stops at the
-    first accepted state with y >= probe_x1**(1-m1).  y = probe_x1**(1-m1) is
-    located on that last step by the step's own continuous extension (the
-    cubic Hermite on the integrator's derivatives plus the Dormand-Prince
-    quartic term, `_dense_term`), and x2 is read there: the cubic alone
-    left errors up to 5.6e-6 on the fan probes of a random draw of the
-    domain, the extension 1.7e-7.  NaN if y stops increasing first (the
-    orbit turns back, as when it spirals into a focus) or the run ends any
-    other way.  Needs m1 < 1."""
+    (thr**(1-m1), psi(thr)**(1/m2)), at half opts.rel_tol, with the ceiling
+    y = probe_x1**(1-m1): the loop locates that crossing on the step's
+    continuous extension and reads x2 there (the cubic Hermite alone left
+    errors up to 5.6e-6 on the fan probes of a random draw of the domain,
+    the extension 1.7e-7).  NaN if y stops increasing first (the orbit
+    turns back, as when it spirals into a focus) or the run ends any other
+    way.  Needs m1 < 1."""
     thr = opts.extinction_threshold
     if not thr < probe_x1:
         return math.nan
@@ -275,34 +278,11 @@ def _trace_to_probe(p: ModelParams, probe_x1: float, opts: IntegratorOptions) ->
     except OverflowError:
         return math.nan
     k = 1.0 - p.m1
-    target = probe_x1 ** k
-    # the field at the last two accepted states: the extension's ends
-    before = last = (math.nan, math.nan)
-
-    def reached(t: float, y: float, x2: float, dy: float, dx2: float) -> bool:
-        nonlocal before, last
-        before, last = last, (dy, dx2)
-        return y >= target or (t > 0.0 and not dy > 0.0)
-
-    f = make_y_rhs(p)
-    traj = _run(f, (thr ** k, seed), replace(opts, rel_tol=0.5 * opts.rel_tol),
-                (False, False), reached, None, -1.0)
-    if traj.termination.kind is not TerminationKind.STOPPED or traj.x1[-1] < target:
+    traj = _run(make_y_rhs(p), (thr ** k, seed), replace(opts, rel_tol=0.5 * opts.rel_tol),
+                (False, False), _turned_back, probe_x1 ** k, -1.0)
+    if traj.termination.kind is not TerminationKind.BLOWUP:
         return math.nan
-    h = traj.times[-1] - traj.times[-2]
-    (a1, a2), (b1, b2) = before, last
-    u0, u1, v0, v1 = traj.x1[-2], traj.x1[-1], traj.x2[-2], traj.x2[-1]
-    # the run steps the field with the step negated: so does its extension
-    c1, c2 = _dense_term(f, (u0, v0), (-a1, -a2), (-b1, -b2), -h)
-    lo, hi = 0.0, 1.0  # y < target at lo, y >= target at hi
-    while hi - lo > 1e-15:
-        th = 0.5 * (lo + hi)
-        if _dense_value(th, u0, u1, h * a1, h * b1, c1) < target:
-            lo = th
-        else:
-            hi = th
-    th = 0.5 * (lo + hi)
-    return _dense_value(th, v0, v1, h * a2, h * b2, c2)
+    return traj.x2[-1]
 
 
 def _require_fractional_m1(p: ModelParams) -> None:

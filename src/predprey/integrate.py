@@ -6,9 +6,8 @@ one backward trace and two certifying launches), and scalar arithmetic keeps
 each step in the microsecond range.  The backward trace is run in the
 desingularising prey chart y = x1**(1-m1) (model.make_y_rhs), where the
 field is smooth at the prey axis: geometry calls `_run` on that field with
-sign -1 and no event, and reads the probe off the last step's continuous
-extension (`_dense_term`); the certifying launches are `integrate` runs in
-the x-chart.
+sign -1 and the probe's y as its ceiling; the certifying launches are
+`integrate` runs in the x-chart.
 There is one loop, the text `_LOOP`, written out inline against plain
 floats: in CPython a helper call per step, a tuple per step result, min/max
 builtin calls and per-event or per-state objects cost as much as the field
@@ -23,10 +22,14 @@ process (`_kernel`).  `_run` runs the kernel for a field the package made
 and the generic loop, the text as written, for any other callable, which
 sees every evaluation.  Both give the same floats.
 Error control is the usual embedded-pair estimate with a PI
-controller.  An event is located exactly on the step's chord, the straight
-line from the accepted state to the trial state: the crossing fraction is
-(v_old - level) / (v_old - v_new) in closed form, which serves the downward
-extinction threshold and the u-chart's upward blowup ceiling alike.
+controller.  A run's level crossings -- the downward extinction threshold,
+and the ceiling component 0 may cross upward -- are located on the step's
+continuous extension (Hairer, Norsett and Wanner, Solving ODEs I, section
+II.6; dopri5's dense output): the cubic Hermite on the step's ends and
+their derivatives plus a quartic term in the stages the step already holds,
+so locating costs no field evaluation.  The crossing fraction is bisected
+on that polynomial (`_crossing`) and both components are read there
+(`_dense_value`).
 
 Events watch for *downward* crossings of a small threshold by a state
 component.  An event is armed only if its component starts above threshold
@@ -34,9 +37,7 @@ component.  An event is armed only if its component starts above threshold
 initial condition sitting on an axis integrates as the constant/on-axis
 solution instead of reporting extinction at t = 0.  The predator event
 exists only for m2 < 1: with m2 = 1 the axis is reached only as t -> inf and
-a threshold crossing would misreport a finite extinction time.  A backward
-run (`integrate(..., backward=True)`) is the same loop on the field itself
-with the step negated, and watches no event.
+a threshold crossing would misreport a finite extinction time.
 """
 from __future__ import annotations
 
@@ -149,6 +150,13 @@ _E1, _E3, _E4, _E5, _E6, _E7 = (
     71.0 / 57600.0, -71.0 / 16695.0, 71.0 / 1920.0,
     -17253.0 / 339200.0, 22.0 / 525.0, -1.0 / 40.0,
 )
+# Weights of the quartic term of the step's continuous extension (Hairer,
+# Norsett and Wanner, Solving ODEs I, section II.6; dopri5's dense output).
+_D1, _D3, _D4, _D5, _D6, _D7 = (
+    -12715105075.0 / 11282082432.0, 87487479700.0 / 32700410799.0,
+    -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
+    -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0,
+)
 
 _SAFETY = 0.9
 _MIN_FACTOR = 0.2
@@ -156,8 +164,6 @@ _MAX_FACTOR = 5.0
 # PI controller exponents (order p = 5)
 _BETA1 = 0.7 / 5.0
 _BETA2 = 0.4 / 5.0
-
-_EVENT_KINDS = (TerminationKind.PREY_EXTINCT, TerminationKind.PREDATOR_EXTINCT)
 
 
 def _initial_step(y1: float, y2: float, f1: float, f2: float,
@@ -170,6 +176,40 @@ def _initial_step(y1: float, y2: float, f1: float, f2: float,
     d1 = math.sqrt(0.5 * ((f1 / sc1) ** 2 + (f2 / sc2) ** 2))
     h0 = 1e-6 if (d0 < 1e-5 or d1 < 1e-5) else 0.01 * d0 / d1
     return max(opts.min_step, min(h0, opts.max_step, opts.horizon))
+
+
+def _dense_value(th: float, y0: float, y1: float, hf0: float, hf1: float,
+                 q: float) -> float:
+    """A step's continuous extension at the fraction th: the cubic Hermite
+    interpolant on values y0, y1 and step-scaled derivatives hf0, hf1 at
+    its ends, plus th**2 * (1 - th)**2 * q, q the step's quartic term."""
+    w = th * (1.0 - th)
+    return y0 + th * (hf0 + th * (3.0 * (y1 - y0) - 2.0 * hf0 - hf1
+                                  + th * (2.0 * (y0 - y1) + hf0 + hf1))) + w * w * q
+
+
+def _crossing(level: float, y0: float, y1: float, hf0: float, hf1: float,
+              q: float) -> float:
+    """The fraction of a step at which its continuous extension, as in
+    _dense_value, crosses `level`, y0 on the level or before it and y1
+    past it (below for a downward crossing, above for an upward one).
+    Bisects the extension of y - level until 2**-52 wide: near the
+    crossing its values are small and keep the digits that y's own values
+    lose when they round to the level.  The end before the crossing is
+    returned, so a start on the level gives 0.0 exactly."""
+    if y0 == level:
+        return 0.0
+    d0, d1 = y0 - level, y1 - level
+    up = d1 > 0.0
+    lo, hi = 0.0, 1.0
+    while hi - lo > 2.220446049250313e-16:
+        mid = 0.5 * (lo + hi)
+        v = _dense_value(mid, d0, d1, hf0, hf1, q)
+        if (v > 0.0) if up else (v < 0.0):
+            hi = mid
+        else:
+            lo = mid
+    return lo
 
 
 # The one Dormand-Prince loop, as a text.  Its seven field evaluations (at
@@ -302,21 +342,31 @@ def run(f, consts, ic, opts, watch, stop_when, blowup_ceiling, sign):
         if t_new >= horizon:
             t_new = horizon
 
-        if (armed1 and z1 < thr <= y1) or (armed2 and z2 < thr <= y2):
-            te, ye1, ye2, kind = _first_crossing(
-                t, t_new, (y1, y2), (z1, z2), (armed1, armed2), thr)
+        if (armed1 and z1 < thr <= y1) or (armed2 and z2 < thr <= y2) or z1 > ceiling:
+            # a level crossed: located on the step's continuous extension,
+            # whose quartic term takes the stages the step holds; the
+            # earliest crossing wins, the prey's a tie
+            q1 = sh * (_D1 * k1 + _D3 * s31 + _D4 * s41 + _D5 * s51 + _D6 * s61 + _D7 * k1n)
+            q2 = sh * (_D1 * k2 + _D3 * s32 + _D4 * s42 + _D5 * s52 + _D6 * s62 + _D7 * k2n)
+            hf1, hf2, hn1, hn2 = sh * k1, sh * k2, sh * k1n, sh * k2n
+            kind, th = None, 2.0
+            if armed1 and z1 < thr <= y1:
+                kind, th = TerminationKind.PREY_EXTINCT, _crossing(thr, y1, z1, hf1, hn1, q1)
+            if armed2 and z2 < thr <= y2:
+                th2 = _crossing(thr, y2, z2, hf2, hn2, q2)
+                if th2 < th:
+                    kind, th = TerminationKind.PREDATOR_EXTINCT, th2
+            if z1 > ceiling:
+                th2 = _crossing(ceiling, y1, z1, hf1, hn1, q1)
+                if th2 < th:
+                    kind, th = TerminationKind.BLOWUP, th2
+            te = t + th * (t_new - t)
+            ye1 = _dense_value(th, y1, z1, hf1, hn1, q1)
+            ye2 = _dense_value(th, y2, z2, hf2, hn2, q2)
             add_t(te)
             add_x1(0.0 if 0.0 > ye1 else ye1)
             add_x2(0.0 if 0.0 > ye2 else ye2)
             traj.termination = Termination(kind, te)
-            return traj
-
-        if z1 > ceiling:
-            te, ye1, ye2 = _locate_level(t, t_new, (y1, y2), (z1, z2), 0, ceiling)
-            add_t(te)
-            add_x1(ye1)
-            add_x2(0.0 if 0.0 > ye2 else ye2)
-            traj.termination = Termination(TerminationKind.BLOWUP, te)
             return traj
 
         # accept; (k1, k2) = f(y1, y2) exactly, as the field clamps
@@ -407,93 +457,27 @@ def _run(
     once per stage.  Both are instantiations of the one loop text, _LOOP,
     and give the same floats.
 
-    watch[i] switches on the extinction event of component i (the u-chart
-    watches neither and ends at blowup_ceiling instead).  stop_when gets the
-    field at each accepted state from the step that produced it (FSAL), so
-    the predicate costs no field evaluation.  sign = -1.0 runs the orbit
-    backward: the stage and error sums take the step as sign * h, and
+    watch[i] switches on the extinction event of component i.
+    blowup_ceiling (None: no ceiling) is an upward level on component 0:
+    the run ends with kind BLOWUP where component 0 crosses it, the
+    u-chart's blowup at U_BLOWUP_CEILING and the y-chart trace's arrival at
+    its probe alike.  Every crossing is located on the step's continuous
+    extension; the earliest in the step wins, the prey's event a tie, and
+    a step that starts on the level ends where it starts (a u-chart run
+    from the ceiling ends at t = 0).  stop_when gets the field at each
+    accepted state from the step that produced it (FSAL), so the predicate
+    costs no field evaluation.  sign = -1.0 runs the orbit backward: the
+    stage, error and extension sums take the step as sign * h, and
     stop_when gets sign times the field, the derivative along the run.  As
-    IEEE negation is exact, every stage point, state and time is the one the
-    loop would give on the negated field with sign 1.0.  The times column
-    counts elapsed time either way.  The min/max of
-    the textbook loop are written as comparisons with the same result, ties
-    and -0.0 included: max(a, b) is `b if b > a else a`, min(a, b) is
+    IEEE negation is exact, every stage point, state and time is the one
+    the loop would give on the negated field with sign 1.0.  The times
+    column counts elapsed time either way.  The min/max of the textbook
+    loop are written as comparisons with the same result, ties and -0.0
+    included: max(a, b) is `b if b > a else a`, min(a, b) is
     `b if b < a else a`.
     """
     chart, consts = getattr(f, "chart", (None, None))
     return _kernel(chart)(f, consts, ic, opts, watch, stop_when, blowup_ceiling, sign)
-
-
-def _first_crossing(t0, t1, y_old, y_new, armed, level):
-    """The earliest downward crossing of `level` on the chord among the armed
-    components, as (te, ye1, ye2, kind); the prey's wins a tie."""
-    fired = None
-    for index, kind in enumerate(_EVENT_KINDS):
-        if armed[index] and y_new[index] < level <= y_old[index]:
-            te, ye1, ye2 = _locate_level(t0, t1, y_old, y_new, index, level)
-            if fired is None or te < fired[0]:
-                fired = (te, ye1, ye2, kind)
-    return fired
-
-
-def _locate_level(t0, t1, y_old, y_new, index, level):
-    """Where component `index` meets `level` on the chord from (t0, y_old)
-    to (t1, y_new), as (te, ye1, ye2).  The caller has seen the component
-    cross the level over the step, so v_old != v_new and the fraction lies
-    in [0, 1]; the located component equals the level to rounding."""
-    v_old = y_old[index]
-    frac = (v_old - level) / (v_old - y_new[index])
-    te = t0 + frac * (t1 - t0)
-    ye1 = y_old[0] + frac * (y_new[0] - y_old[0])
-    ye2 = y_old[1] + frac * (y_new[1] - y_old[1])
-    return te, ye1, ye2
-
-
-def _dense_value(th: float, y0: float, y1: float, hf0: float, hf1: float,
-                 q: float) -> float:
-    """A step's continuous extension at the fraction th: the cubic Hermite
-    interpolant on values y0, y1 and step-scaled derivatives hf0, hf1 at
-    its ends, plus th**2 * (1 - th)**2 * q, q the step's quartic term."""
-    w = th * (1.0 - th)
-    return y0 + th * (hf0 + th * (3.0 * (y1 - y0) - 2.0 * hf0 - hf1
-                                  + th * (2.0 * (y0 - y1) + hf0 + hf1))) + w * w * q
-
-
-# Weights of the quartic term of the step's continuous extension (Hairer,
-# Norsett and Wanner, Solving ODEs I, section II.6; dopri5's dense output).
-_D1, _D3, _D4, _D5, _D6, _D7 = (
-    -12715105075.0 / 11282082432.0, 87487479700.0 / 32700410799.0,
-    -10690763975.0 / 1880347072.0, 701980252875.0 / 199316789632.0,
-    -1453857185.0 / 822651844.0, 69997945.0 / 29380423.0,
-)
-
-
-def _dense_term(f, y, k, kn, sh):
-    """The quartic term of the continuous extension of the accepted step of
-    signed size sh from the state y, where the field f is k, to the state
-    where it is kn: on that step the state at the fraction th is the cubic
-    Hermite on the ends' values and derivatives plus th**2 * (1 - th)**2
-    times the pair returned, to the step's own order.  The inner stages are
-    formed again as _run forms them (five field calls)."""
-    y1, y2 = y
-    k1, k2 = k
-    a1 = y1 + sh * _A21 * k1
-    a2 = y2 + sh * _A21 * k2
-    s21, s22 = f(a1, a2)
-    a1 = y1 + sh * (_A31 * k1 + _A32 * s21)
-    a2 = y2 + sh * (_A31 * k2 + _A32 * s22)
-    s31, s32 = f(a1, a2)
-    a1 = y1 + sh * (_A41 * k1 + _A42 * s21 + _A43 * s31)
-    a2 = y2 + sh * (_A41 * k2 + _A42 * s22 + _A43 * s32)
-    s41, s42 = f(a1, a2)
-    a1 = y1 + sh * (_A51 * k1 + _A52 * s21 + _A53 * s31 + _A54 * s41)
-    a2 = y2 + sh * (_A51 * k2 + _A52 * s22 + _A53 * s32 + _A54 * s42)
-    s51, s52 = f(a1, a2)
-    a1 = y1 + sh * (_A61 * k1 + _A62 * s21 + _A63 * s31 + _A64 * s41 + _A65 * s51)
-    a2 = y2 + sh * (_A61 * k2 + _A62 * s22 + _A63 * s32 + _A64 * s42 + _A65 * s52)
-    s61, s62 = f(a1, a2)
-    return (sh * (_D1 * k1 + _D3 * s31 + _D4 * s41 + _D5 * s51 + _D6 * s61 + _D7 * kn[0]),
-            sh * (_D1 * k2 + _D3 * s32 + _D4 * s42 + _D5 * s52 + _D6 * s62 + _D7 * kn[1]))
 
 
 def integrate(
@@ -502,7 +486,6 @@ def integrate(
     opts: IntegratorOptions | None = None,
     *,
     stop_when: StopPredicate | None = None,
-    backward: bool = False,
 ) -> Trajectory:
     """Integrate the (x1, x2) system from a nonnegative initial condition.
 
@@ -515,22 +498,12 @@ def integrate(
     time, no localization.  The field is evaluated at the initial condition
     before the predicate, so a field that cannot be evaluated there raises
     DomainError even when the predicate would have stopped the run.
-
-    With backward=True the run follows the orbit back in time: the loop
-    steps the field with the step negated, (dx1, dx2) handed to `stop_when`
-    is the negated field, the times column holds the elapsed backward time
-    (0 up to at most the horizon), and no extinction event is watched, so a
-    backward run never ends in PreyExtinct or PredatorExtinct.  The states
-    are bit for bit those of a forward run on the negated field.
     """
     if opts is None:
         opts = IntegratorOptions()
     x1 = _check_ic(ic.x1, "x1")
     x2 = _check_ic(ic.x2, "x2")
-    f = make_rhs(p)
-    if backward:
-        return _run(f, (x1, x2), opts, (False, False), stop_when, None, -1.0)
-    return _run(f, (x1, x2), opts, (True, p.m2 < 1.0), stop_when, None)
+    return _run(make_rhs(p), (x1, x2), opts, (True, p.m2 < 1.0), stop_when, None)
 
 
 def integrate_u_system(

@@ -7,6 +7,7 @@ import pytest
 from predprey import (
     DomainError,
     IntegratorOptions,
+    ModelParams,
     State,
     TerminationKind,
     boundedness_bound,
@@ -138,3 +139,32 @@ def test_prey_at_or_below_the_threshold_is_a_domain_error(osc_params, x1):
     if x1 > 1e-11:
         assert verify_persistence(osc_params, State(x1, 50.0), opts).termination \
             is TerminationKind.PREY_EXTINCT
+
+
+# scipy's touchdown times T(x1 = 1e-12) from bench/references.json: solve_ivp
+# DOP853 at rtol 1e-13 in (x1, x2) down to x1 = 1e-3, then in u = 1/x1 up to
+# u = 1e12 (scipy 1.17.1, numpy 2.4.6, Python 3.11.7); the OSC set with the
+# one change named, from (x1, x2)
+_OSC_RATES = dict(a1=0.6, a2=1.0, b1=0.063, w0=1.0, w1=2.0, d=2.0, m1=0.8, m2=1.0, r=1.0)
+_U_TOUCHDOWNS = [
+    ({}, (0.3, 50.0), 0.14931987351248485),
+    ({}, (0.3, 100.0), 0.07191789789540441),
+    ({}, (0.2, 30.0), 0.23887455726672355),
+    ({}, (0.1, 20.0), 0.324992807190112),
+    ({"m1": 0.6}, (0.3, 50.0), 0.0490589993814132),
+    ({"r": 0.5}, (0.3, 80.0), 0.1626708219204584),
+    ({"d": 1.5}, (0.4, 60.0), 0.1035873678785373),
+    ({"a1": 2.0, "b1": 0.21}, (0.5, 200.0), 0.03991166523520352),
+]
+
+
+@pytest.mark.parametrize("change, ic, t_ref", _U_TOUCHDOWNS,
+                         ids=["osc", "osc_x2_100", "osc_0.2_30", "osc_0.1_20", "m1_0.6",
+                              "r_0.5", "d_1.5", "enriched"])
+def test_u_chart_touchdown_matches_scipy(change, ic, t_ref):
+    # the ceiling u = 1e12 is located on the step's continuous extension;
+    # the chord across the last step, on which u steepens without bound,
+    # met it up to 3.3e-6 early
+    p = ModelParams(**{**_OSC_RATES, **change})
+    sim = simulate_extinction(p, State(*ic)).simulated
+    assert sim.u_blowup_time == pytest.approx(t_ref, rel=5e-8)

@@ -130,8 +130,7 @@ def test_launches_run_to_the_integrator_horizon(osc_params, monkeypatch, horizon
     seen = []
 
     def recording(p, ic, opts=None, **kw):
-        if not kw.get("backward"):
-            seen.append(opts.horizon)
+        seen.append(opts.horizon)
         return integrate(p, ic, opts, **kw)
 
     monkeypatch.setattr(mod, "integrate", recording)
@@ -293,7 +292,7 @@ def test_nullcline_route_returns_psi(osc_params, monkeypatch):
     runs = []
 
     def counted(*args, **kwargs):
-        runs.append(kwargs.get("backward", False))
+        runs.append(False)
         return launch(*args, **kwargs)
 
     def counted_run(f, ic, opts, watch, stop_when, ceiling, sign=1.0):

@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
@@ -23,8 +24,8 @@ from predprey import (
 from predprey.integrate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _A71, _A73, _A74, _A75, _A76,
-    _BETA1, _BETA2, _E1, _E3, _E4, _E5, _E6, _E7, _MAX_FACTOR, _MIN_FACTOR, _SAFETY,
-    U_BLOWUP_CEILING, Termination, _dense_term, _dense_value, _first_crossing, _locate_level,
+    _BETA1, _BETA2, _D1, _D3, _D4, _D5, _D6, _D7, _E1, _E3, _E4, _E5, _E6, _E7,
+    _MAX_FACTOR, _MIN_FACTOR, _SAFETY, U_BLOWUP_CEILING, Termination, _crossing, _dense_value, _run,
 )
 from predprey.geometry import _turned
 from predprey.model import make_rhs, make_u_rhs, make_y_rhs
@@ -193,45 +194,91 @@ def test_u_chart_rejects_u_past_the_ceiling(osc_params, u):
 
 
 # --------------------------------------------------------------------------
-# Event location on the step's chord.
+# Level crossings located on the step's continuous extension.
+
+def _constant_field(v1, v2):
+    def field(x1, x2):
+        return v1, v2
+    return field
+
 
 def test_first_crossing_tie_goes_to_the_prey():
-    # both components fall through the level at the same chord fraction
-    te, ye1, ye2, kind = _first_crossing(1.0, 2.0, (0.6, 0.6), (0.4, 0.4), (True, True), 0.5)
-    assert kind is TerminationKind.PREY_EXTINCT
-    assert (te, ye1, ye2) == (1.5, 0.5, 0.5)
+    # x1 and x2 fall alike from 0.6: both reach 0.5 at t = 0.1, on the same
+    # step at the same fraction
+    traj = _run(_constant_field(-1.0, -1.0), (0.6, 0.6),
+                IntegratorOptions(extinction_threshold=0.5), (True, True), None, None)
+    assert traj.termination.kind is TerminationKind.PREY_EXTINCT
+    assert traj.termination.time == pytest.approx(0.1, rel=1e-14)
+    assert traj.x1[-1] == traj.x2[-1] == pytest.approx(0.5, rel=1e-15)
 
 
 def test_first_crossing_earlier_predator_wins():
-    # the prey crosses at fraction 0.8, the predator at 0.5
-    te, ye1, ye2, kind = _first_crossing(1.0, 2.0, (0.9, 0.6), (0.4, 0.4), (True, True), 0.5)
-    assert kind is TerminationKind.PREDATOR_EXTINCT
-    assert te == pytest.approx(1.5, rel=1e-15)
-    assert ye2 == pytest.approx(0.5, rel=1e-15)
-    # an unarmed component's crossing does not count
-    assert _first_crossing(1.0, 2.0, (0.9, 0.6), (0.4, 0.4), (True, False), 0.5)[3] \
-        is TerminationKind.PREY_EXTINCT
+    # the predator reaches 0.5 at t = 0.1, the prey at t = 0.125, in one step
+    opts = IntegratorOptions(extinction_threshold=0.5)
+    f = _constant_field(-2.0, -1.0)
+    both = _run(f, (0.75, 0.6), opts, (True, True), None, None)
+    assert both.termination.kind is TerminationKind.PREDATOR_EXTINCT
+    assert both.termination.time == pytest.approx(0.1, rel=1e-14)
+    assert both.x2[-1] == pytest.approx(0.5, rel=1e-15)
+    # an unarmed component's crossing does not count; the prey's crossing
+    # lies on the step the predator's ends
+    prey = _run(f, (0.75, 0.6), opts, (True, False), None, None)
+    assert prey.termination.kind is TerminationKind.PREY_EXTINCT
+    assert prey.termination.time == pytest.approx(0.125, rel=1e-14)
+    assert prey.times[:-1] == both.times[:-1]
 
 
-@pytest.mark.parametrize("y_old, y_new, index, level", [
+def test_crossing_is_exact_where_the_solution_is_a_cubic():
+    # x2' = 1 and x1' = -3*x2**2 from (1, 0.5): x1 = 1.125 - (0.5 + t)**3,
+    # a cubic the continuous extension reproduces, so the prey threshold
+    # 0.25 is met at the cube root's time to rounding (the chord of the
+    # step misses it by O(h**2))
+    def f(x1, x2):
+        return -3.0 * x2 * x2, 1.0
+
+    traj = _run(f, (1.0, 0.5), IntegratorOptions(extinction_threshold=0.25), (True, False),
+                None, None)
+    root = 0.875 ** (1.0 / 3.0) - 0.5
+    assert traj.termination.kind is TerminationKind.PREY_EXTINCT
+    assert len(traj) > 2  # the crossing lies inside a step, not on the first
+    assert traj.termination.time == pytest.approx(root, rel=2e-14)
+    assert traj.x1[-1] == pytest.approx(0.25, rel=2e-14)
+    assert traj.x2[-1] == pytest.approx(0.5 + root, rel=2e-14)
+
+
+def _exact_extension(th, y0, y1, hf0, hf1, q):
+    th, y0, y1, hf0, hf1, q = map(Fraction, (th, y0, y1, hf0, hf1, q))
+    w = th * (1 - th)
+    return (y0 + th * (hf0 + th * (3 * (y1 - y0) - 2 * hf0 - hf1
+                                   + th * (2 * (y0 - y1) + hf0 + hf1))) + w * w * q)
+
+
+@pytest.mark.parametrize("y0, y1, hf0, hf1, q, level", [
     # downward through the extinction threshold
-    ((3.7e-9, 12.25), (-4.1e-10, 12.5), 0, 1e-9),
-    ((0.81, 1.3e-9), (0.83, 2.9e-10), 1, 1e-9),
+    (3.7e-9, -4.1e-10, -4.4e-9, -3.6e-9, 2.5e-10, 1e-9),
+    (1.3e-9, 2.9e-10, -1.1e-9, -0.9e-9, -4e-11, 1e-9),
     # upward through the u-chart's blowup ceiling
-    ((9.31e11, 2.0), (1.77e12, 1.5), 0, U_BLOWUP_CEILING),
+    (9.31e11, 1.77e12, 6.1e11, 1.2e12, -3.3e10, U_BLOWUP_CEILING),
 ], ids=["prey_down", "predator_down", "u_up"])
-def test_locate_level_lands_on_the_level(y_old, y_new, index, level):
-    t0, t1 = 0.125, 0.3
-    te, ye1, ye2 = _locate_level(t0, t1, y_old, y_new, index, level)
-    ye = (ye1, ye2)
-    scale = max(abs(y_old[index]), abs(y_new[index]))
-    assert abs(ye[index] - level) <= 4.0 * math.ulp(scale)
-    assert t0 <= te <= t1
-    # the other component sits on the chord at the same fraction
-    other = 1 - index
-    frac = (te - t0) / (t1 - t0)
-    assert ye[other] == pytest.approx(
-        y_old[other] + frac * (y_new[other] - y_old[other]), rel=1e-12)
+def test_locate_level_lands_on_the_level(y0, y1, hf0, hf1, q, level):
+    # the located fraction is the extension's exact crossing, to the
+    # bisection's 2**-52
+    th = _crossing(level, y0, y1, hf0, hf1, q)
+    lo, hi = Fraction(0), Fraction(1)
+    up = y1 > level
+    for _ in range(80):
+        mid = (lo + hi) / 2
+        past = _exact_extension(mid, y0, y1, hf0, hf1, q) - Fraction(level)
+        if (past > 0) if up else (past < 0):
+            hi = mid
+        else:
+            lo = mid
+    assert 0.0 <= th < 1.0
+    assert abs(Fraction(th) - lo) <= Fraction(2.0 ** -52)
+    located = _dense_value(th, y0, y1, hf0, hf1, q)
+    assert abs(located - level) <= 4.0 * math.ulp(max(abs(y0), abs(y1)))
+    # a start on the level is located there
+    assert _crossing(level, level, y1, hf0, hf1, q) == 0.0
 
 
 # --------------------------------------------------------------------------
@@ -264,28 +311,38 @@ def _ref_initial_step(f, y1, y2, opts, direction_cap):
     return max(opts.min_step, min(h0, opts.max_step, direction_cap))
 
 
+def _ref_stages(f, y1, y2, k1, k2, h):
+    """One step of size h from (y1, y2), where f is (k1, k2): the trial
+    state, the field there, the error estimate and the quartic term of the
+    step's continuous extension."""
+    a1 = y1 + h * _A21 * k1
+    a2 = y2 + h * _A21 * k2
+    s21, s22 = f(a1, a2)
+    a1 = y1 + h * (_A31 * k1 + _A32 * s21)
+    a2 = y2 + h * (_A31 * k2 + _A32 * s22)
+    s31, s32 = f(a1, a2)
+    a1 = y1 + h * (_A41 * k1 + _A42 * s21 + _A43 * s31)
+    a2 = y2 + h * (_A41 * k2 + _A42 * s22 + _A43 * s32)
+    s41, s42 = f(a1, a2)
+    a1 = y1 + h * (_A51 * k1 + _A52 * s21 + _A53 * s31 + _A54 * s41)
+    a2 = y2 + h * (_A51 * k2 + _A52 * s22 + _A53 * s32 + _A54 * s42)
+    s51, s52 = f(a1, a2)
+    a1 = y1 + h * (_A61 * k1 + _A62 * s21 + _A63 * s31 + _A64 * s41 + _A65 * s51)
+    a2 = y2 + h * (_A61 * k2 + _A62 * s22 + _A63 * s32 + _A64 * s42 + _A65 * s52)
+    s61, s62 = f(a1, a2)
+    z1 = y1 + h * (_A71 * k1 + _A73 * s31 + _A74 * s41 + _A75 * s51 + _A76 * s61)
+    z2 = y2 + h * (_A71 * k2 + _A73 * s32 + _A74 * s42 + _A75 * s52 + _A76 * s62)
+    k1n, k2n = f(z1, z2)
+    e1 = h * (_E1 * k1 + _E3 * s31 + _E4 * s41 + _E5 * s51 + _E6 * s61 + _E7 * k1n)
+    e2 = h * (_E1 * k2 + _E3 * s32 + _E4 * s42 + _E5 * s52 + _E6 * s62 + _E7 * k2n)
+    q1 = h * (_D1 * k1 + _D3 * s31 + _D4 * s41 + _D5 * s51 + _D6 * s61 + _D7 * k1n)
+    q2 = h * (_D1 * k2 + _D3 * s32 + _D4 * s42 + _D5 * s52 + _D6 * s62 + _D7 * k2n)
+    return z1, z2, k1n, k2n, e1, e2, q1, q2
+
+
 def _ref_try_step(f, y1, y2, k1, k2, h, opts):
     try:
-        a1 = y1 + h * _A21 * k1
-        a2 = y2 + h * _A21 * k2
-        s21, s22 = f(a1, a2)
-        a1 = y1 + h * (_A31 * k1 + _A32 * s21)
-        a2 = y2 + h * (_A31 * k2 + _A32 * s22)
-        s31, s32 = f(a1, a2)
-        a1 = y1 + h * (_A41 * k1 + _A42 * s21 + _A43 * s31)
-        a2 = y2 + h * (_A41 * k2 + _A42 * s22 + _A43 * s32)
-        s41, s42 = f(a1, a2)
-        a1 = y1 + h * (_A51 * k1 + _A52 * s21 + _A53 * s31 + _A54 * s41)
-        a2 = y2 + h * (_A51 * k2 + _A52 * s22 + _A53 * s32 + _A54 * s42)
-        s51, s52 = f(a1, a2)
-        a1 = y1 + h * (_A61 * k1 + _A62 * s21 + _A63 * s31 + _A64 * s41 + _A65 * s51)
-        a2 = y2 + h * (_A61 * k2 + _A62 * s22 + _A63 * s32 + _A64 * s42 + _A65 * s52)
-        s61, s62 = f(a1, a2)
-        z1 = y1 + h * (_A71 * k1 + _A73 * s31 + _A74 * s41 + _A75 * s51 + _A76 * s61)
-        z2 = y2 + h * (_A71 * k2 + _A73 * s32 + _A74 * s42 + _A75 * s52 + _A76 * s62)
-        k1n, k2n = f(z1, z2)
-        e1 = h * (_E1 * k1 + _E3 * s31 + _E4 * s41 + _E5 * s51 + _E6 * s61 + _E7 * k1n)
-        e2 = h * (_E1 * k2 + _E3 * s32 + _E4 * s42 + _E5 * s52 + _E6 * s62 + _E7 * k2n)
+        z1, z2, k1n, k2n, e1, e2, q1, q2 = _ref_stages(f, y1, y2, k1, k2, h)
     except (OverflowError, ZeroDivisionError, DomainError):
         return False, math.inf
     if not (math.isfinite(z1) and math.isfinite(z2)):
@@ -297,7 +354,7 @@ def _ref_try_step(f, y1, y2, k1, k2, h, opts):
         return False, math.inf
     if err > 1.0:
         return False, err
-    return True, (z1, z2, err, k1n, k2n)
+    return True, (z1, z2, err, k1n, k2n, q1, q2)
 
 
 def _ref_run(f, ic, opts, events, stop_when, blowup_ceiling):
@@ -334,31 +391,31 @@ def _ref_run(f, ic, opts, events, stop_when, blowup_ceiling):
                 fac = 0.5
             h = max(opts.min_step, h * min(1.0, fac))
             continue
-        z1, z2, err, k1n, k2n = out
+        z1, z2, err, k1n, k2n, q1, q2 = out
         t_new = t + h
         if t_new >= opts.horizon:
             t_new = opts.horizon
+        # each level crossed, as (component, level, kind), the events
+        # before the ceiling; the earliest crossing on the step's
+        # continuous extension wins, the first listed a tie
+        crossed = [(ev.index, ev.threshold, ev.kind) for ev in events
+                   if ev.armed and (z1, z2)[ev.index] < ev.threshold <= (y1, y2)[ev.index]]
+        if blowup_ceiling is not None and z1 > blowup_ceiling:
+            crossed.append((0, blowup_ceiling, TerminationKind.BLOWUP))
+        ends = ((y1, z1, h * k1, h * k1n, q1), (y2, z2, h * k2, h * k2n, q2))
         fired = None
-        for ev in events:
-            old = (y1, y2)[ev.index]
-            new = (z1, z2)[ev.index]
-            if ev.armed and new < ev.threshold <= old:
-                te, ye1, ye2 = _locate_level(t, t_new, (y1, y2), (z1, z2),
-                                             ev.index, ev.threshold)
-                if fired is None or te < fired[0]:
-                    fired = (te, ye1, ye2, ev)
+        for index, level, kind in crossed:
+            v0, v1, hf0, hf1, q = ends[index]
+            th = _crossing(level, v0, v1, hf0, hf1, q)
+            if fired is None or th < fired[0]:
+                fired = (th, kind)
         if fired is not None:
-            te, ye1, ye2, ev = fired
+            th, kind = fired
+            te = t + th * (t_new - t)
+            ye1, ye2 = (_dense_value(th, *end) for end in ends)
             traj.times.append(te)
             traj.states.append(State(max(ye1, 0.0), max(ye2, 0.0)))
-            traj.termination = Termination(ev.kind, te)
-            return traj
-        if blowup_ceiling is not None and z1 > blowup_ceiling:
-            te, ye1, ye2 = _locate_level(t, t_new, (y1, y2), (z1, z2), 0,
-                                         blowup_ceiling)
-            traj.times.append(te)
-            traj.states.append(State(ye1, max(ye2, 0.0)))
-            traj.termination = Termination(TerminationKind.BLOWUP, te)
+            traj.termination = Termination(kind, te)
             return traj
         t, y1, y2, k1, k2 = t_new, max(z1, 0.0), max(z2, 0.0), k1n, k2n
         traj.times.append(t)
@@ -485,6 +542,7 @@ def test_field_calls_count_six_per_trial_step(case, rejected, monkeypatch):
     backward = case.startswith("backward:")
     cases = _BACKWARD_CASES if backward else _REFERENCE_CASES
     p, ic, kw, stop_when, kind = cases[case.removeprefix("backward:")]
+    opts = IntegratorOptions(**kw)
     calls = []
 
     def counting(p):
@@ -495,9 +553,11 @@ def test_field_calls_count_six_per_trial_step(case, rejected, monkeypatch):
             return f(x1, x2)
         return field
 
-    monkeypatch.setattr(sys.modules["predprey.integrate"], "make_rhs", counting)
-    traj = integrate(p, State(*ic), IntegratorOptions(**kw), stop_when=stop_when,
-                     backward=backward)
+    if backward:
+        traj = _run(counting(p), ic, opts, (False, False), stop_when, None, -1.0)
+    else:
+        monkeypatch.setattr(sys.modules["predprey.integrate"], "make_rhs", counting)
+        traj = integrate(p, State(*ic), opts, stop_when=stop_when)
     assert traj.termination.kind is kind
     assert traj.rejected == rejected
     assert len(calls) == 6 * (len(traj) - 1 + traj.rejected) + 1
@@ -535,14 +595,14 @@ def test_overflowing_trial_state_is_rejected():
 
 
 # --------------------------------------------------------------------------
-# Backward runs: the same loop on the negated field, with no event watched.
+# Backward runs (sign -1): the same loop on the negated field.
 
 @pytest.mark.parametrize("p, ic", [(_OSC, (5.0, 1.0)), (_BISTABLE, (3.0, 2.0))],
                          ids=["osc", "bistable"])
 def test_backward_run_retraces_the_forward_run(p, ic):
     opts = IntegratorOptions(horizon=3.0)
     fwd = integrate(p, State(*ic), opts)
-    back = integrate(p, fwd.final_state, opts, backward=True)
+    back = _run(make_rhs(p), (fwd.x1[-1], fwd.x2[-1]), opts, (False, False), None, None, -1.0)
     assert back.termination.kind is TerminationKind.HORIZON_REACHED
     assert back.times[-1] == 3.0  # elapsed backward time
     assert all(b > a for a, b in zip(back.times, back.times[1:]))
@@ -553,13 +613,14 @@ def test_backward_run_retraces_the_forward_run(p, ic):
 @pytest.mark.parametrize("p, ic, component", [
     # backward in time the prey on the empty predator axis decays like
     # exp(-a1 t), and with m2 < 1 a scarce predator beside plentiful prey
-    # drains to zero in finite time: a watched event would fire on both
+    # drains to zero in finite time: a watched event would fire on both,
+    # an unwatched one never arms
     (_OSC, (1e-6, 0.0), 0),
     (_BISTABLE, (8.0, 1e-6), 1),
 ], ids=["prey", "predator"])
 def test_backward_run_ends_in_no_extinction_event(p, ic, component):
     opts = IntegratorOptions(horizon=20.0)
-    traj = integrate(p, State(*ic), opts, backward=True)
+    traj = _run(make_rhs(p), ic, opts, (False, False), None, None, -1.0)
     assert traj.termination.kind is TerminationKind.HORIZON_REACHED
     assert min((traj.x1, traj.x2)[component]) < opts.extinction_threshold
 
@@ -583,7 +644,7 @@ def test_backward_loop_matches_reference_exactly(case):
         d1, d2 = f(x1, x2)
         return -d1, -d2
 
-    got = integrate(p, State(*ic), opts, stop_when=stop_when, backward=True)
+    got = _run(f, ic, opts, (False, False), stop_when, None, -1.0)
     ref = _ref_run(negated, ic, opts, (), stop_when, None)
     assert got.termination.kind is kind
     assert repr(got.termination) == repr(ref.termination)
@@ -608,7 +669,7 @@ def test_continuous_extension_is_an_order_above_the_cubic(sign):
         t0, h = traj.times[i], traj.times[i + 1] - traj.times[i]
         y, z = (traj.x1[i], traj.x2[i]), (traj.x1[i + 1], traj.x2[i + 1])
         k, kn = f(*y), f(*z)
-        q = _dense_term(f, y, k, kn, sign * h)
+        q = _ref_stages(f, *y, *k, sign * h)[6:]
         for th in (0.25, 0.5, 0.75):
             for c, rate in ((0, 1.0), (1, 3.0)):
                 exact = math.exp(-sign * rate * (t0 + th * h))

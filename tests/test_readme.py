@@ -32,7 +32,7 @@ def test_readme_python_blocks_run(capsys):
     for code in blocks:
         exec(compile(code, str(README), "exec"), namespace)
     # the quick start's stated result
-    assert capsys.readouterr().out.splitlines()[-1].startswith("prey_extinct 0.14888164")
+    assert capsys.readouterr().out.splitlines()[-1].startswith("prey_extinct 0.14800179")
 
 
 def test_readme_ini_commands_exit_0(tmp_path, capsys):
