@@ -27,18 +27,18 @@ probe.
 
 At a fixed prey abscissa (a "probe") the boundary ordinate comes from one
 backward run from S (backward in time, orbits near the boundary converge
-onto it), certified by two launches 1e-4 either side.  The backward run is
-made in the chart y = x1**(1-m1) (model.make_y_rhs), where the field is
-smooth at the prey axis S sits next to, so it needs no absolute tolerance
-far below thr; the probe's y is the run's ceiling, so the integrator
-locates the probe on the step's continuous extension as it locates every
-level crossing.  The launches stay in the x-chart, so the certified object
-is the same thresholded boundary.  Where that orbit turns back before the
-probe and the fates part at the nullcline itself, the nullcline ordinate is
-the answer; otherwise bisection in the launch ordinate x2 brackets the
-boundary until it is rel_tol / 10 wide relative (the launches' rel_tol is
-the one accuracy setting) or no float lies between its ends, as when the
-boundary rounds onto the prey axis.  A fan of probes assembles the curve.
+onto it), certified by two launches 1e-4 either side.  All three run in the
+chart y = x1**(1-m1) (model.make_y_rhs) at half rel_tol: the field is
+smooth at the prey axis there, so no absolute tolerance far below thr is
+needed.  The backward run ends at the probe's y, located on the step's
+continuous extension; a launch's prey event is y = thr**(1-m1), which is
+x1 = thr, so the certified object is the thresholded boundary.  Where that
+orbit turns back before the probe and the fates part at the nullcline
+itself, the nullcline ordinate is the answer; otherwise bisection in the
+launch ordinate x2 brackets the boundary until it is rel_tol / 10 wide
+relative (rel_tol is the one accuracy setting) or no float lies between
+its ends, as when the boundary rounds onto the prey axis.  A fan of probes
+assembles the curve.
 At m1 = 1 the origin attracts no open set and the chart does not exist:
 the fan and each probe refuse with DomainError.
 """
@@ -116,7 +116,7 @@ _LAUNCH_OPTIONS = IntegratorOptions(horizon=500.0)
 class SeparatrixOptions:
     probes: int = 12
     probe_span: tuple[float, float] = (0.05, 0.95)  # fractions of a1/b1
-    # the launches' options; rel_tol / 10 is also the bisection width
+    # the probes' options; rel_tol / 10 is also the bisection width
     integrator: IntegratorOptions = _LAUNCH_OPTIONS
 
     def __post_init__(self):
@@ -241,17 +241,25 @@ def _turned(t: float, x1: float, x2: float, dx1: float, dx2: float) -> bool:
 
 def _classify_launch(p: ModelParams, x1_0: float, x2_0: float,
                      iopts: IntegratorOptions) -> str:
-    """ABOVE: prey decays monotonically into the extinction event.
-    BELOW: a turnaround (dx1/dt > 0 at an accepted state, read off the
-    integrator's own derivative) or survival to the horizon."""
-    traj = integrate(p, State(x1_0, x2_0), iopts, stop_when=_turned)
+    """In `_y_chart`: ABOVE, prey decays monotonically into the extinction
+    event; BELOW, a turnaround (dy/dt > 0 at an accepted state, read off the
+    run's own derivative; dy has dx1's sign) or survival to the horizon."""
+    f, opts, k = _y_chart(p, iopts)
+    traj = _run(f, (x1_0 ** k, x2_0), opts, (True, False), _turned, None)
     kind = traj.termination.kind
     if kind is TerminationKind.PREY_EXTINCT:
         return _ABOVE
-    if kind in (TerminationKind.STOPPED, TerminationKind.HORIZON_REACHED,
-                TerminationKind.PREDATOR_EXTINCT):
+    if kind in (TerminationKind.STOPPED, TerminationKind.HORIZON_REACHED):
         return _BELOW
     raise DomainError(f"launch classification failed: {traj.termination!r}")
+
+
+def _y_chart(p: ModelParams, opts: IntegratorOptions):
+    """The chart y = x1**(1-m1) of the trace and the launches: its field,
+    opts at half rel_tol with the prey event at y = thr**(1-m1), and 1-m1."""
+    k = 1.0 - p.m1
+    return make_y_rhs(p), replace(opts, rel_tol=0.5 * opts.rel_tol,
+                                  extinction_threshold=opts.extinction_threshold ** k), k
 
 
 def _turned_back(t: float, y: float, x2: float, dy: float, dx2: float) -> bool:
@@ -261,15 +269,11 @@ def _turned_back(t: float, y: float, x2: float, dy: float, dx2: float) -> bool:
 def _trace_to_probe(p: ModelParams, probe_x1: float, opts: IntegratorOptions) -> float:
     """Integrate the boundary orbit backward from S = (thr, psi(thr)**(1/m2)),
     thr the extinction threshold, until x1 reaches probe_x1, and return x2
-    there.  The run is made in the chart y = x1**(1-m1) (make_y_rhs), where
-    the field is smooth at the prey axis the orbit starts next to, from
-    (thr**(1-m1), psi(thr)**(1/m2)), at half opts.rel_tol, with the ceiling
-    y = probe_x1**(1-m1): the loop locates that crossing on the step's
-    continuous extension and reads x2 there (the cubic Hermite alone left
-    errors up to 5.6e-6 on the fan probes of a random draw of the domain,
-    the extension 1.7e-7).  NaN if y stops increasing first (the orbit
-    turns back, as when it spirals into a focus) or the run ends any other
-    way.  Needs m1 < 1."""
+    there.  The run is made in `_y_chart` from (thr**(1-m1), psi(thr)**(1/m2))
+    with the ceiling y = probe_x1**(1-m1): the loop locates that crossing on
+    the step's continuous extension and reads x2 there.  NaN if y stops
+    increasing first (the orbit turns back, as when it spirals into a focus)
+    or the run ends any other way.  Needs m1 < 1."""
     thr = opts.extinction_threshold
     if not thr < probe_x1:
         return math.nan
@@ -277,9 +281,8 @@ def _trace_to_probe(p: ModelParams, probe_x1: float, opts: IntegratorOptions) ->
         seed = _nullcline_x2(thr, p)
     except OverflowError:
         return math.nan
-    k = 1.0 - p.m1
-    traj = _run(make_y_rhs(p), (thr ** k, seed), replace(opts, rel_tol=0.5 * opts.rel_tol),
-                (False, False), _turned_back, probe_x1 ** k, -1.0)
+    f, yopts, k = _y_chart(p, opts)
+    traj = _run(f, (thr ** k, seed), yopts, (False, False), _turned_back, probe_x1 ** k, -1.0)
     if traj.termination.kind is not TerminationKind.BLOWUP:
         return math.nan
     return traj.x2[-1]
@@ -301,8 +304,8 @@ def _parts(p: ModelParams, probe_x1: float, lo: float, hi: float,
 
 # A traced ordinate y is returned once launches at y*(1 -+ this) part.  The
 # margin covers the launches' own error near the threshold, which rel_tol / 10
-# does not: on the bundled fans the plain bisection sits 1.5e-6, 1.8e-5 and
-# 8.1e-5 from the trace at rel_tol 1e-8, 1e-7 and 1e-6.
+# does not: on the bundled fans the plain bisection sits 1.7e-6, 1.3e-5 and
+# 6.2e-5 from the trace at rel_tol 1e-8, 1e-7 and 1e-6.
 _CERTIFY_MARGIN = 1e-4
 
 
@@ -339,14 +342,13 @@ def _bisect_probe(p: ModelParams, probe_x1: float, base: float,
 def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
                            opts: IntegratorOptions = _LAUNCH_OPTIONS) -> float:
     """The ordinate at abscissa probe_x1 of the boundary of monotone-decay
-    extinction at the threshold thr = opts.extinction_threshold, each
-    launch run with opts.  Needs m1 < 1: at m1 = 1 the origin attracts no
+    extinction at the threshold thr = opts.extinction_threshold, each run
+    made in `_y_chart`.  Needs m1 < 1: at m1 = 1 the origin attracts no
     open set, and this raises the DomainError trace_stable_separatrix_E0
     raises.  The first of three routes that applies gives it:
 
     1. traced: the backward run from S = (thr, psi(thr)**(1/m2)) to the
-       probe (`_trace_to_probe`, in the chart y = x1**(1-m1) at half
-       opts.rel_tol) gives y, and launches at y*(1 - 1e-4) and
+       probe (`_trace_to_probe`) gives y, and launches at y*(1 - 1e-4) and
        y*(1 + 1e-4) come out BELOW and ABOVE; y is returned;
     2. nullcline: launches at base*(1 -+ rel_tol / 10), base =
        psi(probe_x1)**(1/m2), come out BELOW and ABOVE (right of where the

@@ -3,11 +3,10 @@
 The stepper is written out against plain floats for the 2D system -- the
 separatrix machinery runs thousands of short integrations (three per probe:
 one backward trace and two certifying launches), and scalar arithmetic keeps
-each step in the microsecond range.  The backward trace is run in the
-desingularising prey chart y = x1**(1-m1) (model.make_y_rhs), where the
-field is smooth at the prey axis: geometry calls `_run` on that field with
-sign -1 and the probe's y as its ceiling; the certifying launches are
-`integrate` runs in the x-chart.
+each step in the microsecond range.  All three run in the chart
+y = x1**(1-m1) (model.make_y_rhs), smooth at the prey axis: geometry calls
+`_run` on that field, the trace with sign -1 up to the probe's y as its
+ceiling, the launches down to the prey event y = thr**(1-m1).
 There is one loop, the text `_LOOP`, written out inline against plain
 floats: in CPython a helper call per step, a tuple per step result, min/max
 builtin calls and per-event or per-state objects cost as much as the field

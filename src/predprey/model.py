@@ -26,7 +26,7 @@ eval_g(s) is g of a given s.
 Two more charts take the prey coordinate apart from the axis: make_u_rhs
 (u = 1/x1, where touchdown is blowup) and make_y_rhs (y = x1**(1-m1), for
 m1 < 1, where the field is finite and smooth at y = 0 and touchdown is a
-transversal crossing).  The separatrix trace runs in the y-chart.
+transversal crossing).  The separatrix trace and launches run in the y-chart.
 
 Each chart's field is one text (_Field: _X_FIELD, _U_FIELD, _Y_FIELD).
 make_rhs, make_u_rhs and make_y_rhs compile it to a closure, the

@@ -124,24 +124,26 @@ def test_boundary_bisection_separates_fates(osc_params):
 
 @pytest.mark.parametrize("horizon", [3.0, 500.0])
 def test_launches_run_to_the_integrator_horizon(osc_params, monkeypatch, horizon):
-    # the integrator options are the launches' only home: the first launch
-    # runs to their horizon, and a section launch to what is left of it
+    # the integrator options are the launches' only home: the trace and the
+    # launches, all y-chart runs of geometry._run, run to their horizon
     mod = sys.modules["predprey.geometry"]
+    run = mod._run
     seen = []
 
-    def recording(p, ic, opts=None, **kw):
+    def recording(f, ic, opts, *args):
         seen.append(opts.horizon)
-        return integrate(p, ic, opts, **kw)
+        return run(f, ic, opts, *args)
 
-    monkeypatch.setattr(mod, "integrate", recording)
+    monkeypatch.setattr(mod, "_run", recording)
     separatrix_boundary_x2(osc_params, 1.389, IntegratorOptions(horizon=horizon))
-    assert seen[0] == horizon
-    assert all(0.0 < h <= horizon for h in seen)
+    assert len(seen) >= 3
+    assert all(h == horizon for h in seen)
 
 
 def test_probe_makes_only_the_steps_field_calls(osc_params, monkeypatch):
     # Wrap the make_rhs products where the integrator and this module look
-    # them up, as the bench trace shim does.  The turnaround test reads the
+    # them up, as the bench trace shim does, and the make_y_rhs products
+    # where this module looks them up.  The turnaround test reads the
     # derivative the step already holds, so a probe costs the DP5 step's 6
     # field calls per accepted step plus its rejections; re-evaluating the
     # field at each accepted state made it 7.0.
@@ -177,14 +179,14 @@ def test_probe_makes_only_the_steps_field_calls(osc_params, monkeypatch):
     monkeypatch.setattr(geo, "integrate", counted_launch)
     monkeypatch.setattr(geo, "_run", counted_run)
     separatrix_boundary_x2(osc_params, 1.389)  # a station of the default fan
-    # one backward trace from the threshold, in the y-chart, and the two
-    # launches that certify it: 251 accepted steps (64 of them the trace),
-    # against 308 when the trace ran in the x-chart at abs_tol 1e-3 * thr,
-    # and 31 launches and 681 steps when the probe was bisected on a ladder
-    # of sections
+    # one backward trace from the threshold and the two launches that
+    # certify it, all three in the y-chart: 192 accepted steps (64 + 66 +
+    # 62), against 251 (64 + 95 + 92) when the launches ran in the x-chart,
+    # 308 when the trace did too, at abs_tol 1e-3 * thr, and 31 launches
+    # and 681 steps when the probe was bisected on a ladder of sections
     assert len(steps) == 3
     assert len(calls) <= 6.1 * sum(steps)
-    assert sum(steps) <= 1.25 * 251
+    assert sum(steps) <= 1.25 * 192
 
 
 def _fan_sets(osc):
@@ -379,8 +381,8 @@ def test_traced_probes_match_the_scipy_backward_trace_over_the_domain(osc_params
 
 def test_probes_near_unit_m1_are_certified_as_before(osc_params, monkeypatch):
     # near m1 = 1, x1 = y**(1/(1-m1)) amplifies the trace's error in y a
-    # thousandfold; the launches still certify the trace on 64 of the 72
-    # probes, as they did when the trace ran in the x-chart
+    # thousandfold; the launches still certify the trace on 65 of the 72
+    # probes (64 when they ran in the x-chart, as did the trace)
     geo = sys.modules["predprey.geometry"]
     trace = geo._trace_to_probe
     traced = []
@@ -395,7 +397,63 @@ def test_probes_near_unit_m1_are_certified_as_before(osc_params, monkeypatch):
         for x in geo._probe_stations(p, SeparatrixOptions()):
             traced.clear()
             certified += separatrix_boundary_x2(p, x) == traced[0]
-    assert certified == 64
+    assert certified == 65
+
+
+def _scipy_launch_fate(p, x1_0, x2_0, thr):
+    """The launch classifier's fate of (x1_0, x2_0) by scipy's DOP853 at rtol
+    1e-12, atol 1e-22 on the x-chart field written out here: "above" if x1
+    falls through thr before dx1/dt turns positive, "below" if it turns
+    first (at t = 0 included) or the run reaches t = 500."""
+    from scipy.integrate import solve_ivp
+
+    a1, a2, b1, w0, w1, d, m1, m2, r = (p.a1, p.a2, p.b1, p.w0, p.w1, p.d,
+                                        p.m1, p.m2, p.r)
+
+    def field(t, y):
+        x1, x2 = max(y[0], 0.0), max(y[1], 0.0)
+        inter = (r * x1 / (r * x1 + d)) ** m1 * x2 ** m2
+        return [x1 * (a1 - b1 * x1) - w0 * inter, -a2 * x2 + w1 * inter]
+
+    def extinct(t, y):
+        return y[0] - thr
+
+    def turned(t, y):
+        return field(t, y)[0]
+    extinct.terminal, extinct.direction = True, -1.0
+    turned.terminal, turned.direction = True, 1.0
+    if field(0.0, [x1_0, x2_0])[0] > 0.0:
+        return "below"
+    sol = solve_ivp(field, (0.0, 500.0), [x1_0, x2_0], method="DOP853", rtol=1e-12,
+                    atol=1e-22, events=[extinct, turned])
+    return "above" if len(sol.t_events[0]) else "below"
+
+
+# Launches at trace*(1 -+ 1e-4) on _perturbed_sets(OSC, (m1,), seed=1, per=1)
+# whose fate agreed with scipy's when the launches were x-chart `integrate`
+# runs of the same options (abs_tol at the threshold, stop_when=_turned), of
+# 48 at each m1; measured once on that code, which is gone.
+_X_CHART_LAUNCH_AGREEMENT = {0.95: 48, 0.99: 47, 0.999: 44}
+
+
+@pytest.mark.parametrize("m1, agree", [(0.95, 48), (0.99, 48), (0.999, 47)])
+def test_launch_fates_match_scipy_near_unit_m1(osc_params, m1, agree):
+    # the y-chart launches, at the trace's half rel_tol, give scipy's fate
+    # 1e-4 either side of each trace at least as often as the x-chart
+    # launches did
+    geo = sys.modules["predprey.geometry"]
+    opts = IntegratorOptions(horizon=500.0)
+    agree_y = 0
+    for p in _perturbed_sets(osc_params, (m1,), seed=1, per=1):
+        for x in geo._probe_stations(p, SeparatrixOptions()):
+            y = geo._trace_to_probe(p, x, opts)
+            if math.isnan(y):
+                continue
+            for x2 in (y * (1.0 - geo._CERTIFY_MARGIN), y * (1.0 + geo._CERTIFY_MARGIN)):
+                want = _scipy_launch_fate(p, x, x2, opts.extinction_threshold)
+                agree_y += geo._classify_launch(p, x, x2, opts) == want
+    assert agree_y == agree
+    assert agree_y >= _X_CHART_LAUNCH_AGREEMENT[m1]
 
 
 def test_separatrix_explicit_probe_list(osc_params):
