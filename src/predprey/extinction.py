@@ -244,7 +244,7 @@ def verify_persistence(
     min_x1 = min(traj.x1)
     if kind is TerminationKind.PREY_EXTINCT:
         return PersistenceVerdict(False, opts.horizon, min_x1, traj.termination.time, kind)
-    if kind in (TerminationKind.HORIZON_REACHED, TerminationKind.PREDATOR_EXTINCT):
+    if kind is TerminationKind.HORIZON_REACHED:
         return PersistenceVerdict(True, opts.horizon, min_x1, None, kind)
     raise DomainError(f"persistence run failed: {traj.termination!r}")
 

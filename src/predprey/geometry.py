@@ -245,7 +245,7 @@ def _classify_launch(p: ModelParams, x1_0: float, x2_0: float,
     event; BELOW, a turnaround (dy/dt > 0 at an accepted state, read off the
     run's own derivative; dy has dx1's sign) or survival to the horizon."""
     f, opts, k = _y_chart(p, iopts)
-    traj = _run(f, (x1_0 ** k, x2_0), opts, (True, False), _turned, None)
+    traj = _run(f, (x1_0 ** k, x2_0), opts, _turned, None)
     kind = traj.termination.kind
     if kind is TerminationKind.PREY_EXTINCT:
         return _ABOVE
@@ -282,7 +282,7 @@ def _trace_to_probe(p: ModelParams, probe_x1: float, opts: IntegratorOptions) ->
     except OverflowError:
         return math.nan
     f, yopts, k = _y_chart(p, opts)
-    traj = _run(f, (thr ** k, seed), yopts, (False, False), _turned_back, probe_x1 ** k, -1.0)
+    traj = _run(f, (thr ** k, seed), yopts, _turned_back, probe_x1 ** k, -1.0)
     if traj.termination.kind is not TerminationKind.BLOWUP:
         return math.nan
     return traj.x2[-1]

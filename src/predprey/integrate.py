@@ -1,4 +1,4 @@
-"""Adaptive Dormand-Prince 5(4) integration with axis-extinction events.
+"""Adaptive Dormand-Prince 5(4) integration with a prey-extinction event.
 
 The stepper is written out against plain floats for the 2D system -- the
 separatrix machinery runs thousands of short integrations (three per probe:
@@ -21,22 +21,23 @@ process (`_kernel`).  `_run` runs the kernel for a field the package made
 and the generic loop, the text as written, for any other callable, which
 sees every evaluation.  Both give the same floats.
 Error control is the usual embedded-pair estimate with a PI
-controller.  A run's level crossings -- the downward extinction threshold,
-and the ceiling component 0 may cross upward -- are located on the step's
-continuous extension (Hairer, Norsett and Wanner, Solving ODEs I, section
-II.6; dopri5's dense output): the cubic Hermite on the step's ends and
-their derivatives plus a quartic term in the stages the step already holds,
-so locating costs no field evaluation.  The crossing fraction is bisected
+controller.  A run's level crossing is located on the step's continuous
+extension (Hairer, Norsett and Wanner, Solving ODEs I, section II.6;
+dopri5's dense output): the cubic Hermite on the step's ends and their
+derivatives plus a quartic term in the stages the step already holds, so
+locating costs no field evaluation.  The crossing fraction is bisected
 on that polynomial (`_crossing`) and both components are read there
 (`_dense_value`).
 
-Events watch for *downward* crossings of a small threshold by a state
-component.  An event is armed only if its component starts above threshold
-(and re-arms if the component later climbs above twice the threshold), so an
-initial condition sitting on an axis integrates as the constant/on-axis
-solution instead of reporting extinction at t = 0.  The predator event
-exists only for m2 < 1: with m2 = 1 the axis is reached only as t -> inf and
-a threshold crossing would misreport a finite extinction time.
+A run watches one level on component 0, the prey coordinate: a run with
+a ceiling watches it upward, any other run the extinction threshold
+downward.  The prey event is armed only if the prey starts above the
+threshold (and re-arms if it later climbs above twice the threshold), so
+an initial condition with x1 = 0 integrates as the on-axis solution
+instead of reporting extinction at t = 0.  The predator needs no
+event: w1*g*x2**m2 >= 0 gives dx2/dt >= -a2*x2, so x2(t) >= x2(0)*exp(-a2*t)
+> 0 for every m2 in (0, 1], and a threshold on x2 would report only the
+threshold's own decay time.
 """
 from __future__ import annotations
 
@@ -64,7 +65,6 @@ U_BLOWUP_CEILING = 1e12
 class TerminationKind(enum.Enum):
     HORIZON_REACHED = "horizon_reached"
     PREY_EXTINCT = "prey_extinct"
-    PREDATOR_EXTINCT = "predator_extinct"
     BLOWUP = "blowup"
     STEP_FAILURE = "step_failure"
     STOPPED = "stopped"  # stop_when predicate fired (coarse, not localized)
@@ -218,7 +218,7 @@ def _crossing(level: float, y0: float, y1: float, hf0: float, hf1: float,
 # inline at those lines instead, on the chart's constants `consts`.  The
 # loop's own names are kept apart from those the field texts use.
 _LOOP = """\
-def run(f, consts, ic, opts, watch, stop_when, blowup_ceiling, sign):
+def run(f, consts, ic, opts, stop_when, blowup_ceiling, sign):
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
     a51, a52, a53, a54 = _A51, _A52, _A53, _A54
     a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
@@ -228,9 +228,7 @@ def run(f, consts, ic, opts, watch, stop_when, blowup_ceiling, sign):
     beta1, beta2 = _BETA1, _BETA2
     horizon, min_step, max_step = opts.horizon, opts.min_step, opts.max_step
     abs_tol, rel_tol = opts.abs_tol, opts.rel_tol
-    thr = opts.extinction_threshold
     inf, isfinite, sqrt = math.inf, math.isfinite, math.sqrt
-    ceiling = inf if blowup_ceiling is None else blowup_ceiling
 
     t = 0.0
     y1, y2 = ic
@@ -240,13 +238,15 @@ def run(f, consts, ic, opts, watch, stop_when, blowup_ceiling, sign):
     add_x1(y1)
     add_x2(y2)
 
-    # An event is armed only if its component starts above the threshold,
-    # and re-arms once the component climbs above twice the threshold; an
-    # unwatched component never arms (its re-arm level is infinite).
-    armed1 = watch[0] and y1 > thr
-    armed2 = watch[1] and y2 > thr
-    rearm1 = 2.0 * thr if watch[0] else inf
-    rearm2 = 2.0 * thr if watch[1] else inf
+    # The run's one level on component 0: the ceiling upward, or else the
+    # prey event downward, armed if the prey starts above the threshold or
+    # later climbs above twice it (a ceiling run's re-arm level is inf).
+    if blowup_ceiling is None:
+        level, kind, ceiling = opts.extinction_threshold, TerminationKind.PREY_EXTINCT, inf
+        armed, rearm = y1 > level, 2.0 * level
+    else:
+        level, kind, ceiling = blowup_ceiling, TerminationKind.BLOWUP, blowup_ceiling
+        armed, rearm = False, inf
 
     # one field evaluation at the initial condition: the predicate's
     # derivative, the step guess and k1
@@ -341,24 +341,13 @@ def run(f, consts, ic, opts, watch, stop_when, blowup_ceiling, sign):
         if t_new >= horizon:
             t_new = horizon
 
-        if (armed1 and z1 < thr <= y1) or (armed2 and z2 < thr <= y2) or z1 > ceiling:
-            # a level crossed: located on the step's continuous extension,
-            # whose quartic term takes the stages the step holds; the
-            # earliest crossing wins, the prey's a tie
+        if (armed and z1 < level <= y1) or z1 > ceiling:
+            # the level crossed: located on the step's continuous extension,
+            # whose quartic term takes the stages the step holds
             q1 = sh * (_D1 * k1 + _D3 * s31 + _D4 * s41 + _D5 * s51 + _D6 * s61 + _D7 * k1n)
             q2 = sh * (_D1 * k2 + _D3 * s32 + _D4 * s42 + _D5 * s52 + _D6 * s62 + _D7 * k2n)
             hf1, hf2, hn1, hn2 = sh * k1, sh * k2, sh * k1n, sh * k2n
-            kind, th = None, 2.0
-            if armed1 and z1 < thr <= y1:
-                kind, th = TerminationKind.PREY_EXTINCT, _crossing(thr, y1, z1, hf1, hn1, q1)
-            if armed2 and z2 < thr <= y2:
-                th2 = _crossing(thr, y2, z2, hf2, hn2, q2)
-                if th2 < th:
-                    kind, th = TerminationKind.PREDATOR_EXTINCT, th2
-            if z1 > ceiling:
-                th2 = _crossing(ceiling, y1, z1, hf1, hn1, q1)
-                if th2 < th:
-                    kind, th = TerminationKind.BLOWUP, th2
+            th = _crossing(level, y1, z1, hf1, hn1, q1)
             te = t + th * (t_new - t)
             ye1 = _dense_value(th, y1, z1, hf1, hn1, q1)
             ye2 = _dense_value(th, y2, z2, hf2, hn2, q2)
@@ -377,10 +366,8 @@ def run(f, consts, ic, opts, watch, stop_when, blowup_ceiling, sign):
         add_x1(y1)
         add_x2(y2)
 
-        if not armed1 and y1 > rearm1:
-            armed1 = True
-        if not armed2 and y2 > rearm2:
-            armed2 = True
+        if not armed and y1 > rearm:
+            armed = True
 
         if stop_when is not None and stop_when(t, y1, y2, sign * k1, sign * k2):
             traj.termination = Termination(TerminationKind.STOPPED, t)
@@ -443,7 +430,6 @@ def _run(
     f: Callable[[float, float], tuple[float, float]],
     ic: tuple[float, float],
     opts: IntegratorOptions,
-    watch: tuple[bool, bool],
     stop_when: StopPredicate | None,
     blowup_ceiling: float | None,
     sign: float = 1.0,
@@ -456,13 +442,14 @@ def _run(
     once per stage.  Both are instantiations of the one loop text, _LOOP,
     and give the same floats.
 
-    watch[i] switches on the extinction event of component i.
-    blowup_ceiling (None: no ceiling) is an upward level on component 0:
-    the run ends with kind BLOWUP where component 0 crosses it, the
-    u-chart's blowup at U_BLOWUP_CEILING and the y-chart trace's arrival at
-    its probe alike.  Every crossing is located on the step's continuous
-    extension; the earliest in the step wins, the prey's event a tie, and
-    a step that starts on the level ends where it starts (a u-chart run
+    The run watches one level on component 0.  blowup_ceiling is an
+    upward level: the run ends with kind BLOWUP where component 0 crosses
+    it, the u-chart's blowup at U_BLOWUP_CEILING and the y-chart trace's
+    arrival at its probe alike.  A run without one (None) watches the prey
+    event instead: kind PREY_EXTINCT where component 0 falls through
+    opts.extinction_threshold, armed as the module docstring says.  The
+    crossing is located on the step's continuous extension, and a step
+    that starts on the level ends where it starts (a u-chart run
     from the ceiling ends at t = 0).  stop_when gets the field at each
     accepted state from the step that produced it (FSAL), so the predicate
     costs no field evaluation.  sign = -1.0 runs the orbit backward: the
@@ -476,7 +463,7 @@ def _run(
     `b if b < a else a`.
     """
     chart, consts = getattr(f, "chart", (None, None))
-    return _kernel(chart)(f, consts, ic, opts, watch, stop_when, blowup_ceiling, sign)
+    return _kernel(chart)(f, consts, ic, opts, stop_when, blowup_ceiling, sign)
 
 
 def integrate(
@@ -489,8 +476,8 @@ def integrate(
     """Integrate the (x1, x2) system from a nonnegative initial condition.
 
     Terminations: PreyExtinct when x1 falls through the extinction threshold
-    (armed only off-axis), PredatorExtinct likewise but only when m2 < 1,
-    HorizonReached, StepFailure.  `stop_when(t, x1, x2, dx1, dx2)` is a
+    (armed only off-axis), HorizonReached, StepFailure; the predator stays
+    positive at every finite time, so no event watches it.  `stop_when(t, x1, x2, dx1, dx2)` is a
     coarse halt predicate evaluated at accepted states (also at t=0), where
     (dx1, dx2) is the field at (x1, x2), bit for bit `make_rhs(p)(x1, x2)`;
     when it fires the trajectory ends with kind STOPPED at that accepted
@@ -502,7 +489,7 @@ def integrate(
         opts = IntegratorOptions()
     x1 = _check_ic(ic.x1, "x1")
     x2 = _check_ic(ic.x2, "x2")
-    return _run(make_rhs(p), (x1, x2), opts, (True, p.m2 < 1.0), stop_when, None)
+    return _run(make_rhs(p), (x1, x2), opts, stop_when, None)
 
 
 def integrate_u_system(
@@ -523,7 +510,7 @@ def integrate_u_system(
         raise DomainError(f"u-chart initial condition needs 0 < u <= "
                           f"{U_BLOWUP_CEILING!r}, got {ic.x1!r}")
     x2 = _check_ic(ic.x2, "x2")
-    return _run(make_u_rhs(p), (ic.x1, x2), opts, (False, False), None, U_BLOWUP_CEILING)
+    return _run(make_u_rhs(p), (ic.x1, x2), opts, None, U_BLOWUP_CEILING)
 
 
 def _check_ic(v: float, name: str) -> float:

@@ -12,9 +12,12 @@ with prey growth f(x1) = a1 - b1*x1 and response kernel
 The refuge fraction r in (0, 1] shrinks the prey population visible to the
 predator; r = 1 recovers the unprotected model.  For m1 < 1 the kernel has
 infinite slope at s = 0, so the field is non-Lipschitz on the prey axis and
-orbits can hit x1 = 0 in finite time; m2 < 1 does the same on the predator
-axis.  Everything downstream (event handling, equilibrium classification,
-the extinction criterion) leans on those two facts.
+orbits can hit x1 = 0 in finite time.  m2 < 1 makes the field
+non-Lipschitz at x2 = 0 too, but forward in time no orbit reaches that
+axis: dx2/dt >= -a2*x2 keeps x2(t) >= x2(0)*exp(-a2*t) > 0 (orbits can
+leave it in finite time instead).  Everything downstream (event handling,
+equilibrium classification, the extinction criterion) leans on those
+facts.
 
 G = g(r*x1) has one home, _response: the formula above where r*x1 is a
 normal float, logs where it is subnormal or underflows (its few bits would

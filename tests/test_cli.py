@@ -61,6 +61,34 @@ def test_simulate_outputs_and_determinism(tmp_path):
     assert head[1].startswith("0,0.5,2")
 
 
+def test_simulate_keeps_the_predator_alive_to_the_horizon(tmp_path, capsys):
+    # the bistable set with m2 = 0.5, the prey below the threshold: x2
+    # decays like exp(-a2 t) and never reaches zero, so the run ends at the
+    # horizon, not at the threshold's decay time ln(0.5/1e-9)/a2 = 28.6
+    cfg = write(tmp_path / "bistable.ini", textwrap.dedent("""\
+        [model]
+        a1 = 0.5
+        a2 = 0.7
+        b1 = 0.05
+        w0 = 0.2
+        w1 = 4.0
+        d = 0.2
+        m1 = 0.5
+        m2 = 0.5
+
+        [simulate]
+        x1 = 1e-12
+        x2 = 0.5
+        horizon = 100
+        """))
+    out = tmp_path / "out"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) == 0
+    capsys.readouterr()
+    report = (out / "report.txt").read_text().splitlines()
+    assert "termination: horizon_reached" in report
+    assert "termination_time: 100" in report
+
+
 def test_equilibria_reports_classification(tmp_path):
     cfg = write(tmp_path / "eq.ini", MODEL)
     out = tmp_path / "out"

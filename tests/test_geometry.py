@@ -297,9 +297,9 @@ def test_nullcline_route_returns_psi(osc_params, monkeypatch):
         runs.append(False)
         return launch(*args, **kwargs)
 
-    def counted_run(f, ic, opts, watch, stop_when, ceiling, sign=1.0):
+    def counted_run(f, ic, opts, stop_when, ceiling, sign=1.0):
         runs.append(sign < 0.0)
-        return run(f, ic, opts, watch, stop_when, ceiling, sign)
+        return run(f, ic, opts, stop_when, ceiling, sign)
 
     monkeypatch.setattr(geo, "integrate", counted)
     monkeypatch.setattr(geo, "_run", counted_run)

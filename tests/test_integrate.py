@@ -120,17 +120,24 @@ def test_underflowing_refuge_product_keeps_the_run_short():
     assert len(traj) == 41
 
 
-def test_predator_extinction_requires_fractional_m2(bistable_params):
-    # Prey starts below the extinction threshold, so the prey event stays
-    # disarmed for the whole run; the predator decays along g ~ 0.
-    ic = State(1e-12, 0.5)
-    traj = integrate(bistable_params, ic, IntegratorOptions(horizon=100.0))
-    assert traj.termination.kind is TerminationKind.PREDATOR_EXTINCT
-    assert traj.termination.time < 100.0
+def test_the_predator_never_dies_in_finite_time(bistable_params):
+    # w1*g*x2**m2 >= 0, so dx2/dt >= -a2*x2 and x2(t) >= x2(0)*exp(-a2*t) > 0
+    # for m2 = 0.5 as for m2 = 1: each run reaches its horizon, with x2 on
+    # or above that bound at every stored state (a threshold on x2 would
+    # only report the bound's own decay time, ln(0.5/1e-9)/a2 = 28.6 from
+    # the first start).  The prey starts at or below twice the threshold,
+    # so its event stays disarmed.
+    p = bistable_params
+    assert p.m2 < 1.0
+    for ic, horizon in (((1e-12, 0.5), 100.0), ((5e-10, 5e-10), 500.0)):
+        traj = integrate(p, State(*ic), IntegratorOptions(horizon=horizon))
+        assert traj.termination == Termination(TerminationKind.HORIZON_REACHED, horizon)
+        bound = [ic[1] * math.exp(-p.a2 * t) for t in traj.times]
+        assert min(x2 / b for x2, b in zip(traj.x2, bound)) >= 1.0, ic
 
-    # With m2 = 1 the predator axis is only reached asymptotically: no event.
-    p1 = with_params(bistable_params, m2=1.0)
-    traj1 = integrate(p1, ic, IntegratorOptions(horizon=40.0))
+    # With m2 = 1 the predator axis is likewise reached only as t -> inf.
+    p1 = with_params(p, m2=1.0)
+    traj1 = integrate(p1, State(1e-12, 0.5), IntegratorOptions(horizon=40.0))
     assert traj1.termination.kind is TerminationKind.HORIZON_REACHED
     assert traj1.final_state.x2 < 1e-9
 
@@ -202,30 +209,15 @@ def _constant_field(v1, v2):
     return field
 
 
-def test_first_crossing_tie_goes_to_the_prey():
-    # x1 and x2 fall alike from 0.6: both reach 0.5 at t = 0.1, on the same
-    # step at the same fraction
-    traj = _run(_constant_field(-1.0, -1.0), (0.6, 0.6),
-                IntegratorOptions(extinction_threshold=0.5), (True, True), None, None)
-    assert traj.termination.kind is TerminationKind.PREY_EXTINCT
-    assert traj.termination.time == pytest.approx(0.1, rel=1e-14)
-    assert traj.x1[-1] == traj.x2[-1] == pytest.approx(0.5, rel=1e-15)
-
-
-def test_first_crossing_earlier_predator_wins():
-    # the predator reaches 0.5 at t = 0.1, the prey at t = 0.125, in one step
+def test_only_the_prey_crossing_is_located():
+    # x2 falls through 0.5 at t = 0.1, unwatched; the prey reaches it at
+    # t = 0.125, and the run ends there, with x2 read on the same extension
     opts = IntegratorOptions(extinction_threshold=0.5)
-    f = _constant_field(-2.0, -1.0)
-    both = _run(f, (0.75, 0.6), opts, (True, True), None, None)
-    assert both.termination.kind is TerminationKind.PREDATOR_EXTINCT
-    assert both.termination.time == pytest.approx(0.1, rel=1e-14)
-    assert both.x2[-1] == pytest.approx(0.5, rel=1e-15)
-    # an unarmed component's crossing does not count; the prey's crossing
-    # lies on the step the predator's ends
-    prey = _run(f, (0.75, 0.6), opts, (True, False), None, None)
-    assert prey.termination.kind is TerminationKind.PREY_EXTINCT
-    assert prey.termination.time == pytest.approx(0.125, rel=1e-14)
-    assert prey.times[:-1] == both.times[:-1]
+    traj = _run(_constant_field(-2.0, -1.0), (0.75, 0.6), opts, None, None)
+    assert traj.termination.kind is TerminationKind.PREY_EXTINCT
+    assert traj.termination.time == pytest.approx(0.125, rel=1e-14)
+    assert traj.x1[-1] == pytest.approx(0.5, rel=1e-15)
+    assert traj.x2[-1] == pytest.approx(0.475, rel=1e-14)
 
 
 def test_crossing_is_exact_where_the_solution_is_a_cubic():
@@ -236,8 +228,7 @@ def test_crossing_is_exact_where_the_solution_is_a_cubic():
     def f(x1, x2):
         return -3.0 * x2 * x2, 1.0
 
-    traj = _run(f, (1.0, 0.5), IntegratorOptions(extinction_threshold=0.25), (True, False),
-                None, None)
+    traj = _run(f, (1.0, 0.5), IntegratorOptions(extinction_threshold=0.25), None, None)
     root = 0.875 ** (1.0 / 3.0) - 0.5
     assert traj.termination.kind is TerminationKind.PREY_EXTINCT
     assert len(traj) > 2  # the crossing lies inside a step, not on the first
@@ -397,7 +388,8 @@ def _ref_run(f, ic, opts, events, stop_when, blowup_ceiling):
             t_new = opts.horizon
         # each level crossed, as (component, level, kind), the events
         # before the ceiling; the earliest crossing on the step's
-        # continuous extension wins, the first listed a tie
+        # continuous extension wins, the first listed a tie (the package
+        # watches one level per run, so at most one is ever crossed)
         crossed = [(ev.index, ev.threshold, ev.kind) for ev in events
                    if ev.armed and (z1, z2)[ev.index] < ev.threshold <= (y1, y2)[ev.index]]
         if blowup_ceiling is not None and z1 > blowup_ceiling:
@@ -439,8 +431,6 @@ def _ref_run(f, ic, opts, events, stop_when, blowup_ceiling):
 def _ref_integrate(p, ic, opts, stop_when=None):
     thr = opts.extinction_threshold
     events = [_RefEvent(0, thr, TerminationKind.PREY_EXTINCT)]
-    if p.m2 < 1.0:
-        events.append(_RefEvent(1, thr, TerminationKind.PREDATOR_EXTINCT))
     return _ref_run(make_rhs(p), (ic.x1, ic.x2), opts, events, stop_when, None)
 
 
@@ -452,18 +442,21 @@ _K = TerminationKind
 _REFERENCE_CASES = {
     "osc_horizon_2000": (_OSC, (5.0, 1.0), dict(horizon=2000.0), None, _K.HORIZON_REACHED),
     "osc_touchdown": (_OSC, (0.3, 50.0), dict(horizon=100.0), None, _K.PREY_EXTINCT),
-    # prey below the threshold (its event never arms), predator event armed
+    # prey below the threshold (its event never arms); the predator decays
+    # like exp(-a2 t) with no event to end the run
     "bistable_predator_event": (_BISTABLE, (1e-12, 0.5), dict(horizon=100.0), None,
-                                _K.PREDATOR_EXTINCT),
+                                _K.HORIZON_REACHED),
     "bistable_both_armed": (_BISTABLE, (3.0, 2.0), dict(horizon=2000.0), None,
                             _K.HORIZON_REACHED),
     "prey_on_axis": (_OSC, (0.0, 1.0), dict(horizon=50.0), None, _K.HORIZON_REACHED),
-    # each event starts unarmed, re-arms as its component grows, then fires
+    # the prey event starts unarmed, re-arms as the prey grows, then fires
     "prey_rearms": (with_params(_OSC, a1=2.0, b1=0.21), (5e-10, 1e-3), dict(horizon=500.0),
                     None, _K.PREY_EXTINCT),
+    # both start unarmed and scarce; the prey never re-arms, the predator
+    # decays with no event
     "predator_rearms": (_BISTABLE, (5e-10, 5e-10), dict(horizon=500.0), None,
-                        _K.PREDATOR_EXTINCT),
-    # both events cross in the first step; the prey's crossing comes first
+                        _K.HORIZON_REACHED),
+    # both components cross 0.5 in the first step; only the prey's is watched
     "both_events_in_one_step": (with_params(_BISTABLE, w0=5.0, a2=5.0), (0.50001, 0.50001),
                                 dict(horizon=10.0, extinction_threshold=0.5),
                                 None, _K.PREY_EXTINCT),
@@ -554,7 +547,7 @@ def test_field_calls_count_six_per_trial_step(case, rejected, monkeypatch):
         return field
 
     if backward:
-        traj = _run(counting(p), ic, opts, (False, False), stop_when, None, -1.0)
+        traj = _run(counting(p), ic, opts, stop_when, math.inf, -1.0)
     else:
         monkeypatch.setattr(sys.modules["predprey.integrate"], "make_rhs", counting)
         traj = integrate(p, State(*ic), opts, stop_when=stop_when)
@@ -570,11 +563,10 @@ def test_field_failure_at_initial_condition_is_a_domain_error():
         return 1.0 / 0.0, 0.0
 
     with pytest.raises(DomainError, match="initial condition"):
-        run(field, (1.0, 1.0), IntegratorOptions(), (True, False), None, None)
+        run(field, (1.0, 1.0), IntegratorOptions(), None, None)
     # the field is evaluated before the predicate, which needs its value
     with pytest.raises(DomainError, match="initial condition"):
-        run(field, (1.0, 1.0), IntegratorOptions(), (True, False),
-            lambda t, x1, x2, dx1, dx2: True, None)
+        run(field, (1.0, 1.0), IntegratorOptions(), lambda t, x1, x2, dx1, dx2: True, None)
 
 
 def test_overflowing_trial_state_is_rejected():
@@ -586,7 +578,7 @@ def test_overflowing_trial_state_is_rejected():
         return 1e306, 0.0
 
     opts = IntegratorOptions(horizon=1.0)
-    got = run(field, (1.79e308, 1.0), opts, (False, False), None, None)
+    got = run(field, (1.79e308, 1.0), opts, None, math.inf)
     ref = _ref_run(field, (1.79e308, 1.0), opts, (), None, None)
     assert got.termination.kind is TerminationKind.STEP_FAILURE
     assert all(math.isfinite(s.x1) for s in got.states)
@@ -602,7 +594,7 @@ def test_overflowing_trial_state_is_rejected():
 def test_backward_run_retraces_the_forward_run(p, ic):
     opts = IntegratorOptions(horizon=3.0)
     fwd = integrate(p, State(*ic), opts)
-    back = _run(make_rhs(p), (fwd.x1[-1], fwd.x2[-1]), opts, (False, False), None, None, -1.0)
+    back = _run(make_rhs(p), (fwd.x1[-1], fwd.x2[-1]), opts, None, math.inf, -1.0)
     assert back.termination.kind is TerminationKind.HORIZON_REACHED
     assert back.times[-1] == 3.0  # elapsed backward time
     assert all(b > a for a, b in zip(back.times, back.times[1:]))
@@ -613,14 +605,15 @@ def test_backward_run_retraces_the_forward_run(p, ic):
 @pytest.mark.parametrize("p, ic, component", [
     # backward in time the prey on the empty predator axis decays like
     # exp(-a1 t), and with m2 < 1 a scarce predator beside plentiful prey
-    # drains to zero in finite time: a watched event would fire on both,
-    # an unwatched one never arms
+    # drains to zero in finite time (backward, the predator axis is reached
+    # as forward it is left): a run with a ceiling above anything it
+    # reaches arms no prey event, and no run watches the predator
     (_OSC, (1e-6, 0.0), 0),
     (_BISTABLE, (8.0, 1e-6), 1),
 ], ids=["prey", "predator"])
 def test_backward_run_ends_in_no_extinction_event(p, ic, component):
     opts = IntegratorOptions(horizon=20.0)
-    traj = _run(make_rhs(p), ic, opts, (False, False), None, None, -1.0)
+    traj = _run(make_rhs(p), ic, opts, None, math.inf, -1.0)
     assert traj.termination.kind is TerminationKind.HORIZON_REACHED
     assert min((traj.x1, traj.x2)[component]) < opts.extinction_threshold
 
@@ -644,7 +637,7 @@ def test_backward_loop_matches_reference_exactly(case):
         d1, d2 = f(x1, x2)
         return -d1, -d2
 
-    got = _run(f, ic, opts, (False, False), stop_when, None, -1.0)
+    got = _run(f, ic, opts, stop_when, math.inf, -1.0)
     ref = _ref_run(negated, ic, opts, (), stop_when, None)
     assert got.termination.kind is kind
     assert repr(got.termination) == repr(ref.termination)
@@ -662,8 +655,7 @@ def test_continuous_extension_is_an_order_above_the_cubic(sign):
         return -x1, -3.0 * x2
 
     traj = sys.modules["predprey.integrate"]._run(
-        f, (1.0, 1.0), IntegratorOptions(rel_tol=1e-6, horizon=3.0), (False, False),
-        None, None, sign)
+        f, (1.0, 1.0), IntegratorOptions(rel_tol=1e-6, horizon=3.0), None, math.inf, sign)
     worst = {"extension": 0.0, "cubic": 0.0}
     for i in range(len(traj) - 1):
         t0, h = traj.times[i], traj.times[i + 1] - traj.times[i]
@@ -708,7 +700,7 @@ def _kernel_draw() -> list[ModelParams]:
 
 
 def _kernel_runs(p: ModelParams):
-    """(chart, field factory, ic, opts, watch, stop_when, ceiling, sign) for
+    """(chart, field factory, ic, opts, stop_when, ceiling, sign) for
     each run of p: events, predicates, the ceiling, backward runs, a step
     failure and starts on an axis and off the field's domain."""
     cap, top = p.carrying_capacity, max(1.0, p.carrying_capacity)
@@ -717,26 +709,22 @@ def _kernel_runs(p: ModelParams):
     blocked = IntegratorOptions(rel_tol=1e-13, abs_tol=1e-16, min_step=0.4, max_step=0.5,
                                 horizon=10.0)
     loose = IntegratorOptions(rel_tol=1e-3, abs_tol=1e-6, max_step=50.0, horizon=60.0)
-    x_watch = (True, p.m2 < 1.0)
 
     def slowing(t, x1, x2, dx1, dx2):  # reads the derivative the step holds
         return t > 0.5 and abs(dx1) + abs(dx2) < 1e-3 * (x1 + x2)
 
     runs = [
-        ("x", make_rhs, (0.3 * cap, 5.0 * top), wide, x_watch, None, None, 1.0),
-        ("x", make_rhs, (0.3 * cap, 5.0 * top), wide, x_watch, _turned, None, 1.0),
-        ("x", make_rhs, (0.05 * cap, 0.5), wide, x_watch, slowing, None, 1.0),
-        ("x", make_rhs, (0.5 * cap, 0.0), wide, x_watch, None, None, 1.0),
-        ("x", make_rhs, (1e-12, 0.5), wide, x_watch, None, None, 1.0),
-        ("x", make_rhs, (0.5 * cap, 1.0), short, (False, False), slowing, None, -1.0),
-        ("x", make_rhs, (0.3 * cap, 5.0 * top), blocked, x_watch, None, None, 1.0),
-        ("u", make_u_rhs, (1.0 / (0.3 * cap), 5.0 * top), wide, (False, False), None,
-         U_BLOWUP_CEILING, 1.0),
-        ("u", make_u_rhs, (10.0 / cap, 0.5), loose, (False, False), None,
-         U_BLOWUP_CEILING, 1.0),
-        ("u", make_u_rhs, (1.0 / (0.5 * cap), 1.0), loose, (False, False), None,
-         U_BLOWUP_CEILING, -1.0),
-        ("u", make_u_rhs, (-1.0, 1.0), wide, (False, False), None, U_BLOWUP_CEILING, 1.0),
+        ("x", make_rhs, (0.3 * cap, 5.0 * top), wide, None, None, 1.0),
+        ("x", make_rhs, (0.3 * cap, 5.0 * top), wide, _turned, None, 1.0),
+        ("x", make_rhs, (0.05 * cap, 0.5), wide, slowing, None, 1.0),
+        ("x", make_rhs, (0.5 * cap, 0.0), wide, None, None, 1.0),
+        ("x", make_rhs, (1e-12, 0.5), wide, None, None, 1.0),
+        ("x", make_rhs, (0.5 * cap, 1.0), short, slowing, math.inf, -1.0),
+        ("x", make_rhs, (0.3 * cap, 5.0 * top), blocked, None, None, 1.0),
+        ("u", make_u_rhs, (1.0 / (0.3 * cap), 5.0 * top), wide, None, U_BLOWUP_CEILING, 1.0),
+        ("u", make_u_rhs, (10.0 / cap, 0.5), loose, None, U_BLOWUP_CEILING, 1.0),
+        ("u", make_u_rhs, (1.0 / (0.5 * cap), 1.0), loose, None, U_BLOWUP_CEILING, -1.0),
+        ("u", make_u_rhs, (-1.0, 1.0), wide, None, U_BLOWUP_CEILING, 1.0),
     ]
     k = 1.0 - p.m1
     target = (0.5 * cap) ** k
@@ -745,17 +733,17 @@ def _kernel_runs(p: ModelParams):
         return y >= target or (t > 0.0 and not dy > 0.0)
 
     runs += [
-        ("y", make_y_rhs, (1e-9 ** k, 2.0), short, (False, False), reached, None, -1.0),
-        ("y", make_y_rhs, ((0.3 * cap) ** k, 5.0 * top), wide, x_watch, None, None, 1.0),
-        ("y", make_y_rhs, (1e-300 ** k, 1.0), short, x_watch, None, None, 1.0),
-        ("y", make_y_rhs, (1e300, 1.0), wide, (False, False), None, None, 1.0),
+        ("y", make_y_rhs, (1e-9 ** k, 2.0), short, reached, math.inf, -1.0),
+        ("y", make_y_rhs, ((0.3 * cap) ** k, 5.0 * top), wide, None, None, 1.0),
+        ("y", make_y_rhs, (1e-300 ** k, 1.0), short, None, None, 1.0),
+        ("y", make_y_rhs, (1e300, 1.0), wide, None, math.inf, 1.0),
     ]
     return runs
 
 
-def _outcome(run, f, ic, opts, watch, stop_when, ceiling, sign):
+def _outcome(run, f, ic, opts, stop_when, ceiling, sign):
     try:
-        traj = run(f, ic, opts, watch, stop_when, ceiling, sign)
+        traj = run(f, ic, opts, stop_when, ceiling, sign)
     except DomainError as exc:
         return repr((exc, exc.__cause__)), None
     return repr((traj.times, traj.x1, traj.x2, traj.rejected, traj.termination)), traj
@@ -768,7 +756,7 @@ def test_chart_kernels_match_the_generic_loop_bit_for_bit():
     seen = set()
     stages_off_the_u_chart = 0
     for p in _kernel_draw():
-        for chart, factory, ic, opts, watch, stop_when, ceiling, sign in _kernel_runs(p):
+        for chart, factory, ic, opts, stop_when, ceiling, sign in _kernel_runs(p):
             f = factory(p)
             calls = []
 
@@ -776,8 +764,8 @@ def test_chart_kernels_match_the_generic_loop_bit_for_bit():
                 calls.append(a)
                 return f(a, b)
 
-            got, traj = _outcome(mod._run, f, ic, opts, watch, stop_when, ceiling, sign)
-            want, _ = _outcome(mod._run, plain, ic, opts, watch, stop_when, ceiling, sign)
+            got, traj = _outcome(mod._run, f, ic, opts, stop_when, ceiling, sign)
+            want, _ = _outcome(mod._run, plain, ic, opts, stop_when, ceiling, sign)
             assert got == want, (chart, p, ic, sign)
             assert f.chart[0] in mod._KERNELS
             seen.add((chart, "raised" if traj is None else traj.termination.kind))
