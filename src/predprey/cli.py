@@ -139,6 +139,8 @@ def _cmd_separatrix(cfg: ScenarioConfig, out: str) -> int:
         f"x1_range: {_F(cmp_.x1_range[0])},{_F(cmp_.x1_range[1])}",
         f"closest_gap_at_x1: {_F(cmp_.gap_at[0])}",
         f"closest_gap: {_F(cmp_.gap_at[1])}",
+        f"manifold_end: {wu.end.value}",
+        f"contradicted_probes: {cmp_.contradicted}",
     ], os.path.join(out, "report.txt"))
     print(f"verdict: {cmp_.verdict.value} (margin {_F(cmp_.margin)})")
     return 0

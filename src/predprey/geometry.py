@@ -41,14 +41,20 @@ its ends, as when the boundary rounds onto the prey axis.  A fan of probes
 assembles the curve.
 At m1 = 1 the origin attracts no open set and the chart does not exist:
 the fan and each probe refuse with DomainError.
+
+Which side of this curve E1's unstable manifold leaves on needs no curve:
+orbits of a planar flow cannot cross, so the verdict is the fate of E1's
+leaving orbit under the same classifier (PlanarCurve.end); the probes
+measure only its margin.
 """
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from dataclasses import dataclass, replace
 
-from .equilibria import predator_free_equilibrium
+from .equilibria import jacobian, predator_free_equilibrium, predator_nullcline_x1
 from .extinction import dissipative_bound_K2
 from .integrate import IntegratorOptions, TerminationKind, _run, integrate
 # make_rhs is unused here; it stays because the bench trace shim patches it
@@ -82,6 +88,9 @@ class CurveLabel(enum.Enum):
 class PlanarCurve:
     label: CurveLabel
     points: tuple[State, ...]
+    # how the one run that traced it ended; None for the fan and the
+    # nullclines, assembled from separate computations
+    end: TerminationKind | None = None
 
     def __post_init__(self):
         if len(self.points) < 2:
@@ -97,15 +106,15 @@ class PlanarCurve:
 class Verdict(enum.Enum):
     WS_ABOVE_WU = "ws_above_wu"
     WU_ABOVE_WS = "wu_above_ws"
-    CROSSING = "crossing"
 
 
 @dataclass(frozen=True)
 class SeparatrixComparison:
-    verdict: Verdict
-    margin: float          # smallest |vertical gap| on the shared grid
+    verdict: Verdict       # the fate of E1's leaving orbit
+    margin: float          # least |ws - wu| over the probes in x1_range
     x1_range: tuple[float, float]
-    gap_at: tuple[float, float]  # (x1, gap) where |gap| is smallest
+    gap_at: tuple[float, float]  # (x1, ws - wu) at the probe of least |gap|
+    contradicted: int      # probes in x1_range whose gap lacks the verdict's sign
 
 
 # The default options of separatrix launches and of the manifold trace.
@@ -161,8 +170,6 @@ def prey_nullcline(p: ModelParams, n: int = 256) -> PlanarCurve:
 
 def predator_nullcline(p: ModelParams, x2_max: float, n: int = 2) -> PlanarCurve:
     """The vertical interior predator nullcline (m2 = 1 closed form)."""
-    from .equilibria import predator_nullcline_x1
-
     x1 = predator_nullcline_x1(p)
     if x2_max <= 0.0 or n < 2:
         raise DomainError("need x2_max > 0 and n >= 2")
@@ -183,12 +190,11 @@ def trace_unstable_manifold_E1(
 
     Requires m2 = 1 (E1 linearizable) and E1 a saddle.  The seed steps
     _E1_SEED_SCALE * a1/b1 off E1 along the unstable eigenvector, oriented
-    into the open quadrant.  The run ends at the first accepted state whose
-    x1 is not below the one before it (the leg's first turn, the last point
-    of the curve), at the prey-extinction event, past x1 + x2 > 1e6 *
-    max(1, a1/b1), or at the horizon of opts.  The curve is then the
-    descending leg separatrix_relative_position reads, plus at most the one
-    state that ends it.
+    into the open quadrant.  The run ends at the leg's first turn, the first
+    accepted state whose x1 is not below the one before it (the curve's last
+    point), at the prey-extinction event, or at the horizon of opts; `end`
+    records which, the fate separatrix_relative_position reads.  A leg past
+    x1 + x2 > 1e6 * max(1, a1/b1) first has no fate: DomainError.
     """
     e1 = predator_free_equilibrium(p)
     if e1.classification.name == "NON_LINEARIZABLE":
@@ -196,16 +202,12 @@ def trace_unstable_manifold_E1(
     if e1.det is None or e1.det >= 0.0:
         raise DomainError("E1 is not a saddle for these parameters")
     # J(E1) is upper triangular: [[-a1, j12], [0, j22]] with j22 > 0 the
-    # unstable eigenvalue.  Eigenvector: (j12 / (j22 - j11), 1).
-    from .equilibria import jacobian
-
+    # unstable eigenvalue.  Eigenvector: (j12 / (j22 - j11), 1), whose
+    # positive x2 points into the open quadrant.
     (j11, j12), (_, j22) = jacobian(e1.point, p)
     v1 = j12 / (j22 - j11)
-    v2 = 1.0
-    nrm = math.hypot(v1, v2)
-    v1, v2 = v1 / nrm, v2 / nrm
-    if v2 < 0.0:
-        v1, v2 = -v1, -v2
+    nrm = math.hypot(v1, 1.0)
+    v1, v2 = v1 / nrm, 1.0 / nrm
     cap = p.carrying_capacity
     seed = State(e1.point.x1 + _E1_SEED_SCALE * cap * v1,
                  e1.point.x2 + _E1_SEED_SCALE * cap * v2)
@@ -220,9 +222,13 @@ def trace_unstable_manifold_E1(
         return False
 
     traj = integrate(p, seed, opts, stop_when=turned_or_escaped)
-    if traj.termination is not None and traj.termination.kind is TerminationKind.STEP_FAILURE:
+    end = traj.termination.kind
+    if end is TerminationKind.STEP_FAILURE:
         raise DomainError(f"manifold trace failed: {traj.termination.reason}")
-    return PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(traj.states))
+    if end is TerminationKind.STOPPED and traj.x1[-1] + traj.x2[-1] > guard_cap:
+        raise DomainError(f"manifold leg escaped past x1 + x2 = {guard_cap!r} "
+                          "before it turned or the prey died out")
+    return PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(traj.states), end)
 
 
 # --------------------------------------------------------------------------
@@ -230,6 +236,10 @@ def trace_unstable_manifold_E1(
 
 _ABOVE = "above"
 _BELOW = "below"
+# The classifier's rule on how a run ended: ABOVE iff the prey decayed
+# monotonically into the extinction event, BELOW on a turn or the horizon.
+_FATE = {TerminationKind.PREY_EXTINCT: _ABOVE, TerminationKind.STOPPED: _BELOW,
+         TerminationKind.HORIZON_REACHED: _BELOW}
 
 # The search for an ABOVE launch gives up above this multiple of max(K2, 1).
 _X2_CAP_FACTOR = 1e3
@@ -246,12 +256,9 @@ def _classify_launch(p: ModelParams, x1_0: float, x2_0: float,
     run's own derivative; dy has dx1's sign) or survival to the horizon."""
     f, opts, k = _y_chart(p, iopts)
     traj = _run(f, (x1_0 ** k, x2_0), opts, _turned, None)
-    kind = traj.termination.kind
-    if kind is TerminationKind.PREY_EXTINCT:
-        return _ABOVE
-    if kind in (TerminationKind.STOPPED, TerminationKind.HORIZON_REACHED):
-        return _BELOW
-    raise DomainError(f"launch classification failed: {traj.termination!r}")
+    if traj.termination.kind not in _FATE:
+        raise DomainError(f"launch classification failed: {traj.termination!r}")
+    return _FATE[traj.termination.kind]
 
 
 def _y_chart(p: ModelParams, opts: IntegratorOptions):
@@ -420,29 +427,27 @@ def _interp(xs: list[float], ys: list[float], x: float) -> float:
     """Piecewise-linear interpolation on ascending xs (no extrapolation)."""
     if not xs[0] <= x <= xs[-1]:
         raise DomainError(f"interpolation point {x!r} outside [{xs[0]!r}, {xs[-1]!r}]")
-    lo, hi = 0, len(xs) - 1
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if xs[mid] <= x:
-            lo = mid
-        else:
-            hi = mid
+    lo = min(bisect.bisect_right(xs, x), len(xs) - 1) - 1
+    hi = lo + 1
     t = (x - xs[lo]) / (xs[hi] - xs[lo]) if xs[hi] > xs[lo] else 0.0
     return ys[lo] + t * (ys[hi] - ys[lo])
 
 
-# Stations of the separatrix comparison grid over the shared x1 range.
-_COMPARE_GRID = 200
-
-
 def separatrix_relative_position(ws: PlanarCurve, wu: PlanarCurve) -> SeparatrixComparison:
-    """Compare W^s(E0) and (the first descending leg of) W^u(E1) as graphs
-    over their shared x1 range.  Verdict is CROSSING iff the vertical gap
-    ws - wu changes sign on the _COMPARE_GRID stations."""
+    """Which side of the stable set W^s(E0) the unstable manifold W^u(E1)
+    leaves on.  Orbits of a planar flow cannot cross, so the verdict is the
+    fate wu.end of E1's leaving orbit under the launch classifier's rule
+    (_FATE): ABOVE is WU_ABOVE_WS; a wu with no fate raises DomainError.
+    ws is compared only at its own probes in the x1 range of wu's
+    descending leg, interpolated there: the margin is the least |ws - wu|,
+    and `contradicted` counts the probes whose gap lacks the verdict's sign."""
     if ws.label is not CurveLabel.STABLE_SEPARATRIX_E0:
         raise DomainError("first curve must be the stable separatrix of E0")
     if wu.label is not CurveLabel.UNSTABLE_MANIFOLD_E1:
         raise DomainError("second curve must be the unstable manifold of E1")
+    if wu.end not in _FATE:
+        raise DomainError(f"the unstable manifold's run records no fate (end {wu.end!r})")
+    verdict = Verdict.WU_ABOVE_WS if _FATE[wu.end] == _ABOVE else Verdict.WS_ABOVE_WU
 
     leg = _descending_prefix(wu.points)
     if len(leg) < 2:
@@ -451,34 +456,13 @@ def separatrix_relative_position(ws: PlanarCurve, wu: PlanarCurve) -> Separatrix
     wu_x, wu_y = [s.x1 for s in leg], [s.x2 for s in leg]
 
     ws_pts = sorted(ws.points, key=lambda s: s.x1)
-    ws_x, ws_y = [s.x1 for s in ws_pts], [s.x2 for s in ws_pts]
-
-    lo = max(ws_x[0], wu_x[0])
-    hi = min(ws_x[-1], wu_x[-1])
-    if not lo < hi:
-        raise DomainError(
-            f"curves share no x1 range: ws on [{ws_x[0]!r}, {ws_x[-1]!r}], "
-            f"wu leg on [{wu_x[0]!r}, {wu_x[-1]!r}]")
-
-    best: tuple[float, float] | None = None
-    saw_pos = saw_neg = False
-    n = _COMPARE_GRID
-    for i in range(n):
-        # the last station is hi itself: the formula can round one ulp past it
-        x = hi if i == n - 1 else lo + (hi - lo) * i / (n - 1)
-        gap = _interp(ws_x, ws_y, x) - _interp(wu_x, wu_y, x)
-        if gap > 0.0:
-            saw_pos = True
-        elif gap < 0.0:
-            saw_neg = True
-        if best is None or abs(gap) < abs(best[1]):
-            best = (x, gap)
-    if saw_pos and saw_neg:
-        verdict = Verdict.CROSSING
-    elif saw_pos:
-        verdict = Verdict.WS_ABOVE_WU
-    elif saw_neg:
-        verdict = Verdict.WU_ABOVE_WS
-    else:
-        verdict = Verdict.CROSSING  # identically zero gap: treat as touching
-    return SeparatrixComparison(verdict, abs(best[1]), (lo, hi), best)
+    gaps = [(s.x1, s.x2 - _interp(wu_x, wu_y, s.x1))
+            for s in ws_pts if wu_x[0] <= s.x1 <= wu_x[-1]]
+    if not gaps:
+        raise DomainError(f"no probe of ws on [{ws_pts[0].x1!r}, {ws_pts[-1].x1!r}] "
+                          f"lies in the wu leg's x1 range [{wu_x[0]!r}, {wu_x[-1]!r}]")
+    sign = 1.0 if verdict is Verdict.WS_ABOVE_WU else -1.0
+    contradicted = sum(1 for _, gap in gaps if not sign * gap > 0.0)
+    best = min(gaps, key=lambda g: abs(g[1]))
+    x1_range = (max(ws_pts[0].x1, wu_x[0]), min(ws_pts[-1].x1, wu_x[-1]))
+    return SeparatrixComparison(verdict, abs(best[1]), x1_range, best, contradicted)

@@ -199,11 +199,15 @@ def _crossing(level: float, y0: float, y1: float, hf0: float, hf1: float,
     if y0 == level:
         return 0.0
     d0, d1 = y0 - level, y1 - level
+    # _dense_value's sums free of the fraction, in its order: the same bits
+    c2 = 3.0 * (d1 - d0) - 2.0 * hf0 - hf1
+    c3 = 2.0 * (d0 - d1) + hf0 + hf1
     up = d1 > 0.0
     lo, hi = 0.0, 1.0
     while hi - lo > 2.220446049250313e-16:
         mid = 0.5 * (lo + hi)
-        v = _dense_value(mid, d0, d1, hf0, hf1, q)
+        w = mid * (1.0 - mid)
+        v = d0 + mid * (hf0 + mid * (c2 + mid * c3)) + w * w * q
         if (v > 0.0) if up else (v < 0.0):
             hi = mid
         else:

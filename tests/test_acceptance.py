@@ -171,6 +171,7 @@ def test_c06_separatrix_relative_position(p, expected):
     cmp_ = separatrix_relative_position(ws, wu)
     assert cmp_.verdict is expected
     assert cmp_.margin > 0.0
+    assert cmp_.contradicted == 0  # every probe in range agrees with the fate
 
 
 def test_c07_finite_time_extinction():

@@ -148,6 +148,8 @@ def test_separatrix_command(tmp_path):
     report = (out / "report.txt").read_text()
     assert "verdict: ws_above_wu" in report
     assert "extinction_threshold: 1.0000000000000001e-09" in report
+    # the verdict is the manifold leg's fate, and no probe contradicts it
+    assert "\nmanifold_end: stopped\ncontradicted_probes: 0\n" in report
     ws = (out / "separatrix_ws.csv").read_text().splitlines()
     assert ws[0] == "# stable_separatrix_E0"
     assert ws[1] == "x1,x2"

@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -14,7 +15,9 @@ from predprey import (
     PlanarCurve,
     SeparatrixOptions,
     State,
+    Termination,
     TerminationKind,
+    Trajectory,
     Verdict,
     integrate,
     predator_nullcline,
@@ -80,6 +83,45 @@ def test_unstable_manifold_needs_a_saddle(osc_params, bistable_params):
         trace_unstable_manifold_E1(below)
 
 
+def test_manifold_that_escapes_has_no_fate(osc_params, monkeypatch):
+    # a leg stopped by the guard cap x1 + x2 > 1e6*max(1, a1/b1), not by a
+    # turn, ends in no fate the verdict could read: it raises
+    geo = sys.modules["predprey.geometry"]
+    cap = osc_params.carrying_capacity
+
+    def escaping(p, seed, opts, stop_when):
+        traj = Trajectory()
+        for x1, x2 in ((seed.x1, seed.x2), (0.5 * seed.x1, 2e6 * cap)):
+            traj.times.append(0.0)
+            traj.x1.append(x1)
+            traj.x2.append(x2)
+            if stop_when(0.0, x1, x2, -1.0, 1.0):
+                traj.termination = Termination(TerminationKind.STOPPED, 0.0)
+                return traj
+        raise AssertionError("the guard cap did not stop the run")
+
+    monkeypatch.setattr(geo, "integrate", escaping)
+    with pytest.raises(DomainError, match="escaped"):
+        trace_unstable_manifold_E1(osc_params)
+
+
+@pytest.mark.parametrize("w1,end,verdict", [
+    (2.00906, TerminationKind.STOPPED, Verdict.WS_ABOVE_WU),
+    (2.00908, TerminationKind.PREY_EXTINCT, Verdict.WU_ABOVE_WS),
+])
+def test_osc_verdict_flips_just_above_w1_2(osc_params, w1, end, verdict):
+    # E1's leaving orbit runs into the origin's stable set near w1 =
+    # 2.0090701916472 (bisected on the leg's fate at the default options):
+    # below it the leg turns, above it the prey dies out.  OSC's w1 = 2.0
+    # lies 0.45% below; the verdict follows the fate whatever the probes
+    wu = trace_unstable_manifold_E1(with_params(osc_params, w1=w1))
+    assert wu.end is end
+    leg = [s.x1 for s in wu.points[:-1]]
+    ws = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0,
+                     (State(min(leg), 1.0), State(max(leg), 1.0)))
+    assert separatrix_relative_position(ws, wu).verdict is verdict
+
+
 @pytest.mark.parametrize("name", ["osc", "enriched", "enriched_r_0.3"])
 def test_manifold_is_the_descending_prefix_of_the_long_trace(osc_params, name):
     # the manifold ends at its leg's first turn: state for state the
@@ -102,9 +144,12 @@ def test_manifold_is_the_descending_prefix_of_the_long_trace(osc_params, name):
         turn = full.states[len(leg)]
         assert not turn.x1 < leg[-1].x1
         assert repr(wu.points) == repr(tuple(leg) + (turn,))
+    # the long run's fate agrees with the leg's: a turn and the horizon
+    # both mean the leg did not run monotonically into extinction
     ws = trace_stable_separatrix_E0(p)
     old = separatrix_relative_position(
-        ws, PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(full.states)))
+        ws, PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(full.states),
+                        full.termination.kind))
     assert repr(separatrix_relative_position(ws, wu)) == repr(old)
 
 
@@ -464,39 +509,153 @@ def test_separatrix_explicit_probe_list(osc_params):
 
 
 def test_relative_position_verdicts():
+    # the verdict is the manifold run's fate; the probes only measure it
     ws = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0,
                      (State(1.0, 5.0), State(4.0, 5.0), State(8.0, 5.0)))
     wu = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1,
-                     (State(9.0, 2.0), State(5.0, 2.0), State(1.0, 2.0)))
+                     (State(9.0, 2.0), State(5.0, 2.0), State(1.0, 2.0)), TerminationKind.STOPPED)
     cmp_ = separatrix_relative_position(ws, wu)
     assert cmp_.verdict is Verdict.WS_ABOVE_WU
     assert cmp_.margin == pytest.approx(3.0)
+    assert cmp_.contradicted == 0
 
     wu_hi = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1,
-                        (State(9.0, 9.0), State(5.0, 9.0), State(1.0, 9.0)))
-    assert separatrix_relative_position(ws, wu_hi).verdict is Verdict.WU_ABOVE_WS
+                        (State(9.0, 9.0), State(5.0, 9.0), State(1.0, 9.0)),
+                        TerminationKind.PREY_EXTINCT)
+    hi = separatrix_relative_position(ws, wu_hi)
+    assert hi.verdict is Verdict.WU_ABOVE_WS and hi.contradicted == 0
+    horizon = replace(wu_hi, end=TerminationKind.HORIZON_REACHED)
+    assert separatrix_relative_position(ws, horizon).verdict is Verdict.WS_ABOVE_WU
+    assert separatrix_relative_position(ws, horizon).contradicted == 3
 
+    # gaps -5, -1.25 and 3.75 at the probes x1 = 1, 4 and 8: the fate
+    # decides, and the probes of the other sign are counted against it
     wu_x = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1,
-                       (State(9.0, 0.0), State(5.0, 5.0), State(1.0, 10.0)))
-    assert separatrix_relative_position(ws, wu_x).verdict is Verdict.CROSSING
+                       (State(9.0, 0.0), State(5.0, 5.0), State(1.0, 10.0)),
+                       TerminationKind.STOPPED)
+    turned = separatrix_relative_position(ws, wu_x)
+    assert (turned.verdict, turned.contradicted) == (Verdict.WS_ABOVE_WU, 2)
+    assert turned.gap_at == (4.0, -1.25) and turned.margin == 1.25
+    extinct = separatrix_relative_position(ws, replace(wu_x, end=TerminationKind.PREY_EXTINCT))
+    assert (extinct.verdict, extinct.contradicted) == (Verdict.WU_ABOVE_WS, 1)
 
-    # lo + (hi - lo) * 199 / 199 rounds one ulp past hi on this shared range;
-    # the last station must be hi itself, or the interpolation raises.
+    # a curve that no single run traced has no fate to read
+    for end in (None, TerminationKind.BLOWUP):
+        with pytest.raises(DomainError, match="no fate"):
+            separatrix_relative_position(ws, replace(wu, end=end))
+
+    # probes on both ends of the shared range are compared, and nothing
+    # between them is sampled
     lo, hi = 0.11388236146134381, 0.4809941328089724
     ws_r = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0, (State(lo, 3.0), State(hi, 4.0)))
-    wu_r = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, (State(hi, 1.0), State(lo, 2.0)))
-    assert separatrix_relative_position(ws_r, wu_r).x1_range == (lo, hi)
+    wu_r = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, (State(hi, 1.0), State(lo, 2.0)),
+                       TerminationKind.STOPPED)
+    cmp_r = separatrix_relative_position(ws_r, wu_r)
+    assert cmp_r.x1_range == (lo, hi)
+    assert cmp_r.gap_at == (lo, 1.0)
 
 
 def test_relative_position_checks_labels_and_overlap():
     a = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0,
                     (State(1.0, 5.0), State(2.0, 5.0)))
     b = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1,
-                    (State(9.0, 2.0), State(8.0, 2.0)))
+                    (State(9.0, 2.0), State(8.0, 2.0)), TerminationKind.STOPPED)
     with pytest.raises(DomainError):
         separatrix_relative_position(b, a)  # swapped roles
     with pytest.raises(DomainError):
         separatrix_relative_position(a, b)  # no shared x1 range
+    # ranges that overlap between two probes share no probe to compare at
+    c = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0, (State(7.0, 5.0), State(10.0, 5.0)))
+    with pytest.raises(DomainError, match="no probe"):
+        separatrix_relative_position(c, b)
+
+
+# Perturbed OSC and ENRICHED sets (m2 = r = 1) on which the fan, compared
+# with the leg on 200 interpolated stations, changed sign: the comparison
+# read the interpolation error of two close curves as a crossing.
+_CLOSE_SETS = {
+    "osc_100": (dict(a1=0.5986303975777371, a2=1.0134769541427935, b1=0.06048433786895544,
+                     w0=0.972880678668507, w1=2.036565036798035, d=2.028885560447717,
+                     m1=0.8043059254642961),
+                TerminationKind.STOPPED, Verdict.WS_ABOVE_WU, 0),
+    "osc_118": (dict(a1=0.6121927204616904, a2=0.997419141548853, b1=0.062210468322573306,
+                     w0=1.0488850384888118, w1=2.03362475712885, d=2.0120017055565897,
+                     m1=0.8109207850986225),
+                TerminationKind.PREY_EXTINCT, Verdict.WU_ABOVE_WS, 1),
+    "enriched_121": (dict(a1=1.9807886066905247, a2=0.9932984423583074,
+                          b1=0.20559014509618556, w0=1.0140024605946736,
+                          w1=1.937781211049312, d=2.0482869946019036,
+                          m1=0.8393501617002028),
+                     TerminationKind.PREY_EXTINCT, Verdict.WU_ABOVE_WS, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_CLOSE_SETS))
+def test_close_curves_get_the_fate_of_the_leg(name):
+    rates, end, verdict, contradicted = _CLOSE_SETS[name]
+    p = ModelParams(**rates, m2=1.0, r=1.0)
+    wu = trace_unstable_manifold_E1(p)
+    cmp_ = separatrix_relative_position(trace_stable_separatrix_E0(p), wu)
+    assert wu.end is end
+    assert cmp_.verdict is verdict
+    assert cmp_.contradicted == contradicted
+    assert cmp_.margin > 0.0
+
+
+def _station_comparison(ws, wu):
+    """The comparison the verdict came from before it was read off the
+    leg's fate: the fan and the leg, both linearly interpolated, on 200
+    even stations of their shared x1 range.  Returns (verdict, least
+    |gap|), the verdict None where the gap changes sign, or None where
+    the curves share no range."""
+    geo = sys.modules["predprey.geometry"]
+    leg = geo._descending_prefix(wu.points)[::-1]
+    wu_x, wu_y = [s.x1 for s in leg], [s.x2 for s in leg]
+    pts = sorted(ws.points, key=lambda s: s.x1)
+    ws_x, ws_y = [s.x1 for s in pts], [s.x2 for s in pts]
+    lo, hi = max(ws_x[0], wu_x[0]), min(ws_x[-1], wu_x[-1])
+    if not lo < hi:
+        return None
+    gaps = [geo._interp(ws_x, ws_y, x) - geo._interp(wu_x, wu_y, x)
+            for x in [lo + (hi - lo) * i / 199 for i in range(199)] + [hi]]
+    margin = min(abs(g) for g in gaps)
+    if all(g > 0.0 for g in gaps):
+        return Verdict.WS_ABOVE_WU, margin
+    if all(g < 0.0 for g in gaps):
+        return Verdict.WU_ABOVE_WS, margin
+    return None, margin
+
+
+def test_fate_verdict_agrees_with_the_station_comparison_on_a_random_draw():
+    # rates a1, a2, w0, w1 log-uniform on [0.2, 5], b1 on [0.02, 1] and d
+    # on [0.1, 5]; m1 uniform on [0.3, 0.95], m2 = 1, r either 1 or uniform
+    # on [0.2, 1].  Wherever the stations see one sign by more than 1e-3 of
+    # the leg's height, the fate gives that sign.  20 of the 40 sets have E1
+    # a saddle; the fan traces all of them and all 20 are compared
+    rng = random.Random(3)
+
+    def log_uniform(lo, hi):
+        return lo * (hi / lo) ** rng.random()
+
+    skipped, compared = 0, 0
+    for _ in range(40):
+        a1, a2, w0, w1 = (log_uniform(0.2, 5.0) for _ in range(4))
+        b1, d = log_uniform(0.02, 1.0), log_uniform(0.1, 5.0)
+        m1 = rng.uniform(0.3, 0.95)
+        r = 1.0 if rng.random() < 0.5 else rng.uniform(0.2, 1.0)
+        p = ModelParams(a1=a1, a2=a2, b1=b1, w0=w0, w1=w1, d=d, m1=m1, m2=1.0, r=r)
+        try:
+            wu = trace_unstable_manifold_E1(p)
+            ws = trace_stable_separatrix_E0(p)
+        except DomainError:  # E1 not a saddle, or no ABOVE launch at a probe
+            skipped += 1
+            continue
+        ref = _station_comparison(ws, wu)
+        if ref is None or ref[0] is None or not ref[1] > 1e-3 * max(wu.x2s()):
+            continue
+        compared += 1
+        assert separatrix_relative_position(ws, wu).verdict is ref[0], p
+    assert (skipped, compared) == (20, 20)
 
 
 @pytest.mark.parametrize("rel_tol", [1e-5, 1e-7])
