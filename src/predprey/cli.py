@@ -195,8 +195,6 @@ def _cmd_refuge_threshold(cfg: ScenarioConfig, out: str) -> int:
     if rep is not None:
         lines.append(f"eps1: {_F(rep.eps1)}")
         lines.append(f"K1: {_F(rep.K1)}")
-        for note in rep.notes:
-            lines.append(f"flag: {note}")
     if th.note:
         lines.append(f"note: {th.note}")
     csvio.write_report(lines, os.path.join(out, "report.txt"))

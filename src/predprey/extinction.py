@@ -59,25 +59,22 @@ class BoundsReport:
     eps1: float | None = None
     K1: float | None = None   # eventual prey ceiling a1/b1 + eps1, scaled
     K2: float | None = None   # eventual predator ceiling
-    notes: tuple[str, ...] = ()
 
 
 def boundedness_bound(p: ModelParams, delta: float | None = None) -> BoundsReport:
     """Ultimate bound for Q = x1 + (w0/w1)*x2 from dQ/dt <= W1 - delta*Q.
 
     delta defaults to a2 (the natural choice; any 0 < delta <= a2 works).
-    The differential inequality needs w0 >= w1; both standard parameter sets
-    violate that, so the report flags the bound as not guaranteed there.
+    The interaction cancels in Q: Q' + delta*Q = (a1 + delta)*x1 - b1*x1**2
+    - (a2 - delta)*(w0/w1)*x2, at most (a1 + delta)**2/(4*b1) = W1 for every
+    parameter set, so Q(t) <= max(Q(0), W1/delta) on every run.
     """
     if delta is None:
         delta = p.a2
     if not (0.0 < delta <= p.a2):
         raise DomainError(f"delta must lie in (0, a2], got {delta!r}")
     w1_ = (p.a1 + delta) ** 2 / (4.0 * p.b1)
-    notes = ()
-    if p.w0 < p.w1:
-        notes = ("hypothesis w0 >= w1 not satisfied; bound not guaranteed",)
-    return BoundsReport(delta=delta, W1=w1_, Q_bound=w1_ / delta, notes=notes)
+    return BoundsReport(delta=delta, W1=w1_, Q_bound=w1_ / delta)
 
 
 def check_positive_finite(name: str, value: float) -> None:
@@ -161,8 +158,9 @@ def simulate_extinction(
     the extinction threshold, the x-chart's error control is off near the
     axis and its 0.148002 is 0.71% off its own depth's time; the u-chart's
     0.14931987 is within 1e-8 of its own.  A prey at or
-    below the extinction threshold raises DomainError: its event never
-    arms, so the run could not tell extinction from survival.
+    below the extinction threshold raises DomainError: the event fires only
+    on a fall through the threshold, so the run could not tell extinction
+    from survival.
     """
     if opts is None:
         opts = IntegratorOptions(horizon=100.0)
@@ -234,8 +232,8 @@ def verify_persistence(
 ) -> PersistenceVerdict:
     """Integrate to opts.horizon (default 500) and report whether the prey
     survived.  A prey at or below the extinction threshold raises
-    DomainError: its event never arms, so the run would report a prey
-    that is already gone as persistent."""
+    DomainError: the event fires only on a fall through the threshold, so
+    the run would report a prey that is already gone as persistent."""
     if opts is None:
         opts = IntegratorOptions(horizon=500.0)
     _check_prey_above_threshold(ic, opts)
@@ -253,4 +251,5 @@ def _check_prey_above_threshold(ic: State, opts: IntegratorOptions) -> None:
     if not ic.x1 > opts.extinction_threshold:
         raise DomainError(
             f"initial prey x1 = {ic.x1!r} is at or below the extinction threshold "
-            f"{opts.extinction_threshold!r}; its extinction event cannot arm")
+            f"{opts.extinction_threshold!r}; its extinction event fires only "
+            "on a fall through the threshold")

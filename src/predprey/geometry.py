@@ -44,12 +44,12 @@ the fan and each probe refuse with DomainError.
 
 Which side of this curve E1's unstable manifold leaves on needs no curve:
 orbits of a planar flow cannot cross, so the verdict is the fate of E1's
-leaving orbit under the same classifier (PlanarCurve.end); the probes
-measure only its margin.
+leaving orbit under the same classifier (PlanarCurve.end), its run stopped
+by the launches' own turnaround test; the probes measure only its margin,
+each read off the leg in run order.
 """
 from __future__ import annotations
 
-import bisect
 import enum
 import math
 from dataclasses import dataclass, replace
@@ -110,6 +110,12 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class SeparatrixComparison:
+    """The verdict, and the fan against the leg at its probes.  The margin
+    is interpolation-limited: on OSC the leg's linear interpolation is off
+    by up to 1.5e-2 at the probes against a tight scipy trace, more than the
+    true gaps at the 8 leftmost spread (0.0943-0.0967), so the margin, 0.0952
+    at x1 = 1.816, names the wrong probe (truly 0.0943, at x1 = 1.389)."""
+
     verdict: Verdict       # the fate of E1's leaving orbit
     margin: float          # least |ws - wu| over the probes in x1_range
     x1_range: tuple[float, float]
@@ -190,11 +196,12 @@ def trace_unstable_manifold_E1(
 
     Requires m2 = 1 (E1 linearizable) and E1 a saddle.  The seed steps
     _E1_SEED_SCALE * a1/b1 off E1 along the unstable eigenvector, oriented
-    into the open quadrant.  The run ends at the leg's first turn, the first
-    accepted state whose x1 is not below the one before it (the curve's last
-    point), at the prey-extinction event, or at the horizon of opts; `end`
-    records which, the fate separatrix_relative_position reads.  A leg past
-    x1 + x2 > 1e6 * max(1, a1/b1) first has no fate: DomainError.
+    into the open quadrant.  The run is an `integrate` run that stops on
+    the launches' own test, `_turned`: it ends at the leg's first turn, the
+    first accepted state with dx1/dt > 0 (the curve's last point), at the
+    prey-extinction event, or at the horizon of opts; `end` records which,
+    the fate separatrix_relative_position reads.  No guard is needed:
+    Q = x1 + (w0/w1)*x2 keeps x2 <= (w1/w0)*max(Q(0), W1/a2) on every run.
     """
     e1 = predator_free_equilibrium(p)
     if e1.classification.name == "NON_LINEARIZABLE":
@@ -211,23 +218,10 @@ def trace_unstable_manifold_E1(
     cap = p.carrying_capacity
     seed = State(e1.point.x1 + _E1_SEED_SCALE * cap * v1,
                  e1.point.x2 + _E1_SEED_SCALE * cap * v2)
-    guard_cap = 1e6 * max(1.0, cap)
-    last_x1 = math.inf
-
-    def turned_or_escaped(t: float, x1: float, x2: float, dx1: float, dx2: float) -> bool:
-        nonlocal last_x1
-        if not x1 < last_x1 or x1 + x2 > guard_cap:
-            return True
-        last_x1 = x1
-        return False
-
-    traj = integrate(p, seed, opts, stop_when=turned_or_escaped)
+    traj = integrate(p, seed, opts, stop_when=_turned)
     end = traj.termination.kind
     if end is TerminationKind.STEP_FAILURE:
         raise DomainError(f"manifold trace failed: {traj.termination.reason}")
-    if end is TerminationKind.STOPPED and traj.x1[-1] + traj.x2[-1] > guard_cap:
-        raise DomainError(f"manifold leg escaped past x1 + x2 = {guard_cap!r} "
-                          "before it turned or the prey died out")
     return PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(traj.states), end)
 
 
@@ -255,7 +249,7 @@ def _classify_launch(p: ModelParams, x1_0: float, x2_0: float,
     event; BELOW, a turnaround (dy/dt > 0 at an accepted state, read off the
     run's own derivative; dy has dx1's sign) or survival to the horizon."""
     f, opts, k = _y_chart(p, iopts)
-    traj = _run(f, (x1_0 ** k, x2_0), opts, _turned, None)
+    traj = _run(f, (x1_0 ** k, x2_0), opts, _turned, floor=iopts.extinction_threshold ** k)
     if traj.termination.kind not in _FATE:
         raise DomainError(f"launch classification failed: {traj.termination!r}")
     return _FATE[traj.termination.kind]
@@ -263,10 +257,8 @@ def _classify_launch(p: ModelParams, x1_0: float, x2_0: float,
 
 def _y_chart(p: ModelParams, opts: IntegratorOptions):
     """The chart y = x1**(1-m1) of the trace and the launches: its field,
-    opts at half rel_tol with the prey event at y = thr**(1-m1), and 1-m1."""
-    k = 1.0 - p.m1
-    return make_y_rhs(p), replace(opts, rel_tol=0.5 * opts.rel_tol,
-                                  extinction_threshold=opts.extinction_threshold ** k), k
+    opts at half rel_tol, and k = 1-m1; a level x1 = c is y = c**k."""
+    return make_y_rhs(p), replace(opts, rel_tol=0.5 * opts.rel_tol), 1.0 - p.m1
 
 
 def _turned_back(t: float, y: float, x2: float, dy: float, dx2: float) -> bool:
@@ -289,7 +281,7 @@ def _trace_to_probe(p: ModelParams, probe_x1: float, opts: IntegratorOptions) ->
     except OverflowError:
         return math.nan
     f, yopts, k = _y_chart(p, opts)
-    traj = _run(f, (thr ** k, seed), yopts, _turned_back, probe_x1 ** k, -1.0)
+    traj = _run(f, (thr ** k, seed), yopts, _turned_back, ceiling=probe_x1 ** k, sign=-1.0)
     if traj.termination.kind is not TerminationKind.BLOWUP:
         return math.nan
     return traj.x2[-1]
@@ -411,25 +403,20 @@ def trace_stable_separatrix_E0(
                        tuple(State(x, y) for x, y in zip(stations, ys)))
 
 
-def _descending_prefix(points: tuple[State, ...]) -> list[State]:
-    """Longest prefix along which x1 strictly decreases (the first leg of a
-    manifold trace, before any spiral turns it back)."""
-    out = [points[0]]
-    for s in points[1:]:
-        if s.x1 < out[-1].x1:
-            out.append(s)
-        else:
-            break
-    return out
-
-
-def _interp(xs: list[float], ys: list[float], x: float) -> float:
-    """Piecewise-linear interpolation on ascending xs (no extrapolation)."""
-    if not xs[0] <= x <= xs[-1]:
-        raise DomainError(f"interpolation point {x!r} outside [{xs[0]!r}, {xs[-1]!r}]")
-    lo = min(bisect.bisect_right(xs, x), len(xs) - 1) - 1
-    hi = lo + 1
-    t = (x - xs[lo]) / (xs[hi] - xs[lo]) if xs[hi] > xs[lo] else 0.0
+def _leg_x2(xs: list[float], ys: list[float], x1: float) -> float | None:
+    """x2 at x1 on the first segment of the run (xs, ys), in run order,
+    whose ends bracket x1: the one into the first state at or past x1 from
+    the run's start.  Linear in x1 from the segment's smaller-x1 end; None
+    if the run never reaches x1."""
+    if xs[0] >= x1:
+        j = next((j for j, x in enumerate(xs) if x <= x1), None)
+    else:
+        j = next((j for j, x in enumerate(xs) if x >= x1), None)
+    if j is None:
+        return None
+    b = max(j, 1)
+    lo, hi = (b, b - 1) if xs[b] <= xs[b - 1] else (b - 1, b)
+    t = (x1 - xs[lo]) / (xs[hi] - xs[lo]) if xs[hi] > xs[lo] else 0.0
     return ys[lo] + t * (ys[hi] - ys[lo])
 
 
@@ -438,9 +425,10 @@ def separatrix_relative_position(ws: PlanarCurve, wu: PlanarCurve) -> Separatrix
     leaves on.  Orbits of a planar flow cannot cross, so the verdict is the
     fate wu.end of E1's leaving orbit under the launch classifier's rule
     (_FATE): ABOVE is WU_ABOVE_WS; a wu with no fate raises DomainError.
-    ws is compared only at its own probes in the x1 range of wu's
-    descending leg, interpolated there: the margin is the least |ws - wu|,
-    and `contradicted` counts the probes whose gap lacks the verdict's sign."""
+    ws is compared only at its own probes in wu's x1 range, each read off
+    the first segment of wu, in run order, that brackets it: the margin is
+    the least |ws - wu|, and `contradicted` counts the probes whose gap
+    lacks the verdict's sign."""
     if ws.label is not CurveLabel.STABLE_SEPARATRIX_E0:
         raise DomainError("first curve must be the stable separatrix of E0")
     if wu.label is not CurveLabel.UNSTABLE_MANIFOLD_E1:
@@ -449,20 +437,15 @@ def separatrix_relative_position(ws: PlanarCurve, wu: PlanarCurve) -> Separatrix
         raise DomainError(f"the unstable manifold's run records no fate (end {wu.end!r})")
     verdict = Verdict.WU_ABOVE_WS if _FATE[wu.end] == _ABOVE else Verdict.WS_ABOVE_WU
 
-    leg = _descending_prefix(wu.points)
-    if len(leg) < 2:
-        raise DomainError("unstable manifold has no descending leg to compare")
-    leg.reverse()  # ascending x1
-    wu_x, wu_y = [s.x1 for s in leg], [s.x2 for s in leg]
-
     ws_pts = sorted(ws.points, key=lambda s: s.x1)
-    gaps = [(s.x1, s.x2 - _interp(wu_x, wu_y, s.x1))
-            for s in ws_pts if wu_x[0] <= s.x1 <= wu_x[-1]]
+    xs, ys = wu.x1s(), wu.x2s()
+    gaps = [(s.x1, s.x2 - y) for s in ws_pts if (y := _leg_x2(xs, ys, s.x1)) is not None]
+    lo, hi = min(xs), max(xs)
     if not gaps:
         raise DomainError(f"no probe of ws on [{ws_pts[0].x1!r}, {ws_pts[-1].x1!r}] "
-                          f"lies in the wu leg's x1 range [{wu_x[0]!r}, {wu_x[-1]!r}]")
+                          f"lies in the wu leg's x1 range [{lo!r}, {hi!r}]")
     sign = 1.0 if verdict is Verdict.WS_ABOVE_WU else -1.0
     contradicted = sum(1 for _, gap in gaps if not sign * gap > 0.0)
     best = min(gaps, key=lambda g: abs(g[1]))
-    x1_range = (max(ws_pts[0].x1, wu_x[0]), min(ws_pts[-1].x1, wu_x[-1]))
+    x1_range = (max(ws_pts[0].x1, lo), min(ws_pts[-1].x1, hi))
     return SeparatrixComparison(verdict, abs(best[1]), x1_range, best, contradicted)

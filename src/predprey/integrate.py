@@ -6,7 +6,7 @@ one backward trace and two certifying launches), and scalar arithmetic keeps
 each step in the microsecond range.  All three run in the chart
 y = x1**(1-m1) (model.make_y_rhs), smooth at the prey axis: geometry calls
 `_run` on that field, the trace with sign -1 up to the probe's y as its
-ceiling, the launches down to the prey event y = thr**(1-m1).
+ceiling, the launches down to the floor y = thr**(1-m1).
 There is one loop, the text `_LOOP`, written out inline against plain
 floats: in CPython a helper call per step, a tuple per step result, min/max
 builtin calls and per-event or per-state objects cost as much as the field
@@ -29,14 +29,15 @@ locating costs no field evaluation.  The crossing fraction is bisected
 on that polynomial (`_crossing`) and both components are read there
 (`_dense_value`).
 
-A run watches one level on component 0, the prey coordinate: a run with
-a ceiling watches it upward, any other run the extinction threshold
-downward.  The prey event is armed only if the prey starts above the
-threshold (and re-arms if it later climbs above twice the threshold), so
-an initial condition with x1 = 0 integrates as the on-axis solution
-instead of reporting extinction at t = 0.  The predator needs no
-event: w1*g*x2**m2 >= 0 gives dx2/dt >= -a2*x2, so x2(t) >= x2(0)*exp(-a2*t)
-> 0 for every m2 in (0, 1], and a threshold on x2 would report only the
+A run watches the levels it is handed on component 0, the prey
+coordinate, and decides a crossing from the step's two ends alone: a step
+from on or above the floor to below it ends the run PREY_EXTINCT, a step
+from on or below the ceiling to above it BLOWUP.  `integrate` makes the
+extinction threshold its floor, so a prey that starts below the threshold
+(x1 = 0 included) integrates as it is, and its run ends only where it
+falls through the threshold from above.  The predator needs no event:
+w1*g*x2**m2 >= 0 gives dx2/dt >= -a2*x2, so x2(t) >= x2(0)*exp(-a2*t) > 0
+for every m2 in (0, 1], and a threshold on x2 would report only the
 threshold's own decay time.
 """
 from __future__ import annotations
@@ -222,7 +223,7 @@ def _crossing(level: float, y0: float, y1: float, hf0: float, hf1: float,
 # inline at those lines instead, on the chart's constants `consts`.  The
 # loop's own names are kept apart from those the field texts use.
 _LOOP = """\
-def run(f, consts, ic, opts, stop_when, blowup_ceiling, sign):
+def run(f, consts, ic, opts, stop_when, floor, ceiling, sign):
     a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
     a51, a52, a53, a54 = _A51, _A52, _A53, _A54
     a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
@@ -241,16 +242,6 @@ def run(f, consts, ic, opts, stop_when, blowup_ceiling, sign):
     add_t(t)
     add_x1(y1)
     add_x2(y2)
-
-    # The run's one level on component 0: the ceiling upward, or else the
-    # prey event downward, armed if the prey starts above the threshold or
-    # later climbs above twice it (a ceiling run's re-arm level is inf).
-    if blowup_ceiling is None:
-        level, kind, ceiling = opts.extinction_threshold, TerminationKind.PREY_EXTINCT, inf
-        armed, rearm = y1 > level, 2.0 * level
-    else:
-        level, kind, ceiling = blowup_ceiling, TerminationKind.BLOWUP, blowup_ceiling
-        armed, rearm = False, inf
 
     # one field evaluation at the initial condition: the predicate's
     # derivative, the step guess and k1
@@ -345,9 +336,11 @@ def run(f, consts, ic, opts, stop_when, blowup_ceiling, sign):
         if t_new >= horizon:
             t_new = horizon
 
-        if (armed and z1 < level <= y1) or z1 > ceiling:
-            # the level crossed: located on the step's continuous extension,
+        if z1 < floor <= y1 or y1 <= ceiling < z1:
+            # a level crossed: located on the step's continuous extension,
             # whose quartic term takes the stages the step holds
+            level, kind = ((floor, TerminationKind.PREY_EXTINCT) if z1 < floor
+                           else (ceiling, TerminationKind.BLOWUP))
             q1 = sh * (_D1 * k1 + _D3 * s31 + _D4 * s41 + _D5 * s51 + _D6 * s61 + _D7 * k1n)
             q2 = sh * (_D1 * k2 + _D3 * s32 + _D4 * s42 + _D5 * s52 + _D6 * s62 + _D7 * k2n)
             hf1, hf2, hn1, hn2 = sh * k1, sh * k2, sh * k1n, sh * k2n
@@ -369,9 +362,6 @@ def run(f, consts, ic, opts, stop_when, blowup_ceiling, sign):
         add_t(t)
         add_x1(y1)
         add_x2(y2)
-
-        if not armed and y1 > rearm:
-            armed = True
 
         if stop_when is not None and stop_when(t, y1, y2, sign * k1, sign * k2):
             traj.termination = Termination(TerminationKind.STOPPED, t)
@@ -434,8 +424,10 @@ def _run(
     f: Callable[[float, float], tuple[float, float]],
     ic: tuple[float, float],
     opts: IntegratorOptions,
-    stop_when: StopPredicate | None,
-    blowup_ceiling: float | None,
+    stop_when: StopPredicate | None = None,
+    *,
+    floor: float = -math.inf,
+    ceiling: float = math.inf,
     sign: float = 1.0,
 ) -> Trajectory:
     """Core loop shared by the x-system, the u-chart and the y-chart.
@@ -446,28 +438,28 @@ def _run(
     once per stage.  Both are instantiations of the one loop text, _LOOP,
     and give the same floats.
 
-    The run watches one level on component 0.  blowup_ceiling is an
-    upward level: the run ends with kind BLOWUP where component 0 crosses
-    it, the u-chart's blowup at U_BLOWUP_CEILING and the y-chart trace's
-    arrival at its probe alike.  A run without one (None) watches the prey
-    event instead: kind PREY_EXTINCT where component 0 falls through
-    opts.extinction_threshold, armed as the module docstring says.  The
-    crossing is located on the step's continuous extension, and a step
-    that starts on the level ends where it starts (a u-chart run
-    from the ceiling ends at t = 0).  stop_when gets the field at each
-    accepted state from the step that produced it (FSAL), so the predicate
-    costs no field evaluation.  sign = -1.0 runs the orbit backward: the
-    stage, error and extension sums take the step as sign * h, and
-    stop_when gets sign times the field, the derivative along the run.  As
-    IEEE negation is exact, every stage point, state and time is the one
-    the loop would give on the negated field with sign 1.0.  The times
-    column counts elapsed time either way.  The min/max of the textbook
-    loop are written as comparisons with the same result, ties and -0.0
-    included: max(a, b) is `b if b > a else a`, min(a, b) is
+    The run watches two levels on component 0, each decided from the
+    step's ends alone: it ends with kind PREY_EXTINCT where a step falls
+    from on or above `floor` to below it (integrate's extinction threshold,
+    the launches' y = thr**(1-m1)), and with kind BLOWUP where a step
+    climbs from on or below `ceiling` to above it (the u-chart's
+    U_BLOWUP_CEILING, the trace's probe); a pass the other way ends
+    nothing.  The crossing is located on the step's continuous extension,
+    and a step that starts on the level ends where it starts (a run that
+    leaves its floor downward ends at t = 0).  stop_when gets the
+    field at each accepted state from the step that produced it (FSAL), so
+    the predicate costs no field evaluation.  sign = -1.0 runs the orbit
+    backward: the stage, error and extension sums take the step as
+    sign * h, and stop_when gets sign times the field, the derivative along
+    the run.  As IEEE negation is exact, every stage point, state and time
+    is the one the loop would give on the negated field with sign 1.0.  The
+    times column counts elapsed time either way.  The min/max of the
+    textbook loop are written as comparisons with the same result, ties and
+    -0.0 included: max(a, b) is `b if b > a else a`, min(a, b) is
     `b if b < a else a`.
     """
     chart, consts = getattr(f, "chart", (None, None))
-    return _kernel(chart)(f, consts, ic, opts, stop_when, blowup_ceiling, sign)
+    return _kernel(chart)(f, consts, ic, opts, stop_when, floor, ceiling, sign)
 
 
 def integrate(
@@ -479,13 +471,14 @@ def integrate(
 ) -> Trajectory:
     """Integrate the (x1, x2) system from a nonnegative initial condition.
 
-    Terminations: PreyExtinct when x1 falls through the extinction threshold
-    (armed only off-axis), HorizonReached, StepFailure; the predator stays
-    positive at every finite time, so no event watches it.  `stop_when(t, x1, x2, dx1, dx2)` is a
-    coarse halt predicate evaluated at accepted states (also at t=0), where
-    (dx1, dx2) is the field at (x1, x2), bit for bit `make_rhs(p)(x1, x2)`;
-    when it fires the trajectory ends with kind STOPPED at that accepted
-    time, no localization.  The field is evaluated at the initial condition
+    Terminations: PreyExtinct where a step takes x1 from on or above the
+    extinction threshold to below it, HorizonReached, StepFailure; the
+    predator stays positive at every finite time, so no event watches it.
+    `stop_when(t, x1, x2, dx1, dx2)` is a coarse halt predicate evaluated
+    at accepted states (also at t=0), where (dx1, dx2) is the field at
+    (x1, x2), bit for bit `make_rhs(p)(x1, x2)`; when it fires the
+    trajectory ends with kind STOPPED at that accepted time, no
+    localization.  The field is evaluated at the initial condition
     before the predicate, so a field that cannot be evaluated there raises
     DomainError even when the predicate would have stopped the run.
     """
@@ -493,7 +486,7 @@ def integrate(
         opts = IntegratorOptions()
     x1 = _check_ic(ic.x1, "x1")
     x2 = _check_ic(ic.x2, "x2")
-    return _run(make_rhs(p), (x1, x2), opts, stop_when, None)
+    return _run(make_rhs(p), (x1, x2), opts, stop_when, floor=opts.extinction_threshold)
 
 
 def integrate_u_system(
@@ -514,7 +507,7 @@ def integrate_u_system(
         raise DomainError(f"u-chart initial condition needs 0 < u <= "
                           f"{U_BLOWUP_CEILING!r}, got {ic.x1!r}")
     x2 = _check_ic(ic.x2, "x2")
-    return _run(make_u_rhs(p), (ic.x1, x2), opts, None, U_BLOWUP_CEILING)
+    return _run(make_u_rhs(p), (ic.x1, x2), opts, ceiling=U_BLOWUP_CEILING)
 
 
 def _check_ic(v: float, name: str) -> float:

@@ -220,8 +220,8 @@ def test_extinction_command(tmp_path):
 
 
 def test_extinction_below_the_threshold_exits_1(tmp_path):
-    # the prey event cannot arm from here: the run would end at the horizon
-    # over x1 = 0 and read as a surviving prey
+    # the prey starts below the threshold, so no step falls through it: the
+    # run would end at the horizon over x1 = 0 and read as a surviving prey
     cfg = write(tmp_path / "ext.ini", MODEL + "\n[extinction]\nx1 = 5e-10\nx2 = 50.0\n")
     res = run_cli("extinction", "--config", cfg, "--out", str(tmp_path / "o"))
     assert res.returncode == 1

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 
 import pytest
 
@@ -18,6 +19,7 @@ from predprey import (
     verify_persistence,
     with_params,
 )
+from predprey.model import make_rhs
 
 
 def test_boundedness_bound_values(osc_params):
@@ -25,13 +27,37 @@ def test_boundedness_bound_values(osc_params):
     assert rep.delta == osc_params.a2
     assert rep.W1 == pytest.approx(10.15873015873016, rel=1e-12)
     assert rep.Q_bound == pytest.approx(rep.W1 / rep.delta, rel=1e-12)
-    # w0 < w1 here, so the comparison hypothesis fails and must be flagged.
-    assert any("w0" in n for n in rep.notes)
 
 
-def test_boundedness_bound_clean_when_w0_dominates(osc_params):
-    rep = boundedness_bound(with_params(osc_params, w0=2.5))
-    assert rep.notes == ()
+def test_dissipative_bound_holds_for_every_parameter_set():
+    # In Q = x1 + (w0/w1)*x2 the interaction cancels: Q' + delta*Q =
+    # (a1 + delta)*x1 - b1*x1**2 - (a2 - delta)*(w0/w1)*x2 <= W1 for every
+    # 0 < delta <= a2, with w0 < w1 as with w0 >= w1.  Checked on the field
+    # itself at random sets and states, to the rounding of the terms summed.
+    rng = random.Random(29)
+
+    def rate():
+        return 10.0 ** rng.uniform(-1.0, 1.0)
+
+    w0_below_w1 = 0
+    for _ in range(2000):
+        p = ModelParams(a1=rate(), a2=rate(), b1=rate(), w0=rate(), w1=rate(), d=rate(),
+                        m1=rng.choice((1.0, rng.uniform(0.05, 1.0))),
+                        m2=rng.choice((1.0, rng.uniform(0.05, 1.0))),
+                        r=rng.choice((1.0, rng.uniform(0.05, 1.0))))
+        w0_below_w1 += p.w0 < p.w1
+        delta = rng.choice((p.a2, p.a2 * rng.uniform(1e-3, 1.0)))
+        rep = boundedness_bound(p, delta)
+        x1 = p.carrying_capacity * 10.0 ** rng.uniform(-4.0, 1.0)
+        x2 = 10.0 ** rng.uniform(-4.0, 4.0)
+        dx1, dx2 = make_rhs(p)(x1, x2)
+        c = p.w0 / p.w1
+        q = x1 + c * x2
+        residual = dx1 + c * dx2 - (rep.W1 - delta * q)
+        scale = (p.a1 * x1 + p.b1 * x1 * x1 + c * p.a2 * x2 + abs(dx1) + c * abs(dx2)
+                 + rep.W1 + delta * q)
+        assert residual <= 1e-14 * scale, (p, delta, x1, x2)
+    assert 900 < w0_below_w1 < 1100
 
 
 def test_dissipative_k2_chain(osc_params):

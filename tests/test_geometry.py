@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import math
 import random
 import sys
@@ -15,10 +16,9 @@ from predprey import (
     PlanarCurve,
     SeparatrixOptions,
     State,
-    Termination,
     TerminationKind,
-    Trajectory,
     Verdict,
+    boundedness_bound,
     integrate,
     predator_nullcline,
     prey_nullcline,
@@ -83,26 +83,38 @@ def test_unstable_manifold_needs_a_saddle(osc_params, bistable_params):
         trace_unstable_manifold_E1(below)
 
 
-def test_manifold_that_escapes_has_no_fate(osc_params, monkeypatch):
-    # a leg stopped by the guard cap x1 + x2 > 1e6*max(1, a1/b1), not by a
-    # turn, ends in no fate the verdict could read: it raises
-    geo = sys.modules["predprey.geometry"]
-    cap = osc_params.carrying_capacity
+def test_a_weak_prey_response_turns_far_up_and_stays_bounded(osc_params):
+    # with w0 = 1e-7 the leg climbs to x2 = 8.1e7 before it turns, past the
+    # old escape guard x1 + x2 > 1e6*max(1, a1/b1), which refused it; no guard
+    # is needed, as Q = x1 + (w0/w1)*x2 keeps x2 <= (w1/w0)*max(Q(0), W1/a2)
+    p = with_params(osc_params, w0=1e-7)
+    wu = trace_unstable_manifold_E1(p)
+    assert wu.end is TerminationKind.STOPPED
+    seed = wu.points[0]
+    q0 = seed.x1 + p.w0 / p.w1 * seed.x2
+    top = max(wu.x2s())
+    assert 1e6 * max(1.0, p.carrying_capacity) < top
+    assert top <= p.w1 / p.w0 * max(q0, boundedness_bound(p).W1 / p.a2)
 
-    def escaping(p, seed, opts, stop_when):
-        traj = Trajectory()
-        for x1, x2 in ((seed.x1, seed.x2), (0.5 * seed.x1, 2e6 * cap)):
-            traj.times.append(0.0)
-            traj.x1.append(x1)
-            traj.x2.append(x2)
-            if stop_when(0.0, x1, x2, -1.0, 1.0):
-                traj.termination = Termination(TerminationKind.STOPPED, 0.0)
-                return traj
-        raise AssertionError("the guard cap did not stop the run")
 
-    monkeypatch.setattr(geo, "integrate", escaping)
-    with pytest.raises(DomainError, match="escaped"):
-        trace_unstable_manifold_E1(osc_params)
+def test_a_leg_that_wobbles_within_its_error_falls_into_extinction():
+    # a random.Random(3) draw of the fan's domain: x1 at the leg's 8th state
+    # lies 1.3e-6 above the 7th (the 9th 6.5e-6 above the 8th), inside the
+    # step's error rel_tol*x1 = 1.7e-5, while dx1 < 0 at every state.  A
+    # scipy DOP853 trace (rtol 1e-12) takes the leg into x1 = 1e-9 at
+    # t = 125.43.  Read as a turn, the wobble made an 8-state leg that met
+    # no probe.
+    p = ModelParams(a1=4.690836839063927, a2=0.25812671445466695, b1=0.027299362652590364,
+                    w0=0.4189956899292203, w1=0.3807242239567352, d=0.7835784905542477,
+                    m1=0.7829623770787273, m2=1.0, r=0.7048934926904875)
+    wu = trace_unstable_manifold_E1(p)
+    assert wu.end is TerminationKind.PREY_EXTINCT
+    assert not wu.points[7].x1 < wu.points[6].x1
+    cmp_ = separatrix_relative_position(trace_stable_separatrix_E0(p), wu)
+    assert cmp_.verdict is Verdict.WU_ABOVE_WS
+    assert cmp_.contradicted == 0
+    assert cmp_.margin == pytest.approx(2.6136, rel=1e-4)
+    assert cmp_.gap_at[0] == pytest.approx(163.238, rel=1e-5)
 
 
 @pytest.mark.parametrize("w1,end,verdict", [
@@ -124,33 +136,32 @@ def test_osc_verdict_flips_just_above_w1_2(osc_params, w1, end, verdict):
 
 @pytest.mark.parametrize("name", ["osc", "enriched", "enriched_r_0.3"])
 def test_manifold_is_the_descending_prefix_of_the_long_trace(osc_params, name):
-    # the manifold ends at its leg's first turn: state for state the
-    # descending prefix of a run from the same seed to the horizon that
-    # stops only at the guard cap, plus the state that turns it
+    # the manifold ends at its leg's first turn: state for state the prefix
+    # of a run from the same seed to the horizon, through its first state
+    # with dx1/dt > 0
     p = _fan_sets(osc_params)[name]
-    geo = sys.modules["predprey.geometry"]
     wu = trace_unstable_manifold_E1(p)
-    guard_cap = 1e6 * max(1.0, p.carrying_capacity)
-    full = integrate(p, wu.points[0], IntegratorOptions(horizon=500.0),
-                     stop_when=lambda t, x1, x2, dx1, dx2: x1 + x2 > guard_cap)
-    leg = geo._descending_prefix(tuple(full.states))
+    full = integrate(p, wu.points[0], IntegratorOptions(horizon=500.0))
+    f = make_rhs(p)
+    turns = [i for i, s in enumerate(full.states) if f(*s)[0] > 0.0]
     if name == "enriched":
         # the leg runs into prey extinction, which ends both runs
         assert full.termination.kind is TerminationKind.PREY_EXTINCT
-        assert repr(wu.points) == repr(tuple(leg)) == repr(tuple(full.states))
+        assert not turns
+        assert repr(wu.points) == repr(tuple(full.states))
     else:
-        # the first state not left of its predecessor ends the curve
-        assert len(full) > len(leg) + 1
-        turn = full.states[len(leg)]
-        assert not turn.x1 < leg[-1].x1
-        assert repr(wu.points) == repr(tuple(leg) + (turn,))
+        assert len(full) > turns[0] + 1
+        assert repr(wu.points) == repr(tuple(full.states[:turns[0] + 1]))
+        # x1 still falls into the turning state, and climbs only after it
+        x1 = full.x1
+        assert all(b < a for a, b in zip(x1[:turns[0]], x1[1:turns[0] + 1]))
+        assert not x1[turns[0] + 1] < x1[turns[0]]
     # the long run's fate agrees with the leg's: a turn and the horizon
     # both mean the leg did not run monotonically into extinction
     ws = trace_stable_separatrix_E0(p)
-    old = separatrix_relative_position(
-        ws, PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(full.states),
-                        full.termination.kind))
-    assert repr(separatrix_relative_position(ws, wu)) == repr(old)
+    long = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(full.states), full.termination.kind)
+    assert (separatrix_relative_position(ws, long).verdict
+            is separatrix_relative_position(ws, wu).verdict)
 
 
 def test_boundary_bisection_separates_fates(osc_params):
@@ -175,9 +186,9 @@ def test_launches_run_to_the_integrator_horizon(osc_params, monkeypatch, horizon
     run = mod._run
     seen = []
 
-    def recording(f, ic, opts, *args):
+    def recording(f, ic, opts, *args, **kwargs):
         seen.append(opts.horizon)
-        return run(f, ic, opts, *args)
+        return run(f, ic, opts, *args, **kwargs)
 
     monkeypatch.setattr(mod, "_run", recording)
     separatrix_boundary_x2(osc_params, 1.389, IntegratorOptions(horizon=horizon))
@@ -216,8 +227,8 @@ def test_probe_makes_only_the_steps_field_calls(osc_params, monkeypatch):
         steps.append(len(traj) - 1)
         return traj
 
-    def counted_run(*args):
-        traj = run(*args)
+    def counted_run(*args, **kwargs):
+        traj = run(*args, **kwargs)
         steps.append(len(traj) - 1)
         return traj
 
@@ -342,9 +353,9 @@ def test_nullcline_route_returns_psi(osc_params, monkeypatch):
         runs.append(False)
         return launch(*args, **kwargs)
 
-    def counted_run(f, ic, opts, stop_when, ceiling, sign=1.0):
+    def counted_run(*args, sign=1.0, **kwargs):
         runs.append(sign < 0.0)
-        return run(f, ic, opts, stop_when, ceiling, sign)
+        return run(*args, sign=sign, **kwargs)
 
     monkeypatch.setattr(geo, "integrate", counted)
     monkeypatch.setattr(geo, "_run", counted_run)
@@ -554,6 +565,18 @@ def test_relative_position_verdicts():
     assert cmp_r.x1_range == (lo, hi)
     assert cmp_r.gap_at == (lo, 1.0)
 
+    # the leg is read in run order: where its x1 climbs back (5 -> 6), the
+    # probe at 5.5 is read on the first segment that brackets it, 9 -> 5,
+    # not on 5 -> 6 (x2 = 2.5) or 6 -> 1 (x2 = 3.1)
+    wob = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1,
+                      (State(9.0, 1.0), State(5.0, 2.0), State(6.0, 3.0), State(1.0, 4.0)),
+                      TerminationKind.PREY_EXTINCT)
+    ws_w = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0, (State(5.5, 3.0), State(8.0, 3.0)))
+    cmp_w = separatrix_relative_position(ws_w, wob)
+    assert cmp_w.gap_at == (5.5, 1.125)
+    assert (cmp_w.verdict, cmp_w.contradicted) == (Verdict.WU_ABOVE_WS, 2)
+    assert cmp_w.x1_range == (5.5, 8.0)
+
 
 def test_relative_position_checks_labels_and_overlap():
     a = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0,
@@ -602,21 +625,37 @@ def test_close_curves_get_the_fate_of_the_leg(name):
     assert cmp_.margin > 0.0
 
 
+def _descending_prefix(points):
+    """Longest prefix of points along which x1 strictly decreases."""
+    out = [points[0]]
+    for s in points[1:]:
+        if not s.x1 < out[-1].x1:
+            break
+        out.append(s)
+    return out
+
+
+def _interp(xs, ys, x):
+    """Piecewise-linear interpolation on ascending xs, x inside them."""
+    lo = min(bisect.bisect_right(xs, x), len(xs) - 1) - 1
+    t = (x - xs[lo]) / (xs[lo + 1] - xs[lo]) if xs[lo + 1] > xs[lo] else 0.0
+    return ys[lo] + t * (ys[lo + 1] - ys[lo])
+
+
 def _station_comparison(ws, wu):
     """The comparison the verdict came from before it was read off the
     leg's fate: the fan and the leg, both linearly interpolated, on 200
     even stations of their shared x1 range.  Returns (verdict, least
     |gap|), the verdict None where the gap changes sign, or None where
     the curves share no range."""
-    geo = sys.modules["predprey.geometry"]
-    leg = geo._descending_prefix(wu.points)[::-1]
+    leg = _descending_prefix(wu.points)[::-1]
     wu_x, wu_y = [s.x1 for s in leg], [s.x2 for s in leg]
     pts = sorted(ws.points, key=lambda s: s.x1)
     ws_x, ws_y = [s.x1 for s in pts], [s.x2 for s in pts]
     lo, hi = max(ws_x[0], wu_x[0]), min(ws_x[-1], wu_x[-1])
     if not lo < hi:
         return None
-    gaps = [geo._interp(ws_x, ws_y, x) - geo._interp(wu_x, wu_y, x)
+    gaps = [_interp(ws_x, ws_y, x) - _interp(wu_x, wu_y, x)
             for x in [lo + (hi - lo) * i / 199 for i in range(199)] + [hi]]
     margin = min(abs(g) for g in gaps)
     if all(g > 0.0 for g in gaps):

@@ -125,8 +125,8 @@ def test_the_predator_never_dies_in_finite_time(bistable_params):
     # for m2 = 0.5 as for m2 = 1: each run reaches its horizon, with x2 on
     # or above that bound at every stored state (a threshold on x2 would
     # only report the bound's own decay time, ln(0.5/1e-9)/a2 = 28.6 from
-    # the first start).  The prey starts at or below twice the threshold,
-    # so its event stays disarmed.
+    # the first start).  The prey starts below the threshold and never
+    # climbs to it, so no step falls through it.
     p = bistable_params
     assert p.m2 < 1.0
     for ic, horizon in (((1e-12, 0.5), 100.0), ((5e-10, 5e-10), 500.0)):
@@ -212,8 +212,7 @@ def _constant_field(v1, v2):
 def test_only_the_prey_crossing_is_located():
     # x2 falls through 0.5 at t = 0.1, unwatched; the prey reaches it at
     # t = 0.125, and the run ends there, with x2 read on the same extension
-    opts = IntegratorOptions(extinction_threshold=0.5)
-    traj = _run(_constant_field(-2.0, -1.0), (0.75, 0.6), opts, None, None)
+    traj = _run(_constant_field(-2.0, -1.0), (0.75, 0.6), IntegratorOptions(), floor=0.5)
     assert traj.termination.kind is TerminationKind.PREY_EXTINCT
     assert traj.termination.time == pytest.approx(0.125, rel=1e-14)
     assert traj.x1[-1] == pytest.approx(0.5, rel=1e-15)
@@ -228,13 +227,43 @@ def test_crossing_is_exact_where_the_solution_is_a_cubic():
     def f(x1, x2):
         return -3.0 * x2 * x2, 1.0
 
-    traj = _run(f, (1.0, 0.5), IntegratorOptions(extinction_threshold=0.25), None, None)
+    traj = _run(f, (1.0, 0.5), IntegratorOptions(), floor=0.25)
     root = 0.875 ** (1.0 / 3.0) - 0.5
     assert traj.termination.kind is TerminationKind.PREY_EXTINCT
     assert len(traj) > 2  # the crossing lies inside a step, not on the first
     assert traj.termination.time == pytest.approx(root, rel=2e-14)
     assert traj.x1[-1] == pytest.approx(0.25, rel=2e-14)
     assert traj.x2[-1] == pytest.approx(0.5 + root, rel=2e-14)
+
+
+def test_a_fall_through_the_floor_ends_the_run_whatever_came_before():
+    # x1 = 0.5*thr + s*t - t**2/2 with s = sqrt(2*thr) (x2 = t is the clock):
+    # from below the floor the prey peaks at 1.5*thr, short of the twice-thr
+    # level an arming rule would ask for, and falls through thr at
+    # t = sqrt(2*thr) + sqrt(thr), where the run ends
+    thr = 1e-9
+    s = math.sqrt(2.0 * thr)
+    traj = _run(lambda x1, x2: (s - x2, 1.0), (0.5 * thr, 0.0), IntegratorOptions(), floor=thr)
+    assert traj.termination.kind is TerminationKind.PREY_EXTINCT
+    assert traj.termination.time == pytest.approx(s + math.sqrt(thr), rel=1e-9)
+    assert max(traj.x1) < 1.5 * thr
+    assert traj.x1[-1] == pytest.approx(thr, rel=1e-9)
+
+
+def test_a_start_on_a_level_ends_at_t0_only_when_it_crosses():
+    opts = IntegratorOptions(horizon=3.0)
+    # falling from the floor, or climbing from the ceiling: the crossing is
+    # the start itself
+    down = _run(_constant_field(-1.0, 0.0), (0.5, 1.0), opts, floor=0.5)
+    up = _run(_constant_field(1.0, 0.0), (0.5, 1.0), opts, ceiling=0.5)
+    assert down.termination == Termination(TerminationKind.PREY_EXTINCT, 0.0)
+    assert up.termination == Termination(TerminationKind.BLOWUP, 0.0)
+    assert down.x1[-1] == up.x1[-1] == 0.5
+    # a run that passes down through its ceiling, or up through its floor,
+    # crosses neither level in the direction watched
+    for v, levels in ((-1.0, dict(ceiling=0.5)), (1.0, dict(floor=0.5))):
+        traj = _run(_constant_field(v, 0.0), (0.5 - 0.25 * v, 1.0), opts, **levels)
+        assert traj.termination == Termination(TerminationKind.HORIZON_REACHED, 3.0), levels
 
 
 def _exact_extension(th, y0, y1, hf0, hf1, q):
@@ -278,18 +307,13 @@ def test_locate_level_lands_on_the_level(y0, y1, hf0, hf1, q, level):
 # float for float.
 
 class _RefEvent:
+    """A downward level on one component: it fires on a step from on or
+    above the threshold to below it, whatever came before."""
+
     def __init__(self, index, threshold, kind):
         self.index = index
         self.threshold = threshold
         self.kind = kind
-        self.armed = False
-
-    def arm_for(self, value):
-        self.armed = value > self.threshold
-
-    def update_arming(self, value):
-        if not self.armed and value > 2.0 * self.threshold:
-            self.armed = True
 
 
 def _ref_initial_step(f, y1, y2, opts, direction_cap):
@@ -348,7 +372,7 @@ def _ref_try_step(f, y1, y2, k1, k2, h, opts):
     return True, (z1, z2, err, k1n, k2n, q1, q2)
 
 
-def _ref_run(f, ic, opts, events, stop_when, blowup_ceiling):
+def _ref_run(f, ic, opts, events, stop_when, ceiling):
     # the predicate gets a fresh field evaluation at each accepted state, so
     # the exact comparison also checks the loop's FSAL derivative
     t = 0.0
@@ -356,8 +380,6 @@ def _ref_run(f, ic, opts, events, stop_when, blowup_ceiling):
     traj = SimpleNamespace(times=[], states=[], termination=None)
     traj.times.append(t)
     traj.states.append(State(y1, y2))
-    for ev in events:
-        ev.arm_for((y1, y2)[ev.index])
     if stop_when is not None and stop_when(t, y1, y2, *f(y1, y2)):
         traj.termination = Termination(TerminationKind.STOPPED, t)
         return traj
@@ -391,9 +413,9 @@ def _ref_run(f, ic, opts, events, stop_when, blowup_ceiling):
         # continuous extension wins, the first listed a tie (the package
         # watches one level per run, so at most one is ever crossed)
         crossed = [(ev.index, ev.threshold, ev.kind) for ev in events
-                   if ev.armed and (z1, z2)[ev.index] < ev.threshold <= (y1, y2)[ev.index]]
-        if blowup_ceiling is not None and z1 > blowup_ceiling:
-            crossed.append((0, blowup_ceiling, TerminationKind.BLOWUP))
+                   if (z1, z2)[ev.index] < ev.threshold <= (y1, y2)[ev.index]]
+        if ceiling is not None and y1 <= ceiling < z1:
+            crossed.append((0, ceiling, TerminationKind.BLOWUP))
         ends = ((y1, z1, h * k1, h * k1n, q1), (y2, z2, h * k2, h * k2n, q2))
         fired = None
         for index, level, kind in crossed:
@@ -412,8 +434,6 @@ def _ref_run(f, ic, opts, events, stop_when, blowup_ceiling):
         t, y1, y2, k1, k2 = t_new, max(z1, 0.0), max(z2, 0.0), k1n, k2n
         traj.times.append(t)
         traj.states.append(State(y1, y2))
-        for ev in events:
-            ev.update_arming((y1, y2)[ev.index])
         if stop_when is not None and stop_when(t, y1, y2, *f(y1, y2)):
             traj.termination = Termination(TerminationKind.STOPPED, t)
             return traj
@@ -442,18 +462,19 @@ _K = TerminationKind
 _REFERENCE_CASES = {
     "osc_horizon_2000": (_OSC, (5.0, 1.0), dict(horizon=2000.0), None, _K.HORIZON_REACHED),
     "osc_touchdown": (_OSC, (0.3, 50.0), dict(horizon=100.0), None, _K.PREY_EXTINCT),
-    # prey below the threshold (its event never arms); the predator decays
+    # prey below the threshold, never climbing to it; the predator decays
     # like exp(-a2 t) with no event to end the run
     "bistable_predator_event": (_BISTABLE, (1e-12, 0.5), dict(horizon=100.0), None,
                                 _K.HORIZON_REACHED),
     "bistable_both_armed": (_BISTABLE, (3.0, 2.0), dict(horizon=2000.0), None,
                             _K.HORIZON_REACHED),
     "prey_on_axis": (_OSC, (0.0, 1.0), dict(horizon=50.0), None, _K.HORIZON_REACHED),
-    # the prey event starts unarmed, re-arms as the prey grows, then fires
+    # the prey starts below the threshold, climbs past it, then falls
+    # through it
     "prey_rearms": (with_params(_OSC, a1=2.0, b1=0.21), (5e-10, 1e-3), dict(horizon=500.0),
                     None, _K.PREY_EXTINCT),
-    # both start unarmed and scarce; the prey never re-arms, the predator
-    # decays with no event
+    # both start scarce, below the threshold; the prey never climbs to it,
+    # the predator decays with no event
     "predator_rearms": (_BISTABLE, (5e-10, 5e-10), dict(horizon=500.0), None,
                         _K.HORIZON_REACHED),
     # both components cross 0.5 in the first step; only the prey's is watched
@@ -547,7 +568,7 @@ def test_field_calls_count_six_per_trial_step(case, rejected, monkeypatch):
         return field
 
     if backward:
-        traj = _run(counting(p), ic, opts, stop_when, math.inf, -1.0)
+        traj = _run(counting(p), ic, opts, stop_when, sign=-1.0)
     else:
         monkeypatch.setattr(sys.modules["predprey.integrate"], "make_rhs", counting)
         traj = integrate(p, State(*ic), opts, stop_when=stop_when)
@@ -563,10 +584,10 @@ def test_field_failure_at_initial_condition_is_a_domain_error():
         return 1.0 / 0.0, 0.0
 
     with pytest.raises(DomainError, match="initial condition"):
-        run(field, (1.0, 1.0), IntegratorOptions(), None, None)
+        run(field, (1.0, 1.0), IntegratorOptions())
     # the field is evaluated before the predicate, which needs its value
     with pytest.raises(DomainError, match="initial condition"):
-        run(field, (1.0, 1.0), IntegratorOptions(), lambda t, x1, x2, dx1, dx2: True, None)
+        run(field, (1.0, 1.0), IntegratorOptions(), lambda t, x1, x2, dx1, dx2: True)
 
 
 def test_overflowing_trial_state_is_rejected():
@@ -578,7 +599,7 @@ def test_overflowing_trial_state_is_rejected():
         return 1e306, 0.0
 
     opts = IntegratorOptions(horizon=1.0)
-    got = run(field, (1.79e308, 1.0), opts, None, math.inf)
+    got = run(field, (1.79e308, 1.0), opts)
     ref = _ref_run(field, (1.79e308, 1.0), opts, (), None, None)
     assert got.termination.kind is TerminationKind.STEP_FAILURE
     assert all(math.isfinite(s.x1) for s in got.states)
@@ -594,7 +615,7 @@ def test_overflowing_trial_state_is_rejected():
 def test_backward_run_retraces_the_forward_run(p, ic):
     opts = IntegratorOptions(horizon=3.0)
     fwd = integrate(p, State(*ic), opts)
-    back = _run(make_rhs(p), (fwd.x1[-1], fwd.x2[-1]), opts, None, math.inf, -1.0)
+    back = _run(make_rhs(p), (fwd.x1[-1], fwd.x2[-1]), opts, sign=-1.0)
     assert back.termination.kind is TerminationKind.HORIZON_REACHED
     assert back.times[-1] == 3.0  # elapsed backward time
     assert all(b > a for a, b in zip(back.times, back.times[1:]))
@@ -606,14 +627,14 @@ def test_backward_run_retraces_the_forward_run(p, ic):
     # backward in time the prey on the empty predator axis decays like
     # exp(-a1 t), and with m2 < 1 a scarce predator beside plentiful prey
     # drains to zero in finite time (backward, the predator axis is reached
-    # as forward it is left): a run with a ceiling above anything it
-    # reaches arms no prey event, and no run watches the predator
+    # as forward it is left): a run handed no floor watches no prey event,
+    # and no run watches the predator
     (_OSC, (1e-6, 0.0), 0),
     (_BISTABLE, (8.0, 1e-6), 1),
 ], ids=["prey", "predator"])
 def test_backward_run_ends_in_no_extinction_event(p, ic, component):
     opts = IntegratorOptions(horizon=20.0)
-    traj = _run(make_rhs(p), ic, opts, None, math.inf, -1.0)
+    traj = _run(make_rhs(p), ic, opts, sign=-1.0)
     assert traj.termination.kind is TerminationKind.HORIZON_REACHED
     assert min((traj.x1, traj.x2)[component]) < opts.extinction_threshold
 
@@ -637,7 +658,7 @@ def test_backward_loop_matches_reference_exactly(case):
         d1, d2 = f(x1, x2)
         return -d1, -d2
 
-    got = _run(f, ic, opts, stop_when, math.inf, -1.0)
+    got = _run(f, ic, opts, stop_when, sign=-1.0)
     ref = _ref_run(negated, ic, opts, (), stop_when, None)
     assert got.termination.kind is kind
     assert repr(got.termination) == repr(ref.termination)
@@ -655,7 +676,7 @@ def test_continuous_extension_is_an_order_above_the_cubic(sign):
         return -x1, -3.0 * x2
 
     traj = sys.modules["predprey.integrate"]._run(
-        f, (1.0, 1.0), IntegratorOptions(rel_tol=1e-6, horizon=3.0), None, math.inf, sign)
+        f, (1.0, 1.0), IntegratorOptions(rel_tol=1e-6, horizon=3.0), sign=sign)
     worst = {"extension": 0.0, "cubic": 0.0}
     for i in range(len(traj) - 1):
         t0, h = traj.times[i], traj.times[i + 1] - traj.times[i]
@@ -699,10 +720,15 @@ def _kernel_draw() -> list[ModelParams]:
         ModelParams(**{**tiny_r, "m1": 0.5, "d": 0.3}, m2=0.5)]
 
 
+_FLOOR = dict(floor=IntegratorOptions().extinction_threshold)
+_CEILING = dict(ceiling=U_BLOWUP_CEILING)
+
+
 def _kernel_runs(p: ModelParams):
-    """(chart, field factory, ic, opts, stop_when, ceiling, sign) for
-    each run of p: events, predicates, the ceiling, backward runs, a step
-    failure and starts on an axis and off the field's domain."""
+    """(chart, field factory, ic, opts, stop_when, levels, sign) for
+    each run of p, levels the floor and ceiling keywords of _run: the
+    floor, predicates, the ceiling, backward runs, a step failure and
+    starts on an axis and off the field's domain."""
     cap, top = p.carrying_capacity, max(1.0, p.carrying_capacity)
     wide = IntegratorOptions(horizon=30.0)
     short = IntegratorOptions(horizon=5.0)
@@ -714,17 +740,17 @@ def _kernel_runs(p: ModelParams):
         return t > 0.5 and abs(dx1) + abs(dx2) < 1e-3 * (x1 + x2)
 
     runs = [
-        ("x", make_rhs, (0.3 * cap, 5.0 * top), wide, None, None, 1.0),
-        ("x", make_rhs, (0.3 * cap, 5.0 * top), wide, _turned, None, 1.0),
-        ("x", make_rhs, (0.05 * cap, 0.5), wide, slowing, None, 1.0),
-        ("x", make_rhs, (0.5 * cap, 0.0), wide, None, None, 1.0),
-        ("x", make_rhs, (1e-12, 0.5), wide, None, None, 1.0),
-        ("x", make_rhs, (0.5 * cap, 1.0), short, slowing, math.inf, -1.0),
-        ("x", make_rhs, (0.3 * cap, 5.0 * top), blocked, None, None, 1.0),
-        ("u", make_u_rhs, (1.0 / (0.3 * cap), 5.0 * top), wide, None, U_BLOWUP_CEILING, 1.0),
-        ("u", make_u_rhs, (10.0 / cap, 0.5), loose, None, U_BLOWUP_CEILING, 1.0),
-        ("u", make_u_rhs, (1.0 / (0.5 * cap), 1.0), loose, None, U_BLOWUP_CEILING, -1.0),
-        ("u", make_u_rhs, (-1.0, 1.0), wide, None, U_BLOWUP_CEILING, 1.0),
+        ("x", make_rhs, (0.3 * cap, 5.0 * top), wide, None, _FLOOR, 1.0),
+        ("x", make_rhs, (0.3 * cap, 5.0 * top), wide, _turned, _FLOOR, 1.0),
+        ("x", make_rhs, (0.05 * cap, 0.5), wide, slowing, _FLOOR, 1.0),
+        ("x", make_rhs, (0.5 * cap, 0.0), wide, None, _FLOOR, 1.0),
+        ("x", make_rhs, (1e-12, 0.5), wide, None, _FLOOR, 1.0),
+        ("x", make_rhs, (0.5 * cap, 1.0), short, slowing, {}, -1.0),
+        ("x", make_rhs, (0.3 * cap, 5.0 * top), blocked, None, _FLOOR, 1.0),
+        ("u", make_u_rhs, (1.0 / (0.3 * cap), 5.0 * top), wide, None, _CEILING, 1.0),
+        ("u", make_u_rhs, (10.0 / cap, 0.5), loose, None, _CEILING, 1.0),
+        ("u", make_u_rhs, (1.0 / (0.5 * cap), 1.0), loose, None, _CEILING, -1.0),
+        ("u", make_u_rhs, (-1.0, 1.0), wide, None, _CEILING, 1.0),
     ]
     k = 1.0 - p.m1
     target = (0.5 * cap) ** k
@@ -733,17 +759,17 @@ def _kernel_runs(p: ModelParams):
         return y >= target or (t > 0.0 and not dy > 0.0)
 
     runs += [
-        ("y", make_y_rhs, (1e-9 ** k, 2.0), short, reached, math.inf, -1.0),
-        ("y", make_y_rhs, ((0.3 * cap) ** k, 5.0 * top), wide, None, None, 1.0),
-        ("y", make_y_rhs, (1e-300 ** k, 1.0), short, None, None, 1.0),
-        ("y", make_y_rhs, (1e300, 1.0), wide, None, math.inf, 1.0),
+        ("y", make_y_rhs, (1e-9 ** k, 2.0), short, reached, {}, -1.0),
+        ("y", make_y_rhs, ((0.3 * cap) ** k, 5.0 * top), wide, None, _FLOOR, 1.0),
+        ("y", make_y_rhs, (1e-300 ** k, 1.0), short, None, _FLOOR, 1.0),
+        ("y", make_y_rhs, (1e300, 1.0), wide, None, {}, 1.0),
     ]
     return runs
 
 
-def _outcome(run, f, ic, opts, stop_when, ceiling, sign):
+def _outcome(run, f, ic, opts, stop_when, levels, sign):
     try:
-        traj = run(f, ic, opts, stop_when, ceiling, sign)
+        traj = run(f, ic, opts, stop_when, sign=sign, **levels)
     except DomainError as exc:
         return repr((exc, exc.__cause__)), None
     return repr((traj.times, traj.x1, traj.x2, traj.rejected, traj.termination)), traj
@@ -756,7 +782,7 @@ def test_chart_kernels_match_the_generic_loop_bit_for_bit():
     seen = set()
     stages_off_the_u_chart = 0
     for p in _kernel_draw():
-        for chart, factory, ic, opts, stop_when, ceiling, sign in _kernel_runs(p):
+        for chart, factory, ic, opts, stop_when, levels, sign in _kernel_runs(p):
             f = factory(p)
             calls = []
 
@@ -764,8 +790,8 @@ def test_chart_kernels_match_the_generic_loop_bit_for_bit():
                 calls.append(a)
                 return f(a, b)
 
-            got, traj = _outcome(mod._run, f, ic, opts, stop_when, ceiling, sign)
-            want, _ = _outcome(mod._run, plain, ic, opts, stop_when, ceiling, sign)
+            got, traj = _outcome(mod._run, f, ic, opts, stop_when, levels, sign)
+            want, _ = _outcome(mod._run, plain, ic, opts, stop_when, levels, sign)
             assert got == want, (chart, p, ic, sign)
             assert f.chart[0] in mod._KERNELS
             seen.add((chart, "raised" if traj is None else traj.termination.kind))
