@@ -21,9 +21,11 @@ model._with_field, which checks only that field.  The Newton evaluates
 each point once, and its Jacobian is exact in every row: F's, tr's and
 det's come with their values from one _scan_gradient, the chain rule on
 the field's derivative table in model (F = -f1 along the branch), and the
-linear residuals' rows are constant.  The same table gives the
-transversality speed and, through _field_partials, the first Lyapunov
-coefficient.
+linear residuals' rows are constant.  Each point reads the table only to
+the order it needs: the first for the F row alone (the continuation, the
+resampling and the tangents), the second where tr or det is a residual.
+The same table gives the transversality speed and, through
+_field_partials at third order, the first Lyapunov coefficient.
 
 On refuge sweeps the interior equilibrium collides with the predator-free
 state (transcritical) when x1*(r) = a1/b1, at
@@ -519,16 +521,27 @@ def transcritical_r(p: ModelParams) -> TranscriticalResult:
         r1* = (b1*d/a1) * a2**(1/m1) / (w1**(1/m1) - a2**(1/m1)).
 
     Requires m2 = 1 and w1 > a2.  Below r1* the predator cannot invade.
+    Where a power overflows (small m1), both values are taken from logs as
+    predator_nullcline_x1 takes x1*: with z = log(w1/a2)/m1, the
+    denominator over a2**(1/m1) is expm1(z), and its log is z past
+    z = 700; an as_printed beyond the largest float is inf.
     """
     if p.m2 != 1.0:
         raise DomainError("transcritical closed form requires m2 = 1")
     if p.w1 <= p.a2:
         raise DomainError("needs w1 > a2 for an interior branch to exist at all")
     em = 1.0 / p.m1
-    denom = p.w1 ** em - p.a2 ** em
     scale = p.b1 * p.d / p.a1
-    derived = scale * p.a2 ** em / denom
-    printed = scale * p.a1 ** em / denom
+    try:
+        denom = p.w1 ** em - p.a2 ** em
+        derived = scale * p.a2 ** em / denom
+        printed = scale * p.a1 ** em / denom
+    except OverflowError:  # each numerator over a2**em, from logs
+        z = em * math.log(p.w1 / p.a2)
+        log_denom = math.log(math.expm1(z)) if z < 700.0 else z
+        derived = scale * math.exp(-log_denom)
+        log_printed = em * math.log(p.a1 / p.a2) - log_denom
+        printed = scale * math.exp(log_printed) if log_printed < 709.78 else math.inf
     return TranscriticalResult(
         derived, printed,
         "operative value uses a2**(1/m1) in the numerator; the circulated "

@@ -118,7 +118,7 @@ def predator_nullcline_x1(p: ModelParams) -> float:
 
 def jacobian(point: State, p: ModelParams) -> tuple[tuple[float, float], tuple[float, float]]:
     """Exact Jacobian of the field at a point, from the field's derivative
-    table (G^(i) of G = g(r*x1), P^(j) of P = x2**m2).
+    table to first order (G, G' of G = g(r*x1), P, P' of P = x2**m2).
 
     Evaluable at interior points always; on an axis only when the touching
     exponent equals 1 (the limits are then finite).  Otherwise DomainError.
@@ -130,7 +130,7 @@ def jacobian(point: State, p: ModelParams) -> tuple[tuple[float, float], tuple[f
         raise DomainError("Jacobian singular on the prey axis for m1 < 1")
     if x2 == 0.0 and p.m2 < 1.0:
         raise DomainError("Jacobian singular on the predator axis for m2 < 1")
-    return _jacobian(x1, p, _g_derivatives(x1, p), _p_derivatives(x2, p.m2))
+    return _jacobian(x1, p, _g_derivatives(x1, p, 1), _p_derivatives(x2, p.m2, 1))
 
 
 def _jacobian(x1: float, p: ModelParams, G, P) -> tuple[tuple[float, float], tuple[float, float]]:
@@ -237,13 +237,39 @@ def _scan_gradient(x1: float, p: ModelParams, name: str, slopes: bool = False):
         a1: (x1, 1, 0, 0, k*x1, 0, 0, 0)     b1: (-x1**2, -2*x1, 0, 0, -k*x1**2, 0, 0, 0)
         a2: (0, 0, 0, 0, -x2/a2, 0, 0, 1)     w0: (0, 0, 0, 0, -x2/w0, 1, 0, 0)
         w1: (0, 0, 0, 0, x2/w1, 0, 1, 0)      r: (0, 0, x1*G'/r, (G' + x1*G'')/r, 0, 0, 0, 0)
+
+    The F row reads only G, G', P and P', and the Newton asks for it alone
+    at nearly every point, so without slopes it is formed straight from
+    the first-order table and the (d(x1*f), dG, dx2, dw0) part of the
+    `name` row: the same floats as the slopes call's F row.  The slopes
+    call reads the second-order table.
     """
     a1, a2, b1, w0, w1 = p.a1, p.a2, p.b1, p.w0, p.w1
     f = a1 - b1 * x1
     k = w1 / (w0 * a2)
     x2 = k * x1 * f
-    G, P = _g_derivatives(x1, p), _p_derivatives(x2, p.m2)
-    (G0, G1, G2, _), (P0, P1, P2, _) = G, P
+    if not slopes:
+        (G0, G1), (P0, P1) = _g_derivatives(x1, p, 1), _p_derivatives(x2, p.m2, 1)
+        if name == "a1":
+            dxf, dg0, dx2, dw0 = x1, 0.0, k * x1, 0.0
+        elif name == "b1":
+            dxf, dg0, dx2, dw0 = -x1 * x1, 0.0, -k * x1 * x1, 0.0
+        elif name == "a2":
+            dxf, dg0, dx2, dw0 = 0.0, 0.0, -x2 / a2, 0.0
+        elif name == "w0":
+            dxf, dg0, dx2, dw0 = 0.0, 0.0, -x2 / w0, 1.0
+        elif name == "w1":
+            dxf, dg0, dx2, dw0 = 0.0, 0.0, x2 / w1, 0.0
+        elif name == "r":
+            dxf, dg0, dx2, dw0 = 0.0, x1 * G1 / p.r, 0.0, 0.0
+        else:
+            raise DomainError(f"no closed-form partial of F in {name!r}")
+        l1 = a1 - 2.0 * b1 * x1
+        i00, i01 = G0 * P0, G0 * P1
+        return ((w0 * i00 - x1 * f, w0 * (G1 * P0 + i01 * (k * l1)) - l1,
+                 w0 * (dg0 * P0 + i01 * dx2) + dw0 * i00 - dxf),)
+    G, P = _g_derivatives(x1, p, 2), _p_derivatives(x2, p.m2, 2)
+    (G0, G1, G2), (P0, P1, P2) = G, P
     if name == "a1":
         across = (x1, 1.0, 0.0, 0.0, k * x1, 0.0, 0.0, 0.0)
     elif name == "b1":
@@ -264,8 +290,6 @@ def _scan_gradient(x1: float, p: ModelParams, name: str, slopes: bool = False):
     F = [w0 * i00 - x1 * f]  # the field's association, w0*(G*P)
     for dxf, _, dg0, _, dx2, dw0, _, _ in rows:
         F.append(w0 * (dg0 * P0 + i01 * dx2) + dw0 * i00 - dxf)
-    if not slopes:
-        return (tuple(F),)
     (j11, j12), (j21, j22) = _jacobian(x1, p, G, P)
     tr, det = [j11 + j22], [j11 * j22 - j12 * j21]
     for _, dl1, dg0, dg1, dx2, dw0, dw1, da2 in rows:

@@ -185,6 +185,10 @@ def predator_nullcline(p: ModelParams, x2_max: float, n: int = 2) -> PlanarCurve
 
 # The manifold's seed lies this fraction of a1/b1 off E1.
 _E1_SEED_SCALE = 1e-6
+# The leg runs at most this multiple of the options' horizon: E1's unstable
+# eigenvalue sets the time it takes to leave E1, and near E1's
+# transcritical point that time has no bound.
+_E1_HORIZON_FACTOR = 10.0
 
 
 def trace_unstable_manifold_E1(
@@ -199,9 +203,15 @@ def trace_unstable_manifold_E1(
     into the open quadrant.  The run is an `integrate` run that stops on
     the launches' own test, `_turned`: it ends at the leg's first turn, the
     first accepted state with dx1/dt > 0 (the curve's last point), at the
-    prey-extinction event, or at the horizon of opts; `end` records which,
-    the fate separatrix_relative_position reads.  No guard is needed:
+    prey-extinction event, or at the horizon; `end` records which, the fate
+    separatrix_relative_position reads.  No guard is needed:
     Q = x1 + (w0/w1)*x2 keeps x2 <= (w1/w0)*max(Q(0), W1/a2) on every run.
+
+    The seed's offset grows like exp(lu*t), lu being E1's unstable
+    eigenvalue, so the leg takes about ln(1/_E1_SEED_SCALE)/lu to leave
+    E1; the horizon is max(opts.horizon, (ln(1/_E1_SEED_SCALE) + 20)/lu).
+    Where that exceeds _E1_HORIZON_FACTOR * opts.horizon (lu near 0, close
+    to E1's transcritical point), DomainError names lu.
     """
     e1 = predator_free_equilibrium(p)
     if e1.classification.name == "NON_LINEARIZABLE":
@@ -218,7 +228,13 @@ def trace_unstable_manifold_E1(
     cap = p.carrying_capacity
     seed = State(e1.point.x1 + _E1_SEED_SCALE * cap * v1,
                  e1.point.x2 + _E1_SEED_SCALE * cap * v2)
-    traj = integrate(p, seed, opts, stop_when=_turned)
+    horizon = max(opts.horizon, (math.log(1.0 / _E1_SEED_SCALE) + 20.0) / j22)
+    if horizon > _E1_HORIZON_FACTOR * opts.horizon:
+        raise DomainError(
+            f"E1's unstable eigenvalue {j22!r} is too small: its leg needs about "
+            f"{horizon:.6g} time units to leave E1, past {_E1_HORIZON_FACTOR:g} times "
+            f"the horizon {opts.horizon!r}")
+    traj = integrate(p, seed, replace(opts, horizon=horizon), stop_when=_turned)
     end = traj.termination.kind
     if end is TerminationKind.STEP_FAILURE:
         raise DomainError(f"manifold trace failed: {traj.termination.reason}")

@@ -38,10 +38,12 @@ integrator writes the same text inline into its loop (integrate._kernel),
 so the formula has one home and both give the same floats.
 
 The field's partials have their one home here: the derivatives of
-G = g(r*x1) and P = x2**m2 up to third order (_g_derivatives,
-_p_derivatives), and the table of the field's partials built from them
-(_field_partials).  The Jacobian, the bifurcation Newton's rows and the
-first Lyapunov coefficient all read them.
+G = g(r*x1) and P = x2**m2 up to a given order, at most the third
+(_g_derivatives, _p_derivatives), and the table of the field's partials
+to third order built from them (_field_partials).  Each reader asks for
+the orders it reads: the Jacobian (and so every classified equilibrium)
+and the bifurcation Newton's F rows the first, its tr and det rows the
+second, and the first Lyapunov coefficient the third.
 """
 from __future__ import annotations
 
@@ -265,11 +267,11 @@ def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
 #
 # with G = g(r*x1) and P = x2**m2, so every partial is a product G^(i)*P^(j).
 
-def _g_derivatives(x1: float, p: ModelParams) -> tuple[float, float, float, float]:
-    """(G, G', G'', G''') in x1 of G = g(r*x1), x1 > 0 (x1 >= 0 at m1 = 1),
-    with G from _response.  By Faa di Bruno on t**m1 with t = r*x1/q,
-    q = r*x1 + d, c = r/q:  t' = r*d/q**2, t'' = -2*c*t', t''' = -3*c*t'',
-    so with rho = t'/t = d/(x1*q)
+def _g_derivatives(x1: float, p: ModelParams, order: int) -> tuple[float, ...]:
+    """(G, G', ...) in x1 of G = g(r*x1) up to the order (1, 2 or 3), x1 > 0
+    (x1 >= 0 at m1 = 1), with G from _response.  By Faa di Bruno on t**m1
+    with t = r*x1/q, q = r*x1 + d, c = r/q:  t' = r*d/q**2,
+    t'' = -2*c*t', t''' = -3*c*t'', so with rho = t'/t = d/(x1*q)
 
         G'   = m1*G*rho
         G''  = G'*((m1 - 1)*rho - 2*c)
@@ -279,38 +281,48 @@ def _g_derivatives(x1: float, p: ModelParams) -> tuple[float, float, float, floa
     G'' are negative or zero and every term of G''' is positive, so nothing
     cancels (the log-derivative recurrence cancels 1/x1**3 terms near the
     axis at m1 = 1).  At m1 = 1, G = t and the rest are t', t'', t''', so
-    the axis x1 = 0 is no special case."""
+    the axis x1 = 0 is no special case.  A lower order computes nothing it
+    does not return, and its entries are a higher order's bit for bit."""
     r, d, m1 = p.r, p.d, p.m1
     G = _response(x1, r, d, m1)
     q = r * x1 + d
-    c = r / q
     if m1 == 1.0:
         t1 = r * d / (q * q)
+        if order == 1:
+            return G, t1
+        c = r / q
         t2 = -2.0 * c * t1
-        return G, t1, t2, -3.0 * c * t2
+        return (G, t1, t2) if order == 2 else (G, t1, t2, -3.0 * c * t2)
     rho = d / (x1 * q)
     g1 = m1 * G * rho
+    if order == 1:
+        return G, g1
+    c = r / q
     u = (m1 - 1.0) * rho
-    return (G, g1, g1 * (u - 2.0 * c),
-            g1 * (u * ((m1 - 2.0) * rho - 6.0 * c) + 6.0 * c * c))
+    g2 = g1 * (u - 2.0 * c)
+    if order == 2:
+        return G, g1, g2
+    return G, g1, g2, g1 * (u * ((m1 - 2.0) * rho - 6.0 * c) + 6.0 * c * c)
 
 
-def _p_derivatives(x2: float, m2: float) -> tuple[float, float, float, float]:
-    """(P, P', P'', P''') of P = x2**m2, x2 > 0 (x2 >= 0 at m2 = 1):
-    falling factorials of m2."""
+def _p_derivatives(x2: float, m2: float, order: int) -> tuple[float, ...]:
+    """(P, P', ...) of P = x2**m2 up to the order (1, 2 or 3), x2 > 0
+    (x2 >= 0 at m2 = 1): falling factorials of m2."""
     if m2 == 1.0:
-        return x2, 1.0, 0.0, 0.0
+        return (x2, 1.0, 0.0, 0.0)[:order + 1]
     p0 = x2 ** m2
     p1 = m2 * p0 / x2
+    if order == 1:
+        return p0, p1
     p2 = (m2 - 1.0) * p1 / x2
-    return p0, p1, p2, (m2 - 2.0) * p2 / x2
+    return (p0, p1, p2) if order == 2 else (p0, p1, p2, (m2 - 2.0) * p2 / x2)
 
 
 def _field_partials(x1: float, x2: float, p: ModelParams) -> dict[tuple[int, int], tuple[float, float]]:
     """D[i, j] = (d^(i+j) f1, d^(i+j) f2) / dx1^i dx2^j at an interior point,
     i + j <= 3:  D(i, j) = (l_i*[j=0] - w0*G^(i)*P^(j), m_j*[i=0] + w1*G^(i)*P^(j))
     with l = (a1*x1 - b1*x1**2, a1 - 2*b1*x1, -2*b1, 0), m = (-a2*x2, -a2, 0, 0)."""
-    G, P = _g_derivatives(x1, p), _p_derivatives(x2, p.m2)
+    G, P = _g_derivatives(x1, p, 3), _p_derivatives(x2, p.m2, 3)
     ell = (x1 * (p.a1 - p.b1 * x1), p.a1 - 2.0 * p.b1 * x1, -2.0 * p.b1, 0.0)
     lam = (-p.a2 * x2, -p.a2, 0.0, 0.0)
     return {(i, j): ((0.0 if j else ell[i]) - p.w0 * G[i] * P[j],

@@ -27,7 +27,7 @@ from predprey import (
 )
 from predprey import bifurcation
 from predprey.bifurcation import SWEEPABLE, _lyapunov_of_field
-from predprey.equilibria import _scan_gradient, jacobian, x2_of_x1
+from predprey.equilibria import _jacobian, _scan_gradient, jacobian, x2_of_x1
 from predprey.model import _g_derivatives, _p_derivatives, make_rhs
 
 
@@ -116,6 +116,24 @@ def test_transcritical_closed_form(osc_params):
     assert tc.as_printed == pytest.approx(0.08045047448148425, rel=1e-12)
     assert tc.r1_star == tc.as_derived
     assert "typo" in tc.note
+
+
+def test_transcritical_r_at_small_m1_comes_from_logs(osc_params):
+    # at m1 = 5e-4, w1**(1/m1) = 2**2000 overflows: r1* =
+    # (b1*d/a1)/expm1(log(w1/a2)/m1) is taken from logs, as
+    # predator_nullcline_x1 takes x1*; 40-digit mpmath on the same floats
+    # (the error is log(w1/a2)'s rounding, amplified by 1/m1)
+    p = with_params(osc_params, a2=1.9, m1=5e-4)
+    with mpmath.workdps(40):
+        a1, a2, b1, w1, d, m1 = (mpmath.mpf(v) for v in (p.a1, p.a2, p.b1, p.w1, p.d, p.m1))
+        want = b1 * d / a1 * a2 ** (1 / m1) / (w1 ** (1 / m1) - a2 ** (1 / m1))
+    tc = transcritical_r(p)
+    assert tc.as_derived == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    assert tc.as_printed == 0.0  # (a1/a2)**2000 = 3.7e-1047 of the above
+    # with a1 > w1 the circulated variant, about 1.5**2000, is past any float
+    big = transcritical_r(with_params(p, a1=3.0, b1=0.315))
+    assert big.as_derived == pytest.approx(float(want), rel=1e-12, abs=0.0)
+    assert big.as_printed == math.inf
 
 
 def test_transcritical_needs_m2_one(bistable_params):
@@ -467,9 +485,32 @@ def test_g_and_p_derivatives_match_mpmath(p, e):
         r, d, m1, m2 = (mpmath.mpf(v) for v in (p.r, p.d, p.m1, p.m2))
         want_g = [mpmath.diff(lambda x: (r * x / (r * x + d)) ** m1, x1, k) for k in range(4)]
         want_p = [mpmath.diff(lambda x: x ** m2, x2, k) for k in range(4)]
-    for got, want in ((_g_derivatives(x1, p), want_g), (_p_derivatives(x2, p.m2), want_p)):
+    for got, want in ((_g_derivatives(x1, p, 3), want_g), (_p_derivatives(x2, p.m2, 3), want_p)):
         for k in range(4):
             assert got[k] == pytest.approx(float(want[k]), rel=1e-13, abs=0.0), (k, got, want)
+
+
+def _bits(xs):
+    return [x.hex() for x in xs]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=DOMAIN, e=st.floats(-9.0, math.log10(0.999)))
+@example(p=TINY_R_M2_HALF, e=math.log10(0.4))
+def test_lower_orders_are_the_third_orders_floats(p, e):
+    # each reader asks for the orders it reads: a lower order is the
+    # third order's prefix, bit for bit, so are jacobian (first order) and
+    # the Newton's F-only row (first order, against the second-order call)
+    x1 = 10.0 ** e * p.carrying_capacity
+    x2 = x2_of_x1(x1, p)
+    G, P = _g_derivatives(x1, p, 3), _p_derivatives(x2, p.m2, 3)
+    for order in (1, 2):
+        assert _bits(_g_derivatives(x1, p, order)) == _bits(G[:order + 1])
+        assert _bits(_p_derivatives(x2, p.m2, order)) == _bits(P[:order + 1])
+    assert _bits(sum(jacobian(State(x1, x2), p), ())) == _bits(sum(_jacobian(x1, p, G, P), ()))
+    for name in SWEEPABLE:
+        (row,) = _scan_gradient(x1, p, name)
+        assert _bits(row) == _bits(_scan_gradient(x1, p, name, True)[0]), name
 
 
 # Absolute floor of the tr/det row check, as a fraction of the row's natural
@@ -493,7 +534,7 @@ def _check_tr_det_slopes(p, x1):
     cap = p.carrying_capacity
     room = (cap - x1) / cap
     x2 = x2_of_x1(x1, p)
-    G, P = _g_derivatives(x1, p), _p_derivatives(x2, p.m2)
+    G, P = _g_derivatives(x1, p, 1), _p_derivatives(x2, p.m2, 1)
     terms = p.a1 + 2.0 * p.b1 * x1 + p.a2 + (p.w0 + p.w1) * (G[1] * P[0] + G[0] * P[1])
     h_x1 = 1e-3 * min(x1, cap - x1)
     want_x1 = [_richardson(lambda x: _tr_det(x, p)[k], x1, h_x1) for k in (0, 1)]

@@ -156,6 +156,45 @@ def test_separatrix_command(tmp_path):
     assert (out / "manifold_wu.csv").exists()
 
 
+# Two sets of random.Random(3)'s 200-set draw of the fan's domain (the
+# generator of test_geometry.py's 40-set check, run to 200), with E1's
+# unstable eigenvalue 0.0158 and 0.0171: the leg needs about
+# (ln(1e6) + 20)/lu = 2 140 and 1 980 time units to leave E1, against the
+# horizon 500, where it read horizon_reached still next to E1 and met no
+# probe.  Run that long, it falls monotonically onto an interior
+# equilibrium, (0.61356, 0.02560) and (2.49379, 4.86509).
+SLOW_LEGS = {
+    "set_90": (dict(a1=0.40329474886873923, a2=0.3404754297647522, b1=0.6125692795158948,
+                    w0=4.003310097230463, w1=2.0722483727300887, d=4.74417937156801,
+                    m1=0.6978930845954732, r=0.6285732916150433), "0.90133379476193376"),
+    "set_178": (dict(a1=2.89121300526122, a2=0.778371184597891, b1=0.7550809865145779,
+                     w0=0.5524865127637486, w1=0.8321332020113115, d=0.27008835347823873,
+                     m1=0.31188773165591643, r=0.4535326215766993), "1.7092864873234239"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOW_LEGS))
+def test_separatrix_runs_a_slow_leg_until_it_leaves_e1(tmp_path, name):
+    values, margin = SLOW_LEGS[name]
+    cfg = write(tmp_path / "slow.ini", "[model]\n" + "".join(
+        f"{k} = {v!r}\n" for k, v in {**values, "m2": 1.0}.items()))
+    out = tmp_path / "out"
+    assert cli.main(["separatrix", "--config", cfg, "--out", str(out)]) == 0
+    report = (out / "report.txt").read_text().splitlines()
+    for line in ("verdict: ws_above_wu", "manifold_end: horizon_reached",
+                 "contradicted_probes: 0", f"margin: {margin}"):
+        assert line in report
+
+
+def test_separatrix_names_the_eigenvalue_of_a_leg_that_cannot_leave_e1(tmp_path, capsys):
+    # at r = 1.001*r1* E1's unstable eigenvalue is 4.63e-4, and its leg
+    # would need 73 000 time units; the error said only that no probe lay
+    # in the leg's x1 range [9.5238018, 9.5238034]
+    cfg = write(tmp_path / "near.ini", MODEL + "r = 0.15250132755751517\n")
+    assert cli.main(["separatrix", "--config", cfg, "--out", str(tmp_path / "o")]) == 1
+    assert "unstable eigenvalue 0.000463419736993" in capsys.readouterr().err
+
+
 def test_separatrix_refuses_m2_below_1_before_any_launch(tmp_path, capsys, monkeypatch):
     # E1 is not linearizable for m2 < 1, so the manifold refuses BISTABLE:
     # the command exits 1 before a single separatrix launch or probe
@@ -284,6 +323,18 @@ def test_transcritical_edge_root_exits_0(tmp_path, capsys, transcritical_edge_pa
     rows = (tmp_path / "o" / "equilibria.csv").read_text().splitlines()
     assert len([r for r in rows if r.startswith("interior,")]) == 1
     assert capsys.readouterr().out.startswith("1 interior equilibria")
+
+
+def test_refuge_sweep_at_small_m1_exits_0(tmp_path, capsys):
+    # at m1 = 5e-4, w1**(1/m1) = 2**2000 overflowed in transcritical_r and
+    # the sweep exited 1; r1* = 5.88e-46 lies far below the range
+    cfg = write(tmp_path / "small.ini", MODEL.replace("a2 = 1.0", "a2 = 1.9").replace(
+        "m1 = 0.8", "m1 = 5e-4") + "\n[sweep]\nparam = r\nlo = 0.3\nhi = 0.9\nn = 41\n")
+    assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path / "o")]) == 0
+    report = (tmp_path / "o" / "report.txt").read_text().splitlines()
+    assert "events: 0" in report
+    assert any(line.startswith("flag: transcritical closed form as_derived = 5.8807114786")
+               for line in report)
 
 
 @pytest.mark.parametrize("m2", ["0.5", "5e-324"])
