@@ -16,12 +16,14 @@ ends.  Every point solve is the one damped 2-D Newton iteration on
 node meets a saddle), tr J for Hopf points (kept with det > 0; the first
 Lyapunov coefficient fixes sub/supercritical), v - v_i for the
 equilibrium at a fixed v_i, or the arclength constraint in the
-continuation corrector.  The swept value enters each point through
-model._with_field, which checks only that field.  The Newton evaluates
-each point once, and its Jacobian is exact in every row: F's, tr's and
-det's come with their values from one _scan_gradient, the chain rule on
-the field's derivative table in model (F = -f1 along the branch), and the
-linear residuals' rows are constant.  Each point reads the table only to
+continuation corrector.  The swept value enters each point as a float:
+the residual checks its range against a bound fixed once per system and
+passes it with the base set to _scan_gradient, so no parameter set is
+built per point.  The Newton evaluates each point once, and its Jacobian
+is exact in every row: F's, tr's and det's come with their values from
+one _scan_gradient, the chain rule on the field's derivative table in
+model (F = -f1 along the branch), and the linear residuals' rows are
+constant.  Each point reads the table only to
 the order it needs: the first for the F row alone (the continuation, the
 resampling and the tangents), the second where tr or det is a residual.
 The same table gives the transversality speed and, through
@@ -41,6 +43,7 @@ from __future__ import annotations
 
 import enum
 import math
+import sys
 from dataclasses import dataclass
 
 # interior_scan_function and make_rhs are unused here; they stay because the
@@ -61,7 +64,6 @@ from .model import (  # noqa: F401
     ParameterError,
     State,
     _field_partials,
-    _with_field,
     make_rhs,
     with_params,
 )
@@ -136,20 +138,23 @@ def _residual(p: ModelParams, name: str, second, grad: tuple[float, float] | Non
     (F, s) with its exact Jacobian columns ((F_x1, s_x1), (F_v, s_v)), or
     None outside the parameter domain or the interior scan window.  s is
     second(x1, v), linear with the constant gradient grad, or, with grad
-    None, second is _TR or _DET and s is tr J or det J.  Each point builds
-    its parameters once and takes every entry from one _scan_gradient."""
+    None, second is _TR or _DET and s is tr J or det J.  v is checked in
+    place against the domain 0 < v <= top of the parameter name (top 1 for
+    r, the largest float otherwise: exactly the floats model._range_error
+    accepts), and each point takes every entry from one _scan_gradient on
+    the base set p with v passed as a float."""
+    top = 1.0 if name == "r" else sys.float_info.max
 
     def system(x1: float, v: float):
-        pv = _with_field(p, name, v)
-        if pv is None:
+        if not 0.0 < v <= top:
             return None
-        cap = pv.a1 / pv.b1
+        cap = _cap(p, name, v)
         if not 1e-9 * cap < x1 < (1.0 - 1e-9) * cap:
             return None
         if grad is not None:
-            (F, F_x1, F_v), = _scan_gradient(x1, pv, name)
+            (F, F_x1, F_v), = _scan_gradient(x1, p, name, v)
             return (F, second(x1, v)), ((F_x1, grad[0]), (F_v, grad[1]))
-        rows = _scan_gradient(x1, pv, name, True)
+        rows = _scan_gradient(x1, p, name, v, True)
         (F, F_x1, F_v), (s, s_x1, s_v) = rows[0], rows[second]
         return (F, s), ((F_x1, s_x1), (F_v, s_v))
 
@@ -389,12 +394,12 @@ def detect_saddle_node(branch: Branch) -> list[BifurcationEvent]:
             if z is None or not branch.samples[0] <= z[1] <= branch.samples[-1]:
                 continue
             x1s, vs = z
-            pv = branch.params_at(vs)
-            (_, _, f_v), (tr, _, _), (det, _, _) = _scan_gradient(x1s, pv, name, True)
+            (_, _, f_v), (tr, _, _), (det, _, _) = _scan_gradient(x1s, p, name, vs, True)
             if tr < 0.0:
                 events.append(BifurcationEvent(
                     BifurcationKind.SADDLE_NODE, name, vs,
-                    State(x1s, x2_of_x1(x1s, pv)), {"tr": tr, "det": det, "dF_dparam": f_v}))
+                    State(x1s, x2_of_x1(x1s, branch.params_at(vs))),
+                    {"tr": tr, "det": det, "dF_dparam": f_v}))
     return _dedupe(events)
 
 
@@ -445,14 +450,14 @@ def detect_hopf(branch: Branch, scan_points: int | None = None) -> list[Bifurcat
     p, name = branch.base_params, branch.param_name
     events: list[BifurcationEvent] = []
     for x1s, v_star in _trace_crossings(branch):
-        pv = branch.params_at(v_star)
-        (_, f_x1, f_v), (tr, tr_x1, tr_v), (det, _, _) = _scan_gradient(x1s, pv, name, True)
+        (_, f_x1, f_v), (tr, tr_x1, tr_v), (det, _, _) = _scan_gradient(
+            x1s, p, name, v_star, True)
         if not (det > 0.0 and abs(tr) < 1e-8):
             continue
         slope = tr_v - tr_x1 * f_v / f_x1  # F_x1 = det/a2 along the branch, > 0 here
         if abs(slope) < 1e-8:
             continue
-        point = State(x1s, x2_of_x1(x1s, pv))
+        point = State(x1s, x2_of_x1(x1s, branch.params_at(v_star)))
         lyap = first_lyapunov_coefficient(
             p, BifurcationEvent(BifurcationKind.HOPF, name, v_star, point, {}))
         events.append(BifurcationEvent(

@@ -130,14 +130,16 @@ def jacobian(point: State, p: ModelParams) -> tuple[tuple[float, float], tuple[f
         raise DomainError("Jacobian singular on the prey axis for m1 < 1")
     if x2 == 0.0 and p.m2 < 1.0:
         raise DomainError("Jacobian singular on the predator axis for m2 < 1")
-    return _jacobian(x1, p, _g_derivatives(x1, p, 1), _p_derivatives(x2, p.m2, 1))
+    return _jacobian(x1, p.a1, p.a2, p.b1, p.w0, p.w1,
+                     _g_derivatives(x1, p.r, p.d, p.m1, 1), _p_derivatives(x2, p.m2, 1))
 
 
-def _jacobian(x1: float, p: ModelParams, G, P) -> tuple[tuple[float, float], tuple[float, float]]:
-    """The Jacobian (D[1, 0], D[0, 1] of _field_partials, as rows) from G
-    and P with their derivatives at the point."""
-    return ((p.a1 - 2.0 * p.b1 * x1 - p.w0 * G[1] * P[0], -p.w0 * G[0] * P[1]),
-            (p.w1 * G[1] * P[0], -p.a2 + p.w1 * G[0] * P[1]))
+def _jacobian(x1: float, a1: float, a2: float, b1: float, w0: float, w1: float,
+              G, P) -> tuple[tuple[float, float], tuple[float, float]]:
+    """The Jacobian (D[1, 0], D[0, 1] of _field_partials, as rows) from the
+    rates and from G and P with their derivatives at the point."""
+    return ((a1 - 2.0 * b1 * x1 - w0 * G[1] * P[0], -w0 * G[0] * P[1]),
+            (w1 * G[1] * P[0], -a2 + w1 * G[0] * P[1]))
 
 
 def _eig2(tr: float, det: float) -> tuple[complex, complex]:
@@ -215,12 +217,15 @@ def interior_scan_function(p: ModelParams):
     return F
 
 
-def _scan_gradient(x1: float, p: ModelParams, name: str, slopes: bool = False):
+def _scan_gradient(x1: float, p: ModelParams, name: str, v: float, slopes: bool = False):
     """The rows (F, F_x1, F_v) and, with slopes, (tr, tr_x1, tr_v) and
-    (det, det_x1, det_v) of interior_scan_function(p) and of jacobian's
-    trace and determinant along the branch x2 = x2_of_x1(x1; v), v being
-    the parameter `name` (one of a1, a2, b1, w0, w1, r).  F, tr and det are
-    those functions' values bit for bit (F to the sign of a zero).
+    (det, det_x1, det_v) of interior_scan_function and of jacobian's trace
+    and determinant along the branch x2 = x2_of_x1(x1; v), at p with the
+    parameter `name` (one of a1, a2, b1, w0, w1, r) set to v.  v enters
+    as a float: p's own value of `name` is never read, and no parameter
+    set is built, so the caller checks v's range.  F, tr and det are those
+    functions' values at with_params(p, name=v) bit for bit (F to the sign
+    of a zero).
 
     Exact on the Newton window 1e-9*cap < x1 < (1-1e-9)*cap, where x1, f
     and x2 are positive, by the chain rule on the field's derivative table
@@ -244,12 +249,17 @@ def _scan_gradient(x1: float, p: ModelParams, name: str, slopes: bool = False):
     `name` row: the same floats as the slopes call's F row.  The slopes
     call reads the second-order table.
     """
-    a1, a2, b1, w0, w1 = p.a1, p.a2, p.b1, p.w0, p.w1
+    a1 = v if name == "a1" else p.a1
+    a2 = v if name == "a2" else p.a2
+    b1 = v if name == "b1" else p.b1
+    w0 = v if name == "w0" else p.w0
+    w1 = v if name == "w1" else p.w1
+    r = v if name == "r" else p.r
     f = a1 - b1 * x1
     k = w1 / (w0 * a2)
     x2 = k * x1 * f
     if not slopes:
-        (G0, G1), (P0, P1) = _g_derivatives(x1, p, 1), _p_derivatives(x2, p.m2, 1)
+        (G0, G1), (P0, P1) = _g_derivatives(x1, r, p.d, p.m1, 1), _p_derivatives(x2, p.m2, 1)
         if name == "a1":
             dxf, dg0, dx2, dw0 = x1, 0.0, k * x1, 0.0
         elif name == "b1":
@@ -261,14 +271,14 @@ def _scan_gradient(x1: float, p: ModelParams, name: str, slopes: bool = False):
         elif name == "w1":
             dxf, dg0, dx2, dw0 = 0.0, 0.0, x2 / w1, 0.0
         elif name == "r":
-            dxf, dg0, dx2, dw0 = 0.0, x1 * G1 / p.r, 0.0, 0.0
+            dxf, dg0, dx2, dw0 = 0.0, x1 * G1 / r, 0.0, 0.0
         else:
             raise DomainError(f"no closed-form partial of F in {name!r}")
         l1 = a1 - 2.0 * b1 * x1
         i00, i01 = G0 * P0, G0 * P1
         return ((w0 * i00 - x1 * f, w0 * (G1 * P0 + i01 * (k * l1)) - l1,
                  w0 * (dg0 * P0 + i01 * dx2) + dw0 * i00 - dxf),)
-    G, P = _g_derivatives(x1, p, 2), _p_derivatives(x2, p.m2, 2)
+    G, P = _g_derivatives(x1, r, p.d, p.m1, 2), _p_derivatives(x2, p.m2, 2)
     (G0, G1, G2), (P0, P1, P2) = G, P
     if name == "a1":
         across = (x1, 1.0, 0.0, 0.0, k * x1, 0.0, 0.0, 0.0)
@@ -281,7 +291,7 @@ def _scan_gradient(x1: float, p: ModelParams, name: str, slopes: bool = False):
     elif name == "w1":
         across = (0.0, 0.0, 0.0, 0.0, x2 / w1, 0.0, 1.0, 0.0)
     elif name == "r":
-        across = (0.0, 0.0, x1 * G1 / p.r, (G1 + x1 * G2) / p.r, 0.0, 0.0, 0.0, 0.0)
+        across = (0.0, 0.0, x1 * G1 / r, (G1 + x1 * G2) / r, 0.0, 0.0, 0.0, 0.0)
     else:
         raise DomainError(f"no closed-form partial of F in {name!r}")
     l1 = a1 - 2.0 * b1 * x1
@@ -290,7 +300,7 @@ def _scan_gradient(x1: float, p: ModelParams, name: str, slopes: bool = False):
     F = [w0 * i00 - x1 * f]  # the field's association, w0*(G*P)
     for dxf, _, dg0, _, dx2, dw0, _, _ in rows:
         F.append(w0 * (dg0 * P0 + i01 * dx2) + dw0 * i00 - dxf)
-    (j11, j12), (j21, j22) = _jacobian(x1, p, G, P)
+    (j11, j12), (j21, j22) = _jacobian(x1, a1, a2, b1, w0, w1, G, P)
     tr, det = [j11 + j22], [j11 * j22 - j12 * j21]
     for _, dl1, dg0, dg1, dx2, dw0, dw1, da2 in rows:
         di10 = dg1 * P0 + G1 * P1 * dx2

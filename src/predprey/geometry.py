@@ -54,7 +54,7 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .equilibria import jacobian, predator_free_equilibrium, predator_nullcline_x1
+from .equilibria import jacobian, predator_nullcline_x1
 from .extinction import dissipative_bound_K2
 from .integrate import IntegratorOptions, TerminationKind, _run, integrate
 # make_rhs is unused here; it stays because the bench trace shim patches it
@@ -213,21 +213,20 @@ def trace_unstable_manifold_E1(
     Where that exceeds _E1_HORIZON_FACTOR * opts.horizon (lu near 0, close
     to E1's transcritical point), DomainError names lu.
     """
-    e1 = predator_free_equilibrium(p)
-    if e1.classification.name == "NON_LINEARIZABLE":
-        raise DomainError("E1 is not linearizable (m2 < 1); no manifold to trace")
-    if e1.det is None or e1.det >= 0.0:
+    cap = p.carrying_capacity
+    try:
+        (j11, j12), (j21, j22) = jacobian(State(cap, 0.0), p)
+    except DomainError:
+        raise DomainError("E1 is not linearizable (m2 < 1); no manifold to trace") from None
+    if j11 * j22 - j12 * j21 >= 0.0:
         raise DomainError("E1 is not a saddle for these parameters")
     # J(E1) is upper triangular: [[-a1, j12], [0, j22]] with j22 > 0 the
     # unstable eigenvalue.  Eigenvector: (j12 / (j22 - j11), 1), whose
     # positive x2 points into the open quadrant.
-    (j11, j12), (_, j22) = jacobian(e1.point, p)
     v1 = j12 / (j22 - j11)
     nrm = math.hypot(v1, 1.0)
     v1, v2 = v1 / nrm, 1.0 / nrm
-    cap = p.carrying_capacity
-    seed = State(e1.point.x1 + _E1_SEED_SCALE * cap * v1,
-                 e1.point.x2 + _E1_SEED_SCALE * cap * v2)
+    seed = State(cap + _E1_SEED_SCALE * cap * v1, _E1_SEED_SCALE * cap * v2)
     horizon = max(opts.horizon, (math.log(1.0 / _E1_SEED_SCALE) + 20.0) / j22)
     if horizon > _E1_HORIZON_FACTOR * opts.horizon:
         raise DomainError(

@@ -43,7 +43,10 @@ G = g(r*x1) and P = x2**m2 up to a given order, at most the third
 to third order built from them (_field_partials).  Each reader asks for
 the orders it reads: the Jacobian (and so every classified equilibrium)
 and the bifurcation Newton's F rows the first, its tr and det rows the
-second, and the first Lyapunov coefficient the third.
+second, and the first Lyapunov coefficient the third.  The two tables
+take the floats they read (r, d, m1 and m2), not a parameter set, so the
+Newton passes its swept value to them as a float and builds no
+ModelParams per point.
 """
 from __future__ import annotations
 
@@ -267,10 +270,13 @@ def make_rhs(p: ModelParams) -> Callable[[float, float], tuple[float, float]]:
 #
 # with G = g(r*x1) and P = x2**m2, so every partial is a product G^(i)*P^(j).
 
-def _g_derivatives(x1: float, p: ModelParams, order: int) -> tuple[float, ...]:
+def _g_derivatives(x1: float, r: float, d: float, m1: float,
+                   order: int) -> tuple[float, ...]:
     """(G, G', ...) in x1 of G = g(r*x1) up to the order (1, 2 or 3), x1 > 0
-    (x1 >= 0 at m1 = 1), with G from _response.  By Faa di Bruno on t**m1
-    with t = r*x1/q, q = r*x1 + d, c = r/q:  t' = r*d/q**2,
+    (x1 >= 0 at m1 = 1), with G from _response.  It takes the floats it
+    reads, so the bifurcation Newton passes a swept r without building a
+    parameter set.  By Faa di Bruno on t**m1 with t = r*x1/q,
+    q = r*x1 + d, c = r/q:  t' = r*d/q**2,
     t'' = -2*c*t', t''' = -3*c*t'', so with rho = t'/t = d/(x1*q)
 
         G'   = m1*G*rho
@@ -283,7 +289,6 @@ def _g_derivatives(x1: float, p: ModelParams, order: int) -> tuple[float, ...]:
     axis at m1 = 1).  At m1 = 1, G = t and the rest are t', t'', t''', so
     the axis x1 = 0 is no special case.  A lower order computes nothing it
     does not return, and its entries are a higher order's bit for bit."""
-    r, d, m1 = p.r, p.d, p.m1
     G = _response(x1, r, d, m1)
     q = r * x1 + d
     if m1 == 1.0:
@@ -322,7 +327,7 @@ def _field_partials(x1: float, x2: float, p: ModelParams) -> dict[tuple[int, int
     """D[i, j] = (d^(i+j) f1, d^(i+j) f2) / dx1^i dx2^j at an interior point,
     i + j <= 3:  D(i, j) = (l_i*[j=0] - w0*G^(i)*P^(j), m_j*[i=0] + w1*G^(i)*P^(j))
     with l = (a1*x1 - b1*x1**2, a1 - 2*b1*x1, -2*b1, 0), m = (-a2*x2, -a2, 0, 0)."""
-    G, P = _g_derivatives(x1, p, 3), _p_derivatives(x2, p.m2, 3)
+    G, P = _g_derivatives(x1, p.r, p.d, p.m1, 3), _p_derivatives(x2, p.m2, 3)
     ell = (x1 * (p.a1 - p.b1 * x1), p.a1 - 2.0 * p.b1 * x1, -2.0 * p.b1, 0.0)
     lam = (-p.a2 * x2, -p.a2, 0.0, 0.0)
     return {(i, j): ((0.0 if j else ell[i]) - p.w0 * G[i] * P[j],
@@ -559,37 +564,22 @@ def _integral_check(p: ModelParams) -> AssumptionCheck:
     )
 
 
-def _with_field(p: ModelParams, name: str, value: float) -> ModelParams | None:
-    """p with the one field name set to value, or None where _range_error
-    rejects the value; name must be a field.  Sweeps and their Newton
-    iterations substitute one parameter this way thousands of times, so
-    only the changed field is checked: the others were checked when p was
-    built."""
-    if _range_error(name, value):
-        return None
-    q = object.__new__(ModelParams)
-    q.__dict__.update(p.__dict__)
-    q.__dict__[name] = value
-    return q
-
-
 def with_params(p: ModelParams, **changes: float) -> ModelParams:
     """p with some fields changed, equal to dataclasses.replace(p, **changes).
 
-    Each field is substituted by _with_field.  Raises ParameterError
-    listing every bad changed field (messages and order as ModelParams
-    gives them), and TypeError for a name that is not a field.
+    Only the changed fields are checked (by _range_error): the others were
+    checked when p was built.  Raises TypeError for the first name that is
+    not a field, then ParameterError listing every bad changed field
+    (messages and order as ModelParams gives them); else makes one copy.
     """
-    bad = []
-    q = p
-    for name, value in changes.items():
+    for name in changes:
         if name not in _FIELDS:
             raise TypeError(f"ModelParams has no field {name!r}")
-        moved = _with_field(q, name, value)
-        if moved is None:
-            bad.append((_FIELDS.index(name), _range_error(name, value)))
-        else:
-            q = moved
+    bad = [msg for name in _FIELDS if name in changes
+           and (msg := _range_error(name, changes[name]))]
     if bad:
-        raise ParameterError([msg for _, msg in sorted(bad)])
+        raise ParameterError(bad)
+    q = object.__new__(ModelParams)
+    q.__dict__.update(p.__dict__)
+    q.__dict__.update(changes)
     return q

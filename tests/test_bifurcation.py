@@ -13,6 +13,7 @@ from predprey import (
     BifurcationKind,
     DomainError,
     ModelParams,
+    ParameterError,
     State,
     branch_sweep,
     detect_hopf,
@@ -275,7 +276,7 @@ def _curve_scan_events(br):
                     continue
                 x1, v = z
                 (_, f_x1, f_v), (tr, tr_x1, tr_v), (det, _, _) = _scan_gradient(
-                    x1, br.params_at(v), name, True)
+                    x1, br.params_at(v), name, v, True)
                 if kind == "saddle_node":
                     keep = tr < 0.0
                 else:
@@ -417,10 +418,10 @@ def test_exact_gradient_gives_the_central_difference_sweep(case, monkeypatch):
 # Points evaluated on the Newton path (continuation, resampling, polishes,
 # tangents and the detectors; not interior_equilibria's own evaluations),
 # each one _scan_gradient call that gives F and its exact gradient: 1 003
-# and 703.  Central differences took 5 060 and 3 515 F evaluations.  The
-# bound is 1.25 times the measured count; a return to difference quotients,
-# or to a second evaluation per point, would cross it.
-NEWTON_POINTS = {"osc_r_hopf": 1003, "bistable_w1": 703}
+# and 705.  Central differences took 5 060 and 3 515 F evaluations.  The
+# counts are pinned: a return to difference quotients, a second evaluation
+# per point, or any other change of the Newton path moves them.
+NEWTON_POINTS = {"osc_r_hopf": 1003, "bistable_w1": 705}
 
 
 @pytest.mark.parametrize("case", sorted(NEWTON_POINTS))
@@ -436,7 +437,24 @@ def test_newton_path_scan_function_calls(case, monkeypatch):
     monkeypatch.setattr(bifurcation, "interior_scan_function", None)  # no F off the table
     base, changes, name, lo, hi, n = SAME_SWEEPS[case]
     _sweep_summary(ModelParams(**SWEEP_BASES[base], **changes), name, lo, hi, n)
-    assert 0 < len(calls) <= 1.25 * NEWTON_POINTS[case]
+    assert len(calls) == NEWTON_POINTS[case]
+
+
+def test_the_newton_builds_no_parameter_set_per_point(monkeypatch):
+    # one set per sample, then the Hopf event's point and its Lyapunov
+    # coefficient; none of the Newton path's 1 003 points builds one
+    calls = []
+    build = bifurcation.with_params
+
+    def counted(p, **changes):
+        calls.append(changes)
+        return build(p, **changes)
+
+    monkeypatch.setattr(bifurcation, "with_params", counted)
+    base, changes, name, lo, hi, n = SAME_SWEEPS["osc_r_hopf"]
+    _, events = _sweep_summary(ModelParams(**SWEEP_BASES[base], **changes), name, lo, hi, n)
+    assert [e.kind for e in events] == [BifurcationKind.HOPF]
+    assert len(calls) == n + 2
 
 
 # --------------------------------------------------------------------------
@@ -485,7 +503,8 @@ def test_g_and_p_derivatives_match_mpmath(p, e):
         r, d, m1, m2 = (mpmath.mpf(v) for v in (p.r, p.d, p.m1, p.m2))
         want_g = [mpmath.diff(lambda x: (r * x / (r * x + d)) ** m1, x1, k) for k in range(4)]
         want_p = [mpmath.diff(lambda x: x ** m2, x2, k) for k in range(4)]
-    for got, want in ((_g_derivatives(x1, p, 3), want_g), (_p_derivatives(x2, p.m2, 3), want_p)):
+    for got, want in ((_g_derivatives(x1, p.r, p.d, p.m1, 3), want_g),
+                      (_p_derivatives(x2, p.m2, 3), want_p)):
         for k in range(4):
             assert got[k] == pytest.approx(float(want[k]), rel=1e-13, abs=0.0), (k, got, want)
 
@@ -503,14 +522,57 @@ def test_lower_orders_are_the_third_orders_floats(p, e):
     # the Newton's F-only row (first order, against the second-order call)
     x1 = 10.0 ** e * p.carrying_capacity
     x2 = x2_of_x1(x1, p)
-    G, P = _g_derivatives(x1, p, 3), _p_derivatives(x2, p.m2, 3)
+    G, P = _g_derivatives(x1, p.r, p.d, p.m1, 3), _p_derivatives(x2, p.m2, 3)
     for order in (1, 2):
-        assert _bits(_g_derivatives(x1, p, order)) == _bits(G[:order + 1])
+        assert _bits(_g_derivatives(x1, p.r, p.d, p.m1, order)) == _bits(G[:order + 1])
         assert _bits(_p_derivatives(x2, p.m2, order)) == _bits(P[:order + 1])
-    assert _bits(sum(jacobian(State(x1, x2), p), ())) == _bits(sum(_jacobian(x1, p, G, P), ()))
+    assert _bits(sum(jacobian(State(x1, x2), p), ())) == _bits(
+        sum(_jacobian(x1, p.a1, p.a2, p.b1, p.w0, p.w1, G, P), ()))
     for name in SWEEPABLE:
-        (row,) = _scan_gradient(x1, p, name)
-        assert _bits(row) == _bits(_scan_gradient(x1, p, name, True)[0]), name
+        v = getattr(p, name)
+        (row,) = _scan_gradient(x1, p, name, v)
+        assert _bits(row) == _bits(_scan_gradient(x1, p, name, v, True)[0]), name
+
+
+def _swept(name, rate, unit):
+    """The swept value of the draw: unit for r, rate otherwise."""
+    return unit if name == "r" else rate
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=DOMAIN, name=st.sampled_from(SWEEPABLE), rate=RATE, unit=UNIT,
+       e=st.floats(-9.0, math.log10(0.999)))
+def test_scan_gradient_takes_the_swept_value_as_a_float(p, name, rate, unit, e):
+    # the rows at (p, name, v) are those of the set with name = v, bit for
+    # bit, with and without slopes: p's own value of name never enters
+    v = _swept(name, rate, unit)
+    pv = with_params(p, **{name: v})
+    x1 = 10.0 ** e * pv.carrying_capacity
+    for slopes in (False, True):
+        got = _scan_gradient(x1, p, name, v, slopes)
+        want = _scan_gradient(x1, pv, name, v, slopes)
+        assert [_bits(row) for row in got] == [_bits(row) for row in want], (name, slopes)
+
+
+_BAD_SWEPT = (0.0, math.nan, math.inf, -math.inf, math.nextafter(1.0, 2.0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(p=DOMAIN, name=st.sampled_from(SWEEPABLE), rate=RATE, unit=UNIT,
+       frac=st.one_of(st.floats(-0.5, 1.5), st.sampled_from([0.0, 1e-9, 1.0 - 1e-9, 1.0])))
+def test_newton_system_is_none_exactly_off_the_domain(p, name, rate, unit, frac):
+    # the range test in place accepts exactly the values with_params does,
+    # and the window is that of the set with name = v
+    good = _swept(name, rate, unit)
+    system = bifurcation._residual(p, name, bifurcation._TR)
+    for v in (good, -good, *_BAD_SWEPT):
+        try:
+            cap = with_params(p, **{name: v}).carrying_capacity
+        except ParameterError:
+            cap = None
+        x1 = frac * (p.carrying_capacity if cap is None else cap)
+        outside = cap is None or not 1e-9 * cap < x1 < (1.0 - 1e-9) * cap
+        assert (system(x1, v) is None) == outside, (name, v, x1)
 
 
 # Absolute floor of the tr/det row check, as a fraction of the row's natural
@@ -534,14 +596,14 @@ def _check_tr_det_slopes(p, x1):
     cap = p.carrying_capacity
     room = (cap - x1) / cap
     x2 = x2_of_x1(x1, p)
-    G, P = _g_derivatives(x1, p, 1), _p_derivatives(x2, p.m2, 1)
+    G, P = _g_derivatives(x1, p.r, p.d, p.m1, 1), _p_derivatives(x2, p.m2, 1)
     terms = p.a1 + 2.0 * p.b1 * x1 + p.a2 + (p.w0 + p.w1) * (G[1] * P[0] + G[0] * P[1])
     h_x1 = 1e-3 * min(x1, cap - x1)
     want_x1 = [_richardson(lambda x: _tr_det(x, p)[k], x1, h_x1) for k in (0, 1)]
     for name in SWEEPABLE:
-        _, tr, det = _scan_gradient(x1, p, name, True)
-        got_x1, got_v = (tr[1], det[1]), (tr[2], det[2])
         v = getattr(p, name)
+        _, tr, det = _scan_gradient(x1, p, name, v, True)
+        got_x1, got_v = (tr[1], det[1]), (tr[2], det[2])
         h = 1e-3 * v * (room if name in ("a1", "b1") else 1.0)
         want_v = [_richardson(lambda u: _tr_det(x1, _moved(p, name, u))[k], v, h) for k in (0, 1)]
         for k, size in ((0, terms), (1, terms * terms)):

@@ -266,11 +266,11 @@ def _check_scan_gradient(p, x1):
     F = interior_scan_function(p)
     want_x1 = _richardson(F, x1, 1e-3 * min(x1, cap - x1))
     for name in SWEEPABLE:
-        (got_F, got_x1, got_v), = _scan_gradient(x1, p, name)
+        v = getattr(p, name)
+        (got_F, got_x1, got_v), = _scan_gradient(x1, p, name, v)
         assert got_F == F(x1)
         assert abs(got_x1 - want_x1) <= 1e-7 * abs(want_x1) + FLOOR * terms / x1, (
             name, got_x1, want_x1)
-        v = getattr(p, name)
         h = 1e-3 * v * (room if name in ("a1", "b1") else 1.0)
         want_v = _richardson(lambda u: interior_scan_function(_moved(p, name, u))(x1), v, h)
         assert abs(got_v - want_v) <= 1e-7 * abs(want_v) + FLOOR * terms / v, (

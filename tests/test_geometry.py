@@ -76,10 +76,10 @@ def test_unstable_manifold_descends_from_e1(osc_params):
 
 
 def test_unstable_manifold_needs_a_saddle(osc_params, bistable_params):
-    with pytest.raises(DomainError):
-        trace_unstable_manifold_E1(bistable_params)  # m2 < 1: not linearizable
+    with pytest.raises(DomainError, match="E1 is not linearizable"):
+        trace_unstable_manifold_E1(bistable_params)  # m2 < 1
     below = with_params(osc_params, r=0.1)  # below the invasion threshold
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="E1 is not a saddle"):
         trace_unstable_manifold_E1(below)
 
 

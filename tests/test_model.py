@@ -115,7 +115,7 @@ def _check_continuous_where_r_x1_underflows(p):
         assert F(x1) == pytest.approx(p.w0 * g * x2_of_x1(x1, p) ** p.m2 - xf, rel=1e-14, abs=0.0)
         assert psi(x1, p) == pytest.approx(xf / (p.w0 * g), rel=1e-14, abs=0.0)
         if x1 > 1e-300:  # mpmath's difference steps reach across the axis there
-            for k, got in enumerate(_g_derivatives(x1, p, 3)):
+            for k, got in enumerate(_g_derivatives(x1, p.r, p.d, p.m1, 3)):
                 assert got == pytest.approx(g_exact(x1, k), rel=1e-13, abs=0.0), k
     below, above = f(math.nextafter(0.5, 0.0), x2), f(math.nextafter(0.5, 1.0), x2)
     assert abs(above[1] - below[1]) < 1e-15
