@@ -51,6 +51,8 @@ from dataclasses import dataclass
 from .equilibria import (  # noqa: F401
     Equilibrium,
     EquilibriumKind,
+    _HI_FRAC,
+    _LO_FRAC,
     _scan_gradient,
     classify,
     interior_equilibria,
@@ -149,7 +151,7 @@ def _residual(p: ModelParams, name: str, second, grad: tuple[float, float] | Non
         if not 0.0 < v <= top:
             return None
         cap = _cap(p, name, v)
-        if not 1e-9 * cap < x1 < (1.0 - 1e-9) * cap:
+        if not _LO_FRAC * cap < x1 < _HI_FRAC * cap:
             return None
         if grad is not None:
             (F, F_x1, F_v), = _scan_gradient(x1, p, name, v)
@@ -445,8 +447,8 @@ def detect_hopf(branch: Branch, scan_points: int | None = None) -> list[Bifurcat
     by each chain's piece ends), polished on (F, tr) and kept where det > 0
     and the trace crosses with nonzero speed, with the exact transversality
     d Re(lambda)/dv = (tr_v - tr_x1*F_v/F_x1)/2 along the branch and the
-    first Lyapunov coefficient.  scan_points is accepted and ignored: the
-    chains hold the equilibria."""
+    first Lyapunov coefficient at the polished point.  scan_points is
+    accepted and ignored: the chains hold the equilibria."""
     p, name = branch.base_params, branch.param_name
     events: list[BifurcationEvent] = []
     for x1s, v_star in _trace_crossings(branch):
@@ -457,9 +459,9 @@ def detect_hopf(branch: Branch, scan_points: int | None = None) -> list[Bifurcat
         slope = tr_v - tr_x1 * f_v / f_x1  # F_x1 = det/a2 along the branch, > 0 here
         if abs(slope) < 1e-8:
             continue
-        point = State(x1s, x2_of_x1(x1s, branch.params_at(v_star)))
-        lyap = first_lyapunov_coefficient(
-            p, BifurcationEvent(BifurcationKind.HOPF, name, v_star, point, {}))
+        pv = branch.params_at(v_star)
+        point = State(x1s, x2_of_x1(x1s, pv))
+        lyap = _lyapunov_of_field(_field_partials(x1s, point.x2, pv))
         events.append(BifurcationEvent(
             BifurcationKind.HOPF, name, v_star, point,
             {

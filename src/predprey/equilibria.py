@@ -227,9 +227,10 @@ def _scan_gradient(x1: float, p: ModelParams, name: str, v: float, slopes: bool 
     functions' values at with_params(p, name=v) bit for bit (F to the sign
     of a zero).
 
-    Exact on the Newton window 1e-9*cap < x1 < (1-1e-9)*cap, where x1, f
-    and x2 are positive, by the chain rule on the field's derivative table
-    (G^(i), P^(j)): F = -f1(x1, x2(x1)) and J move at the rates
+    Exact on the interior window _LO_FRAC*cap < x1 < _HI_FRAC*cap (1e-9 and
+    1 - 1e-9, the Newton's window too), where x1, f and x2 are positive,
+    by the chain rule on the field's derivative table (G^(i), P^(j)):
+    F = -f1(x1, x2(x1)) and J move at the rates
 
         (d(x1*f), dl1, dG, dG', dx2, dw0, dw1, da2)
 

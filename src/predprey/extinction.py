@@ -27,13 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .integrate import (
-    IntegratorOptions,
-    TerminationKind,
-    Trajectory,
-    integrate,
-    integrate_u_system,
-)
+from .integrate import (IntegratorOptions, TerminationKind, Trajectory, _prey_died, integrate,
+                        integrate_u_system)
 from .model import DomainError, ModelParams, State
 
 __all__ = [
@@ -157,8 +152,9 @@ def simulate_extinction(
     (0.3, 50), from a tight scipy run), but at the default abs_tol, equal to
     the extinction threshold, the x-chart's error control is off near the
     axis and its 0.148002 is 0.71% off its own depth's time; the u-chart's
-    0.14931987 is within 1e-8 of its own.  A prey at or
-    below the extinction threshold raises DomainError: the event fires only
+    0.14931987 is within 1e-8 of its own.  The fate is integrate._prey_died's:
+    a run that decides no fate (a step failure) raises DomainError, and so
+    does a prey at or below the extinction threshold: the event fires only
     on a fall through the threshold, so the run could not tell extinction
     from survival.
     """
@@ -167,19 +163,16 @@ def simulate_extinction(
     _check_prey_above_threshold(ic, opts)
     verdict = extinction_ic_condition(ic.x1, p)
     traj = integrate(p, ic, opts)
-    kind = traj.termination.kind
-    if kind is TerminationKind.PREY_EXTINCT:
-        t_x = traj.termination.time
-        u_traj = integrate_u_system(p, State(1.0 / ic.x1, ic.x2), opts)
-        if u_traj.termination.kind is TerminationKind.BLOWUP:
-            t_u = u_traj.termination.time
-            rel = abs(t_x - t_u) / t_x if t_x > 0.0 else None
-        else:
-            t_u, rel = None, None
-        sim = SimulatedExtinction(True, t_x, t_u, rel, kind, traj, u_traj)
-    else:
-        sim = SimulatedExtinction(False, None, None, None, kind, traj)
-    return replace(verdict, simulated=sim)
+    end = traj.termination
+    if not _prey_died(end):
+        return replace(verdict, simulated=SimulatedExtinction(
+            False, None, None, None, end.kind, traj))
+    u_traj = integrate_u_system(p, State(1.0 / ic.x1, ic.x2), opts)
+    u_end = u_traj.termination
+    t_u = u_end.time if u_end.kind is TerminationKind.BLOWUP else None
+    rel = abs(end.time - t_u) / end.time if t_u is not None and end.time > 0.0 else None
+    return replace(verdict, simulated=SimulatedExtinction(
+        True, end.time, t_u, rel, end.kind, traj, u_traj))
 
 
 @dataclass(frozen=True)
@@ -231,20 +224,18 @@ def verify_persistence(
     opts: IntegratorOptions | None = None,
 ) -> PersistenceVerdict:
     """Integrate to opts.horizon (default 500) and report whether the prey
-    survived.  A prey at or below the extinction threshold raises
-    DomainError: the event fires only on a fall through the threshold, so
-    the run would report a prey that is already gone as persistent."""
+    survived, by integrate._prey_died: a run that decides no fate raises
+    DomainError, and so does a prey at or below the extinction threshold:
+    the event fires only on a fall through the threshold, so the run would
+    report a prey that is already gone as persistent."""
     if opts is None:
         opts = IntegratorOptions(horizon=500.0)
     _check_prey_above_threshold(ic, opts)
     traj = integrate(p, ic, opts)
-    kind = traj.termination.kind
-    min_x1 = min(traj.x1)
-    if kind is TerminationKind.PREY_EXTINCT:
-        return PersistenceVerdict(False, opts.horizon, min_x1, traj.termination.time, kind)
-    if kind is TerminationKind.HORIZON_REACHED:
-        return PersistenceVerdict(True, opts.horizon, min_x1, None, kind)
-    raise DomainError(f"persistence run failed: {traj.termination!r}")
+    end = traj.termination
+    died = _prey_died(end)
+    return PersistenceVerdict(not died, opts.horizon, min(traj.x1),
+                              end.time if died else None, end.kind)
 
 
 def _check_prey_above_threshold(ic: State, opts: IntegratorOptions) -> None:

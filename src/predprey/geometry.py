@@ -6,14 +6,15 @@ boundary of that basin is the curve of interest.  Persistence-to-horizon is
 the wrong classifier for it: there are parameter regimes (e.g. a1 = 2,
 b1 = 0.21 on the otherwise-standard set) where *every* interior orbit dies
 in finite time, yet the basin boundary of "dies while prey decays
-monotonically" is still well defined.  The classifier used here:
+monotonically" is still well defined.  The classifier used here stops a
+launch at its first turnaround, an accepted state with dx1/dt > 0 (the
+derivative the integrator hands its stop predicate: no field evaluation),
+and reads its end by integrate._prey_died, the package's one fate rule:
 
-  * an orbit is ABOVE the stable set iff x1 decreases monotonically all the
-    way into the prey-extinction event;
-  * the first accepted state with dx1/dt > 0 (a turnaround) certifies BELOW;
-    dx1/dt is the derivative the integrator hands its stop predicate, so
-    the test costs no field evaluation;
-  * reaching the horizon without either also counts as BELOW.
+  * ABOVE the stable set iff the prey died, x1 falling monotonically into
+    the prey-extinction event;
+  * BELOW on a turnaround, or at the horizon;
+  * any other end (a step failure) raises DomainError.
 
 Above the prey nullcline x2 = psi(x1) the prey derivative is negative, so
 orbits that stay above it can only march left.  The curve computed here is
@@ -56,7 +57,8 @@ from dataclasses import dataclass, replace
 
 from .equilibria import jacobian, predator_nullcline_x1
 from .extinction import dissipative_bound_K2
-from .integrate import IntegratorOptions, TerminationKind, _run, integrate
+from .integrate import (_PREY_DIED, IntegratorOptions, TerminationKind, _prey_died, _run,
+                        integrate)
 # make_rhs is unused here; it stays because the bench trace shim patches it
 from .model import (DomainError, ModelParams, State, _response, eval_f,  # noqa: F401
                     make_rhs, make_y_rhs)
@@ -234,21 +236,13 @@ def trace_unstable_manifold_E1(
             f"{horizon:.6g} time units to leave E1, past {_E1_HORIZON_FACTOR:g} times "
             f"the horizon {opts.horizon!r}")
     traj = integrate(p, seed, replace(opts, horizon=horizon), stop_when=_turned)
-    end = traj.termination.kind
-    if end is TerminationKind.STEP_FAILURE:
-        raise DomainError(f"manifold trace failed: {traj.termination.reason}")
-    return PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(traj.states), end)
+    end = traj.termination
+    _prey_died(end)  # a leg that decides no fate raises here
+    return PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(traj.states), end.kind)
 
 
 # --------------------------------------------------------------------------
 # Stable set of the origin.
-
-_ABOVE = "above"
-_BELOW = "below"
-# The classifier's rule on how a run ended: ABOVE iff the prey decayed
-# monotonically into the extinction event, BELOW on a turn or the horizon.
-_FATE = {TerminationKind.PREY_EXTINCT: _ABOVE, TerminationKind.STOPPED: _BELOW,
-         TerminationKind.HORIZON_REACHED: _BELOW}
 
 # The search for an ABOVE launch gives up above this multiple of max(K2, 1).
 _X2_CAP_FACTOR = 1e3
@@ -259,15 +253,14 @@ def _turned(t: float, x1: float, x2: float, dx1: float, dx2: float) -> bool:
 
 
 def _classify_launch(p: ModelParams, x1_0: float, x2_0: float,
-                     iopts: IntegratorOptions) -> str:
-    """In `_y_chart`: ABOVE, prey decays monotonically into the extinction
-    event; BELOW, a turnaround (dy/dt > 0 at an accepted state, read off the
-    run's own derivative; dy has dx1's sign) or survival to the horizon."""
+                     iopts: IntegratorOptions) -> bool:
+    """_prey_died on a `_y_chart` run stopped at a turnaround (dy/dt > 0 at
+    an accepted state, read off the run's own derivative; dy has dx1's
+    sign): True (ABOVE) if the prey falls monotonically into the extinction
+    event, False (BELOW) if it turns or survives to the horizon."""
     f, opts, k = _y_chart(p, iopts)
     traj = _run(f, (x1_0 ** k, x2_0), opts, _turned, floor=iopts.extinction_threshold ** k)
-    if traj.termination.kind not in _FATE:
-        raise DomainError(f"launch classification failed: {traj.termination!r}")
-    return _FATE[traj.termination.kind]
+    return _prey_died(traj.termination)
 
 
 def _y_chart(p: ModelParams, opts: IntegratorOptions):
@@ -312,8 +305,8 @@ def _parts(p: ModelParams, probe_x1: float, lo: float, hi: float,
            opts: IntegratorOptions) -> bool:
     """True if the launch from (probe_x1, lo) is BELOW and the one from
     (probe_x1, hi) ABOVE; the second is made only if the first is BELOW."""
-    return (_classify_launch(p, probe_x1, lo, opts) == _BELOW
-            and _classify_launch(p, probe_x1, hi, opts) == _ABOVE)
+    return (not _classify_launch(p, probe_x1, lo, opts)
+            and _classify_launch(p, probe_x1, hi, opts))
 
 
 # A traced ordinate y is returned once launches at y*(1 -+ this) part.  The
@@ -333,10 +326,10 @@ def _bisect_probe(p: ModelParams, probe_x1: float, base: float,
     ceiling = _X2_CAP_FACTOR * max(dissipative_bound_K2(p).K2, 1.0)
     width = opts.rel_tol / 10.0
     lo = 0.5 * base
-    if _classify_launch(p, probe_x1, lo, opts) != _BELOW:
+    if _classify_launch(p, probe_x1, lo, opts):
         lo = 0.0  # extremely flat nullcline; fall back to the axis
     hi = max(2.0 * base, 1.0)
-    while _classify_launch(p, probe_x1, hi, opts) == _BELOW:
+    while not _classify_launch(p, probe_x1, hi, opts):
         lo, hi = hi, 2.0 * hi  # a certified BELOW launch: the new lower end
         if hi > ceiling:
             raise DomainError(
@@ -347,7 +340,7 @@ def _bisect_probe(p: ModelParams, probe_x1: float, base: float,
         mid = 0.5 * (lo + hi)  # no float between lo and hi: mid is one of them
         if not hi - lo > width * hi or mid == lo or mid == hi:
             return mid
-        if _classify_launch(p, probe_x1, mid, opts) == _ABOVE:
+        if _classify_launch(p, probe_x1, mid, opts):
             hi = mid
         else:
             lo = mid
@@ -438,8 +431,8 @@ def _leg_x2(xs: list[float], ys: list[float], x1: float) -> float | None:
 def separatrix_relative_position(ws: PlanarCurve, wu: PlanarCurve) -> SeparatrixComparison:
     """Which side of the stable set W^s(E0) the unstable manifold W^u(E1)
     leaves on.  Orbits of a planar flow cannot cross, so the verdict is the
-    fate wu.end of E1's leaving orbit under the launch classifier's rule
-    (_FATE): ABOVE is WU_ABOVE_WS; a wu with no fate raises DomainError.
+    fate of E1's leaving orbit, integrate._PREY_DIED at wu.end: a prey that
+    died is WU_ABOVE_WS; an end outside that rule raises DomainError.
     ws is compared only at its own probes in wu's x1 range, each read off
     the first segment of wu, in run order, that brackets it: the margin is
     the least |ws - wu|, and `contradicted` counts the probes whose gap
@@ -448,9 +441,9 @@ def separatrix_relative_position(ws: PlanarCurve, wu: PlanarCurve) -> Separatrix
         raise DomainError("first curve must be the stable separatrix of E0")
     if wu.label is not CurveLabel.UNSTABLE_MANIFOLD_E1:
         raise DomainError("second curve must be the unstable manifold of E1")
-    if wu.end not in _FATE:
+    if wu.end not in _PREY_DIED:
         raise DomainError(f"the unstable manifold's run records no fate (end {wu.end!r})")
-    verdict = Verdict.WU_ABOVE_WS if _FATE[wu.end] == _ABOVE else Verdict.WS_ABOVE_WU
+    verdict = Verdict.WU_ABOVE_WS if _PREY_DIED[wu.end] else Verdict.WS_ABOVE_WU
 
     ws_pts = sorted(ws.points, key=lambda s: s.x1)
     xs, ys = wu.x1s(), wu.x2s()

@@ -78,6 +78,19 @@ class Termination:
     reason: str = ""
 
 
+# Did the prey die, by how its run ended: the one fate rule, read by the
+# launches, E1's leg, extinction and persistence.  Other ends decide none.
+_PREY_DIED = {TerminationKind.PREY_EXTINCT: True, TerminationKind.STOPPED: False,
+              TerminationKind.HORIZON_REACHED: False}
+
+
+def _prey_died(termination: Termination) -> bool:
+    """_PREY_DIED's answer; DomainError naming the termination otherwise."""
+    if termination.kind not in _PREY_DIED:
+        raise DomainError(f"the run decides no fate of the prey: {termination!r}")
+    return _PREY_DIED[termination.kind]
+
+
 @dataclass(frozen=True)
 class IntegratorOptions:
     rel_tol: float = 1e-7

@@ -417,11 +417,12 @@ def test_exact_gradient_gives_the_central_difference_sweep(case, monkeypatch):
 
 # Points evaluated on the Newton path (continuation, resampling, polishes,
 # tangents and the detectors; not interior_equilibria's own evaluations),
-# each one _scan_gradient call that gives F and its exact gradient: 1 003
-# and 705.  Central differences took 5 060 and 3 515 F evaluations.  The
+# each one _scan_gradient call that gives F and its exact gradient: 1 002
+# and 705.  The Hopf detector takes the first Lyapunov coefficient at the
+# point it polished, with no second polish.  Central differences took 5 060 and 3 515 F evaluations.  The
 # counts are pinned: a return to difference quotients, a second evaluation
 # per point, or any other change of the Newton path moves them.
-NEWTON_POINTS = {"osc_r_hopf": 1003, "bistable_w1": 705}
+NEWTON_POINTS = {"osc_r_hopf": 1002, "bistable_w1": 705}
 
 
 @pytest.mark.parametrize("case", sorted(NEWTON_POINTS))
@@ -441,8 +442,8 @@ def test_newton_path_scan_function_calls(case, monkeypatch):
 
 
 def test_the_newton_builds_no_parameter_set_per_point(monkeypatch):
-    # one set per sample, then the Hopf event's point and its Lyapunov
-    # coefficient; none of the Newton path's 1 003 points builds one
+    # one set per sample, then one for the Hopf event's point and its
+    # Lyapunov coefficient; none of the Newton path's 1 002 points builds one
     calls = []
     build = bifurcation.with_params
 
@@ -454,7 +455,7 @@ def test_the_newton_builds_no_parameter_set_per_point(monkeypatch):
     base, changes, name, lo, hi, n = SAME_SWEEPS["osc_r_hopf"]
     _, events = _sweep_summary(ModelParams(**SWEEP_BASES[base], **changes), name, lo, hi, n)
     assert [e.kind for e in events] == [BifurcationKind.HOPF]
-    assert len(calls) == n + 2
+    assert len(calls) == n + 1
 
 
 # --------------------------------------------------------------------------

@@ -267,6 +267,16 @@ def test_extinction_below_the_threshold_exits_1(tmp_path):
     assert res.stderr.startswith("error:") and "extinction threshold" in res.stderr
 
 
+def test_extinction_step_failure_exits_1(tmp_path):
+    # a run that fails its first step decides no fate: the command exits 1
+    # naming the failure, where it once reported a surviving prey
+    cfg = write(tmp_path / "ext.ini", MODEL + "\n[integrator]\nmin_step = 0.1\n"
+                "\n[extinction]\nx1 = 0.3\nx2 = 50.0\n")
+    res = run_cli("extinction", "--config", cfg, "--out", str(tmp_path / "o"))
+    assert res.returncode == 1
+    assert res.stderr.startswith("error:") and "step_failure" in res.stderr
+
+
 def test_refuge_threshold_command(tmp_path):
     cfg = write(tmp_path / "ref.ini", MODEL + textwrap.dedent("""\
 

@@ -2,23 +2,30 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 
 import pytest
 
 from predprey import (
+    CurveLabel,
     DomainError,
     IntegratorOptions,
     ModelParams,
+    PlanarCurve,
     State,
     TerminationKind,
+    Verdict,
     boundedness_bound,
     dissipative_bound_K2,
     extinction_ic_condition,
     refuge_threshold,
+    separatrix_relative_position,
     simulate_extinction,
+    trace_unstable_manifold_E1,
     verify_persistence,
     with_params,
 )
+from predprey.integrate import Termination, Trajectory
 from predprey.model import make_rhs
 
 
@@ -150,6 +157,51 @@ def test_persistence_fails_without_refuge(osc_params):
     assert v.horizon == 5.0
     assert v.extinct_at is not None and v.extinct_at < 1.0
     assert v.termination is TerminationKind.PREY_EXTINCT
+
+
+def test_a_step_failure_decides_no_extinction(osc_params):
+    # min_step 0.1 fails the first step from (0.3, 50): the run says nothing
+    # of the prey, so the answer is an error naming the failure, not a prey
+    # that survived
+    opts = IntegratorOptions(horizon=100.0, min_step=0.1)
+    with pytest.raises(DomainError, match="step_failure"):
+        simulate_extinction(osc_params, State(0.3, 50.0), opts)
+    with pytest.raises(DomainError, match="step_failure"):
+        verify_persistence(osc_params, State(0.3, 50.0), opts)
+
+
+@pytest.mark.parametrize("kind", list(TerminationKind), ids=lambda k: k.value)
+def test_every_fate_question_reads_one_rule(osc_params, monkeypatch, kind):
+    # a synthetic two-state run ending in `kind`: a launch, E1's leg (and the
+    # verdict read from its end), the separatrix verdict by a curve's end,
+    # the extinction run and the persistence run answer "did the prey die?"
+    # alike, or all raise
+    geo, ext = sys.modules["predprey.geometry"], sys.modules["predprey.extinction"]
+
+    def synthetic(*args, **kwargs):
+        return Trajectory([0.0, 0.5], [9.0, 1.0], [2.0, 2.0], Termination(kind, 0.5, "why"))
+
+    for module, name in ((geo, "_run"), (geo, "integrate"), (ext, "integrate")):
+        monkeypatch.setattr(module, name, synthetic)
+    opts = IntegratorOptions(horizon=100.0)
+    ws = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0, (State(1.0, 5.0), State(4.0, 5.0)))
+    wu = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, (State(9.0, 2.0), State(1.0, 2.0)), kind)
+    questions = [
+        lambda: geo._classify_launch(osc_params, 0.3, 50.0, opts),
+        lambda: separatrix_relative_position(
+            ws, trace_unstable_manifold_E1(osc_params, opts)).verdict is Verdict.WU_ABOVE_WS,
+        lambda: separatrix_relative_position(ws, wu).verdict is Verdict.WU_ABOVE_WS,
+        lambda: simulate_extinction(osc_params, State(0.3, 50.0), opts).simulated.extinct,
+        lambda: not verify_persistence(osc_params, State(0.3, 50.0), opts).persistent,
+    ]
+    died = {TerminationKind.PREY_EXTINCT: True, TerminationKind.STOPPED: False,
+            TerminationKind.HORIZON_REACHED: False}
+    if kind in died:
+        assert [q() for q in questions] == [died[kind]] * len(questions)
+        return
+    for q in questions:
+        with pytest.raises(DomainError, match="no fate"):
+            q()
 
 
 @pytest.mark.parametrize("x1", [0.0, 5e-10, 1e-9])

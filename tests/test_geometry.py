@@ -507,7 +507,7 @@ def test_launch_fates_match_scipy_near_unit_m1(osc_params, m1, agree):
                 continue
             for x2 in (y * (1.0 - geo._CERTIFY_MARGIN), y * (1.0 + geo._CERTIFY_MARGIN)):
                 want = _scipy_launch_fate(p, x, x2, opts.extinction_threshold)
-                agree_y += geo._classify_launch(p, x, x2, opts) == want
+                agree_y += geo._classify_launch(p, x, x2, opts) == (want == "above")
     assert agree_y == agree
     assert agree_y >= _X_CHART_LAUNCH_AGREEMENT[m1]
 
@@ -704,7 +704,7 @@ def test_bisection_width_follows_the_launch_tolerance(osc_params, monkeypatch, r
     # rel_tol / 10 wide relative and, one halving earlier, wider than that
     geo = sys.modules["predprey.geometry"]
     classify = geo._classify_launch
-    fates = {geo._ABOVE: [], geo._BELOW: []}
+    fates = {True: [], False: []}  # ABOVE and BELOW launches
 
     def recording(p, x1_0, x2_0, iopts):
         fate = classify(p, x1_0, x2_0, iopts)
@@ -715,7 +715,7 @@ def test_bisection_width_follows_the_launch_tolerance(osc_params, monkeypatch, r
     monkeypatch.setattr(geo, "_classify_launch", recording)
     opts = IntegratorOptions(rel_tol=rel_tol, horizon=500.0)
     got = separatrix_boundary_x2(osc_params, 1.389, opts)
-    lo, hi = max(fates[geo._BELOW]), min(fates[geo._ABOVE])
+    lo, hi = max(fates[False]), min(fates[True])
     assert got == 0.5 * (lo + hi)
     assert 0.5 * rel_tol / 10 < (hi - lo) / hi <= rel_tol / 10
 

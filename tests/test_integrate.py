@@ -25,7 +25,8 @@ from predprey.integrate import (
     _A21, _A31, _A32, _A41, _A42, _A43, _A51, _A52, _A53, _A54,
     _A61, _A62, _A63, _A64, _A65, _A71, _A73, _A74, _A75, _A76,
     _BETA1, _BETA2, _D1, _D3, _D4, _D5, _D6, _D7, _E1, _E3, _E4, _E5, _E6, _E7,
-    _MAX_FACTOR, _MIN_FACTOR, _SAFETY, U_BLOWUP_CEILING, Termination, _crossing, _dense_value, _run,
+    _MAX_FACTOR, _MIN_FACTOR, _SAFETY, U_BLOWUP_CEILING, Termination, _crossing, _dense_value,
+    _prey_died, _run,
 )
 from predprey.geometry import _turned
 from predprey.model import make_rhs, make_u_rhs, make_y_rhs
@@ -163,6 +164,22 @@ def test_step_failure_when_floor_blocks_shrinking(osc_params):
     traj = integrate(osc_params, State(0.3, 50.0), opts)
     assert traj.termination.kind is TerminationKind.STEP_FAILURE
     assert traj.termination.reason
+
+
+def test_every_end_is_a_fate_or_raises():
+    # the one fate rule: the extinction event is a death, a stop or the
+    # horizon is not; a step failure or a ceiling decides nothing, and the
+    # error names the whole termination
+    died = {TerminationKind.PREY_EXTINCT: True, TerminationKind.STOPPED: False,
+            TerminationKind.HORIZON_REACHED: False}
+    for kind in TerminationKind:
+        end = Termination(kind, 2.5, "synthetic reason")
+        if kind in died:
+            assert _prey_died(end) is died[kind]
+            continue
+        assert kind in (TerminationKind.BLOWUP, TerminationKind.STEP_FAILURE)
+        with pytest.raises(DomainError, match=f"no fate.*{kind.value}.*2.5.*synthetic reason"):
+            _prey_died(end)
 
 
 def test_tolerance_refinement_converges(osc_params):
