@@ -139,7 +139,7 @@ def _cmd_separatrix(cfg: ScenarioConfig, out: str) -> int:
         f"x1_range: {_F(cmp_.x1_range[0])},{_F(cmp_.x1_range[1])}",
         f"closest_gap_at_x1: {_F(cmp_.gap_at[0])}",
         f"closest_gap: {_F(cmp_.gap_at[1])}",
-        f"manifold_end: {wu.end.value}",
+        f"manifold_end: {wu.end.kind.value}",
         f"contradicted_probes: {cmp_.contradicted}",
     ], os.path.join(out, "report.txt"))
     print(f"verdict: {cmp_.verdict.value} (margin {_F(cmp_.margin)})")
@@ -168,8 +168,6 @@ def _cmd_extinction(cfg: ScenarioConfig, out: str) -> int:
                                header="t,u,x2")
         lines.append(f"u_termination: {u_term.kind.value}")
         lines.append(f"u_termination_time: {_F(u_term.time)}")
-        if sim.u_blowup_time is not None:
-            lines.append(f"chart_agreement_rel_gap: {_F(sim.rel_gap or 0.0)}")
     csvio.write_report(lines, os.path.join(out, "report.txt"))
     print(f"criterion_met: {str(verdict.criterion_met).lower()}; "
           f"termination: {term.kind.value} at t = {_F(term.time)}")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .integrate import (IntegratorOptions, TerminationKind, Trajectory, _prey_died, integrate,
+from .integrate import (IntegratorOptions, TerminationKind, Trajectory, _fate_run, _prey_died,
                         integrate_u_system)
 from .model import DomainError, ModelParams, State
 
@@ -97,9 +97,7 @@ def dissipative_bound_K2(p: ModelParams, eps1: float | None = None) -> BoundsRep
 @dataclass(frozen=True)
 class SimulatedExtinction:
     extinct: bool
-    time: float | None            # prey-extinction event time (x-chart)
-    u_blowup_time: float | None   # 1/x1 blowup time (u-chart)
-    rel_gap: float | None         # |T_x - T_u| / T_x
+    time: float | None            # prey-extinction event time, T(thr)
     termination: TerminationKind
     trajectory: Trajectory | None = field(default=None, repr=False, compare=False)
     u_trajectory: Trajectory | None = field(default=None, repr=False, compare=False)
@@ -142,37 +140,30 @@ def simulate_extinction(
     ic: State,
     opts: IntegratorOptions | None = None,
 ) -> ExtinctionVerdict:
-    """Run the criterion, then confirm dynamically in both charts.
+    """Run the criterion, then confirm dynamically.
 
-    The (x1, x2) run reports the PreyExtinct event time T_x; the (u, x2) run
-    reports the u-blowup time T_u; rel_gap carries their observed mismatch,
-    and the result keeps both trajectories.  The gap is not the truncation
-    depth (x1 = threshold vs x1 = 1/U_BLOWUP_CEILING) alone: the touchdown
-    times at those depths differ by 1.6% (0.146953 and 0.149320 for OSC from
-    (0.3, 50), from a tight scipy run), but at the default abs_tol, equal to
-    the extinction threshold, the x-chart's error control is off near the
-    axis and its 0.148002 is 0.71% off its own depth's time; the u-chart's
-    0.14931987 is within 1e-8 of its own.  The fate is integrate._prey_died's:
-    a run that decides no fate (a step failure) raises DomainError, and so
-    does a prey at or below the extinction threshold: the event fires only
-    on a fall through the threshold, so the run could not tell extinction
-    from survival.
+    The launches' fate run (integrate._fate_run, for m1 < 1 in y =
+    x1**(1-m1), smooth at the prey axis) gives the fate and the time
+    T(thr) at which x1 falls through the extinction threshold: 0.1469526
+    for OSC from (0.3, 50), scipy's 0.14695262 (integrate's x-chart, at
+    abs_tol = thr, gives 0.148002).  A prey that died is also run in
+    u = 1/x1 to its blowup at x1 = 1e-12.  Both trajectories are kept, the
+    fate run's in (x1, x2).  The fate is integrate._prey_died's: a run
+    that decides no fate raises DomainError, and so does a prey at or below
+    the threshold, as its event, a fall through the threshold, cannot fire.
     """
     if opts is None:
         opts = IntegratorOptions(horizon=100.0)
     _check_prey_above_threshold(ic, opts)
     verdict = extinction_ic_condition(ic.x1, p)
-    traj = integrate(p, ic, opts)
+    traj = _fate_run(p, ic, opts)
+    if p.m1 < 1.0:  # the run's y = x1**(1-m1), stored as x1
+        traj.x1[:] = [y ** (1.0 / (1.0 - p.m1)) for y in traj.x1]
     end = traj.termination
     if not _prey_died(end):
-        return replace(verdict, simulated=SimulatedExtinction(
-            False, None, None, None, end.kind, traj))
+        return replace(verdict, simulated=SimulatedExtinction(False, None, end.kind, traj))
     u_traj = integrate_u_system(p, State(1.0 / ic.x1, ic.x2), opts)
-    u_end = u_traj.termination
-    t_u = u_end.time if u_end.kind is TerminationKind.BLOWUP else None
-    rel = abs(end.time - t_u) / end.time if t_u is not None and end.time > 0.0 else None
-    return replace(verdict, simulated=SimulatedExtinction(
-        True, end.time, t_u, rel, end.kind, traj, u_traj))
+    return replace(verdict, simulated=SimulatedExtinction(True, end.time, end.kind, traj, u_traj))
 
 
 @dataclass(frozen=True)
@@ -223,19 +214,19 @@ def verify_persistence(
     ic: State,
     opts: IntegratorOptions | None = None,
 ) -> PersistenceVerdict:
-    """Integrate to opts.horizon (default 500) and report whether the prey
-    survived, by integrate._prey_died: a run that decides no fate raises
-    DomainError, and so does a prey at or below the extinction threshold:
-    the event fires only on a fall through the threshold, so the run would
-    report a prey that is already gone as persistent."""
+    """Run simulate_extinction's fate run to opts.horizon (default 500) and
+    report whether the prey survived; min_x1 is the run's least x1,
+    min(y)**(1/(1-m1)) for m1 < 1.  A run that decides no fate raises
+    DomainError, and so does a prey at or below the extinction threshold,
+    which the run would report, already gone, as persistent."""
     if opts is None:
         opts = IntegratorOptions(horizon=500.0)
     _check_prey_above_threshold(ic, opts)
-    traj = integrate(p, ic, opts)
+    traj = _fate_run(p, ic, opts)
     end = traj.termination
     died = _prey_died(end)
-    return PersistenceVerdict(not died, opts.horizon, min(traj.x1),
-                              end.time if died else None, end.kind)
+    low = min(traj.x1) if p.m1 >= 1.0 else min(traj.x1) ** (1.0 / (1.0 - p.m1))
+    return PersistenceVerdict(not died, opts.horizon, low, end.time if died else None, end.kind)
 
 
 def _check_prey_above_threshold(ic: State, opts: IntegratorOptions) -> None:

@@ -29,25 +29,26 @@ probe.
 At a fixed prey abscissa (a "probe") the boundary ordinate comes from one
 backward run from S (backward in time, orbits near the boundary converge
 onto it), certified by two launches 1e-4 either side.  All three run in the
-chart y = x1**(1-m1) (model.make_y_rhs) at half rel_tol: the field is
-smooth at the prey axis there, so no absolute tolerance far below thr is
-needed.  The backward run ends at the probe's y, located on the step's
-continuous extension; a launch's prey event is y = thr**(1-m1), which is
-x1 = thr, so the certified object is the thresholded boundary.  Where that
-orbit turns back before the probe and the fates part at the nullcline
-itself, the nullcline ordinate is the answer; otherwise bisection in the
-launch ordinate x2 brackets the boundary until it is rel_tol / 10 wide
-relative (rel_tol is the one accuracy setting) or no float lies between
-its ends, as when the boundary rounds onto the prey axis.  A fan of probes
-assembles the curve.
+chart y = x1**(1-m1) (integrate._y_chart, built once per probe) at half
+rel_tol: the field is smooth at the prey axis there, so no absolute
+tolerance far below thr is needed.  The backward run ends at the probe's y,
+located on the step's continuous extension; a launch is the fate run of
+extinction and persistence too (integrate._fate_run), whose prey event y =
+thr**(1-m1) is x1 = thr: the certified object is the thresholded
+boundary.  Where that orbit turns back before the probe and the fates part
+at the nullcline itself, the nullcline ordinate is the answer; otherwise
+bisection in the launch ordinate x2 brackets the boundary until it is
+rel_tol / 10 wide relative (rel_tol is the one accuracy setting) or no
+float lies between its ends, as when the boundary rounds onto the prey
+axis.  A fan of probes assembles the curve.
 At m1 = 1 the origin attracts no open set and the chart does not exist:
 the fan and each probe refuse with DomainError.
 
 Which side of this curve E1's unstable manifold leaves on needs no curve:
 orbits of a planar flow cannot cross, so the verdict is the fate of E1's
-leaving orbit under the same classifier (PlanarCurve.end), its run stopped
-by the launches' own turnaround test; the probes measure only its margin,
-each read off the leg in run order.
+leaving orbit under the same classifier (PlanarCurve.end), its x-chart run
+stopped by the launches' own turnaround test; the probes measure only its
+margin, each read off the leg in run order.
 """
 from __future__ import annotations
 
@@ -57,11 +58,10 @@ from dataclasses import dataclass, replace
 
 from .equilibria import jacobian, predator_nullcline_x1
 from .extinction import dissipative_bound_K2
-from .integrate import (_PREY_DIED, IntegratorOptions, TerminationKind, _prey_died, _run,
-                        integrate)
+from .integrate import (IntegratorOptions, Termination, TerminationKind, _fate_run, _prey_died,
+                        _run, _y_chart, integrate)
 # make_rhs is unused here; it stays because the bench trace shim patches it
-from .model import (DomainError, ModelParams, State, _response, eval_f,  # noqa: F401
-                    make_rhs, make_y_rhs)
+from .model import DomainError, ModelParams, State, _response, eval_f, make_rhs  # noqa: F401
 
 __all__ = [
     "CurveLabel",
@@ -92,7 +92,7 @@ class PlanarCurve:
     points: tuple[State, ...]
     # how the one run that traced it ended; None for the fan and the
     # nullclines, assembled from separate computations
-    end: TerminationKind | None = None
+    end: Termination | None = None
 
     def __post_init__(self):
         if len(self.points) < 2:
@@ -205,8 +205,8 @@ def trace_unstable_manifold_E1(
     into the open quadrant.  The run is an `integrate` run that stops on
     the launches' own test, `_turned`: it ends at the leg's first turn, the
     first accepted state with dx1/dt > 0 (the curve's last point), at the
-    prey-extinction event, or at the horizon; `end` records which, the fate
-    separatrix_relative_position reads.  No guard is needed:
+    prey-extinction event, or at the horizon; `end` keeps the run's
+    Termination, whose fate separatrix_relative_position reads.  No guard is needed:
     Q = x1 + (w0/w1)*x2 keeps x2 <= (w1/w0)*max(Q(0), W1/a2) on every run.
 
     The seed's offset grows like exp(lu*t), lu being E1's unstable
@@ -236,9 +236,8 @@ def trace_unstable_manifold_E1(
             f"{horizon:.6g} time units to leave E1, past {_E1_HORIZON_FACTOR:g} times "
             f"the horizon {opts.horizon!r}")
     traj = integrate(p, seed, replace(opts, horizon=horizon), stop_when=_turned)
-    end = traj.termination
-    _prey_died(end)  # a leg that decides no fate raises here
-    return PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(traj.states), end.kind)
+    _prey_died(traj.termination)  # a leg that decides no fate raises here
+    return PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(traj.states), traj.termination)
 
 
 # --------------------------------------------------------------------------
@@ -253,34 +252,28 @@ def _turned(t: float, x1: float, x2: float, dx1: float, dx2: float) -> bool:
 
 
 def _classify_launch(p: ModelParams, x1_0: float, x2_0: float,
-                     iopts: IntegratorOptions) -> bool:
-    """_prey_died on a `_y_chart` run stopped at a turnaround (dy/dt > 0 at
-    an accepted state, read off the run's own derivative; dy has dx1's
-    sign): True (ABOVE) if the prey falls monotonically into the extinction
-    event, False (BELOW) if it turns or survives to the horizon."""
-    f, opts, k = _y_chart(p, iopts)
-    traj = _run(f, (x1_0 ** k, x2_0), opts, _turned, floor=iopts.extinction_threshold ** k)
-    return _prey_died(traj.termination)
-
-
-def _y_chart(p: ModelParams, opts: IntegratorOptions):
-    """The chart y = x1**(1-m1) of the trace and the launches: its field,
-    opts at half rel_tol, and k = 1-m1; a level x1 = c is y = c**k."""
-    return make_y_rhs(p), replace(opts, rel_tol=0.5 * opts.rel_tol), 1.0 - p.m1
+                     iopts: IntegratorOptions, chart) -> bool:
+    """_prey_died on the fate run (integrate._fate_run, in `chart`) stopped
+    at a turnaround (dy/dt > 0 at an accepted state, read off the run's own
+    derivative): True (ABOVE) if the prey falls monotonically into the
+    extinction event, False (BELOW) if it turns or survives to the horizon."""
+    return _prey_died(_fate_run(p, State(x1_0, x2_0), iopts, _turned, chart).termination)
 
 
 def _turned_back(t: float, y: float, x2: float, dy: float, dx2: float) -> bool:
     return t > 0.0 and not dy > 0.0
 
 
-def _trace_to_probe(p: ModelParams, probe_x1: float, opts: IntegratorOptions) -> float:
+def _trace_to_probe(p: ModelParams, probe_x1: float, opts: IntegratorOptions,
+                    chart) -> float:
     """Integrate the boundary orbit backward from S = (thr, psi(thr)**(1/m2)),
     thr the extinction threshold, until x1 reaches probe_x1, and return x2
-    there.  The run is made in `_y_chart` from (thr**(1-m1), psi(thr)**(1/m2))
-    with the ceiling y = probe_x1**(1-m1): the loop locates that crossing on
-    the step's continuous extension and reads x2 there.  NaN if y stops
-    increasing first (the orbit turns back, as when it spirals into a focus)
-    or the run ends any other way.  Needs m1 < 1."""
+    there.  The run is made in `chart`, integrate._y_chart(p, opts), from
+    (thr**(1-m1), psi(thr)**(1/m2)) with the ceiling y = probe_x1**(1-m1):
+    the loop locates that crossing on the step's continuous extension and
+    reads x2 there.  NaN if y stops increasing first (the orbit turns back,
+    as when it spirals into a focus) or the run ends any other way.  Needs
+    m1 < 1."""
     thr = opts.extinction_threshold
     if not thr < probe_x1:
         return math.nan
@@ -288,7 +281,7 @@ def _trace_to_probe(p: ModelParams, probe_x1: float, opts: IntegratorOptions) ->
         seed = _nullcline_x2(thr, p)
     except OverflowError:
         return math.nan
-    f, yopts, k = _y_chart(p, opts)
+    f, yopts, k = chart
     traj = _run(f, (thr ** k, seed), yopts, _turned_back, ceiling=probe_x1 ** k, sign=-1.0)
     if traj.termination.kind is not TerminationKind.BLOWUP:
         return math.nan
@@ -302,11 +295,11 @@ def _require_fractional_m1(p: ModelParams) -> None:
 
 
 def _parts(p: ModelParams, probe_x1: float, lo: float, hi: float,
-           opts: IntegratorOptions) -> bool:
+           opts: IntegratorOptions, chart) -> bool:
     """True if the launch from (probe_x1, lo) is BELOW and the one from
     (probe_x1, hi) ABOVE; the second is made only if the first is BELOW."""
-    return (not _classify_launch(p, probe_x1, lo, opts)
-            and _classify_launch(p, probe_x1, hi, opts))
+    return (not _classify_launch(p, probe_x1, lo, opts, chart)
+            and _classify_launch(p, probe_x1, hi, opts, chart))
 
 
 # A traced ordinate y is returned once launches at y*(1 -+ this) part.  The
@@ -317,7 +310,7 @@ _CERTIFY_MARGIN = 1e-4
 
 
 def _bisect_probe(p: ModelParams, probe_x1: float, base: float,
-                  opts: IntegratorOptions) -> float:
+                  opts: IntegratorOptions, chart) -> float:
     """Bisect launch fates at the probe between a BELOW launch at x2 = lo
     and an ABOVE launch at x2 = hi, starting from lo = base / 2 and
     hi = max(2 * base, 1) doubled until ABOVE, until the bracket is
@@ -326,10 +319,10 @@ def _bisect_probe(p: ModelParams, probe_x1: float, base: float,
     ceiling = _X2_CAP_FACTOR * max(dissipative_bound_K2(p).K2, 1.0)
     width = opts.rel_tol / 10.0
     lo = 0.5 * base
-    if _classify_launch(p, probe_x1, lo, opts):
+    if _classify_launch(p, probe_x1, lo, opts, chart):
         lo = 0.0  # extremely flat nullcline; fall back to the axis
     hi = max(2.0 * base, 1.0)
-    while not _classify_launch(p, probe_x1, hi, opts):
+    while not _classify_launch(p, probe_x1, hi, opts, chart):
         lo, hi = hi, 2.0 * hi  # a certified BELOW launch: the new lower end
         if hi > ceiling:
             raise DomainError(
@@ -340,7 +333,7 @@ def _bisect_probe(p: ModelParams, probe_x1: float, base: float,
         mid = 0.5 * (lo + hi)  # no float between lo and hi: mid is one of them
         if not hi - lo > width * hi or mid == lo or mid == hi:
             return mid
-        if _classify_launch(p, probe_x1, mid, opts):
+        if _classify_launch(p, probe_x1, mid, opts, chart):
             hi = mid
         else:
             lo = mid
@@ -350,7 +343,7 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
                            opts: IntegratorOptions = _LAUNCH_OPTIONS) -> float:
     """The ordinate at abscissa probe_x1 of the boundary of monotone-decay
     extinction at the threshold thr = opts.extinction_threshold, each run
-    made in `_y_chart`.  Needs m1 < 1: at m1 = 1 the origin attracts no
+    made in one `_y_chart`.  Needs m1 < 1: at m1 = 1 the origin attracts no
     open set, and this raises the DomainError trace_stable_separatrix_E0
     raises.  The first of three routes that applies gives it:
 
@@ -366,15 +359,16 @@ def separatrix_boundary_x2(p: ModelParams, probe_x1: float,
     cap = p.carrying_capacity
     if not (0.0 < probe_x1 < cap):
         raise DomainError(f"probe must sit in (0, a1/b1), got {probe_x1!r}")
-    y = _trace_to_probe(p, probe_x1, opts)
+    chart = _y_chart(p, opts)
+    y = _trace_to_probe(p, probe_x1, opts, chart)
     if y > 0.0 and _parts(p, probe_x1, y * (1.0 - _CERTIFY_MARGIN),
-                          y * (1.0 + _CERTIFY_MARGIN), opts):
+                          y * (1.0 + _CERTIFY_MARGIN), opts, chart):
         return y
     base = _nullcline_x2(probe_x1, p)
     step = opts.rel_tol / 10.0
-    if _parts(p, probe_x1, base * (1.0 - step), base * (1.0 + step), opts):
+    if _parts(p, probe_x1, base * (1.0 - step), base * (1.0 + step), opts, chart):
         return base
-    return _bisect_probe(p, probe_x1, base, opts)
+    return _bisect_probe(p, probe_x1, base, opts, chart)
 
 
 def _probe_stations(p: ModelParams, opts: SeparatrixOptions) -> list[float]:
@@ -431,8 +425,9 @@ def _leg_x2(xs: list[float], ys: list[float], x1: float) -> float | None:
 def separatrix_relative_position(ws: PlanarCurve, wu: PlanarCurve) -> SeparatrixComparison:
     """Which side of the stable set W^s(E0) the unstable manifold W^u(E1)
     leaves on.  Orbits of a planar flow cannot cross, so the verdict is the
-    fate of E1's leaving orbit, integrate._PREY_DIED at wu.end: a prey that
-    died is WU_ABOVE_WS; an end outside that rule raises DomainError.
+    fate of E1's leaving orbit, integrate._prey_died(wu.end): a prey that
+    died is WU_ABOVE_WS; an end outside that rule, or none, raises
+    DomainError.
     ws is compared only at its own probes in wu's x1 range, each read off
     the first segment of wu, in run order, that brackets it: the margin is
     the least |ws - wu|, and `contradicted` counts the probes whose gap
@@ -441,9 +436,7 @@ def separatrix_relative_position(ws: PlanarCurve, wu: PlanarCurve) -> Separatrix
         raise DomainError("first curve must be the stable separatrix of E0")
     if wu.label is not CurveLabel.UNSTABLE_MANIFOLD_E1:
         raise DomainError("second curve must be the unstable manifold of E1")
-    if wu.end not in _PREY_DIED:
-        raise DomainError(f"the unstable manifold's run records no fate (end {wu.end!r})")
-    verdict = Verdict.WU_ABOVE_WS if _PREY_DIED[wu.end] else Verdict.WS_ABOVE_WU
+    verdict = Verdict.WU_ABOVE_WS if _prey_died(wu.end) else Verdict.WS_ABOVE_WU
 
     ws_pts = sorted(ws.points, key=lambda s: s.x1)
     xs, ys = wu.x1s(), wu.x2s()

@@ -4,9 +4,9 @@ The stepper is written out against plain floats for the 2D system -- the
 separatrix machinery runs thousands of short integrations (three per probe:
 one backward trace and two certifying launches), and scalar arithmetic keeps
 each step in the microsecond range.  All three run in the chart
-y = x1**(1-m1) (model.make_y_rhs), smooth at the prey axis: geometry calls
-`_run` on that field, the trace with sign -1 up to the probe's y as its
-ceiling, the launches down to the floor y = thr**(1-m1).
+y = x1**(1-m1) (`_y_chart`), smooth at the prey axis: the trace is `_run`
+with sign -1 up to the probe's y as its ceiling; the launches, like the
+extinction and persistence runs, are `_fate_run`, down to y = thr**(1-m1).
 There is one loop, the text `_LOOP`, written out inline against plain
 floats: in CPython a helper call per step, a tuple per step result, min/max
 builtin calls and per-event or per-state objects cost as much as the field
@@ -45,10 +45,10 @@ from __future__ import annotations
 import enum
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from .model import DomainError, ModelParams, State, make_rhs, make_u_rhs
+from .model import DomainError, ModelParams, State, make_rhs, make_u_rhs, make_y_rhs
 
 __all__ = [
     "IntegratorOptions",
@@ -84,11 +84,30 @@ _PREY_DIED = {TerminationKind.PREY_EXTINCT: True, TerminationKind.STOPPED: False
               TerminationKind.HORIZON_REACHED: False}
 
 
-def _prey_died(termination: Termination) -> bool:
+def _prey_died(termination: Termination | None) -> bool:
     """_PREY_DIED's answer; DomainError naming the termination otherwise."""
-    if termination.kind not in _PREY_DIED:
+    if termination is None or termination.kind not in _PREY_DIED:
         raise DomainError(f"the run decides no fate of the prey: {termination!r}")
     return _PREY_DIED[termination.kind]
+
+
+def _y_chart(p: ModelParams, opts: IntegratorOptions):
+    """The chart y = x1**(1-m1) of the fate runs and the separatrix trace:
+    its field, opts at half rel_tol, and k = 1-m1; a level x1 = c is y = c**k."""
+    return make_y_rhs(p), replace(opts, rel_tol=0.5 * opts.rel_tol), 1.0 - p.m1
+
+
+def _fate_run(p: ModelParams, ic: State, opts: IntegratorOptions,
+              stop_when: StopPredicate | None = None, chart=None) -> Trajectory:
+    """The run whose end decides the prey's fate: for m1 < 1 a run in
+    `chart` (_y_chart(p, opts), built once by callers that launch many)
+    down to y = thr**(1-m1), its x1 column holding y and stop_when getting
+    dy (dx1's sign); at m1 = 1 integrate's run.  ic is checked as there."""
+    if p.m1 >= 1.0:
+        return integrate(p, ic, opts, stop_when=stop_when)
+    f, yopts, k = chart or _y_chart(p, opts)
+    y0, x2 = _check_ic(ic.x1, "x1") ** k, _check_ic(ic.x2, "x2")
+    return _run(f, (y0, x2), yopts, stop_when, floor=opts.extinction_threshold ** k)
 
 
 @dataclass(frozen=True)
@@ -119,7 +138,8 @@ StopPredicate = Callable[[float, float, float, float, float], bool]
 @dataclass
 class Trajectory:
     """An integration as float columns: times[i] and (x1[i], x2[i]) are the
-    i-th stored state (in the u-chart the x1 column holds u)."""
+    i-th stored state (in the u-chart the x1 column holds u, in the y-chart
+    y)."""
 
     times: list[float] = field(default_factory=list)
     x1: list[float] = field(default_factory=list)

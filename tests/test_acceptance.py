@@ -184,8 +184,7 @@ def test_c07_finite_time_extinction():
     sim = res.simulated
     assert sim.extinct and math.isfinite(sim.time)
     # scipy's T(x1 = 1e-9) (DOP853 at rtol 1e-13, bench/references.json)
-    assert sim.time == pytest.approx(0.14695262316449959, rel=1e-2)
-    assert sim.rel_gap is not None and sim.rel_gap < 0.05
+    assert sim.time == pytest.approx(0.14695262316449959, rel=1e-6)
 
     # Doubling the predator load shortens the touchdown.
     faster = simulate_extinction(OSC, State(0.3, 100.0)).simulated

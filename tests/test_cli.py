@@ -253,7 +253,8 @@ def test_extinction_command(tmp_path):
     report = (out / "report.txt").read_text()
     assert "criterion_met: true" in report
     assert "termination: prey_extinct" in report
-    assert "chart_agreement_rel_gap:" in report
+    # one chart reports the touchdown: no line compares it with another's
+    assert "chart_agreement_rel_gap:" not in report
     u_head = (out / "u_trajectory.csv").read_text().splitlines()[0]
     assert u_head == "t,u,x2"
 

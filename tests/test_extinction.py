@@ -26,7 +26,7 @@ from predprey import (
     with_params,
 )
 from predprey.integrate import Termination, Trajectory
-from predprey.model import make_rhs
+from predprey.model import make_rhs, make_y_rhs
 
 
 def test_boundedness_bound_values(osc_params):
@@ -102,11 +102,12 @@ def test_simulate_extinction_charts_agree(osc_params):
     assert sim.extinct
     assert 0.14 < sim.time < 0.16
     assert sim.termination is TerminationKind.PREY_EXTINCT
-    assert sim.u_blowup_time is not None
-    assert sim.rel_gap is not None and sim.rel_gap < 0.05
-    # both runs are kept for the CLI to write
+    # both runs are kept for the CLI to write; the u-chart's blowup depth,
+    # x1 = 1e-12, lies past the threshold 1e-9
     assert sim.trajectory.termination.time == sim.time
-    assert sim.u_trajectory.termination.time == sim.u_blowup_time
+    u_end = sim.u_trajectory.termination
+    assert u_end.kind is TerminationKind.BLOWUP
+    assert sim.time < u_end.time < 1.05 * sim.time
 
 
 def test_more_predators_die_faster(osc_params):
@@ -181,13 +182,14 @@ def test_every_fate_question_reads_one_rule(osc_params, monkeypatch, kind):
     def synthetic(*args, **kwargs):
         return Trajectory([0.0, 0.5], [9.0, 1.0], [2.0, 2.0], Termination(kind, 0.5, "why"))
 
-    for module, name in ((geo, "_run"), (geo, "integrate"), (ext, "integrate")):
+    for module, name in ((geo, "_fate_run"), (geo, "integrate"), (ext, "_fate_run")):
         monkeypatch.setattr(module, name, synthetic)
     opts = IntegratorOptions(horizon=100.0)
     ws = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0, (State(1.0, 5.0), State(4.0, 5.0)))
-    wu = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, (State(9.0, 2.0), State(1.0, 2.0)), kind)
+    wu = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, (State(9.0, 2.0), State(1.0, 2.0)),
+                     synthetic().termination)
     questions = [
-        lambda: geo._classify_launch(osc_params, 0.3, 50.0, opts),
+        lambda: geo._classify_launch(osc_params, 0.3, 50.0, opts, None),
         lambda: separatrix_relative_position(
             ws, trace_unstable_manifold_E1(osc_params, opts)).verdict is Verdict.WU_ABOVE_WS,
         lambda: separatrix_relative_position(ws, wu).verdict is Verdict.WU_ABOVE_WS,
@@ -219,30 +221,70 @@ def test_prey_at_or_below_the_threshold_is_a_domain_error(osc_params, x1):
             is TerminationKind.PREY_EXTINCT
 
 
-# scipy's touchdown times T(x1 = 1e-12) from bench/references.json: solve_ivp
-# DOP853 at rtol 1e-13 in (x1, x2) down to x1 = 1e-3, then in u = 1/x1 up to
-# u = 1e12 (scipy 1.17.1, numpy 2.4.6, Python 3.11.7); the OSC set with the
-# one change named, from (x1, x2)
+@pytest.mark.parametrize("m1", [0.8, 1.0])
+@pytest.mark.parametrize("x2", [-1.0, math.nan, math.inf])
+def test_a_bad_predator_start_is_a_domain_error(osc_params, m1, x2):
+    # the fate run checks its start as integrate does, in either chart
+    p = with_params(osc_params, m1=m1)
+    for question in (simulate_extinction, verify_persistence):
+        with pytest.raises(DomainError, match="initial x2"):
+            question(p, State(0.3, x2))
+
+
+# scipy's touchdown times T(x1 = 1e-12) and T(x1 = 1e-9) from
+# bench/references.json: solve_ivp DOP853 at rtol 1e-13 in (x1, x2) down to
+# x1 = 1e-3, then in u = 1/x1 up to u = 1e12 (scipy 1.17.1, numpy 2.4.6,
+# Python 3.11.7); the OSC set with the one change named, from (x1, x2)
 _OSC_RATES = dict(a1=0.6, a2=1.0, b1=0.063, w0=1.0, w1=2.0, d=2.0, m1=0.8, m2=1.0, r=1.0)
 _U_TOUCHDOWNS = [
-    ({}, (0.3, 50.0), 0.14931987351248485),
-    ({}, (0.3, 100.0), 0.07191789789540441),
-    ({}, (0.2, 30.0), 0.23887455726672355),
-    ({}, (0.1, 20.0), 0.324992807190112),
-    ({"m1": 0.6}, (0.3, 50.0), 0.0490589993814132),
-    ({"r": 0.5}, (0.3, 80.0), 0.1626708219204584),
-    ({"d": 1.5}, (0.4, 60.0), 0.1035873678785373),
-    ({"a1": 2.0, "b1": 0.21}, (0.5, 200.0), 0.03991166523520352),
+    ({}, (0.3, 50.0), 0.14931987351248485, 0.14695262316449959),
+    ({}, (0.3, 100.0), 0.07191789789540441, 0.0708149393601855),
+    ({}, (0.2, 30.0), 0.23887455726672355, 0.2345700309203055),
+    ({}, (0.1, 20.0), 0.324992807190112, 0.3179398255885826),
+    ({"m1": 0.6}, (0.3, 50.0), 0.0490589993814132, 0.0490404944403666),
+    ({"r": 0.5}, (0.3, 80.0), 0.1626708219204584, 0.16004837077524775),
+    ({"d": 1.5}, (0.4, 60.0), 0.1035873678785373, 0.10209157236564505),
+    ({"a1": 2.0, "b1": 0.21}, (0.5, 200.0), 0.03991166523520352, 0.03937683034259697),
 ]
 
 
-@pytest.mark.parametrize("change, ic, t_ref", _U_TOUCHDOWNS,
+@pytest.mark.parametrize("change, ic, t_ref, t_thr", _U_TOUCHDOWNS,
                          ids=["osc", "osc_x2_100", "osc_0.2_30", "osc_0.1_20", "m1_0.6",
                               "r_0.5", "d_1.5", "enriched"])
-def test_u_chart_touchdown_matches_scipy(change, ic, t_ref):
+def test_u_chart_touchdown_matches_scipy(change, ic, t_ref, t_thr):
     # the ceiling u = 1e12 is located on the step's continuous extension;
     # the chord across the last step, on which u steepens without bound,
-    # met it up to 3.3e-6 early
+    # met it up to 3.3e-6 early.  The fate run, in y = x1**(1-m1), meets the
+    # threshold at scipy's time; the x-chart, at abs_tol = threshold, was
+    # 8.5e-4 to 1.07e-2 off.
     p = ModelParams(**{**_OSC_RATES, **change})
     sim = simulate_extinction(p, State(*ic)).simulated
-    assert sim.u_blowup_time == pytest.approx(t_ref, rel=5e-8)
+    assert sim.u_trajectory.termination.time == pytest.approx(t_ref, rel=5e-8)
+    assert sim.time == pytest.approx(t_thr, rel=1e-6)
+
+
+@pytest.mark.parametrize("m1", [0.3, 0.5, 0.8, 0.9, 0.95, 0.99, 0.999])
+def test_fate_run_matches_scipy_in_its_chart(m1):
+    # OSC from (0.3, 50) against scipy's DOP853 at rtol 1e-13 on the fate
+    # run's own field, make_y_rhs: T(1e-9) and every stored x1 before the
+    # crossing within 1e-6 relative (2.2e-7 at worst, m1 = 0.3), and the
+    # crossing at the threshold.  The x-chart's stored x1 near the axis were
+    # up to 4.18 relative off (m1 = 0.8).
+    from scipy.integrate import solve_ivp
+
+    p = ModelParams(**{**_OSC_RATES, "m1": m1})
+    sim = simulate_extinction(p, State(0.3, 50.0)).simulated
+    k = 1.0 - m1
+    f = make_y_rhs(p)
+
+    def floor(t, y):
+        return y[0] - 1e-9 ** k
+    floor.terminal, floor.direction = True, -1.0
+    sol = solve_ivp(lambda t, y: f(y[0], y[1]), (0.0, 100.0), [0.3 ** k, 50.0],
+                    method="DOP853", rtol=1e-13, atol=1e-20, events=floor, dense_output=True)
+    assert sim.extinct
+    assert sim.time == pytest.approx(sol.t_events[0][0], rel=1e-6)
+    traj = sim.trajectory
+    want = [sol.sol(t)[0] ** (1.0 / k) for t in traj.times[:-1]]
+    assert traj.x1[:-1] == pytest.approx(want, rel=1e-6)
+    assert traj.x1[-1] == pytest.approx(1e-9, rel=1e-6)

@@ -29,6 +29,7 @@ from predprey import (
     trace_unstable_manifold_E1,
     with_params,
 )
+from predprey.integrate import Termination, _y_chart
 from predprey.model import make_rhs
 
 
@@ -89,7 +90,7 @@ def test_a_weak_prey_response_turns_far_up_and_stays_bounded(osc_params):
     # is needed, as Q = x1 + (w0/w1)*x2 keeps x2 <= (w1/w0)*max(Q(0), W1/a2)
     p = with_params(osc_params, w0=1e-7)
     wu = trace_unstable_manifold_E1(p)
-    assert wu.end is TerminationKind.STOPPED
+    assert wu.end.kind is TerminationKind.STOPPED
     seed = wu.points[0]
     q0 = seed.x1 + p.w0 / p.w1 * seed.x2
     top = max(wu.x2s())
@@ -108,7 +109,7 @@ def test_a_leg_that_wobbles_within_its_error_falls_into_extinction():
                     w0=0.4189956899292203, w1=0.3807242239567352, d=0.7835784905542477,
                     m1=0.7829623770787273, m2=1.0, r=0.7048934926904875)
     wu = trace_unstable_manifold_E1(p)
-    assert wu.end is TerminationKind.PREY_EXTINCT
+    assert wu.end.kind is TerminationKind.PREY_EXTINCT
     assert not wu.points[7].x1 < wu.points[6].x1
     cmp_ = separatrix_relative_position(trace_stable_separatrix_E0(p), wu)
     assert cmp_.verdict is Verdict.WU_ABOVE_WS
@@ -127,7 +128,7 @@ def test_osc_verdict_flips_just_above_w1_2(osc_params, w1, end, verdict):
     # below it the leg turns, above it the prey dies out.  OSC's w1 = 2.0
     # lies 0.45% below; the verdict follows the fate whatever the probes
     wu = trace_unstable_manifold_E1(with_params(osc_params, w1=w1))
-    assert wu.end is end
+    assert wu.end.kind is end
     leg = [s.x1 for s in wu.points[:-1]]
     ws = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0,
                      (State(min(leg), 1.0), State(max(leg), 1.0)))
@@ -159,7 +160,7 @@ def test_manifold_is_the_descending_prefix_of_the_long_trace(osc_params, name):
     # the long run's fate agrees with the leg's: a turn and the horizon
     # both mean the leg did not run monotonically into extinction
     ws = trace_stable_separatrix_E0(p)
-    long = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(full.states), full.termination.kind)
+    long = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(full.states), full.termination)
     assert (separatrix_relative_position(ws, long).verdict
             is separatrix_relative_position(ws, wu).verdict)
 
@@ -180,17 +181,18 @@ def test_boundary_bisection_separates_fates(osc_params):
 
 @pytest.mark.parametrize("horizon", [3.0, 500.0])
 def test_launches_run_to_the_integrator_horizon(osc_params, monkeypatch, horizon):
-    # the integrator options are the launches' only home: the trace and the
-    # launches, all y-chart runs of geometry._run, run to their horizon
-    mod = sys.modules["predprey.geometry"]
-    run = mod._run
+    # the integrator options are the launches' only home: the trace (a
+    # geometry._run) and the launches (integrate._fate_run's _run), all
+    # y-chart runs, run to their horizon
+    run = sys.modules["predprey.integrate"]._run
     seen = []
 
     def recording(f, ic, opts, *args, **kwargs):
         seen.append(opts.horizon)
         return run(f, ic, opts, *args, **kwargs)
 
-    monkeypatch.setattr(mod, "_run", recording)
+    for name in ("predprey.integrate", "predprey.geometry"):
+        monkeypatch.setattr(sys.modules[name], "_run", recording)
     separatrix_boundary_x2(osc_params, 1.389, IntegratorOptions(horizon=horizon))
     assert len(seen) >= 3
     assert all(h == horizon for h in seen)
@@ -199,7 +201,7 @@ def test_launches_run_to_the_integrator_horizon(osc_params, monkeypatch, horizon
 def test_probe_makes_only_the_steps_field_calls(osc_params, monkeypatch):
     # Wrap the make_rhs products where the integrator and this module look
     # them up, as the bench trace shim does, and the make_y_rhs products
-    # where this module looks them up.  The turnaround test reads the
+    # where the integrator's _y_chart looks them up.  The turnaround test reads the
     # derivative the step already holds, so a probe costs the DP5 step's 6
     # field calls per accepted step plus its rejections; re-evaluating the
     # field at each accepted state made it 7.0.
@@ -218,22 +220,17 @@ def test_probe_makes_only_the_steps_field_calls(osc_params, monkeypatch):
     for name in ("predprey.integrate", "predprey.geometry"):
         mod = sys.modules[name]
         monkeypatch.setattr(mod, "make_rhs", counting(mod.make_rhs))
-    geo = sys.modules["predprey.geometry"]
-    monkeypatch.setattr(geo, "make_y_rhs", counting(geo.make_y_rhs))
-    launch, run = geo.integrate, geo._run
-
-    def counted_launch(*args, **kwargs):
-        traj = launch(*args, **kwargs)
-        steps.append(len(traj) - 1)
-        return traj
+    integ = sys.modules["predprey.integrate"]
+    monkeypatch.setattr(integ, "make_y_rhs", counting(integ.make_y_rhs))
+    run = integ._run
 
     def counted_run(*args, **kwargs):
         traj = run(*args, **kwargs)
         steps.append(len(traj) - 1)
         return traj
 
-    monkeypatch.setattr(geo, "integrate", counted_launch)
-    monkeypatch.setattr(geo, "_run", counted_run)
+    for name in ("predprey.integrate", "predprey.geometry"):
+        monkeypatch.setattr(sys.modules[name], "_run", counted_run)
     separatrix_boundary_x2(osc_params, 1.389)  # a station of the default fan
     # one backward trace from the threshold and the two launches that
     # certify it, all three in the y-chart: 192 accepted steps (64 + 66 +
@@ -258,7 +255,7 @@ def test_section_bisection_matches_the_probe_loop(osc_params, name):
     ws = trace_stable_separatrix_E0(p)
     geo = sys.modules["predprey.geometry"]
     opts = IntegratorOptions(horizon=500.0)
-    plain = [geo._bisect_probe(p, x, psi(x, p), opts) for x in ws.x1s()]
+    plain = [geo._bisect_probe(p, x, psi(x, p), opts, _y_chart(p, opts)) for x in ws.x1s()]
     assert ws.x2s() == pytest.approx(plain, rel=1e-4)
     if name == "enriched":
         # right of x1 = 4 the traced orbit has turned back into the focus:
@@ -346,19 +343,15 @@ def test_nullcline_route_returns_psi(osc_params, monkeypatch):
     p = _fan_sets(osc_params)["enriched"]
     geo = sys.modules["predprey.geometry"]
     stations = geo._probe_stations(p, SeparatrixOptions())[8:]
-    launch, run = geo.integrate, geo._run
+    run = geo._run
     runs = []
-
-    def counted(*args, **kwargs):
-        runs.append(False)
-        return launch(*args, **kwargs)
 
     def counted_run(*args, sign=1.0, **kwargs):
         runs.append(sign < 0.0)
         return run(*args, sign=sign, **kwargs)
 
-    monkeypatch.setattr(geo, "integrate", counted)
-    monkeypatch.setattr(geo, "_run", counted_run)
+    for name in ("predprey.integrate", "predprey.geometry"):
+        monkeypatch.setattr(sys.modules[name], "_run", counted_run)
     for x in stations:
         runs.clear()
         assert separatrix_boundary_x2(p, x) == psi(x, p)
@@ -383,7 +376,9 @@ def test_trace_outside_the_bracket_resumes_at_the_probe(osc_params, monkeypatch,
     got = separatrix_boundary_x2(osc_params, 1.389)
     assert len(traces) == 1
     opts = IntegratorOptions(horizon=500.0)
-    assert repr(got) == repr(geo._bisect_probe(osc_params, 1.389, psi(1.389, osc_params), opts))
+    chart = _y_chart(osc_params, opts)
+    assert repr(got) == repr(geo._bisect_probe(osc_params, 1.389, psi(1.389, osc_params), opts,
+                                               chart))
 
 
 def test_separatrix_requires_fractional_m1(osc_params):
@@ -427,7 +422,7 @@ def test_traced_probes_match_the_scipy_backward_trace_over_the_domain(osc_params
         stations = geo._probe_stations(p, SeparatrixOptions())
         oracle = _scipy_backward_trace(p, stations, 1e-9)
         for x, want in zip(stations, oracle):
-            got = geo._trace_to_probe(p, x, opts)
+            got = geo._trace_to_probe(p, x, opts, _y_chart(p, opts))
             assert math.isnan(got) == math.isnan(want), (p, x)
             if not math.isnan(want):
                 reached += 1
@@ -501,13 +496,14 @@ def test_launch_fates_match_scipy_near_unit_m1(osc_params, m1, agree):
     opts = IntegratorOptions(horizon=500.0)
     agree_y = 0
     for p in _perturbed_sets(osc_params, (m1,), seed=1, per=1):
+        chart = _y_chart(p, opts)
         for x in geo._probe_stations(p, SeparatrixOptions()):
-            y = geo._trace_to_probe(p, x, opts)
+            y = geo._trace_to_probe(p, x, opts, chart)
             if math.isnan(y):
                 continue
             for x2 in (y * (1.0 - geo._CERTIFY_MARGIN), y * (1.0 + geo._CERTIFY_MARGIN)):
                 want = _scipy_launch_fate(p, x, x2, opts.extinction_threshold)
-                agree_y += geo._classify_launch(p, x, x2, opts) == (want == "above")
+                agree_y += geo._classify_launch(p, x, x2, opts, chart) == (want == "above")
     assert agree_y == agree
     assert agree_y >= _X_CHART_LAUNCH_AGREEMENT[m1]
 
@@ -519,12 +515,18 @@ def test_separatrix_explicit_probe_list(osc_params):
     assert ws.points[1].x2 == separatrix_boundary_x2(osc_params, 5.0)
 
 
+def _end(kind: TerminationKind) -> Termination:
+    """A hand-built curve's end: a run that ended `kind`."""
+    return Termination(kind, 0.0)
+
+
 def test_relative_position_verdicts():
     # the verdict is the manifold run's fate; the probes only measure it
     ws = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0,
                      (State(1.0, 5.0), State(4.0, 5.0), State(8.0, 5.0)))
     wu = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1,
-                     (State(9.0, 2.0), State(5.0, 2.0), State(1.0, 2.0)), TerminationKind.STOPPED)
+                     (State(9.0, 2.0), State(5.0, 2.0), State(1.0, 2.0)),
+                     _end(TerminationKind.STOPPED))
     cmp_ = separatrix_relative_position(ws, wu)
     assert cmp_.verdict is Verdict.WS_ABOVE_WU
     assert cmp_.margin == pytest.approx(3.0)
@@ -532,10 +534,10 @@ def test_relative_position_verdicts():
 
     wu_hi = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1,
                         (State(9.0, 9.0), State(5.0, 9.0), State(1.0, 9.0)),
-                        TerminationKind.PREY_EXTINCT)
+                        _end(TerminationKind.PREY_EXTINCT))
     hi = separatrix_relative_position(ws, wu_hi)
     assert hi.verdict is Verdict.WU_ABOVE_WS and hi.contradicted == 0
-    horizon = replace(wu_hi, end=TerminationKind.HORIZON_REACHED)
+    horizon = replace(wu_hi, end=_end(TerminationKind.HORIZON_REACHED))
     assert separatrix_relative_position(ws, horizon).verdict is Verdict.WS_ABOVE_WU
     assert separatrix_relative_position(ws, horizon).contradicted == 3
 
@@ -543,15 +545,16 @@ def test_relative_position_verdicts():
     # decides, and the probes of the other sign are counted against it
     wu_x = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1,
                        (State(9.0, 0.0), State(5.0, 5.0), State(1.0, 10.0)),
-                       TerminationKind.STOPPED)
+                       _end(TerminationKind.STOPPED))
     turned = separatrix_relative_position(ws, wu_x)
     assert (turned.verdict, turned.contradicted) == (Verdict.WS_ABOVE_WU, 2)
     assert turned.gap_at == (4.0, -1.25) and turned.margin == 1.25
-    extinct = separatrix_relative_position(ws, replace(wu_x, end=TerminationKind.PREY_EXTINCT))
+    died = replace(wu_x, end=_end(TerminationKind.PREY_EXTINCT))
+    extinct = separatrix_relative_position(ws, died)
     assert (extinct.verdict, extinct.contradicted) == (Verdict.WU_ABOVE_WS, 1)
 
     # a curve that no single run traced has no fate to read
-    for end in (None, TerminationKind.BLOWUP):
+    for end in (None, _end(TerminationKind.BLOWUP)):
         with pytest.raises(DomainError, match="no fate"):
             separatrix_relative_position(ws, replace(wu, end=end))
 
@@ -560,7 +563,7 @@ def test_relative_position_verdicts():
     lo, hi = 0.11388236146134381, 0.4809941328089724
     ws_r = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0, (State(lo, 3.0), State(hi, 4.0)))
     wu_r = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, (State(hi, 1.0), State(lo, 2.0)),
-                       TerminationKind.STOPPED)
+                       _end(TerminationKind.STOPPED))
     cmp_r = separatrix_relative_position(ws_r, wu_r)
     assert cmp_r.x1_range == (lo, hi)
     assert cmp_r.gap_at == (lo, 1.0)
@@ -570,7 +573,7 @@ def test_relative_position_verdicts():
     # not on 5 -> 6 (x2 = 2.5) or 6 -> 1 (x2 = 3.1)
     wob = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1,
                       (State(9.0, 1.0), State(5.0, 2.0), State(6.0, 3.0), State(1.0, 4.0)),
-                      TerminationKind.PREY_EXTINCT)
+                      _end(TerminationKind.PREY_EXTINCT))
     ws_w = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0, (State(5.5, 3.0), State(8.0, 3.0)))
     cmp_w = separatrix_relative_position(ws_w, wob)
     assert cmp_w.gap_at == (5.5, 1.125)
@@ -582,7 +585,7 @@ def test_relative_position_checks_labels_and_overlap():
     a = PlanarCurve(CurveLabel.STABLE_SEPARATRIX_E0,
                     (State(1.0, 5.0), State(2.0, 5.0)))
     b = PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1,
-                    (State(9.0, 2.0), State(8.0, 2.0)), TerminationKind.STOPPED)
+                    (State(9.0, 2.0), State(8.0, 2.0)), _end(TerminationKind.STOPPED))
     with pytest.raises(DomainError):
         separatrix_relative_position(b, a)  # swapped roles
     with pytest.raises(DomainError):
@@ -619,7 +622,7 @@ def test_close_curves_get_the_fate_of_the_leg(name):
     p = ModelParams(**rates, m2=1.0, r=1.0)
     wu = trace_unstable_manifold_E1(p)
     cmp_ = separatrix_relative_position(trace_stable_separatrix_E0(p), wu)
-    assert wu.end is end
+    assert wu.end.kind is end
     assert cmp_.verdict is verdict
     assert cmp_.contradicted == contradicted
     assert cmp_.margin > 0.0
@@ -706,8 +709,8 @@ def test_bisection_width_follows_the_launch_tolerance(osc_params, monkeypatch, r
     classify = geo._classify_launch
     fates = {True: [], False: []}  # ABOVE and BELOW launches
 
-    def recording(p, x1_0, x2_0, iopts):
-        fate = classify(p, x1_0, x2_0, iopts)
+    def recording(p, x1_0, x2_0, iopts, chart):
+        fate = classify(p, x1_0, x2_0, iopts, chart)
         fates[fate].append(x2_0)
         return fate
 
@@ -730,10 +733,10 @@ def test_bisection_ends_where_the_boundary_rounds_to_the_prey_axis(monkeypatch, 
     classify = geo._classify_launch
     launches = []
 
-    def counted(p, x1_0, x2_0, iopts):
+    def counted(p, x1_0, x2_0, iopts, chart):
         launches.append(x2_0)
         assert len(launches) <= 1100, "the bisection does not end"
-        return classify(p, x1_0, x2_0, iopts)
+        return classify(p, x1_0, x2_0, iopts, chart)
 
     monkeypatch.setattr(geo, "_classify_launch", counted)
     p = ModelParams(a1=0.1, a2=0.1, b1=0.1, w0=0.1, w1=0.1, d=0.1, m1=0.5, m2=m2)
