@@ -239,11 +239,6 @@ def main(argv: list[str] | None = None) -> int:
     ns = _build_parser().parse_args(argv)
     try:
         cfg = load_config(ns.config)
-    except ConfigError as exc:
-        for e in exc.errors:
-            print(f"config error: {e}", file=sys.stderr)
-        return 2
-    try:
         os.makedirs(ns.out, exist_ok=True)
         return _COMMANDS[ns.command](cfg, ns.out)
     except ConfigError as exc:

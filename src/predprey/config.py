@@ -220,6 +220,6 @@ def load_config(path: str) -> ScenarioConfig:
     try:
         with open(path) as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError([f"cannot read config file {path!r}: {exc}"]) from exc
     return parse_config(text, origin=path)

@@ -27,8 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 
-from .integrate import (IntegratorOptions, TerminationKind, Trajectory, _fate_run, _prey_died,
-                        integrate_u_system)
+from .integrate import (IntegratorOptions, TerminationKind, Trajectory, _fate_run, _in_x1,
+                        _prey_died, integrate_u_system)
 from .model import DomainError, ModelParams, State
 
 __all__ = [
@@ -156,9 +156,7 @@ def simulate_extinction(
         opts = IntegratorOptions(horizon=100.0)
     _check_prey_above_threshold(ic, opts)
     verdict = extinction_ic_condition(ic.x1, p)
-    traj = _fate_run(p, ic, opts)
-    if p.m1 < 1.0:  # the run's y = x1**(1-m1), stored as x1
-        traj.x1[:] = [y ** (1.0 / (1.0 - p.m1)) for y in traj.x1]
+    traj = _in_x1(p, _fate_run(p, ic, opts))
     end = traj.termination
     if not _prey_died(end):
         return replace(verdict, simulated=SimulatedExtinction(False, None, end.kind, traj))
@@ -215,17 +213,17 @@ def verify_persistence(
     opts: IntegratorOptions | None = None,
 ) -> PersistenceVerdict:
     """Run simulate_extinction's fate run to opts.horizon (default 500) and
-    report whether the prey survived; min_x1 is the run's least x1,
-    min(y)**(1/(1-m1)) for m1 < 1.  A run that decides no fate raises
+    report whether the prey survived; min_x1 is the run's least x1, its
+    states mapped back from y for m1 < 1.  A run that decides no fate raises
     DomainError, and so does a prey at or below the extinction threshold,
     which the run would report, already gone, as persistent."""
     if opts is None:
         opts = IntegratorOptions(horizon=500.0)
     _check_prey_above_threshold(ic, opts)
-    traj = _fate_run(p, ic, opts)
+    traj = _in_x1(p, _fate_run(p, ic, opts))
     end = traj.termination
     died = _prey_died(end)
-    low = min(traj.x1) if p.m1 >= 1.0 else min(traj.x1) ** (1.0 / (1.0 - p.m1))
+    low = min(traj.x1)
     return PersistenceVerdict(not died, opts.horizon, low, end.time if died else None, end.kind)
 
 

@@ -46,21 +46,21 @@ the fan and each probe refuse with DomainError.
 
 Which side of this curve E1's unstable manifold leaves on needs no curve:
 orbits of a planar flow cannot cross, so the verdict is the fate of E1's
-leaving orbit under the same classifier (PlanarCurve.end), its x-chart run
-stopped by the launches' own turnaround test; the probes measure only its
-margin, each read off the leg in run order.
+leaving orbit under the same classifier (PlanarCurve.end), its run the
+launches' own fate run and turnaround test; the probes measure only its
+margin, each read where the leg, in run order, first crosses the probe.
 """
 from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 from .equilibria import jacobian, predator_nullcline_x1
 from .extinction import dissipative_bound_K2
-from .integrate import (IntegratorOptions, Termination, TerminationKind, _fate_run, _prey_died,
-                        _run, _y_chart, integrate)
-# make_rhs is unused here; it stays because the bench trace shim patches it
+# integrate and make_rhs are unused here; they stay for the bench trace shim
+from .integrate import (IntegratorOptions, Termination, TerminationKind, _fate_run,  # noqa: F401
+                        _in_x1, _prey_died, _run, _y_chart, integrate)
 from .model import DomainError, ModelParams, State, _response, eval_f, make_rhs  # noqa: F401
 
 __all__ = [
@@ -93,6 +93,8 @@ class PlanarCurve:
     # how the one run that traced it ended; None for the fan and the
     # nullclines, assembled from separate computations
     end: Termination | None = None
+    # the leg's chart (integrate._y_chart), to read it off its own steps
+    chart: tuple | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.points) < 2:
@@ -112,11 +114,10 @@ class Verdict(enum.Enum):
 
 @dataclass(frozen=True)
 class SeparatrixComparison:
-    """The verdict, and the fan against the leg at its probes.  The margin
-    is interpolation-limited: on OSC the leg's linear interpolation is off
-    by up to 1.5e-2 at the probes against a tight scipy trace, more than the
-    true gaps at the 8 leftmost spread (0.0943-0.0967), so the margin, 0.0952
-    at x1 = 1.816, names the wrong probe (truly 0.0943, at x1 = 1.389)."""
+    """The verdict, and the fan against the leg at its probes.  Each probe
+    reads the leg on its own steps, so the margin has the run's accuracy:
+    on OSC, ENRICHED and ENRICHED r = 0.3 it lies within 3.9e-7, 8.2e-9
+    and 1.8e-9 relative of a tight scipy leg's margin, at the same probe."""
 
     verdict: Verdict       # the fate of E1's leaving orbit
     margin: float          # least |ws - wu| over the probes in x1_range
@@ -202,11 +203,13 @@ def trace_unstable_manifold_E1(
 
     Requires m2 = 1 (E1 linearizable) and E1 a saddle.  The seed steps
     _E1_SEED_SCALE * a1/b1 off E1 along the unstable eigenvector, oriented
-    into the open quadrant.  The run is an `integrate` run that stops on
-    the launches' own test, `_turned`: it ends at the leg's first turn, the
+    into the open quadrant.  The run is the launches' own fate run
+    (integrate._fate_run, its x1 column mapped back from y = x1**(1-m1))
+    stopped by their test, `_turned`: it ends at the leg's first turn, the
     first accepted state with dx1/dt > 0 (the curve's last point), at the
     prey-extinction event, or at the horizon; `end` keeps the run's
-    Termination, whose fate separatrix_relative_position reads.  No guard is needed:
+    Termination, whose fate separatrix_relative_position reads, and `chart`
+    its chart (m1 < 1), in which the probes read it.  No guard is needed:
     Q = x1 + (w0/w1)*x2 keeps x2 <= (w1/w0)*max(Q(0), W1/a2) on every run.
 
     The seed's offset grows like exp(lu*t), lu being E1's unstable
@@ -235,9 +238,12 @@ def trace_unstable_manifold_E1(
             f"E1's unstable eigenvalue {j22!r} is too small: its leg needs about "
             f"{horizon:.6g} time units to leave E1, past {_E1_HORIZON_FACTOR:g} times "
             f"the horizon {opts.horizon!r}")
-    traj = integrate(p, seed, replace(opts, horizon=horizon), stop_when=_turned)
+    opts = replace(opts, horizon=horizon)
+    chart = _y_chart(p, opts) if p.m1 < 1.0 else None
+    traj = _in_x1(p, _fate_run(p, seed, opts, _turned, chart))
     _prey_died(traj.termination)  # a leg that decides no fate raises here
-    return PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(traj.states), traj.termination)
+    return PlanarCurve(CurveLabel.UNSTABLE_MANIFOLD_E1, tuple(traj.states), traj.termination,
+                       chart)
 
 
 # --------------------------------------------------------------------------
@@ -405,11 +411,13 @@ def trace_stable_separatrix_E0(
                        tuple(State(x, y) for x, y in zip(stations, ys)))
 
 
-def _leg_x2(xs: list[float], ys: list[float], x1: float) -> float | None:
+def _leg_x2(xs: list[float], ys: list[float], x1: float, chart) -> float | None:
     """x2 at x1 on the first segment of the run (xs, ys), in run order,
     whose ends bracket x1: the one into the first state at or past x1 from
-    the run's start.  Linear in x1 from the segment's smaller-x1 end; None
-    if the run never reaches x1."""
+    the run's start.  In the leg's chart, where a run from that segment's
+    start, stopped by `_turned`, falls through y = x1**(1-m1), located on
+    its step's continuous extension; else, or if it turns first, linear in
+    x1 from the segment's smaller-x1 end.  None if the run never reaches x1."""
     if xs[0] >= x1:
         j = next((j for j, x in enumerate(xs) if x <= x1), None)
     else:
@@ -417,6 +425,11 @@ def _leg_x2(xs: list[float], ys: list[float], x1: float) -> float | None:
     if j is None:
         return None
     b = max(j, 1)
+    if chart is not None and xs[b - 1] > x1:
+        f, yopts, k = chart
+        run = _run(f, (xs[b - 1] ** k, ys[b - 1]), yopts, _turned, floor=x1 ** k)
+        if run.termination.kind is TerminationKind.PREY_EXTINCT:
+            return run.x2[-1]
     lo, hi = (b, b - 1) if xs[b] <= xs[b - 1] else (b - 1, b)
     t = (x1 - xs[lo]) / (xs[hi] - xs[lo]) if xs[hi] > xs[lo] else 0.0
     return ys[lo] + t * (ys[hi] - ys[lo])
@@ -428,10 +441,10 @@ def separatrix_relative_position(ws: PlanarCurve, wu: PlanarCurve) -> Separatrix
     fate of E1's leaving orbit, integrate._prey_died(wu.end): a prey that
     died is WU_ABOVE_WS; an end outside that rule, or none, raises
     DomainError.
-    ws is compared only at its own probes in wu's x1 range, each read off
-    the first segment of wu, in run order, that brackets it: the margin is
-    the least |ws - wu|, and `contradicted` counts the probes whose gap
-    lacks the verdict's sign."""
+    ws is compared only at its own probes in wu's x1 range, each read
+    (_leg_x2) at the first segment of wu, in run order, that brackets it:
+    the margin is the least |ws - wu|, and `contradicted` counts the
+    probes whose gap lacks the verdict's sign."""
     if ws.label is not CurveLabel.STABLE_SEPARATRIX_E0:
         raise DomainError("first curve must be the stable separatrix of E0")
     if wu.label is not CurveLabel.UNSTABLE_MANIFOLD_E1:
@@ -440,7 +453,8 @@ def separatrix_relative_position(ws: PlanarCurve, wu: PlanarCurve) -> Separatrix
 
     ws_pts = sorted(ws.points, key=lambda s: s.x1)
     xs, ys = wu.x1s(), wu.x2s()
-    gaps = [(s.x1, s.x2 - y) for s in ws_pts if (y := _leg_x2(xs, ys, s.x1)) is not None]
+    gaps = [(s.x1, s.x2 - y) for s in ws_pts
+            if (y := _leg_x2(xs, ys, s.x1, wu.chart)) is not None]
     lo, hi = min(xs), max(xs)
     if not gaps:
         raise DomainError(f"no probe of ws on [{ws_pts[0].x1!r}, {ws_pts[-1].x1!r}] "

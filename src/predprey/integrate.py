@@ -5,8 +5,8 @@ separatrix machinery runs thousands of short integrations (three per probe:
 one backward trace and two certifying launches), and scalar arithmetic keeps
 each step in the microsecond range.  All three run in the chart
 y = x1**(1-m1) (`_y_chart`), smooth at the prey axis: the trace is `_run`
-with sign -1 up to the probe's y as its ceiling; the launches, like the
-extinction and persistence runs, are `_fate_run`, down to y = thr**(1-m1).
+with sign -1 up to the probe's y as its ceiling; the launches, E1's leg
+and the extinction and persistence runs are `_fate_run`, to y = thr**(1-m1).
 There is one loop, the text `_LOOP`, written out inline against plain
 floats: in CPython a helper call per step, a tuple per step result, min/max
 builtin calls and per-event or per-state objects cost as much as the field
@@ -108,6 +108,13 @@ def _fate_run(p: ModelParams, ic: State, opts: IntegratorOptions,
     f, yopts, k = chart or _y_chart(p, opts)
     y0, x2 = _check_ic(ic.x1, "x1") ** k, _check_ic(ic.x2, "x2")
     return _run(f, (y0, x2), yopts, stop_when, floor=opts.extinction_threshold ** k)
+
+
+def _in_x1(p: ModelParams, traj: Trajectory) -> Trajectory:
+    """A _fate_run's run with its x1 column mapped back from y to x1 (m1 < 1)."""
+    if p.m1 < 1.0:
+        traj.x1[:] = [y ** (1.0 / (1.0 - p.m1)) for y in traj.x1]
+    return traj
 
 
 @dataclass(frozen=True)

@@ -162,20 +162,26 @@ def test_separatrix_command(tmp_path):
 # (ln(1e6) + 20)/lu = 2 140 and 1 980 time units to leave E1, against the
 # horizon 500, where it read horizon_reached still next to E1 and met no
 # probe.  Run that long, it falls monotonically onto an interior
-# equilibrium, (0.61356, 0.02560) and (2.49379, 4.86509).
+# equilibrium, (0.61356, 0.02560) and (2.49379, 4.86509).  Each margin is
+# pinned as printed and against scipy's: the fan against a DOP853 leg in
+# the y-chart (rtol 1e-13, atol 1e-15) from the same seed, read at each
+# probe's first crossing.
 SLOW_LEGS = {
     "set_90": (dict(a1=0.40329474886873923, a2=0.3404754297647522, b1=0.6125692795158948,
                     w0=4.003310097230463, w1=2.0722483727300887, d=4.74417937156801,
-                    m1=0.6978930845954732, r=0.6285732916150433), "0.90133379476193376"),
+                    m1=0.6978930845954732, r=0.6285732916150433),
+               "0.90133379242317735", 0.9013337924223228),
     "set_178": (dict(a1=2.89121300526122, a2=0.778371184597891, b1=0.7550809865145779,
                      w0=0.5524865127637486, w1=0.8321332020113115, d=0.27008835347823873,
-                     m1=0.31188773165591643, r=0.4535326215766993), "1.7092864873234239"),
+                     m1=0.31188773165591643, r=0.4535326215766993),
+                "1.7092835381713574", 1.7092837317579779),
 }
 
 
 @pytest.mark.parametrize("name", sorted(SLOW_LEGS))
 def test_separatrix_runs_a_slow_leg_until_it_leaves_e1(tmp_path, name):
-    values, margin = SLOW_LEGS[name]
+    values, margin, scipy_margin = SLOW_LEGS[name]
+    assert float(margin) == pytest.approx(scipy_margin, abs=1e-6)
     cfg = write(tmp_path / "slow.ini", "[model]\n" + "".join(
         f"{k} = {v!r}\n" for k, v in {**values, "m2": 1.0}.items()))
     out = tmp_path / "out"
@@ -197,10 +203,12 @@ def test_separatrix_names_the_eigenvalue_of_a_leg_that_cannot_leave_e1(tmp_path,
 
 def test_separatrix_refuses_m2_below_1_before_any_launch(tmp_path, capsys, monkeypatch):
     # E1 is not linearizable for m2 < 1, so the manifold refuses BISTABLE:
-    # the command exits 1 before a single separatrix launch or probe
+    # the command exits 1 before a single separatrix launch, probe trace or
+    # leg
     geo = sys.modules["predprey.geometry"]
     launches = []
-    monkeypatch.setattr(geo, "integrate", lambda *a, **k: launches.append(a))
+    for name in ("_fate_run", "_run"):
+        monkeypatch.setattr(geo, name, lambda *a, **k: launches.append(a))
     cfg = write(tmp_path / "bistable.ini", textwrap.dedent("""\
         [model]
         a1 = 0.5
@@ -417,6 +425,18 @@ def test_missing_config_file_exits_2(tmp_path):
     res = run_cli("simulate", "--config", str(tmp_path / "nope.ini"),
                   "--out", str(tmp_path / "o"))
     assert res.returncode == 2
+
+
+def test_config_that_is_not_text_exits_2(tmp_path, capsys):
+    # bytes that do not decode are a config file that cannot be read: one
+    # error line and exit 2, not a UnicodeDecodeError traceback
+    cfg = tmp_path / "bad.ini"
+    cfg.write_bytes(b"\xff\xfe[model]\n")
+    assert cli.main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: cannot read config file {str(cfg)!r}: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_non_finite_tolerances_are_rejected(tmp_path):

@@ -29,8 +29,8 @@ from predprey import (
     trace_unstable_manifold_E1,
     with_params,
 )
-from predprey.integrate import Termination, _y_chart
-from predprey.model import make_rhs
+from predprey.integrate import Termination, _fate_run, _in_x1, _y_chart
+from predprey.model import make_rhs, make_y_rhs
 
 
 def test_psi_domain_and_values(osc_params):
@@ -100,11 +100,14 @@ def test_a_weak_prey_response_turns_far_up_and_stays_bounded(osc_params):
 
 def test_a_leg_that_wobbles_within_its_error_falls_into_extinction():
     # a random.Random(3) draw of the fan's domain: x1 at the leg's 8th state
-    # lies 1.3e-6 above the 7th (the 9th 6.5e-6 above the 8th), inside the
-    # step's error rel_tol*x1 = 1.7e-5, while dx1 < 0 at every state.  A
-    # scipy DOP853 trace (rtol 1e-12) takes the leg into x1 = 1e-9 at
-    # t = 125.43.  Read as a turn, the wobble made an 8-state leg that met
-    # no probe.
+    # lies 1.3e-6 above the 7th (the 9th 1.4e-5 above the 8th), inside the
+    # step's error in x1 of the run in y = x1**(1-m1), (rel_tol/2)/(1-m1)*x1
+    # = 4.0e-5, while dx1 < 0 at every state.  A scipy DOP853 trace (rtol
+    # 1e-12) takes the leg into x1 = 1e-9 at t = 125.43.  Read as a turn,
+    # the wobble made an 8-state leg that met no probe.  The margin is
+    # scipy's, 2.614877: the fan against a DOP853 leg in the y-chart
+    # (rtol 1e-13, atol 1e-15) from the same seed, read at each probe's
+    # first crossing.
     p = ModelParams(a1=4.690836839063927, a2=0.25812671445466695, b1=0.027299362652590364,
                     w0=0.4189956899292203, w1=0.3807242239567352, d=0.7835784905542477,
                     m1=0.7829623770787273, m2=1.0, r=0.7048934926904875)
@@ -114,7 +117,7 @@ def test_a_leg_that_wobbles_within_its_error_falls_into_extinction():
     cmp_ = separatrix_relative_position(trace_stable_separatrix_E0(p), wu)
     assert cmp_.verdict is Verdict.WU_ABOVE_WS
     assert cmp_.contradicted == 0
-    assert cmp_.margin == pytest.approx(2.6136, rel=1e-4)
+    assert cmp_.margin == pytest.approx(2.614877, rel=1e-4)
     assert cmp_.gap_at[0] == pytest.approx(163.238, rel=1e-5)
 
 
@@ -124,7 +127,7 @@ def test_a_leg_that_wobbles_within_its_error_falls_into_extinction():
 ])
 def test_osc_verdict_flips_just_above_w1_2(osc_params, w1, end, verdict):
     # E1's leaving orbit runs into the origin's stable set near w1 =
-    # 2.0090701916472 (bisected on the leg's fate at the default options):
+    # 2.0090693507 (bisected on the leg's fate at the default options):
     # below it the leg turns, above it the prey dies out.  OSC's w1 = 2.0
     # lies 0.45% below; the verdict follows the fate whatever the probes
     wu = trace_unstable_manifold_E1(with_params(osc_params, w1=w1))
@@ -135,16 +138,57 @@ def test_osc_verdict_flips_just_above_w1_2(osc_params, w1, end, verdict):
     assert separatrix_relative_position(ws, wu).verdict is verdict
 
 
-@pytest.mark.parametrize("name", ["osc", "enriched", "enriched_r_0.3"])
-def test_manifold_is_the_descending_prefix_of_the_long_trace(osc_params, name):
-    # the manifold ends at its leg's first turn: state for state the prefix
-    # of a run from the same seed to the horizon, through its first state
-    # with dx1/dt > 0
+def test_osc_fate_flip_matches_the_scipy_bisection(osc_params):
+    # scipy's DOP853 leg in the y-chart (rtol 1e-13, atol 1e-18) from the
+    # same seed, bisected on its fate, flips at w1 = 2.0090693428,
+    # 2.0090693460 and 2.0090693412 with max_step 0.02, 0.01 and 0.005, a
+    # spread of 2.4e-9 relative (with no max_step, grazes of the turn event
+    # inside one step move its flip over 2.0090694-2.0090754)
+    lo, hi = 2.00906, 2.00908
+    while hi - lo > 1e-11:
+        mid = 0.5 * (lo + hi)
+        wu = trace_unstable_manifold_E1(with_params(osc_params, w1=mid))
+        if wu.end.kind is TerminationKind.PREY_EXTINCT:
+            hi = mid
+        else:
+            lo = mid
+    for scipy_flip in (2.0090693428, 2.0090693460, 2.0090693412):
+        assert 0.5 * (lo + hi) == pytest.approx(scipy_flip, rel=1e-8)
+
+
+# The least gap of the fan against scipy's DOP853 leg in the y-chart (rtol
+# 1e-13, atol 1e-15) from the same seed, read at each probe's first
+# crossing, and the probe it lies at.
+_SCIPY_MARGINS = {"osc": (0.09431066696894774, 1.3892551477725805),
+                  "enriched": (0.40486534997092916, 9.04761904761905),
+                  "enriched_r_0.3": (24.541367367216502, 5.297044866882048)}
+
+
+@pytest.mark.parametrize("name", sorted(_SCIPY_MARGINS))
+def test_the_margin_is_scipys_at_the_probe_scipy_names(osc_params, name):
     p = _fan_sets(osc_params)[name]
+    margin, x1 = _SCIPY_MARGINS[name]
+    cmp_ = separatrix_relative_position(trace_stable_separatrix_E0(p),
+                                        trace_unstable_manifold_E1(p))
+    assert cmp_.margin == pytest.approx(margin, rel=1e-6)
+    assert cmp_.gap_at[0] == x1
+
+
+@pytest.mark.parametrize("name", ["osc", "enriched", "enriched_r_0.3"])
+def test_manifold_is_the_descending_prefix_of_the_long_trace(osc_params, monkeypatch, name):
+    # the manifold ends at its leg's first turn: state for state the prefix
+    # of a fate run from the same seed to the horizon, through its first
+    # state with dy/dt > 0, y = x1**(1-m1) the run's chart
+    p = _fan_sets(osc_params)[name]
+    geo = sys.modules["predprey.geometry"]
+    seeds = []
+    monkeypatch.setattr(geo, "_fate_run",
+                        lambda p, ic, *args: seeds.append(ic) or _fate_run(p, ic, *args))
     wu = trace_unstable_manifold_E1(p)
-    full = integrate(p, wu.points[0], IntegratorOptions(horizon=500.0))
-    f = make_rhs(p)
+    full = _fate_run(p, seeds[0], IntegratorOptions(horizon=500.0))
+    f = make_y_rhs(p)
     turns = [i for i, s in enumerate(full.states) if f(*s)[0] > 0.0]
+    _in_x1(p, full)
     if name == "enriched":
         # the leg runs into prey extinction, which ends both runs
         assert full.termination.kind is TerminationKind.PREY_EXTINCT
@@ -153,10 +197,17 @@ def test_manifold_is_the_descending_prefix_of_the_long_trace(osc_params, name):
     else:
         assert len(full) > turns[0] + 1
         assert repr(wu.points) == repr(tuple(full.states[:turns[0] + 1]))
-        # x1 still falls into the turning state, and climbs only after it
-        x1 = full.x1
-        assert all(b < a for a, b in zip(x1[:turns[0]], x1[1:turns[0] + 1]))
-        assert not x1[turns[0] + 1] < x1[turns[0]]
+        # x1 still falls into the turning state, and climbs only after it;
+        # on enriched_r_0.3 the turn falls inside the step into the turning
+        # state (the first accepted one with dy/dt > 0), which lies 6.7e-4
+        # relative above the state before
+        x1, t = full.x1, turns[0]
+        if name == "enriched_r_0.3":
+            assert all(b < a for a, b in zip(x1[:t - 1], x1[1:t]))
+            assert 0.0 < x1[t] - x1[t - 1] <= 1e-3 * x1[t - 1]
+        else:
+            assert all(b < a for a, b in zip(x1[:t], x1[1:t + 1]))
+        assert not x1[t + 1] < x1[t]
     # the long run's fate agrees with the leg's: a turn and the horizon
     # both mean the leg did not run monotonically into extinction
     ws = trace_stable_separatrix_E0(p)
@@ -598,7 +649,10 @@ def test_relative_position_checks_labels_and_overlap():
 
 # Perturbed OSC and ENRICHED sets (m2 = r = 1) on which the fan, compared
 # with the leg on 200 interpolated stations, changed sign: the comparison
-# read the interpolation error of two close curves as a crossing.
+# read the interpolation error of two close curves as a crossing.  The leg
+# read by chords still gave osc_118 and enriched_121 one probe of the wrong
+# sign; read at each probe's crossing none has, as on scipy's DOP853 leg in
+# the y-chart (rtol 1e-13), whose 12 gaps on each set are all negative.
 _CLOSE_SETS = {
     "osc_100": (dict(a1=0.5986303975777371, a2=1.0134769541427935, b1=0.06048433786895544,
                      w0=0.972880678668507, w1=2.036565036798035, d=2.028885560447717,
@@ -607,12 +661,12 @@ _CLOSE_SETS = {
     "osc_118": (dict(a1=0.6121927204616904, a2=0.997419141548853, b1=0.062210468322573306,
                      w0=1.0488850384888118, w1=2.03362475712885, d=2.0120017055565897,
                      m1=0.8109207850986225),
-                TerminationKind.PREY_EXTINCT, Verdict.WU_ABOVE_WS, 1),
+                TerminationKind.PREY_EXTINCT, Verdict.WU_ABOVE_WS, 0),
     "enriched_121": (dict(a1=1.9807886066905247, a2=0.9932984423583074,
                           b1=0.20559014509618556, w0=1.0140024605946736,
                           w1=1.937781211049312, d=2.0482869946019036,
                           m1=0.8393501617002028),
-                     TerminationKind.PREY_EXTINCT, Verdict.WU_ABOVE_WS, 1),
+                     TerminationKind.PREY_EXTINCT, Verdict.WU_ABOVE_WS, 0),
 }
 
 
